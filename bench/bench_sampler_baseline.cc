@@ -1,21 +1,20 @@
-// Machine-readable sampler perf baseline (DESIGN.md §11), schema v3.
+// Machine-readable sampler perf baseline (DESIGN.md §11), schema v4.
 //
 // Measures the sparsifier ingestion hot path on a skewed RMAT graph —
 // combiner+edge-balanced scheduling vs the direct shared-table path at the
 // same worker count, plus a contended 4-thread shared-table row pair that
 // revalidates UpsertBatch's prefetch pipeline under real cross-thread
 // traffic — and the walk-step primitives: CSR, compressed decode variants
-// (naive per-draw, the retired lazy cursor kept bench-local, the cold-tier
-// batch-decode WalkContext, and the hub-pinned two-tier context), weighted
-// prefix-scan vs full alias vs degree-gated alias, and an out-of-LLC
-// RMAT-20 section where the adjacency no longer fits any cache level. The
-// xllc section runs the full engine under both varint decode arms (forced
-// scalar and the dispatched SIMD backend) so the artifact shows what the
-// SIMD batch decoder buys at DRAM-bound scale. A cross-variant checksum
-// matrix — {scalar, simd} x {naive, cold, pinned} x {1, 4 threads} with
-// per-start seeded RNGs and an order-independent XOR reduction — proves the
-// decode tiers are pure caches: any divergence fails the run. Writes a JSON
-// trajectory artifact (default BENCH_sampler.json, overridable as argv[1]).
+// (naive per-draw, the cold-tier batch-decode WalkContext, and the
+// hub-pinned two-tier context), weighted prefix-scan vs full alias vs
+// degree-gated alias, and an out-of-LLC RMAT-20 section where the adjacency
+// no longer fits any cache level. Every walk row runs sequential
+// WeightedRandomWalk calls, the walk path the sparsifier itself takes. A
+// cross-variant checksum matrix — {naive, cold, pinned} x {1, 4 threads}
+// with per-start seeded RNGs and an order-independent XOR reduction —
+// proves the decode tiers are pure caches: any divergence fails the run.
+// Writes a JSON trajectory artifact (default BENCH_sampler.json,
+// overridable as argv[1]).
 // `scripts/bench_baseline.sh` re-runs this at scale 1.0 and commits the
 // result; scripts/check.sh runs a reduced-scale smoke and validates the
 // schema.
@@ -258,96 +257,6 @@ std::vector<std::pair<NodeId, NodeId>> PathEdges(const CsrGraph& g) {
   return edges;
 }
 
-// ------------------------------------------------- legacy decode cursor
-// The lazily-extending DecodeCursor the graph library used to ship.
-// Retired from src/ — the two-tier WalkContext with SIMD batch decode
-// replaced it (BENCH_sampler.json v2 measured the cursor at parity-at-best
-// against naive decode on the sampler's edge stream) — but kept alive here,
-// bench-local, so the `walk_compressed_cursor` row keeps tracking the
-// alternative. Anchors blocks through the graph's public BlockBytes() and
-// re-implements the LEB128 helpers locally; behavior is byte-for-byte the
-// retired implementation: direct-mapped (vertex, block) slots, inline
-// decode for draws within kDirectWithin of a block start, and lazy prefix
-// extension up to the requested index.
-class LegacyDecodeCursor {
- public:
-  NodeId Get(const CompressedGraph& g, NodeId v, uint64_t i) {
-    const uint64_t b = i / g.block_size();
-    const uint64_t within = i - b * g.block_size();
-    if (within <= kDirectWithin) {
-      return g.Neighbor(v, i);
-    }
-    const uint64_t key = (static_cast<uint64_t>(v) << 20) ^ b;
-    Entry& e = entries_[(key * 0x9E3779B97F4A7C15ull) >> (64 - kLog2Entries)];
-    if (v == e.v && b == e.block && within < e.filled) {
-      ++hits_;
-      return e.buf[within];
-    }
-    ++misses_;
-    if (v != e.v || b != e.block) {
-      e.next = g.BlockBytes(v, b);
-      e.v = v;
-      e.block = b;
-      e.filled = 0;
-      if (e.buf.size() < g.block_size()) e.buf.resize(g.block_size());
-    }
-    uint64_t filled = e.filled;
-    int64_t running = e.running;
-    const uint8_t* p = e.next;
-    NodeId* buf = e.buf.data();
-    if (filled == 0) {
-      running = static_cast<int64_t>(v) + DecodeZigzag(&p);
-      buf[filled++] = static_cast<NodeId>(running);
-    }
-    while (filled <= within) {
-      running += static_cast<int64_t>(DecodeVarint(&p));
-      buf[filled++] = static_cast<NodeId>(running);
-    }
-    e.filled = filled;
-    e.running = running;
-    e.next = p;
-    return buf[within];
-  }
-
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
- private:
-  static constexpr uint32_t kLog2Entries = 7;  // 128 direct-mapped slots
-  static constexpr uint64_t kDirectWithin = 8;
-  static constexpr uint64_t kNoVertex = ~uint64_t{0};
-
-  static uint64_t DecodeVarint(const uint8_t** p) {
-    uint64_t out = 0;
-    int shift = 0;
-    for (;;) {
-      const uint8_t byte = *(*p)++;
-      out |= static_cast<uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) break;
-      shift += 7;
-    }
-    return out;
-  }
-
-  static int64_t DecodeZigzag(const uint8_t** p) {
-    const uint64_t u = DecodeVarint(p);
-    return static_cast<int64_t>(u >> 1) ^ -static_cast<int64_t>(u & 1);
-  }
-
-  struct Entry {
-    uint64_t v = kNoVertex;         // vertex id (kNoVertex = empty)
-    uint64_t block = 0;
-    uint64_t filled = 0;            // decoded prefix length of the block
-    const uint8_t* next = nullptr;  // byte position after buf[filled - 1]
-    int64_t running = 0;            // last decoded neighbor id
-    std::vector<NodeId> buf;        // decoded prefix, size >= filled
-  };
-
-  Entry entries_[uint64_t{1} << kLog2Entries];
-  uint64_t hits_ = 0;    // served without decoding a varint
-  uint64_t misses_ = 0;  // had to extend or (re-)anchor an entry
-};
-
 // Times the PathSampling pattern over the edge stream via one-step
 // `step(v, rng) -> next`, accumulating endpoints into a checksum so the
 // loops cannot be dead-code eliminated. All variants consume one RNG draw
@@ -431,65 +340,6 @@ uint64_t RecordWalkRow(const std::string& name, const std::string& variant,
   return pass_checksum;
 }
 
-// Per-walk RNG stream for the out-of-LLC rows: walk `a` of start index `si`
-// draws from its own deterministic generator, so the workload's walks are
-// schedulable in any order — sequentially draw-by-draw (the naive baseline)
-// or in lockstep lanes (WeightedRandomWalkBatch) — with bit-identical
-// endpoints, which is exactly what the cross-row checksums compare.
-inline uint64_t XllcWalkSeed(uint64_t si, uint64_t a) {
-  return HashCombine64(99, si * kWalksPerStart + a);
-}
-
-// Times the out-of-LLC walk workload (kWalksPerStart walks of kStepsPerWalk
-// steps from every start, per-walk rng streams) through `run(starts, nwalks,
-// rngs, ends)`, which must leave walk w's endpoint in ends[w]. Starts are
-// handed over kXllcGroup at a time so batched engines can schedule lanes
-// wider than one start's walks; a sequential `run` just loops.
-constexpr uint64_t kXllcGroup = 4;
-template <typename RunFn>
-uint64_t RecordXllcWalkRow(const std::string& name, const std::string& variant,
-                           const std::vector<NodeId>& starts, int runs,
-                           const RunFn& run) {
-  uint64_t pass_checksum = 0;
-  auto pass = [&] {
-    uint64_t local = 0;
-    std::vector<NodeId> sv(kXllcGroup * kWalksPerStart);
-    std::vector<NodeId> ends(kXllcGroup * kWalksPerStart);
-    std::vector<Rng> rngs(kXllcGroup * kWalksPerStart);
-    for (uint64_t si = 0; si < starts.size(); si += kXllcGroup) {
-      const uint64_t gs =
-          std::min<uint64_t>(kXllcGroup, starts.size() - si);
-      for (uint64_t j = 0; j < gs; ++j) {
-        for (uint64_t a = 0; a < kWalksPerStart; ++a) {
-          sv[j * kWalksPerStart + a] = starts[si + j];
-          rngs[j * kWalksPerStart + a].Reseed(XllcWalkSeed(si + j, a));
-        }
-      }
-      run(sv.data(), gs * kWalksPerStart, rngs.data(), ends.data());
-      for (uint64_t j = 0; j < gs * kWalksPerStart; ++j) local += ends[j];
-    }
-    pass_checksum = local;
-  };
-  ResultRow row;
-  row.name = name;
-  row.kind = "walk";
-  row.variant = variant;
-  {
-    SequentialRegion guard;
-    row.median_ms = MedianMs(runs, pass);
-  }
-  row.threads = 1;
-  row.runs = runs;
-  row.unit = "steps";
-  const double total_steps = static_cast<double>(starts.size()) *
-                             static_cast<double>(kWalksPerStart) *
-                             static_cast<double>(kStepsPerWalk);
-  row.rate_per_sec = total_steps / (row.median_ms / 1000.0);
-  PrintRow(row);
-  g_rows.push_back(std::move(row));
-  return pass_checksum;
-}
-
 // Decode-cache tier counters of a hub-pinned walk row, captured before the
 // measuring context dies (its destructor drains them into the global
 // metrics registry).
@@ -510,9 +360,11 @@ struct GatedAliasStats {
 };
 
 // ------------------------------------------- cross-variant walk checksums
-// Proof rows for the "pure decode cache" contract: every combination of
-// decode backend {scalar, simd}, pin tier {naive, cold, pinned}, and thread
-// count {1, kChecksumThreads} must draw the identical walk stream. Each
+// Proof rows for the "pure decode cache" contract: every combination of pin
+// tier {naive, cold, pinned} and thread count {1, kChecksumThreads} must
+// draw the identical walk stream. The naive tier decodes through the inline
+// scalar Neighbor(), the cold and pinned tiers through the dispatched varint
+// decoder, so equal checksums also tie the SIMD arm to the scalar one. Each
 // start's RNG is seeded from its index alone and its trajectory folds into
 // a per-start hash; the per-start hashes XOR-reduce, so the total is
 // independent of which thread walked which start and in what order. Any
@@ -526,8 +378,7 @@ constexpr int kChecksumThreads = 4;
 constexpr uint64_t kChecksumSteps = 16;
 
 struct ChecksumEntry {
-  const char* backend;  // "scalar" | "simd"
-  const char* tier;     // "naive" | "cold" | "pinned"
+  const char* tier;  // "naive" | "cold" | "pinned"
   int threads = 1;
   uint64_t value = 0;
 };
@@ -576,46 +427,34 @@ uint64_t ChecksumWalks(const CompressedGraph& g, Tier tier,
   return total.load(std::memory_order_relaxed);
 }
 
-// Runs the full matrix and restores automatic dispatch. Exits nonzero on
-// any divergence.
+// Runs the full matrix. Exits nonzero on any divergence.
 std::vector<ChecksumEntry> RunChecksumMatrix(
     const CompressedGraph& g, const WalkAccel<CompressedGraph>& accel,
     const std::vector<NodeId>& starts) {
-  struct BackendCase {
-    VarintBackend backend;
-    const char* name;
-  };
   struct TierCase {
     Tier tier;
     const char* name;
   };
   std::vector<ChecksumEntry> entries;
-  for (const BackendCase& bc :
-       {BackendCase{VarintBackend::kScalar, "scalar"},
-        BackendCase{VarintBackend::kSimd, "simd"}}) {
-    SetVarintBackend(bc.backend);
-    for (const TierCase& tc : {TierCase{Tier::kNaive, "naive"},
-                               TierCase{Tier::kCold, "cold"},
-                               TierCase{Tier::kPinned, "pinned"}}) {
-      for (const int nthreads : {1, kChecksumThreads}) {
-        ChecksumEntry e;
-        e.backend = bc.name;
-        e.tier = tc.name;
-        e.threads = nthreads;
-        e.value = ChecksumWalks(g, tc.tier, accel, starts, nthreads);
-        entries.push_back(e);
-      }
+  for (const TierCase& tc : {TierCase{Tier::kNaive, "naive"},
+                             TierCase{Tier::kCold, "cold"},
+                             TierCase{Tier::kPinned, "pinned"}}) {
+    for (const int nthreads : {1, kChecksumThreads}) {
+      ChecksumEntry e;
+      e.tier = tc.name;
+      e.threads = nthreads;
+      e.value = ChecksumWalks(g, tc.tier, accel, starts, nthreads);
+      entries.push_back(e);
     }
   }
-  SetVarintBackend(VarintBackend::kAuto);
   bool all_equal = true;
   for (const ChecksumEntry& e : entries) {
     if (e.value != entries[0].value) {
       all_equal = false;
       std::fprintf(stderr,
-                   "walk checksum diverged: backend=%s tier=%s threads=%d "
+                   "walk checksum diverged: tier=%s threads=%d "
                    "got %016llx want %016llx\n",
-                   e.backend, e.tier, e.threads,
+                   e.tier, e.threads,
                    static_cast<unsigned long long>(e.value),
                    static_cast<unsigned long long>(entries[0].value));
     }
@@ -646,8 +485,8 @@ void WriteJson(const std::string& path, const CsrGraph& g,
   std::FILE* f = writer.stream();
   const char* sha = std::getenv("LIGHTNE_GIT_SHA");
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"lightne-sampler-v3\",\n");
-  std::fprintf(f, "  \"schema_version\": 3,\n");
+  std::fprintf(f, "  \"schema\": \"lightne-sampler-v4\",\n");
+  std::fprintf(f, "  \"schema_version\": 4,\n");
   std::fprintf(f, "  \"git_sha\": \"%s\",\n", sha ? sha : "unknown");
   std::fprintf(f, "  \"workers\": %d,\n", NumWorkers());
   std::fprintf(f, "  \"bench_scale\": %.3f,\n", BenchScale());
@@ -655,12 +494,9 @@ void WriteJson(const std::string& path, const CsrGraph& g,
                static_cast<long long>(
                    std::time(nullptr)));  // lint-ok: random (timestamp
                                           // field, not an RNG seed)
-  // Which varint decode arm automatic dispatch resolved to on this machine,
-  // and whether the SIMD arms were compiled in at all (the
-  // LIGHTNE_FORCE_SCALAR_DECODE CMake arm compiles them out).
-  std::fprintf(f, "  \"decode\": {\"backend\": \"%s\", "
-               "\"simd_compiled_in\": %s},\n",
-               VarintBackendName(), VarintSimdCompiledIn() ? "true" : "false");
+  // Which varint decode arm the CPU dispatch resolved to on this machine.
+  std::fprintf(f, "  \"decode\": {\"backend\": \"%s\"},\n",
+               VarintBackendName());
   std::fprintf(f,
                "  \"graph\": {\"vertices\": %llu, \"directed_edges\": %llu},\n",
                static_cast<unsigned long long>(g.NumVertices()),
@@ -769,9 +605,9 @@ void WriteJson(const std::string& path, const CsrGraph& g,
   for (size_t i = 0; i < checksums.size(); ++i) {
     const ChecksumEntry& e = checksums[i];
     std::fprintf(f,
-                 "      {\"backend\": \"%s\", \"tier\": \"%s\", \"threads\": "
-                 "%d, \"value\": \"%016llx\"}%s\n",
-                 e.backend, e.tier, e.threads,
+                 "      {\"tier\": \"%s\", \"threads\": %d, \"value\": "
+                 "\"%016llx\"}%s\n",
+                 e.tier, e.threads,
                  static_cast<unsigned long long>(e.value),
                  i + 1 < checksums.size() ? "," : "");
   }
@@ -795,8 +631,9 @@ void WriteJson(const std::string& path, const CsrGraph& g,
     const double a = FindMs(num), b = FindMs(den);
     return (a > 0 && b > 0) ? a / b : -1.0;
   };
-  // The acceptance ratios this repo tracks. v2 keys are kept verbatim so
-  // trajectory tooling can diff across the schema bump.
+  // The acceptance ratios this repo tracks. Keys of earlier schemas are kept
+  // verbatim while their rows exist, so trajectory tooling can diff across
+  // schema bumps.
   std::fprintf(f, "  \"speedups\": {\n");
   std::fprintf(f, "    \"sampler_w1_combiner_vs_direct_mt\": %.3f,\n",
                ratio("sampler_w1_direct_mt", "sampler_w1_combiner_mt"));
@@ -807,25 +644,15 @@ void WriteJson(const std::string& path, const CsrGraph& g,
   std::fprintf(f, "    \"sampler_contended_batch_vs_direct\": %.3f,\n",
                ratio("sampler_contended_direct_4t",
                      "sampler_contended_batch_4t"));
-  std::fprintf(f, "    \"walk_cursor_vs_naive_compressed\": %.3f,\n",
-               ratio("walk_compressed_naive", "walk_compressed_cursor"));
   std::fprintf(f, "    \"walk_coldtier_vs_naive_compressed\": %.3f,\n",
                ratio("walk_compressed_naive", "walk_compressed_coldtier"));
   std::fprintf(f, "    \"walk_pinned_vs_naive_compressed\": %.3f,\n",
                ratio("walk_compressed_naive", "walk_compressed_pinned"));
-  std::fprintf(f, "    \"walk_pinned_vs_cursor_compressed\": %.3f,\n",
-               ratio("walk_compressed_cursor", "walk_compressed_pinned"));
   std::fprintf(f, "    \"walk_coldtier_vs_naive_xllc\": %.3f,\n",
                ratio("walk_compressed_naive_xllc",
                      "walk_compressed_coldtier_xllc"));
-  std::fprintf(f, "    \"walk_pinned_scalar_vs_naive_xllc\": %.3f,\n",
-               ratio("walk_compressed_naive_xllc",
-                     "walk_compressed_pinned_scalar_xllc"));
   std::fprintf(f, "    \"walk_pinned_vs_naive_xllc\": %.3f,\n",
                ratio("walk_compressed_naive_xllc",
-                     "walk_compressed_pinned_xllc"));
-  std::fprintf(f, "    \"walk_pinned_vs_pinned_scalar_xllc\": %.3f,\n",
-               ratio("walk_compressed_pinned_scalar_xllc",
                      "walk_compressed_pinned_xllc"));
   std::fprintf(f, "    \"walk_alias_vs_prefix_weighted\": %.3f,\n",
                ratio("walk_weighted_prefix", "walk_weighted_alias"));
@@ -907,7 +734,7 @@ int main(int argc, char** argv) {
                   return WeightedRandomWalk(g, ctx, s, steps, rng);
                 });
   // Compressed rows replay PathSampling's edge-stream pattern so the decode
-  // caches are measured on the traffic they were built for. All four
+  // caches are measured on the traffic they were built for. All three
   // variants must produce the same per-pass checksum (pure decode caches).
   const std::vector<std::pair<NodeId, NodeId>> path_edges = PathEdges(g);
   const uint64_t sum_naive =
@@ -915,24 +742,6 @@ int main(int argc, char** argv) {
                         [&](NodeId v, Rng& rng) {
                           return cg.Neighbor(v, rng.UniformInt(cg.Degree(v)));
                         });
-  {
-    // Legacy cursor, retired from the library; bench-local reference row.
-    LegacyDecodeCursor cursor;
-    const uint64_t sum = RecordPathWalkRow(
-        "walk_compressed_cursor", "cursor", path_edges, 5,
-        [&](NodeId v, Rng& rng) {
-          return cursor.Get(cg, v, rng.UniformInt(cg.Degree(v)));
-        });
-    const double draws =
-        static_cast<double>(cursor.hits() + cursor.misses());
-    std::printf("  (cursor hit rate %.3f over %.0f probed draws)\n",
-                draws > 0 ? static_cast<double>(cursor.hits()) / draws : 0.0,
-                draws);
-    if (sum != sum_naive) {
-      std::fprintf(stderr, "cursor checksum diverged from naive decode\n");
-      return 1;
-    }
-  }
   {
     WalkContext<CompressedGraph> ctx;  // cold tier only (no accel)
     const uint64_t sum = RecordPathWalkRow(
@@ -981,7 +790,7 @@ int main(int argc, char** argv) {
 
   // --- cross-variant walk checksums ---------------------------------------
   std::printf("\nCross-variant walk checksums "
-              "({scalar, simd} x {naive, cold, pinned} x {1, %d threads})\n",
+              "({naive, cold, pinned} x {1, %d threads})\n",
               kChecksumThreads);
   std::vector<ChecksumEntry> checksums;
   {
@@ -993,17 +802,12 @@ int main(int argc, char** argv) {
   // RMAT scale 20: the adjacency no longer fits the fast cache levels, so a
   // walk step is a serial chain of dependent misses (degree -> draw ->
   // neighbor) — the regime where decoding compressed blocks competes
-  // against cache-missing CSR reads instead of L1 hits. The workload is
-  // kWalksPerStart independent walks per start on per-walk rng streams
-  // (RecordXllcWalkRow): the naive row resolves them sequentially with
-  // per-draw full decode — the PR-7 status quo — while the engine rows
-  // schedule the same walks in lockstep lanes (WeightedRandomWalkBatch), so
-  // their speedup measures the full walk engine: pinned-tier hits, exact
-  // cold prefixes, and lane-overlapped miss chains. Endpoint checksums
-  // assert every row resolved bit-identical walks. The pinned rows run the
-  // identical engine under both decode arms (the accel is shared; HubCache
-  // contents are backend-independent) so the scalar-vs-SIMD delta is
-  // attributable to the batch decoder alone.
+  // against cache-missing CSR reads instead of L1 hits. The naive row
+  // resolves every draw with a full per-draw decode; the engine rows run
+  // the same walks (same rng stream) through sequential WeightedRandomWalk
+  // calls on one WalkContext, so their speedup measures the walk engine:
+  // pinned-tier hits and exact cold prefixes. Endpoint checksums assert
+  // every row resolved bit-identical walks.
   std::printf("\nWalk steps, out-of-LLC graph (single thread)\n");
   const uint64_t xllc_edges = std::max<uint64_t>(
       static_cast<uint64_t>(6000000 * BenchScale()), 200000);
@@ -1019,31 +823,26 @@ int main(int argc, char** argv) {
   const std::vector<NodeId> xstarts = WalkStarts(g_xllc, num_starts);
   {
     WalkContext<CsrGraph> ctx;
-    RecordXllcWalkRow("walk_csr_xllc", "csr", xstarts, 3,
-                      [&](const NodeId* sv, uint64_t n, Rng* rngs,
-                          NodeId* ends) {
-                        WeightedRandomWalkBatch(g_xllc, ctx, sv, n,
-                                                kStepsPerWalk, rngs, ends);
-                      });
+    RecordWalkRow("walk_csr_xllc", "csr", xstarts, 3,
+                  [&](NodeId s, uint64_t steps, Rng& rng) {
+                    return WeightedRandomWalk(g_xllc, ctx, s, steps, rng);
+                  });
   }
-  const uint64_t xsum_naive = RecordXllcWalkRow(
+  const uint64_t xsum_naive = RecordWalkRow(
       "walk_compressed_naive_xllc", "naive", xstarts, 3,
-      [&](const NodeId* sv, uint64_t n, Rng* rngs, NodeId* ends) {
-        for (uint64_t w = 0; w < n; ++w) {
-          NodeId v = sv[w];
-          for (uint64_t k = 0; k < kStepsPerWalk; ++k) {
-            v = cg_xllc.Neighbor(v, rngs[w].UniformInt(cg_xllc.Degree(v)));
-          }
-          ends[w] = v;
+      [&](NodeId s, uint64_t steps, Rng& rng) {
+        NodeId v = s;
+        for (uint64_t k = 0; k < steps; ++k) {
+          v = cg_xllc.Neighbor(v, rng.UniformInt(cg_xllc.Degree(v)));
         }
+        return v;
       });
   {
-    WalkContext<CompressedGraph> ctx;  // cold tier only, dispatched backend
-    const uint64_t sum = RecordXllcWalkRow(
+    WalkContext<CompressedGraph> ctx;  // cold tier only
+    const uint64_t sum = RecordWalkRow(
         "walk_compressed_coldtier_xllc", "coldtier", xstarts, 3,
-        [&](const NodeId* sv, uint64_t n, Rng* rngs, NodeId* ends) {
-          WeightedRandomWalkBatch(cg_xllc, ctx, sv, n, kStepsPerWalk, rngs,
-                                  ends);
+        [&](NodeId s, uint64_t steps, Rng& rng) {
+          return WeightedRandomWalk(cg_xllc, ctx, s, steps, rng);
         });
     if (sum != xsum_naive) {
       std::fprintf(stderr, "xllc cold-tier checksum diverged from naive\n");
@@ -1054,30 +853,11 @@ int main(int argc, char** argv) {
   {
     const WalkAccel<CompressedGraph> accel =
         MakeWalkAccel(cg_xllc, kPinBudgetXllc);
-    {
-      // Full engine, scalar decode arm: same pinned set, same walk stream,
-      // same prefix policy (it is backend-independent); the delta against
-      // the pinned row below is purely the SIMD batch decoder.
-      SetVarintBackend(VarintBackend::kScalar);
-      WalkContext<CompressedGraph> ctx(accel);
-      const uint64_t sum = RecordXllcWalkRow(
-          "walk_compressed_pinned_scalar_xllc", "pinned_scalar", xstarts, 3,
-          [&](const NodeId* sv, uint64_t n, Rng* rngs, NodeId* ends) {
-            WeightedRandomWalkBatch(cg_xllc, ctx, sv, n, kStepsPerWalk, rngs,
-                                    ends);
-          });
-      SetVarintBackend(VarintBackend::kAuto);
-      if (sum != xsum_naive) {
-        std::fprintf(stderr, "xllc scalar-arm checksum diverged from naive\n");
-        return 1;
-      }
-    }
     WalkContext<CompressedGraph> ctx(accel);
-    const uint64_t sum = RecordXllcWalkRow(
+    const uint64_t sum = RecordWalkRow(
         "walk_compressed_pinned_xllc", "pinned", xstarts, 3,
-        [&](const NodeId* sv, uint64_t n, Rng* rngs, NodeId* ends) {
-          WeightedRandomWalkBatch(cg_xllc, ctx, sv, n, kStepsPerWalk, rngs,
-                                  ends);
+        [&](NodeId s, uint64_t steps, Rng& rng) {
+          return WeightedRandomWalk(cg_xllc, ctx, s, steps, rng);
         });
     xllc_cache_stats.pinned_vertices = accel.pinned.pinned_vertices();
     xllc_cache_stats.pinned_entries = accel.pinned.pinned_entries();
@@ -1107,11 +887,11 @@ int main(int argc, char** argv) {
   std::printf("\nWeighted draws (single thread)\n");
   WeightedEdgeList wlist;
   wlist.num_vertices = g.NumVertices();
-  g.MapEdges([&](NodeId u, NodeId v) {
-    if (u < v) {
-      wlist.Add(u, v, 1.0f + static_cast<float>((u + v) % 8));
-    }
-  });
+  // Sequential edge walk: wlist.Add appends to one vector, so the parallel
+  // MapEdges would race on it at more than one worker.
+  for (const auto& [u, v] : path_edges) {
+    wlist.Add(u, v, 1.0f + static_cast<float>((u + v) % 8));
+  }
   WeightedEdgeList wlist_gated = wlist;  // second instance, same edges
   WeightedCsrGraph wg = WeightedCsrGraph::FromEdges(std::move(wlist));
   const std::vector<NodeId>& wstarts = starts;  // same vertex ids, deg >= 1

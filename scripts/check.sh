@@ -105,11 +105,12 @@ EOF
 
 # Sampler hot-path smoke: run the sampler perf baseline at reduced scale
 # under the sanitizer build (exercising the combiner, UpsertBatch under
-# 4-thread contention, both varint decode arms, the walk engine's decode
-# tiers, the cross-variant checksum matrix, and the full/gated alias paths
-# end to end) and validate the v3 JSON schema. The bench itself exits
-# nonzero if any scalar/SIMD x tier x thread-count walk checksum diverges;
-# the validation below re-asserts the recorded matrix for good measure.
+# 4-thread contention, the walk engine's decode tiers through the
+# dispatched varint decoder, the cross-variant checksum matrix, and the
+# full/gated alias paths end to end) and validate the v4 JSON schema. The
+# bench itself exits nonzero if any tier x thread-count walk checksum
+# diverges; the validation below re-asserts the recorded matrix for good
+# measure.
 SAMPLER_JSON="$(mktemp /tmp/bench_sampler_smoke.XXXXXX.json)"
 trap 'rm -f "${SMOKE_JSON}" "${SAMPLER_JSON}" "${SERVE_JSON}" "${SERVE_STORE}"' EXIT
 LIGHTNE_BENCH_SCALE=0.1 LIGHTNE_GIT_SHA="$(git rev-parse --short=12 HEAD)" \
@@ -124,10 +125,9 @@ for key in ("schema", "schema_version", "git_sha", "workers", "bench_scale",
             "contended_combiner", "walk_cache", "walk_cache_xllc",
             "checksums", "gated_alias", "speedups"):
     assert key in doc, f"BENCH_sampler.json missing top-level key {key!r}"
-assert doc["schema"] == "lightne-sampler-v3"
-assert doc["schema_version"] == 3
+assert doc["schema"] == "lightne-sampler-v4"
+assert doc["schema_version"] == 4
 assert doc["decode"]["backend"] in ("scalar", "ssse3", "avx2")
-assert isinstance(doc["decode"]["simd_compiled_in"], bool)
 assert doc["results"], "BENCH_sampler.json has no results"
 for row in doc["results"]:
     for key in ("name", "kind", "variant", "threads", "runs", "median_ms",
@@ -135,12 +135,11 @@ for row in doc["results"]:
         assert key in row, f"result row missing key {key!r}: {row}"
     assert row["median_ms"] > 0, f"non-positive median in {row['name']}"
 names = {row["name"] for row in doc["results"]}
-for required in ("walk_compressed_pinned", "walk_compressed_cursor",
+for required in ("walk_compressed_pinned", "walk_compressed_coldtier",
                  "walk_csr_xllc", "walk_compressed_coldtier_xllc",
-                 "walk_compressed_pinned_scalar_xllc",
                  "walk_compressed_pinned_xllc", "walk_weighted_gated",
                  "sampler_contended_direct_4t", "sampler_contended_batch_4t"):
-    assert required in names, f"missing v3 result row {required!r}"
+    assert required in names, f"missing v4 result row {required!r}"
 for key in ("samples_accepted", "hit_rate", "direct_table_upserts",
             "combiner_table_upserts", "combiner_flushes",
             "table_batch_upserts"):
@@ -156,15 +155,16 @@ for cache_key in ("walk_cache", "walk_cache_xllc"):
                 "pin_hit_rate"):
         assert key in doc[cache_key], f"{cache_key} block missing {key!r}"
     assert doc[cache_key]["pinned_bytes"] <= doc[cache_key]["pin_budget_bytes"]
-# The determinism claim: every decode backend x pin tier x thread count
-# drew the identical walk stream.
+# The determinism claim: every pin tier x thread count drew the identical
+# walk stream (naive decodes through the inline scalar Neighbor, cold and
+# pinned through the dispatched decoder).
 assert doc["checksums"]["all_equal"] is True
 entries = doc["checksums"]["entries"]
-assert len(entries) == 12, f"expected 12 checksum entries, got {len(entries)}"
+assert len(entries) == 6, f"expected 6 checksum entries, got {len(entries)}"
 assert len({e["value"] for e in entries}) == 1, \
-    "walk checksums differ across decode backends / tiers / thread counts"
-assert {e["backend"] for e in entries} == {"scalar", "simd"}
+    "walk checksums differ across tiers / thread counts"
 assert {e["tier"] for e in entries} == {"naive", "cold", "pinned"}
+assert {e["threads"] for e in entries} == {1, 4}
 for key in ("degree_gate", "sampling_bytes_full", "sampling_bytes_gated",
             "memory_cut_pct"):
     assert key in doc["gated_alias"], f"gated_alias block missing {key!r}"
@@ -172,10 +172,8 @@ assert doc["gated_alias"]["sampling_bytes_gated"] < \
     doc["gated_alias"]["sampling_bytes_full"]
 for key in ("sampler_w1_combiner_vs_direct_mt",
             "sampler_contended_batch_vs_direct",
-            "walk_pinned_vs_naive_compressed", "walk_pinned_vs_cursor_compressed",
-            "walk_coldtier_vs_naive_xllc", "walk_pinned_scalar_vs_naive_xllc",
-            "walk_pinned_vs_naive_xllc", "walk_pinned_vs_pinned_scalar_xllc",
-            "walk_gated_vs_prefix_weighted"):
+            "walk_pinned_vs_naive_compressed", "walk_coldtier_vs_naive_xllc",
+            "walk_pinned_vs_naive_xllc", "walk_gated_vs_prefix_weighted"):
     assert key in doc["speedups"], f"speedups missing {key!r}"
 print(f"sampler smoke OK: {len(doc['results'])} results, "
       f"decode backend {doc['decode']['backend']}, "

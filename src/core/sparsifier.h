@@ -442,9 +442,12 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
 
   // Expected accepted samples = sum_e E[n_e] p_e; the hard upper bound on
   // distinct entries. Recomputed by the budget governor when it tightens C.
+  // Each worker's partial is stored in its own slot and the slots are summed
+  // in worker-index order, so the result (and with it the pilot gate and the
+  // table capacity hint) does not depend on which worker finishes first.
   auto compute_expected_accepted = [&](double downsample_c) {
     if (!opt.downsample) return static_cast<double>(opt.num_samples);
-    std::atomic<double> sum_wp{0.0};
+    std::vector<double> partial(static_cast<size_t>(NumWorkers()), 0.0);
     ParallelForWorkers([&](int worker, int workers) {
       const NodeId lo = static_cast<NodeId>(
           static_cast<uint64_t>(n) * worker / workers);
@@ -457,9 +460,11 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
                    internal::DownsampleProbability(g, u, v, downsample_c, w);
         });
       }
-      AtomicFetchAdd(sum_wp, local);
+      partial[static_cast<size_t>(worker)] = local;
     });
-    return per_edge * sum_wp.load(std::memory_order_relaxed);
+    double sum_wp = 0.0;
+    for (const double p : partial) sum_wp += p;
+    return per_edge * sum_wp;
   };
   double expected_accepted = compute_expected_accepted(c);
 

@@ -12,7 +12,7 @@
 // and the latency of fetching arbitrary incident edges; that is the default
 // here and bench_compression reproduces the trade-off.
 //
-// Block decode dispatches to the SIMD batch varint decoder
+// Block decode dispatches to the fused SIMD varint difference-decoder
 // (graph/varint_simd.h); the byte stream carries kVarintDecodeSlack readable
 // slack bytes so 16-byte SIMD loads starting at the last encoded byte are
 // always in bounds.
@@ -63,23 +63,6 @@ class CompressedGraph {
 #endif
   }
 
-  /// Second-stage hint: fetches the first line of v's encoded region (the
-  /// block-offset table, which for single-block rows is also where the
-  /// bytes start). Reads vertex_offset_[v] to form the address, so callers
-  /// should have issued PrefetchVertex(v) a little earlier. Pure hint.
-  void PrefetchRegion(NodeId v) const {
-#if defined(__GNUC__) || defined(__clang__)
-    const uint8_t* region = bytes_.data() + vertex_offset_[v];
-    __builtin_prefetch(region, /*rw=*/0, /*locality=*/2);
-    // Median rows span more than one line (offset table + ~1.5 B/neighbor
-    // of deltas), so fetch the second line too; rows shorter than that own
-    // the next row's bytes, making the extra line useful either way.
-    __builtin_prefetch(region + 64, /*rw=*/0, /*locality=*/2);
-#else
-    (void)v;
-#endif
-  }
-
   /// Decodes the i-th neighbor of v: locates the containing block via the
   /// offset table, then decodes at most block_size varints.
   NodeId Neighbor(NodeId v, uint64_t i) const;
@@ -119,15 +102,6 @@ class CompressedGraph {
   /// entries, appending to the same `out` the cursor was started with.
   /// No-op when the prefix already covers `upto`.
   void ExtendBlockPrefix(BlockCursor* cur, uint64_t upto, NodeId* out) const;
-
-  /// First encoded byte of block `b` of vertex `v`. Exposed for bench-local
-  /// decode baselines (bench_sampler_baseline keeps the retired lazy cursor
-  /// alive as a comparison row) and format tests; production decode goes
-  /// through Neighbor/DecodeBlock/MapNeighbors.
-  const uint8_t* BlockBytes(NodeId v, uint64_t b) const {
-    const uint8_t* region = bytes_.data() + vertex_offset_[v];
-    return region + BlockStart(region, NumBlocks(degrees_[v]), b);
-  }
 
   /// Permanently pinned decoded neighbor prefixes of the hottest vertices.
   ///
@@ -316,6 +290,12 @@ class CompressedGraph {
  private:
   uint64_t NumBlocks(uint64_t degree) const {
     return (degree + block_size_ - 1) / block_size_;
+  }
+
+  // First encoded byte of block `b` of vertex `v`.
+  const uint8_t* BlockBytes(NodeId v, uint64_t b) const {
+    const uint8_t* region = bytes_.data() + vertex_offset_[v];
+    return region + BlockStart(region, NumBlocks(degrees_[v]), b);
   }
 
   // Byte offset (relative to `region`) where block b starts. Block 0 begins

@@ -1,10 +1,6 @@
 #include "graph/varint_simd.h"
 
-#include <atomic>
-#include <cstdlib>
-
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    !defined(LIGHTNE_FORCE_SCALAR_DECODE)
+#if defined(__x86_64__) || defined(__i386__)
 #define LIGHTNE_VARINT_SIMD_ARMS 1
 #include <immintrin.h>
 #else
@@ -30,12 +26,6 @@ inline uint64_t DecodeOne(const uint8_t** p) {
 }
 
 }  // namespace
-
-const uint8_t* DecodeVarintBatchScalar(const uint8_t* p, uint64_t count,
-                                       uint64_t* out) {
-  for (uint64_t k = 0; k < count; ++k) out[k] = DecodeOne(&p);
-  return p;
-}
 
 const uint8_t* DecodeDeltaPrefixScalar(const uint8_t* p, uint64_t count,
                                        uint32_t* base_io, uint32_t* out) {
@@ -102,69 +92,16 @@ constexpr ShufTable BuildShufTable() {
 
 constexpr ShufTable kShufTable = BuildShufTable();
 
-// Core of both SIMD arms. Carries the ssse3 target itself (the intrinsics
-// below need it) and is marked always_inline; it may inline into any caller
-// whose target is a superset, so the avx2 arm reuses the body under VEX
-// codegen while the ssse3 arm compiles it as-is.
-__attribute__((target("ssse3"), always_inline)) inline const uint8_t*
-DecodeBatchSse(
-    const uint8_t* p, uint64_t count, uint64_t* out) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i lo7 = _mm_set1_epi32(0x7f);
-  const __m128i hi7 = _mm_set1_epi32(0x7f00);
-  uint64_t k = 0;
-  while (k + 4 <= count) {
-    const __m128i chunk = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    const uint32_t mask =
-        static_cast<uint32_t>(_mm_movemask_epi8(chunk)) & 0xffu;
-    if (mask == 0 && k + 8 <= count) {
-      // Eight one-byte varints: widen bytes 0..7 straight to u64 lanes.
-      const __m128i b16 = _mm_unpacklo_epi8(chunk, zero);   // 8 x u16
-      const __m128i w0 = _mm_unpacklo_epi16(b16, zero);     // 4 x u32
-      const __m128i w1 = _mm_unpackhi_epi16(b16, zero);     // 4 x u32
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k),
-                       _mm_unpacklo_epi32(w0, zero));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k + 2),
-                       _mm_unpackhi_epi32(w0, zero));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k + 4),
-                       _mm_unpacklo_epi32(w1, zero));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k + 6),
-                       _mm_unpackhi_epi32(w1, zero));
-      p += 8;
-      k += 8;
-      continue;
-    }
-    const ShufEntry& e = kShufTable.entries[mask];
-    if (e.consumed != 0) {
-      // Four varints of width <= 2: gather bytes into u32 lanes, then
-      // value = (b0 & 0x7f) | ((b1 & 0x7f) << 7).
-      const __m128i shuf =
-          _mm_load_si128(reinterpret_cast<const __m128i*>(e.shuffle));
-      const __m128i lanes = _mm_shuffle_epi8(chunk, shuf);
-      const __m128i val = _mm_or_si128(_mm_and_si128(lanes, lo7),
-                                       _mm_srli_epi32(_mm_and_si128(lanes, hi7), 1));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k),
-                       _mm_unpacklo_epi32(val, zero));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k + 2),
-                       _mm_unpackhi_epi32(val, zero));
-      p += e.consumed;
-      k += 4;
-      continue;
-    }
-    // Long (or table-straddling) varint at the front: scalar-decode just it.
-    out[k++] = DecodeOne(&p);
-  }
-  while (k < count) out[k++] = DecodeOne(&p);
-  return p;
-}
-
-// Fused difference-decode core: the same 4-varint shuffle-table step, plus
-// an in-register inclusive prefix sum (two lane shifts + adds) and a lane-3
-// carry broadcast (_mm_shuffle_epi32, SSE2 — no SSE4.1 extract needed), so
-// the running sum never leaves the register file between iterations. No
-// 8-wide special case: the mask==0 table entry already decodes four 1-byte
-// varints, and a second branch in the loop costs more in mispredicts than
-// the wider unpack saves (measured on hub-shaped delta mixes).
+// Fused difference-decode core, shared by both SIMD arms: the 4-varint
+// shuffle-table step, plus an in-register inclusive prefix sum (two lane
+// shifts + adds) and a lane-3 carry broadcast (_mm_shuffle_epi32, SSE2 — no
+// SSE4.1 extract needed), so the running sum never leaves the register file
+// between iterations. No 8-wide special case: the mask==0 table entry
+// already decodes four 1-byte varints, and a second branch in the loop
+// costs more in mispredicts than the wider unpack saves (measured on
+// hub-shaped delta mixes). Carries the ssse3 target itself (the intrinsics
+// need it) and is always_inline, so it inlines into any caller whose target
+// is a superset: the avx2 arm reuses the body under VEX codegen.
 __attribute__((target("ssse3"), always_inline)) inline const uint8_t*
 DecodeDeltaPrefixSse(const uint8_t* p, uint64_t count, uint32_t* base_io,
                      uint32_t* out) {
@@ -209,11 +146,6 @@ DecodeDeltaPrefixSse(const uint8_t* p, uint64_t count, uint32_t* base_io,
   return p;
 }
 
-__attribute__((target("ssse3"))) const uint8_t* DecodeVarintBatchSsse3(
-    const uint8_t* p, uint64_t count, uint64_t* out) {
-  return DecodeBatchSse(p, count, out);
-}
-
 __attribute__((target("ssse3"))) const uint8_t* DecodeDeltaPrefixSsse3(
     const uint8_t* p, uint64_t count, uint32_t* base_io, uint32_t* out) {
   return DecodeDeltaPrefixSse(p, count, base_io, out);
@@ -226,99 +158,38 @@ __attribute__((target("avx2"))) const uint8_t* DecodeDeltaPrefixAvx2(
   return DecodeDeltaPrefixSse(p, count, base_io, out);
 }
 
-__attribute__((target("avx2"))) const uint8_t* DecodeVarintBatchAvx2(
-    const uint8_t* p, uint64_t count, uint64_t* out) {
-  // Same algorithm; the avx2 target lets the compiler use VEX encodings and
-  // adds a 16-wide all-one-byte fast path on top.
-  uint64_t k = 0;
-  while (k + 16 <= count) {
-    const __m128i chunk = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    const uint32_t mask = static_cast<uint32_t>(_mm_movemask_epi8(chunk));
-    if (mask != 0) break;
-    // Sixteen one-byte varints: four 4-lane zero-extensions to u64.
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k),
-                        _mm256_cvtepu8_epi64(chunk));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k + 4),
-                        _mm256_cvtepu8_epi64(_mm_srli_si128(chunk, 4)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k + 8),
-                        _mm256_cvtepu8_epi64(_mm_srli_si128(chunk, 8)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k + 12),
-                        _mm256_cvtepu8_epi64(_mm_srli_si128(chunk, 12)));
-    p += 16;
-    k += 16;
-  }
-  return DecodeBatchSse(p, count - k, out + k);
-}
-
 }  // namespace
 
 #endif  // LIGHTNE_VARINT_SIMD_ARMS
 
 namespace {
 
-struct BackendDesc {
-  VarintBatchFn fn;
-  VarintDeltaPrefixFn delta_prefix;
+struct Backend {
+  VarintDeltaPrefixFn fn;
   const char* name;
-  bool simd;
 };
 
-constexpr BackendDesc kScalarDesc{&DecodeVarintBatchScalar,
-                                  &DecodeDeltaPrefixScalar, "scalar", false};
-
-const BackendDesc* BestSimdDesc() {
+Backend Resolve() {
 #if LIGHTNE_VARINT_SIMD_ARMS
-  static const BackendDesc kAvx2Desc{&DecodeVarintBatchAvx2,
-                                     &DecodeDeltaPrefixAvx2, "avx2", true};
-  static const BackendDesc kSsse3Desc{&DecodeVarintBatchSsse3,
-                                      &DecodeDeltaPrefixSsse3, "ssse3", true};
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) return &kAvx2Desc;
-  if (__builtin_cpu_supports("ssse3")) return &kSsse3Desc;
+  if (__builtin_cpu_supports("avx2")) return {&DecodeDeltaPrefixAvx2, "avx2"};
+  if (__builtin_cpu_supports("ssse3")) {
+    return {&DecodeDeltaPrefixSsse3, "ssse3"};
+  }
 #endif
-  return nullptr;
+  return {&DecodeDeltaPrefixScalar, "scalar"};
 }
 
-const BackendDesc* Resolve(VarintBackend backend) {
-  if (backend == VarintBackend::kScalar) return &kScalarDesc;
-  if (backend == VarintBackend::kAuto) {
-    const char* env = std::getenv("LIGHTNE_FORCE_SCALAR_DECODE");
-    if (env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0')) {
-      return &kScalarDesc;
-    }
-  }
-  const BackendDesc* simd = BestSimdDesc();
-  return simd != nullptr ? simd : &kScalarDesc;
-}
-
-std::atomic<const BackendDesc*> g_backend{nullptr};
-
-const BackendDesc* ActiveDesc() {
-  const BackendDesc* d = g_backend.load(std::memory_order_relaxed);
-  if (d == nullptr) {
-    // Benign race: concurrent first calls resolve to the same descriptor.
-    d = Resolve(VarintBackend::kAuto);
-    g_backend.store(d, std::memory_order_relaxed);
-  }
-  return d;
+// Resolved once, on first use (thread-safe static initialization).
+const Backend& Active() {
+  static const Backend backend = Resolve();
+  return backend;
 }
 
 }  // namespace
 
-VarintBatchFn ActiveVarintDecoder() { return ActiveDesc()->fn; }
+VarintDeltaPrefixFn ActiveDeltaPrefixDecoder() { return Active().fn; }
 
-VarintDeltaPrefixFn ActiveDeltaPrefixDecoder() {
-  return ActiveDesc()->delta_prefix;
-}
-
-const char* VarintBackendName() { return ActiveDesc()->name; }
-
-bool VarintBackendIsSimd() { return ActiveDesc()->simd; }
-
-void SetVarintBackend(VarintBackend backend) {
-  g_backend.store(Resolve(backend), std::memory_order_relaxed);
-}
-
-bool VarintSimdCompiledIn() { return LIGHTNE_VARINT_SIMD_ARMS != 0; }
+const char* VarintBackendName() { return Active().name; }
 
 }  // namespace lightne

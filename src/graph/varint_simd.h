@@ -1,27 +1,23 @@
-// Batch varint decoding for the compressed-graph cold tier.
+// Fused varint difference-decoding for the compressed-graph cold tier.
 //
 // The parallel-byte format (graph/compressed.h) difference-encodes neighbor
 // lists as LEB128 varints. Scalar decode is a loop-carried dependence — each
-// varint's width gates the next load — and BENCH_sampler.json shows that tax
-// dominating out-of-LLC walks once the hub pool no longer fits. This module
-// decodes a whole block's varints in one sweep with SSSE3/AVX2 shuffle
-// tables (masked-VByte style): one 16-byte load yields the continuation-bit
-// mask of 16 bytes at once, a 256-entry table keyed on the low 8 mask bits
-// turns runs of short varints into a single pshufb + mask/shift, and an
-// all-ASCII mask short-circuits to N one-byte varints with no per-varint
-// branching at all.
+// varint's width gates the next load — so this module decodes a run of
+// varints and their running sum in one sweep with SSSE3/AVX2 shuffle tables
+// (masked-VByte style): one 16-byte load yields the continuation-bit mask of
+// 16 bytes at once, and a 256-entry table keyed on the low 8 mask bits turns
+// four varints of width <= 2 into a single pshufb + mask/shift, followed by
+// an in-register prefix sum.
 //
 // Dispatch contract (DESIGN.md §13):
-//  - the scalar batch decoder is the reference semantics; the SIMD arms
-//    produce bit-identical output for every well-formed stream, so decode
-//    backend choice can never change a walk stream;
-//  - the backend is resolved at runtime via __builtin_cpu_supports (unlike
+//  - DecodeDeltaPrefixScalar is the reference semantics; the SIMD arms
+//    produce bit-identical output for every well-formed stream, so the
+//    dispatched arm can never change a walk stream;
+//  - the arm is resolved once at runtime via __builtin_cpu_supports (unlike
 //    util/artifact_io's crc32c, which may gate on compile-time __SSE4_2__
 //    because CI builds run where they compile, the graph library ships
-//    generic binaries), priority avx2 > ssse3 > scalar;
-//  - `LIGHTNE_FORCE_SCALAR_DECODE` forces the scalar arm: as a CMake option
-//    it compiles the SIMD arms out entirely, as a runtime env var it just
-//    wins the dispatch — CI uses both to test each arm;
+//    generic binaries), priority avx2 > ssse3 > scalar; non-x86 builds get
+//    the scalar arm;
 //  - SIMD decode loads 16 bytes at a time, so the encoded stream must be
 //    readable kVarintDecodeSlack bytes past its end. CompressedGraph
 //    allocates that slack in FromCsr; callers decoding foreign buffers must
@@ -33,70 +29,36 @@
 
 namespace lightne {
 
-/// Readable bytes required past the end of any stream handed to the batch
+/// Readable bytes required past the end of any stream handed to the
 /// decoder (one full SIMD load starting at the stream's last byte).
 inline constexpr uint64_t kVarintDecodeSlack = 16;
 
-/// Decodes `count` LEB128 varints from `p` into out[0..count). Returns the
-/// byte position after the last consumed byte. `p` must have
-/// kVarintDecodeSlack readable slack bytes after the encoded data.
-using VarintBatchFn = const uint8_t* (*)(const uint8_t* p, uint64_t count,
-                                         uint64_t* out);
-
-/// The scalar reference decoder: one LEB128 loop per varint, byte-exact with
-/// CompressedGraph's inline DecodeVarint. Always available; never reads past
-/// the consumed bytes (slack unused).
-const uint8_t* DecodeVarintBatchScalar(const uint8_t* p, uint64_t count,
-                                       uint64_t* out);
-
-/// Fused difference-decode: reads `count` LEB128 varints, accumulates each
-/// into `*base_io` (mod 2^32 — both arms accumulate in uint32), and writes
-/// every running sum to out[0..count). Returns the byte after the last
-/// consumed varint; `*base_io` holds the final sum for resumed decodes.
-/// This is the walk cold tier's inner loop (CompressedGraph block prefixes):
-/// decode and prefix sum in one pass, no staging buffer — the SIMD arms keep
-/// the running sum in a register (4-lane shift-add prefix + lane-3 carry
-/// broadcast). Same slack contract as VarintBatchFn.
+/// Fused difference-decode: reads `count` LEB128 varints from `p`,
+/// accumulates each into `*base_io` (mod 2^32 — every arm accumulates in
+/// uint32), and writes every running sum to out[0..count). Returns the byte
+/// after the last consumed varint; `*base_io` holds the final sum for
+/// resumed decodes. This is the walk cold tier's inner loop (CompressedGraph
+/// block prefixes): decode and prefix sum in one pass, no staging buffer —
+/// the SIMD arms keep the running sum in a register (4-lane shift-add prefix
+/// + lane-3 carry broadcast). `p` must have kVarintDecodeSlack readable
+/// slack bytes after the encoded data.
 using VarintDeltaPrefixFn = const uint8_t* (*)(const uint8_t* p,
                                                uint64_t count,
                                                uint32_t* base_io,
                                                uint32_t* out);
 
-/// Scalar reference for the fused difference-decode.
+/// Scalar reference for the fused difference-decode. Byte-exact with
+/// CompressedGraph's inline DecodeVarint; never reads past the consumed
+/// bytes (slack unused).
 const uint8_t* DecodeDeltaPrefixScalar(const uint8_t* p, uint64_t count,
                                        uint32_t* base_io, uint32_t* out);
 
-enum class VarintBackend {
-  kAuto = 0,    // env override, then best CPU-supported arm
-  kScalar = 1,  // force the scalar reference
-  kSimd = 2,    // force the best SIMD arm (falls back to scalar if none)
-};
-
-/// The currently active batch decoder. Resolved lazily on first use under
-/// kAuto policy; a relaxed atomic load afterwards (hot-path safe).
-VarintBatchFn ActiveVarintDecoder();
-
-/// The currently active fused difference-decoder (same dispatch state as
-/// ActiveVarintDecoder — one backend governs both entry points).
+/// The dispatched fused difference-decoder: the best arm the CPU supports,
+/// resolved once on first use (a function-local static; hot-path safe).
 VarintDeltaPrefixFn ActiveDeltaPrefixDecoder();
 
-/// Name of the active arm: "scalar", "ssse3", or "avx2".
+/// Name of the dispatched arm: "scalar", "ssse3", or "avx2".
 const char* VarintBackendName();
-
-/// True when the active arm is a SIMD one (observability; decode policy and
-/// decoded values never depend on it).
-bool VarintBackendIsSimd();
-
-/// Re-resolves the dispatch (tests and benches exercise both arms in one
-/// process). kAuto re-reads the LIGHTNE_FORCE_SCALAR_DECODE env var. Not
-/// intended to be called concurrently with decoding: each decode call reads
-/// the pointer once, so the switch is safe but which arm a racing decode
-/// uses would be unspecified.
-void SetVarintBackend(VarintBackend backend);
-
-/// True when the SIMD arms were compiled in (x86-64 and not built with
-/// -DLIGHTNE_FORCE_SCALAR_DECODE=ON).
-bool VarintSimdCompiledIn();
 
 }  // namespace lightne
 

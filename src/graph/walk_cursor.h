@@ -98,12 +98,6 @@ struct WalkContext {
   NodeId Neighbor(const G& g, NodeId v, uint64_t i) {
     return g.Neighbor(v, i);
   }
-
-  /// Batched-walk hints (see WeightedRandomWalkBatch): stage-1 fires before
-  /// a lane's Degree(v), stage-2 between its draw and Neighbor(v, i).
-  /// Direct-access graphs need neither.
-  void PrefetchStep(const G& /*g*/, NodeId /*v*/) {}
-  void PrefetchDraw(const G& /*g*/, NodeId /*v*/, uint64_t /*i*/) {}
 };
 
 /// Compressed graphs: two-tier decode cache (pinned hub prefixes +
@@ -184,46 +178,6 @@ struct WalkContext<CompressedGraph> {
       }
     }
     return ColdNeighbor(g, v, i);
-  }
-
-  /// Stage-1 batch hint: starts the lines the upcoming Degree(v) resolves
-  /// through — the hub-index slot plus the cold-fallback degree/offset
-  /// lines (all functions of v alone). Issued for every lockstep lane
-  /// before any lane's Degree() blocks, so the lanes' miss chains overlap.
-  void PrefetchStep(const CompressedGraph& g, NodeId v) {
-    g.PrefetchVertex(v);
-#if defined(__GNUC__) || defined(__clang__)
-    if (hub_index_ != nullptr) {
-      __builtin_prefetch(
-          &hub_index_[CompressedGraph::HubCache::ProbeSlot(v, hub_mask_)],
-          /*rw=*/0, /*locality=*/2);
-    }
-#endif
-  }
-
-  /// Stage-2 batch hint: once lane draws are known, starts the one line the
-  /// upcoming Neighbor(v, i) still misses on — the pinned-pool line for a
-  /// pinned v, else the first line of v's encoded region. The probe here
-  /// re-walks index lines the lane's Degree() just touched (L1-hot); the
-  /// single-slot probe memo belongs to whichever lane resolved Degree()
-  /// last, so it cannot be reused across lanes.
-  void PrefetchDraw(const CompressedGraph& g, NodeId v, uint64_t i) {
-#if defined(__GNUC__) || defined(__clang__)
-    if (hub_index_ != nullptr && g.Degree(v) >= hub_gate_) {
-      const CompressedGraph::HubCache::Entry* e = FindHub(v);
-      if (e != nullptr && i < e->len) {
-        __builtin_prefetch(
-            pinned_pool_ + (uint64_t{e->off} + i) * pool_width_, /*rw=*/0,
-            /*locality=*/2);
-        return;
-      }
-    }
-    g.PrefetchRegion(v);
-#else
-    (void)g;
-    (void)v;
-    (void)i;
-#endif
   }
 
   /// Draws served by the pinned tier (array read, no decode).

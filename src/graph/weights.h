@@ -90,54 +90,6 @@ NodeId WeightedRandomWalk(const G& g, NodeId v, uint64_t steps, Rng& rng) {
   return WeightedRandomWalk(g, ctx, v, steps, rng);
 }
 
-/// Advances `nwalks` independent walks in lockstep lanes: walk w starts at
-/// starts[w], draws `steps` times from rngs[w], and ends in out[w]. Each
-/// lane consumes only its own RNG, so its draw stream and endpoint are
-/// bit-identical to the sequential
-/// `WeightedRandomWalk(g, ctx, starts[w], steps, rngs[w])` call at any
-/// batch width — lanes reorder *when* independent draws execute, never
-/// what they draw. The lockstep schedule is the walk-ordered batching
-/// lever (DESIGN.md §13): a walk step is a serial chain of dependent
-/// cache misses (degree -> draw -> neighbor), so a lone walk leaves the
-/// memory system idle while each miss resolves; interleaved lanes issue
-/// every lane's next line (PrefetchStep / PrefetchDraw) before any lane
-/// blocks, overlapping up to a batch-width of miss chains, and lanes
-/// parked in the same block share one decoded prefix through the cold
-/// tier's slot reuse (the first lane decodes, the rest hit).
-template <GraphView G>
-void WeightedRandomWalkBatch(const G& g, WalkContext<G>& ctx,
-                             const NodeId* starts, uint64_t nwalks,
-                             uint64_t steps, Rng* rngs, NodeId* out) {
-  constexpr uint64_t kLanes = 32;
-  for (uint64_t base = 0; base < nwalks; base += kLanes) {
-    const uint64_t w = nwalks - base < kLanes ? nwalks - base : kLanes;
-    NodeId v[kLanes];
-    uint64_t ix[kLanes];
-    for (uint64_t l = 0; l < w; ++l) v[l] = starts[base + l];
-    for (uint64_t s = 0; s < steps; ++s) {
-      for (uint64_t l = 0; l < w; ++l) ctx.PrefetchStep(g, v[l]);
-      for (uint64_t l = 0; l < w; ++l) {
-        const uint64_t d = ctx.Degree(g, v[l]);
-        LIGHTNE_CHECK_GT(d, 0u);
-        ix[l] = rngs[base + l].UniformInt(d);
-      }
-      for (uint64_t l = 0; l < w; ++l) ctx.PrefetchDraw(g, v[l], ix[l]);
-      for (uint64_t l = 0; l < w; ++l) v[l] = ctx.Neighbor(g, v[l], ix[l]);
-    }
-    for (uint64_t l = 0; l < w; ++l) out[base + l] = v[l];
-  }
-}
-/// Weighted graphs sample through per-vertex alias/CDF state the context
-/// does not accelerate; the batch form is the sequential walks.
-inline void WeightedRandomWalkBatch(const WeightedCsrGraph& g,
-                                    WalkContext<WeightedCsrGraph>& ctx,
-                                    const NodeId* starts, uint64_t nwalks,
-                                    uint64_t steps, Rng* rngs, NodeId* out) {
-  for (uint64_t n = 0; n < nwalks; ++n) {
-    out[n] = WeightedRandomWalk(g, ctx, starts[n], steps, rngs[n]);
-  }
-}
-
 }  // namespace lightne
 
 #endif  // LIGHTNE_GRAPH_WEIGHTS_H_

@@ -4,7 +4,6 @@
 #include <map>
 #include <vector>
 
-#include "core/batched_sampling.h"
 #include "core/lightne.h"
 #include "core/netmf.h"
 #include "core/path_sampling.h"
@@ -316,60 +315,6 @@ TEST(AggregationTest, StrategiesProduceIdenticalSparsifier) {
   ASSERT_EQ(hashed->matrix.nnz(), sorted->matrix.nnz());
   EXPECT_EQ(hashed->matrix.col_indices(), sorted->matrix.col_indices());
   EXPECT_EQ(hashed->matrix.values(), sorted->matrix.values());
-}
-
-// -------------------------------------------------------- batched sampling --
-
-TEST(BatchedSamplingTest, UnbiasedLikeDefaultSampler) {
-  const CsrGraph g = SmallTestGraph();
-  const uint32_t window = 3;
-  SparsifierOptions opt;
-  opt.num_samples = 2000000;
-  opt.window = window;
-  opt.seed = 7;
-  auto r = BuildSparsifierBatched(g, opt);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  Matrix prelog = ComputeDenseNetmfPreLog(g, window, 1.0);
-  const double m = static_cast<double>(g.NumUndirectedEdges());
-  const double scale = 2.0 * m * m / static_cast<double>(opt.num_samples);
-  for (NodeId a = 0; a < g.NumVertices(); ++a) {
-    for (NodeId b = 0; b < g.NumVertices(); ++b) {
-      const double got = scale * r->matrix.At(a, b) /
-                         (static_cast<double>(g.Degree(a)) * g.Degree(b));
-      EXPECT_NEAR(got, prelog.At(a, b), 0.12 * prelog.At(a, b) + 0.1)
-          << a << "," << b;
-    }
-  }
-}
-
-TEST(BatchedSamplingTest, MatchesDefaultSamplerStatistics) {
-  const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(10, 10000, 5));
-  SparsifierOptions opt;
-  opt.num_samples = 300000;
-  opt.window = 6;
-  opt.seed = 3;
-  auto batched = BuildSparsifierBatched(g, opt);
-  auto direct = BuildSparsifier(g, opt);
-  ASSERT_TRUE(batched.ok() && direct.ok());
-  // Same expected draw counts (identical per-edge RNG streams in phase 1).
-  EXPECT_EQ(batched->samples_drawn, direct->samples_drawn);
-  // Walk endpoints use different RNG derivations, so the matrices agree
-  // statistically, not bitwise: nnz within a few percent.
-  const double ratio = static_cast<double>(batched->matrix.nnz()) /
-                       static_cast<double>(direct->matrix.nnz());
-  EXPECT_NEAR(ratio, 1.0, 0.05);
-}
-
-TEST(BatchedSamplingTest, WindowOneNeedsNoWalks) {
-  const CsrGraph g = SmallTestGraph();
-  SparsifierOptions opt;
-  opt.num_samples = 100000;
-  opt.window = 1;  // r = 1 always: endpoints are the edge itself
-  opt.downsample = false;
-  auto r = BuildSparsifierBatched(g, opt);
-  ASSERT_TRUE(r.ok());
-  // Support = exactly the edge set.
-  EXPECT_EQ(r->matrix.nnz(), g.NumDirectedEdges());
 }
 
 // ------------------------------------------------------------------ NetMF --

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -368,9 +370,15 @@ TEST(RsvdTest, EmbeddingScalesBySqrtSigma) {
 
 // ----------------------------------------------------------- embedding IO --
 
+// Per-process scratch path: la_test_mt4 runs this binary concurrently under
+// `ctest -j`, so fixed file names would race.
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
+}
+
 TEST(EmbeddingIoTest, TextRoundTrip) {
   Matrix x = Matrix::Gaussian(50, 7, 3);
-  const std::string path = ::testing::TempDir() + "/emb.txt";
+  const std::string path = TempPath("emb.txt");
   ASSERT_TRUE(SaveEmbeddingText(x, path).ok());
   auto loaded = LoadEmbeddingText(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -382,7 +390,7 @@ TEST(EmbeddingIoTest, TextRoundTrip) {
 
 TEST(EmbeddingIoTest, BinaryRoundTripIsExact) {
   Matrix x = Matrix::Gaussian(128, 16, 9);
-  const std::string path = ::testing::TempDir() + "/emb.bin";
+  const std::string path = TempPath("emb.bin");
   ASSERT_TRUE(SaveEmbeddingBinary(x, path).ok());
   auto loaded = LoadEmbeddingBinary(path);
   ASSERT_TRUE(loaded.ok());
@@ -391,7 +399,7 @@ TEST(EmbeddingIoTest, BinaryRoundTripIsExact) {
 }
 
 TEST(EmbeddingIoTest, RejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/emb_garbage";
+  const std::string path = TempPath("emb_garbage");
   std::FILE* f = std::fopen(path.c_str(), "w");
   std::fprintf(f, "not an embedding\n");
   std::fclose(f);
@@ -402,7 +410,7 @@ TEST(EmbeddingIoTest, RejectsGarbage) {
 }
 
 TEST(EmbeddingIoTest, TextRejectsDuplicateAndOutOfRangeIds) {
-  const std::string path = ::testing::TempDir() + "/emb_dup.txt";
+  const std::string path = TempPath("emb_dup.txt");
   std::FILE* f = std::fopen(path.c_str(), "w");
   std::fprintf(f, "2 2\n0 1.0 2.0\n0 3.0 4.0\n");
   std::fclose(f);
@@ -416,7 +424,7 @@ TEST(EmbeddingIoTest, TextRejectsDuplicateAndOutOfRangeIds) {
 
 TEST(EmbeddingIoTest, EmptyMatrixRoundTrips) {
   Matrix x(0, 0);
-  const std::string path = ::testing::TempDir() + "/emb_empty.bin";
+  const std::string path = TempPath("emb_empty.bin");
   ASSERT_TRUE(SaveEmbeddingBinary(x, path).ok());
   auto loaded = LoadEmbeddingBinary(path);
   ASSERT_TRUE(loaded.ok());

@@ -2,6 +2,7 @@
 // across worker counts, sharded-histogram merge correctness, and the trace
 // recorder's span nesting / export formats.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <string>
@@ -207,7 +208,9 @@ TEST(TraceTest, ChromeTraceExportContainsEvents) {
       {"alpha", 10, 5, 0, 0},
       {"be\"ta", 12, 2, 0, 1},
   };
-  const std::string path = ::testing::TempDir() + "/trace_test.json";
+  // Per-process name: metrics_test_mt4 runs concurrently under `ctest -j`.
+  const std::string path = ::testing::TempDir() + "/trace_test_" +
+                           std::to_string(::getpid()) + ".json";
   ASSERT_TRUE(TraceRecorder::WriteChromeTrace(events, path).ok());
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);

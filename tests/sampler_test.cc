@@ -2,9 +2,9 @@
 // equivalence (bit-identical integer counters, 1-ulp matrix values), the
 // alias-table sampler's exact distribution and RNG-consumption contract
 // against the prefix-scan reference (full and degree-gated), the
-// compressed-graph walk engine (hub-pinned + batch-decode tiers, in both
-// varint decode arms) against naive Neighbor, and the edge-balanced
-// scheduling partition.
+// compressed-graph walk engine (hub-pinned + batch-decode tiers, through the
+// dispatched varint decoder) against the inline scalar Neighbor, and the
+// edge-balanced scheduling partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -287,55 +287,6 @@ TEST(WalkContextTest, WalkContextMatchesPlainWalks) {
   }
 }
 
-TEST(WalkContextTest, BatchedWalksBitIdenticalToSequentialWalks) {
-  // The lockstep batch scheduler only reorders *when* independent lanes'
-  // draws execute — each lane consumes its own rng, so every lane's
-  // endpoint matches the sequential walk at any batch width (70 lanes
-  // exercises chunking and a ragged tail), with and without a pinned tier,
-  // under both decode arms.
-  const CsrGraph csr = CsrGraph::FromEdges(GenerateRmat(10, 12000, 77));
-  const CompressedGraph g = CompressedGraph::FromCsr(csr);
-  std::vector<NodeId> starts;
-  Rng pick(5);
-  while (starts.size() < 70) {
-    const NodeId v = static_cast<NodeId>(pick.UniformInt(g.NumVertices()));
-    if (g.Degree(v) > 0) starts.push_back(v);
-  }
-  for (const uint64_t budget : {uint64_t{0}, uint64_t{1} << 30}) {
-    const WalkAccel<CompressedGraph> accel = MakeWalkAccel(g, budget);
-    for (const VarintBackend backend :
-         {VarintBackend::kScalar, VarintBackend::kSimd}) {
-      SetVarintBackend(backend);
-      for (const uint64_t steps : {uint64_t{0}, uint64_t{1}, uint64_t{9}}) {
-        std::vector<Rng> rngs(starts.size());
-        for (size_t w = 0; w < starts.size(); ++w) rngs[w].Reseed(1000 + w);
-        std::vector<NodeId> got(starts.size());
-        WalkContext<CompressedGraph> ctx(accel);
-        WeightedRandomWalkBatch(g, ctx, starts.data(), starts.size(), steps,
-                                rngs.data(), got.data());
-        for (size_t w = 0; w < starts.size(); ++w) {
-          Rng rng(1000 + w);
-          WalkContext<CompressedGraph> seq(accel);
-          ASSERT_EQ(got[w], WeightedRandomWalk(g, seq, starts[w], steps, rng))
-              << "budget " << budget << " steps " << steps << " lane " << w;
-        }
-      }
-    }
-    SetVarintBackend(VarintBackend::kAuto);
-  }
-  // Direct-access graphs run the same scheduler through the no-op hints.
-  std::vector<Rng> rngs(starts.size());
-  for (size_t w = 0; w < starts.size(); ++w) rngs[w].Reseed(7000 + w);
-  std::vector<NodeId> got(starts.size());
-  WalkContext<CsrGraph> ctx;
-  WeightedRandomWalkBatch(csr, ctx, starts.data(), starts.size(), 7,
-                          rngs.data(), got.data());
-  for (size_t w = 0; w < starts.size(); ++w) {
-    Rng rng(7000 + w);
-    EXPECT_EQ(got[w], WeightedRandomWalk(csr, starts[w], 7, rng)) << w;
-  }
-}
-
 // --------------------------------------------------------- walk engine ----
 
 // Replays one deterministic PathSampling-shaped draw stream through a
@@ -356,9 +307,10 @@ std::vector<NodeId> DrawStream(const CompressedGraph& g, const StepFn& step) {
 }
 
 TEST(WalkEngineTest, StreamsBitIdenticalAcrossDecodeVariants) {
-  // The tentpole contract: naive per-draw decode, the cold-tier batch
-  // decode, and the hub-pinned two-tier cache are pure decode caches — the
-  // walk stream is the same vertex sequence bit for bit.
+  // The walk engine contract: naive per-draw decode (the inline scalar
+  // Neighbor), the cold-tier prefix decode (through the dispatched SIMD
+  // decoder), and the hub-pinned two-tier cache are pure decode caches —
+  // the walk stream is the same vertex sequence bit for bit.
   const CsrGraph csr = CsrGraph::FromEdges(GenerateRmat(10, 12000, 77));
   const CompressedGraph g = CompressedGraph::FromCsr(csr);
   const std::vector<NodeId> naive = DrawStream(
@@ -381,37 +333,6 @@ TEST(WalkEngineTest, StreamsBitIdenticalAcrossDecodeVariants) {
         g, [&](NodeId v, uint64_t i) { return pinned.Neighbor(g, v, i); });
     ASSERT_EQ(stream, naive);
     EXPECT_GT(pinned.pin_hits(), 0u);
-  }
-}
-
-TEST(WalkEngineTest, StreamsBitIdenticalAcrossDecodeBackends) {
-  // The dispatch contract: forcing the scalar arm or the best SIMD arm must
-  // not move a single drawn vertex, in any tier. (On machines without SIMD
-  // support kSimd resolves to scalar and the comparison is trivially true.)
-  const CsrGraph csr = CsrGraph::FromEdges(GenerateRmat(10, 12000, 77));
-  const CompressedGraph g = CompressedGraph::FromCsr(csr);
-  const WalkAccel<CompressedGraph> accel =
-      MakeWalkAccel(g, /*pin_budget_bytes=*/64 << 10);
-  std::vector<std::vector<NodeId>> streams;
-  for (const VarintBackend backend :
-       {VarintBackend::kScalar, VarintBackend::kSimd}) {
-    SetVarintBackend(backend);
-    streams.push_back(DrawStream(
-        g, [&](NodeId v, uint64_t i) { return g.Neighbor(v, i); }));
-    {
-      WalkContext<CompressedGraph> cold;
-      streams.push_back(DrawStream(
-          g, [&](NodeId v, uint64_t i) { return cold.Neighbor(g, v, i); }));
-    }
-    {
-      WalkContext<CompressedGraph> pinned(accel);
-      streams.push_back(DrawStream(
-          g, [&](NodeId v, uint64_t i) { return pinned.Neighbor(g, v, i); }));
-    }
-  }
-  SetVarintBackend(VarintBackend::kAuto);
-  for (size_t s = 1; s < streams.size(); ++s) {
-    ASSERT_EQ(streams[s], streams[0]) << "stream variant " << s;
   }
 }
 
