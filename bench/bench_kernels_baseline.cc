@@ -164,11 +164,6 @@ void BenchSpmm() {
            [&] { Matrix y = m.Multiply(x); });
     Record({tag + "_blocked_mt", "spmm", "blocked", 1, shape}, flops, 5,
            false, [&] { Matrix y = m.Multiply(x); });
-    // Forced column-strip tiling: the auto policy single-passes at these
-    // widths (see kernels::kSpmmStripMinCols); this row records what the
-    // strip actually costs so the policy stays measurement-backed.
-    Record({tag + "_strip64_1t", "spmm", "strip64", 1, shape}, flops, 5,
-           true, [&] { Matrix y = m.Multiply(x, kernels::kSpmmStrip); });
   }
 }
 

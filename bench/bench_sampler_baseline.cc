@@ -1,18 +1,18 @@
-// Machine-readable sampler perf baseline (DESIGN.md §11), schema v4.
+// Machine-readable sampler perf baseline (DESIGN.md §11), schema v5.
 //
 // Measures the sparsifier ingestion hot path on a skewed RMAT graph —
 // combiner+edge-balanced scheduling vs the direct shared-table path at the
 // same worker count, plus a contended 4-thread shared-table row pair that
 // revalidates UpsertBatch's prefetch pipeline under real cross-thread
 // traffic — and the walk-step primitives: CSR, compressed decode variants
-// (naive per-draw, the cold-tier batch-decode WalkContext, and the
-// hub-pinned two-tier context), weighted prefix-scan vs full alias vs
-// degree-gated alias, and an out-of-LLC RMAT-20 section where the adjacency
-// no longer fits any cache level. Every walk row runs sequential
-// WeightedRandomWalk calls, the walk path the sparsifier itself takes. A
-// cross-variant checksum matrix — {naive, cold, pinned} x {1, 4 threads}
-// with per-start seeded RNGs and an order-independent XOR reduction —
-// proves the decode tiers are pure caches: any divergence fails the run.
+// (naive per-draw Neighbor() and the hub-pinned context), weighted
+// prefix-scan vs full alias vs degree-gated alias, and an out-of-LLC RMAT-20
+// section where the adjacency no longer fits any cache level. Every walk row
+// runs sequential WeightedRandomWalk calls, the walk path the sparsifier
+// itself takes. A cross-variant checksum matrix — {csr, compressed, pinned}
+// x {1, 4 threads} with per-start seeded RNGs and an order-independent XOR
+// reduction — proves compressed walks, pinned or not, draw exactly the CSR
+// walks: any divergence fails the run.
 // Writes a JSON trajectory artifact (default BENCH_sampler.json,
 // overridable as argv[1]).
 // `scripts/bench_baseline.sh` re-runs this at scale 1.0 and commits the
@@ -241,7 +241,7 @@ constexpr uint64_t kStepsPerWalk = 8;
 // (u, v) starts kAttemptsPerEdge attempts, each splitting window-1 steps
 // between a walk from u and a walk from v. ~2/(window-1) of all draws land
 // on the current edge's endpoints and consecutive edges share u, so those
-// blocks stay resident in the decode caches while interior steps scatter.
+// blocks stay cache-resident while interior steps scatter.
 constexpr uint64_t kAttemptsPerEdge = 4;
 constexpr uint64_t kPathWindow = 10;
 
@@ -348,7 +348,6 @@ struct WalkCacheStats {
   uint64_t pinned_entries = 0;
   uint64_t pinned_bytes = 0;
   uint64_t pin_hits = 0;
-  uint64_t cold_hits = 0;
   uint64_t decode_misses = 0;
 };
 
@@ -360,34 +359,34 @@ struct GatedAliasStats {
 };
 
 // ------------------------------------------- cross-variant walk checksums
-// Proof rows for the "pure decode cache" contract: every combination of pin
-// tier {naive, cold, pinned} and thread count {1, kChecksumThreads} must
-// draw the identical walk stream. The naive tier decodes through the inline
-// scalar Neighbor(), the cold and pinned tiers through the dispatched varint
-// decoder, so equal checksums also tie the SIMD arm to the scalar one. Each
-// start's RNG is seeded from its index alone and its trajectory folds into
-// a per-start hash; the per-start hashes XOR-reduce, so the total is
-// independent of which thread walked which start and in what order. Any
-// divergence is a correctness bug (not a perf regression) and fails the
-// run. Threads here are plain std::threads with their own contexts — this
-// exercises real cross-thread context independence even when the process
-// pool has a single worker.
-enum class Tier { kNaive, kCold, kPinned };
+// Proof rows for the "pure decode cache" contract: every combination of
+// tier {csr, compressed, pinned} and thread count {1, kChecksumThreads} must
+// draw the identical walk stream. The CSR walk over the graph the compressed
+// one was built from is the independent reference; the compressed tier
+// decodes every draw through Neighbor() (inline and SIMD-decoder arms), the
+// pinned tier serves hub draws from the pinned pool. Each start's RNG is
+// seeded from its index alone and its trajectory folds into a per-start
+// hash; the per-start hashes XOR-reduce, so the total is independent of
+// which thread walked which start and in what order. Any divergence is a
+// correctness bug (not a perf regression) and fails the run. Threads here
+// are plain std::threads with their own contexts — this exercises real
+// cross-thread context independence even when the process pool has a
+// single worker.
+enum class Tier { kCsr, kCompressed, kPinned };
 
 constexpr int kChecksumThreads = 4;
 constexpr uint64_t kChecksumSteps = 16;
 
 struct ChecksumEntry {
-  const char* tier;  // "naive" | "cold" | "pinned"
+  const char* tier;  // "csr" | "compressed" | "pinned"
   int threads = 1;
   uint64_t value = 0;
 };
 
-uint64_t ChecksumWalks(const CompressedGraph& g, Tier tier,
-                       const WalkAccel<CompressedGraph>& accel,
+uint64_t ChecksumWalks(const CsrGraph& csr, const CompressedGraph& g,
+                       Tier tier, const WalkAccel<CompressedGraph>& accel,
                        const std::vector<NodeId>& starts, int nthreads) {
   auto shard = [&](int t, int nt) -> uint64_t {
-    WalkContext<CompressedGraph> cold_ctx;
     WalkContext<CompressedGraph> pinned_ctx(accel);
     uint64_t local = 0;
     for (uint64_t s = static_cast<uint64_t>(t); s < starts.size();
@@ -398,11 +397,11 @@ uint64_t ChecksumWalks(const CompressedGraph& g, Tier tier,
       for (uint64_t k = 0; k < kChecksumSteps; ++k) {
         const uint64_t i = rng.UniformInt(g.Degree(v));
         switch (tier) {
-          case Tier::kNaive:
-            v = g.Neighbor(v, i);
+          case Tier::kCsr:
+            v = csr.Neighbor(v, i);
             break;
-          case Tier::kCold:
-            v = cold_ctx.Neighbor(g, v, i);
+          case Tier::kCompressed:
+            v = g.Neighbor(v, i);
             break;
           case Tier::kPinned:
             v = pinned_ctx.Neighbor(g, v, i);
@@ -429,21 +428,22 @@ uint64_t ChecksumWalks(const CompressedGraph& g, Tier tier,
 
 // Runs the full matrix. Exits nonzero on any divergence.
 std::vector<ChecksumEntry> RunChecksumMatrix(
-    const CompressedGraph& g, const WalkAccel<CompressedGraph>& accel,
+    const CsrGraph& csr, const CompressedGraph& g,
+    const WalkAccel<CompressedGraph>& accel,
     const std::vector<NodeId>& starts) {
   struct TierCase {
     Tier tier;
     const char* name;
   };
   std::vector<ChecksumEntry> entries;
-  for (const TierCase& tc : {TierCase{Tier::kNaive, "naive"},
-                             TierCase{Tier::kCold, "cold"},
+  for (const TierCase& tc : {TierCase{Tier::kCsr, "csr"},
+                             TierCase{Tier::kCompressed, "compressed"},
                              TierCase{Tier::kPinned, "pinned"}}) {
     for (const int nthreads : {1, kChecksumThreads}) {
       ChecksumEntry e;
       e.tier = tc.name;
       e.threads = nthreads;
-      e.value = ChecksumWalks(g, tc.tier, accel, starts, nthreads);
+      e.value = ChecksumWalks(csr, g, tc.tier, accel, starts, nthreads);
       entries.push_back(e);
     }
   }
@@ -485,8 +485,8 @@ void WriteJson(const std::string& path, const CsrGraph& g,
   std::FILE* f = writer.stream();
   const char* sha = std::getenv("LIGHTNE_GIT_SHA");
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"lightne-sampler-v4\",\n");
-  std::fprintf(f, "  \"schema_version\": 4,\n");
+  std::fprintf(f, "  \"schema\": \"lightne-sampler-v5\",\n");
+  std::fprintf(f, "  \"schema_version\": 5,\n");
   std::fprintf(f, "  \"git_sha\": \"%s\",\n", sha ? sha : "unknown");
   std::fprintf(f, "  \"workers\": %d,\n", NumWorkers());
   std::fprintf(f, "  \"bench_scale\": %.3f,\n", BenchScale());
@@ -567,7 +567,7 @@ void WriteJson(const std::string& path, const CsrGraph& g,
   // was built for — compare pinned_vertices/pinned_entries across the two).
   auto write_cache = [&](const char* key, const WalkCacheStats& c,
                          uint64_t pin_budget) {
-    const uint64_t draws = c.pin_hits + c.cold_hits + c.decode_misses;
+    const uint64_t draws = c.pin_hits + c.decode_misses;
     std::fprintf(f, "  \"%s\": {\n", key);
     std::fprintf(f, "    \"pin_budget_bytes\": %llu,\n",
                  static_cast<unsigned long long>(pin_budget));
@@ -579,8 +579,6 @@ void WriteJson(const std::string& path, const CsrGraph& g,
                  static_cast<unsigned long long>(c.pinned_bytes));
     std::fprintf(f, "    \"pin_hits\": %llu,\n",
                  static_cast<unsigned long long>(c.pin_hits));
-    std::fprintf(f, "    \"cold_hits\": %llu,\n",
-                 static_cast<unsigned long long>(c.cold_hits));
     std::fprintf(f, "    \"decode_misses\": %llu,\n",
                  static_cast<unsigned long long>(c.decode_misses));
     std::fprintf(f, "    \"pin_hit_rate\": %.4f\n",
@@ -644,13 +642,8 @@ void WriteJson(const std::string& path, const CsrGraph& g,
   std::fprintf(f, "    \"sampler_contended_batch_vs_direct\": %.3f,\n",
                ratio("sampler_contended_direct_4t",
                      "sampler_contended_batch_4t"));
-  std::fprintf(f, "    \"walk_coldtier_vs_naive_compressed\": %.3f,\n",
-               ratio("walk_compressed_naive", "walk_compressed_coldtier"));
   std::fprintf(f, "    \"walk_pinned_vs_naive_compressed\": %.3f,\n",
                ratio("walk_compressed_naive", "walk_compressed_pinned"));
-  std::fprintf(f, "    \"walk_coldtier_vs_naive_xllc\": %.3f,\n",
-               ratio("walk_compressed_naive_xllc",
-                     "walk_compressed_coldtier_xllc"));
   std::fprintf(f, "    \"walk_pinned_vs_naive_xllc\": %.3f,\n",
                ratio("walk_compressed_naive_xllc",
                      "walk_compressed_pinned_xllc"));
@@ -733,32 +726,15 @@ int main(int argc, char** argv) {
                   WalkContext<CsrGraph> ctx;
                   return WeightedRandomWalk(g, ctx, s, steps, rng);
                 });
-  // Compressed rows replay PathSampling's edge-stream pattern so the decode
-  // caches are measured on the traffic they were built for. All three
-  // variants must produce the same per-pass checksum (pure decode caches).
+  // Compressed rows replay PathSampling's edge-stream pattern so the pin
+  // tier is measured on the traffic it was built for. Both variants must
+  // produce the same per-pass checksum (pinning is a pure decode cache).
   const std::vector<std::pair<NodeId, NodeId>> path_edges = PathEdges(g);
   const uint64_t sum_naive =
       RecordPathWalkRow("walk_compressed_naive", "naive", path_edges, 3,
                         [&](NodeId v, Rng& rng) {
                           return cg.Neighbor(v, rng.UniformInt(cg.Degree(v)));
                         });
-  {
-    WalkContext<CompressedGraph> ctx;  // cold tier only (no accel)
-    const uint64_t sum = RecordPathWalkRow(
-        "walk_compressed_coldtier", "coldtier", path_edges, 5,
-        [&](NodeId v, Rng& rng) {
-          return SampleNeighborProportional(cg, ctx, v, rng);
-        });
-    const double draws = static_cast<double>(ctx.cold_hits() +
-                                             ctx.decode_misses());
-    std::printf("  (cold-tier hit rate %.3f over %.0f draws)\n",
-                draws > 0 ? static_cast<double>(ctx.cold_hits()) / draws : 0.0,
-                draws);
-    if (sum != sum_naive) {
-      std::fprintf(stderr, "cold-tier checksum diverged from naive decode\n");
-      return 1;
-    }
-  }
   WalkCacheStats cache_stats;
   {
     const WalkAccel<CompressedGraph> accel = MakeWalkAccel(cg, kPinBudget);
@@ -772,10 +748,9 @@ int main(int argc, char** argv) {
     cache_stats.pinned_entries = accel.pinned.pinned_entries();
     cache_stats.pinned_bytes = accel.pinned.pinned_bytes();
     cache_stats.pin_hits = ctx.pin_hits();
-    cache_stats.cold_hits = ctx.cold_hits();
     cache_stats.decode_misses = ctx.decode_misses();
-    const double draws = static_cast<double>(
-        ctx.pin_hits() + ctx.cold_hits() + ctx.decode_misses());
+    const double draws =
+        static_cast<double>(ctx.pin_hits() + ctx.decode_misses());
     std::printf(
         "  (pinned %llu vertices / %.1f MiB, pin hit rate %.3f over %.0f "
         "draws)\n",
@@ -790,12 +765,12 @@ int main(int argc, char** argv) {
 
   // --- cross-variant walk checksums ---------------------------------------
   std::printf("\nCross-variant walk checksums "
-              "({naive, cold, pinned} x {1, %d threads})\n",
+              "({csr, compressed, pinned} x {1, %d threads})\n",
               kChecksumThreads);
   std::vector<ChecksumEntry> checksums;
   {
     const WalkAccel<CompressedGraph> accel = MakeWalkAccel(cg, kPinBudget);
-    checksums = RunChecksumMatrix(cg, accel, starts);
+    checksums = RunChecksumMatrix(g, cg, accel, starts);
   }
 
   // --- out-of-LLC walks ---------------------------------------------------
@@ -805,9 +780,8 @@ int main(int argc, char** argv) {
   // against cache-missing CSR reads instead of L1 hits. The naive row
   // resolves every draw with a full per-draw decode; the engine rows run
   // the same walks (same rng stream) through sequential WeightedRandomWalk
-  // calls on one WalkContext, so their speedup measures the walk engine:
-  // pinned-tier hits and exact cold prefixes. Endpoint checksums assert
-  // every row resolved bit-identical walks.
+  // calls on one WalkContext, so their speedup measures the pinned tier.
+  // Endpoint checksums assert every row resolved bit-identical walks.
   std::printf("\nWalk steps, out-of-LLC graph (single thread)\n");
   const uint64_t xllc_edges = std::max<uint64_t>(
       static_cast<uint64_t>(6000000 * BenchScale()), 200000);
@@ -837,18 +811,6 @@ int main(int argc, char** argv) {
         }
         return v;
       });
-  {
-    WalkContext<CompressedGraph> ctx;  // cold tier only
-    const uint64_t sum = RecordWalkRow(
-        "walk_compressed_coldtier_xllc", "coldtier", xstarts, 3,
-        [&](NodeId s, uint64_t steps, Rng& rng) {
-          return WeightedRandomWalk(cg_xllc, ctx, s, steps, rng);
-        });
-    if (sum != xsum_naive) {
-      std::fprintf(stderr, "xllc cold-tier checksum diverged from naive\n");
-      return 1;
-    }
-  }
   WalkCacheStats xllc_cache_stats;
   {
     const WalkAccel<CompressedGraph> accel =
@@ -863,10 +825,9 @@ int main(int argc, char** argv) {
     xllc_cache_stats.pinned_entries = accel.pinned.pinned_entries();
     xllc_cache_stats.pinned_bytes = accel.pinned.pinned_bytes();
     xllc_cache_stats.pin_hits = ctx.pin_hits();
-    xllc_cache_stats.cold_hits = ctx.cold_hits();
     xllc_cache_stats.decode_misses = ctx.decode_misses();
-    const double draws = static_cast<double>(
-        ctx.pin_hits() + ctx.cold_hits() + ctx.decode_misses());
+    const double draws =
+        static_cast<double>(ctx.pin_hits() + ctx.decode_misses());
     std::printf(
         "  (pinned %llu vertices / %llu entries / %.1f MiB, pin hit rate "
         "%.3f over %.0f draws)\n",

@@ -135,8 +135,9 @@ int main(int argc, char** argv) {
   }
   {
     // Same pipeline on the compressed representation: exercises the walk
-    // engine (hub-pinned decode cache + cold tier), so the metrics snapshot
-    // below carries the walk/* counters into BENCH_breakdown.json.
+    // engine (hub-pinned decode cache + direct block decode), so the
+    // metrics snapshot below carries the walk/* counters into
+    // BENCH_breakdown.json.
     const CompressedGraph cg = CompressedGraph::FromCsr(ds.graph);
     const uint64_t mark = recorder.Mark();
     LightNeOptions opt;

@@ -105,12 +105,12 @@ EOF
 
 # Sampler hot-path smoke: run the sampler perf baseline at reduced scale
 # under the sanitizer build (exercising the combiner, UpsertBatch under
-# 4-thread contention, the walk engine's decode tiers through the
-# dispatched varint decoder, the cross-variant checksum matrix, and the
-# full/gated alias paths end to end) and validate the v4 JSON schema. The
-# bench itself exits nonzero if any tier x thread-count walk checksum
-# diverges; the validation below re-asserts the recorded matrix for good
-# measure.
+# 4-thread contention, the walk engine's pinned tier and block decode
+# through the dispatched varint decoder, the cross-variant checksum matrix,
+# and the full/gated alias paths end to end) and validate the v5 JSON
+# schema. The bench itself exits nonzero if any tier x thread-count walk
+# checksum diverges; the validation below re-asserts the recorded matrix for
+# good measure.
 SAMPLER_JSON="$(mktemp /tmp/bench_sampler_smoke.XXXXXX.json)"
 trap 'rm -f "${SMOKE_JSON}" "${SAMPLER_JSON}" "${SERVE_JSON}" "${SERVE_STORE}"' EXIT
 LIGHTNE_BENCH_SCALE=0.1 LIGHTNE_GIT_SHA="$(git rev-parse --short=12 HEAD)" \
@@ -125,8 +125,8 @@ for key in ("schema", "schema_version", "git_sha", "workers", "bench_scale",
             "contended_combiner", "walk_cache", "walk_cache_xllc",
             "checksums", "gated_alias", "speedups"):
     assert key in doc, f"BENCH_sampler.json missing top-level key {key!r}"
-assert doc["schema"] == "lightne-sampler-v4"
-assert doc["schema_version"] == 4
+assert doc["schema"] == "lightne-sampler-v5"
+assert doc["schema_version"] == 5
 assert doc["decode"]["backend"] in ("scalar", "ssse3", "avx2")
 assert doc["results"], "BENCH_sampler.json has no results"
 for row in doc["results"]:
@@ -135,11 +135,13 @@ for row in doc["results"]:
         assert key in row, f"result row missing key {key!r}: {row}"
     assert row["median_ms"] > 0, f"non-positive median in {row['name']}"
 names = {row["name"] for row in doc["results"]}
-for required in ("walk_compressed_pinned", "walk_compressed_coldtier",
-                 "walk_csr_xllc", "walk_compressed_coldtier_xllc",
+for required in ("walk_compressed_naive", "walk_compressed_pinned",
+                 "walk_csr_xllc", "walk_compressed_naive_xllc",
                  "walk_compressed_pinned_xllc", "walk_weighted_gated",
                  "sampler_contended_direct_4t", "sampler_contended_batch_4t"):
-    assert required in names, f"missing v4 result row {required!r}"
+    assert required in names, f"missing v5 result row {required!r}"
+assert not any("coldtier" in name for name in names), \
+    "v5 has no cold-tier rows"
 for key in ("samples_accepted", "hit_rate", "direct_table_upserts",
             "combiner_table_upserts", "combiner_flushes",
             "table_batch_upserts"):
@@ -150,20 +152,21 @@ for key in ("threads", "hw_cores", "ops_per_thread", "batch_size",
     assert key in doc["contended_combiner"], \
         f"contended_combiner block missing {key!r}"
 for cache_key in ("walk_cache", "walk_cache_xllc"):
-    for key in ("pin_budget_bytes", "pinned_vertices", "pinned_entries",
-                "pinned_bytes", "pin_hits", "cold_hits", "decode_misses",
-                "pin_hit_rate"):
-        assert key in doc[cache_key], f"{cache_key} block missing {key!r}"
+    # Exactly these keys: v5 retired the cold-tier counter.
+    assert set(doc[cache_key]) == {
+        "pin_budget_bytes", "pinned_vertices", "pinned_entries",
+        "pinned_bytes", "pin_hits", "decode_misses", "pin_hit_rate"}, \
+        f"{cache_key} block keys: {sorted(doc[cache_key])}"
     assert doc[cache_key]["pinned_bytes"] <= doc[cache_key]["pin_budget_bytes"]
-# The determinism claim: every pin tier x thread count drew the identical
-# walk stream (naive decodes through the inline scalar Neighbor, cold and
-# pinned through the dispatched decoder).
+# The determinism claim: every tier x thread count drew the identical walk
+# stream, and the CSR walk over the same graph is the reference (compressed
+# decodes every draw through Neighbor, pinned serves hubs from the pool).
 assert doc["checksums"]["all_equal"] is True
 entries = doc["checksums"]["entries"]
 assert len(entries) == 6, f"expected 6 checksum entries, got {len(entries)}"
 assert len({e["value"] for e in entries}) == 1, \
     "walk checksums differ across tiers / thread counts"
-assert {e["tier"] for e in entries} == {"naive", "cold", "pinned"}
+assert {e["tier"] for e in entries} == {"csr", "compressed", "pinned"}
 assert {e["threads"] for e in entries} == {1, 4}
 for key in ("degree_gate", "sampling_bytes_full", "sampling_bytes_gated",
             "memory_cut_pct"):
@@ -172,9 +175,11 @@ assert doc["gated_alias"]["sampling_bytes_gated"] < \
     doc["gated_alias"]["sampling_bytes_full"]
 for key in ("sampler_w1_combiner_vs_direct_mt",
             "sampler_contended_batch_vs_direct",
-            "walk_pinned_vs_naive_compressed", "walk_coldtier_vs_naive_xllc",
-            "walk_pinned_vs_naive_xllc", "walk_gated_vs_prefix_weighted"):
+            "walk_pinned_vs_naive_compressed", "walk_pinned_vs_naive_xllc",
+            "walk_gated_vs_prefix_weighted"):
     assert key in doc["speedups"], f"speedups missing {key!r}"
+assert not any("coldtier" in key for key in doc["speedups"]), \
+    "v5 has no cold-tier speedups"
 print(f"sampler smoke OK: {len(doc['results'])} results, "
       f"decode backend {doc['decode']['backend']}, "
       f"w1 combiner speedup "
@@ -217,7 +222,6 @@ assert doc["metrics"]["counters"].get("sparsifier/builds", 0) > 0
 # The LightNE-Compressed run drives the walk engine: its decode counters and
 # the hub cache's pinned-bytes gauge must surface in the snapshot.
 walk_decodes = (doc["metrics"]["counters"].get("walk/pin_hits", 0) +
-                doc["metrics"]["counters"].get("walk/cold_hits", 0) +
                 doc["metrics"]["counters"].get("walk/decode_misses", 0))
 assert walk_decodes > 0, "no walk/* decode counters in metrics snapshot"
 assert doc["metrics"]["gauges"].get("walk/pinned_bytes", 0) > 0

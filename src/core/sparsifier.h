@@ -81,7 +81,7 @@ struct SparsifierOptions {
   uint32_t combiner_log2_slots = 13;
   /// Byte budget for the walk accelerator (graph/walk_cursor.h): on
   /// compressed graphs, the hub-pinned decode cache shared by all sampling
-  /// workers. 0 disables pinning (cold-tier batch decode still applies).
+  /// workers. 0 disables pinning (every draw then decodes its block).
   /// Pinning is a pure decode cache — the sparsifier is bit-identical with
   /// any value — so this is a perf/memory knob, not a semantic one. When a
   /// memory_budget governor is set, the actual footprint is reserved against
@@ -246,9 +246,9 @@ std::vector<NodeId> EdgeBalancedBoundaries(const G& g, uint64_t chunks) {
 /// statically round-robin — worker w takes chunks w, w+W, w+2W, ... — so
 /// which vertices share a worker (and a combiner) is a deterministic
 /// function of (graph, worker count), not of thread timing. Each worker owns
-/// one WalkContext (compressed-graph two-tier decode cache, fed by the
-/// phase-shared `accel`) and, when enabled, one SamplerCombiner flushed at
-/// pass end.
+/// one WalkContext (on compressed graphs, a view of the phase-shared
+/// `accel`'s pinned hub prefixes plus draw counters) and, when enabled, one
+/// SamplerCombiner flushed at pass end.
 template <GraphView G>
 bool RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
                         double per_edge, double c, uint64_t seed,
@@ -315,7 +315,7 @@ bool RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
 /// One full pass of Algorithm 2 into per-worker record buffers (the
 /// considered alternative — GBBS sparse histogram, §4.2). Never fails.
 /// Buffers are strictly per-worker, so the combiner would add nothing here;
-/// the pass still gets the decode cursor and per-worker counters.
+/// the pass still gets the walk context and per-worker counters.
 template <GraphView G>
 void RunPerEdgeSamplingBuffered(const G& g, const SparsifierOptions& opt,
                                 double per_edge, double c, uint64_t seed,

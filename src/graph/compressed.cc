@@ -94,43 +94,18 @@ CompressedGraph CompressedGraph::FromCsr(const CsrGraph& g,
 }
 
 uint64_t CompressedGraph::DecodeBlock(NodeId v, uint64_t b, NodeId* out) const {
-  BlockCursor cur;
-  DecodeBlockPrefix(v, b, ~uint64_t{0}, out, &cur);
-  return cur.len;
-}
-
-uint64_t CompressedGraph::DecodeBlockPrefix(NodeId v, uint64_t b,
-                                            uint64_t upto, NodeId* out,
-                                            BlockCursor* cur) const {
   const uint64_t d = degrees_[v];
   const uint64_t nblocks = NumBlocks(d);
   LIGHTNE_CHECK_LT(b, nblocks);
   const uint8_t* p = BlockBytes(v, b);
-  const uint64_t in_block =
-      (b + 1 < nblocks) ? block_size_ : d - b * block_size_;
-  const int64_t running = static_cast<int64_t>(v) + DecodeZigzag(&p);
-  out[0] = static_cast<NodeId>(running);
-  cur->next = p;
-  cur->running = running;
-  cur->decoded = 1;
-  cur->len = static_cast<uint32_t>(in_block);
-  ExtendBlockPrefix(cur, upto, out);
-  return cur->decoded;
-}
-
-void CompressedGraph::ExtendBlockPrefix(BlockCursor* cur, uint64_t upto,
-                                        NodeId* out) const {
-  const uint64_t want = std::min<uint64_t>(upto, cur->len);
-  if (want <= cur->decoded) return;
-  // Fused difference-decode through the dispatched backend: varint decode
-  // and prefix sum in one pass, no staging buffer. Every decoded value is a
-  // node id (< NumVertices), so the uint32 accumulation the fused decoders
-  // use agrees exactly with the old int64 sweep, under every backend.
-  uint32_t base = static_cast<uint32_t>(cur->running);
-  cur->next = ActiveDeltaPrefixDecoder()(cur->next, want - cur->decoded,
-                                         &base, out + cur->decoded);
-  cur->running = static_cast<int64_t>(base);
-  cur->decoded = static_cast<uint32_t>(want);
+  const uint64_t len = (b + 1 < nblocks) ? block_size_ : d - b * block_size_;
+  // Every decoded value is a node id (< NumVertices), so the uint32
+  // accumulation of the fused decoder agrees exactly with an int64 sweep.
+  uint32_t base =
+      static_cast<uint32_t>(static_cast<int64_t>(v) + DecodeZigzag(&p));
+  out[0] = base;
+  ActiveDeltaPrefixDecoder()(p, len - 1, &base, out + 1);
+  return len;
 }
 
 CompressedGraph::HubCache CompressedGraph::HubCache::Build(
@@ -261,18 +236,34 @@ CompressedGraph::HubCache CompressedGraph::HubCache::Build(
 }
 
 NodeId CompressedGraph::Neighbor(NodeId v, uint64_t i) const {
+  // Up to kInlineDeltas deltas cost fewer cycles inline than a decoder
+  // call; longer prefixes go through the fused decoder kDecodeChunk at a
+  // time, whose running sums land in a stack buffer and are dropped — the
+  // last sum is the neighbor.
+  constexpr uint64_t kInlineDeltas = 8;
+  constexpr uint64_t kDecodeChunk = 64;
   const uint64_t d = degrees_[v];
   LIGHTNE_CHECK_LT(i, d);
-  const uint8_t* region = bytes_.data() + vertex_offset_[v];
-  const uint64_t nblocks = NumBlocks(d);
   const uint64_t b = i / block_size_;
-  const uint8_t* p = region + BlockStart(region, nblocks, b);
-  int64_t running = static_cast<int64_t>(v) + DecodeZigzag(&p);
-  const uint64_t within = i - b * block_size_;
-  for (uint64_t k = 0; k < within; ++k) {
-    running += static_cast<int64_t>(DecodeVarint(&p));
+  const uint8_t* p = BlockBytes(v, b);
+  const int64_t first = static_cast<int64_t>(v) + DecodeZigzag(&p);
+  uint64_t within = i - b * block_size_;
+  if (within <= kInlineDeltas) {
+    int64_t running = first;
+    for (uint64_t k = 0; k < within; ++k) {
+      running += static_cast<int64_t>(DecodeVarint(&p));
+    }
+    return static_cast<NodeId>(running);
   }
-  return static_cast<NodeId>(running);
+  const VarintDeltaPrefixFn decode = ActiveDeltaPrefixDecoder();
+  uint32_t sums[kDecodeChunk];
+  uint32_t base = static_cast<uint32_t>(first);
+  while (within > 0) {
+    const uint64_t count = std::min(within, kDecodeChunk);
+    p = decode(p, count, &base, sums);
+    within -= count;
+  }
+  return static_cast<NodeId>(base);
 }
 
 }  // namespace lightne

@@ -12,10 +12,10 @@
 // and the latency of fetching arbitrary incident edges; that is the default
 // here and bench_compression reproduces the trade-off.
 //
-// Block decode dispatches to the fused SIMD varint difference-decoder
-// (graph/varint_simd.h); the byte stream carries kVarintDecodeSlack readable
-// slack bytes so 16-byte SIMD loads starting at the last encoded byte are
-// always in bounds.
+// Neighbor() and DecodeBlock() dispatch to the fused SIMD varint
+// difference-decoder (graph/varint_simd.h); the byte stream carries
+// kVarintDecodeSlack readable slack bytes so 16-byte SIMD loads starting at
+// the last encoded byte are always in bounds.
 #ifndef LIGHTNE_GRAPH_COMPRESSED_H_
 #define LIGHTNE_GRAPH_COMPRESSED_H_
 
@@ -49,7 +49,7 @@ class CompressedGraph {
 
   uint64_t Degree(NodeId v) const { return degrees_[v]; }
 
-  /// Hints the loads a cold walk draw from v serializes on (degree, byte
+  /// Hints the loads an unpinned walk draw from v serializes on (degree, byte
   /// offset) into cache without waiting. Both addresses depend only on v,
   /// so a caller that must first resolve something else about v (e.g. probe
   /// a pin index) can overlap that work with these fetches. Pure hint:
@@ -64,44 +64,17 @@ class CompressedGraph {
   }
 
   /// Decodes the i-th neighbor of v: locates the containing block via the
-  /// offset table, then decodes at most block_size varints.
+  /// offset table, then decodes the block's first i mod block_size deltas —
+  /// up to 8 inline, longer prefixes through the fused SIMD decoder
+  /// (graph/varint_simd.h) in chunks of at most 64. This is the walk's one
+  /// decode path for draws the pinned tier (HubCache) does not serve.
   NodeId Neighbor(NodeId v, uint64_t i) const;
 
-  /// Decodes block `b` of vertex `v` in one pass into `out` (which must hold
-  /// block_size() entries). Returns the number of neighbors decoded (the
-  /// block length; the last block of a vertex may be short). One batch
-  /// varint sweep through the dispatched decoder (graph/varint_simd.h) —
-  /// the batch-decode primitive the walk engine uses to amortize decode
-  /// cost when several draws land in the same block.
+  /// Decodes block `b` of vertex `v` in one fused-decoder pass into `out`
+  /// (which must hold block_size() entries). Returns the number of
+  /// neighbors decoded (the block length; the last block of a vertex may be
+  /// short). HubCache::Build fills its pinned pool through this.
   uint64_t DecodeBlock(NodeId v, uint64_t b, NodeId* out) const;
-
-  /// Resumable decode state for one block, owned by the caller alongside the
-  /// output buffer it was started against. The split points never change the
-  /// decoded values: the batch decoder consumes an exact varint count and
-  /// returns the exact stream position, so prefix + extensions reproduce
-  /// DecodeBlock byte-for-byte under every dispatch backend.
-  struct BlockCursor {
-    const uint8_t* next = nullptr;  ///< first undecoded varint byte
-    int64_t running = 0;            ///< value of the last decoded entry
-    uint32_t decoded = 0;           ///< entries decoded into the buffer
-    uint32_t len = 0;               ///< total entries in the block
-  };
-
-  /// Starts a resumable decode of block `b` of `v`: decodes the first
-  /// min(upto, block length) entries into `out` (which must hold
-  /// block_size() entries for later extension) and primes `cur` for
-  /// ExtendBlockPrefix. Returns the number of entries decoded (>= 1). This
-  /// is the walk cold tier's workhorse: a draw at index `i` pays one offset
-  /// walk plus `i+1` batch-decoded varints, never a full-block sweep, and
-  /// later draws extend from the saved stream position without re-touching
-  /// the offset tables.
-  uint64_t DecodeBlockPrefix(NodeId v, uint64_t b, uint64_t upto, NodeId* out,
-                             BlockCursor* cur) const;
-
-  /// Extends a started block decode to min(upto, block length) total
-  /// entries, appending to the same `out` the cursor was started with.
-  /// No-op when the prefix already covers `upto`.
-  void ExtendBlockPrefix(BlockCursor* cur, uint64_t upto, NodeId* out) const;
 
   /// Permanently pinned decoded neighbor prefixes of the hottest vertices.
   ///
@@ -115,7 +88,7 @@ class CompressedGraph {
   /// and the scan continues so smaller rows can fill what a giant hub could
   /// not. A pinned draw is a plain array read with no hashing, no varint
   /// decode, and no possibility of eviction; draws past a pinned prefix fall
-  /// through to the cold tier. Built per sampling phase (see MakeWalkAccel
+  /// through to Neighbor(). Built per sampling phase (see MakeWalkAccel
   /// in graph/walk_cursor.h) and shared read-only by all worker contexts.
   ///
   /// Sizing: `byte_budget` caps the footprint — a compact open-addressing
@@ -124,7 +97,7 @@ class CompressedGraph {
   /// index is tens of KiB and L1/L2-resident (the previous 4-byte-per-
   /// vertex prefix array cost 4 MiB at n=1M — a quarter of the budget spent
   /// on index, and an LLC miss on every probe). A degree gate makes the
-  /// index free for cold draws: admission is degree-descending, so a draw
+  /// index free for unpinned draws: admission is degree-descending, so a draw
   /// probes the index only when Degree(v) >= degree_gate() — a load the
   /// sampler made hot one instruction earlier. When a limited MemoryBudget
   /// governor is supplied the spend is further capped at a quarter of its

@@ -1,4 +1,4 @@
-// Fused varint difference-decoding for the compressed-graph cold tier.
+// Fused varint difference-decoding for compressed-graph walk draws.
 //
 // The parallel-byte format (graph/compressed.h) difference-encodes neighbor
 // lists as LEB128 varints. Scalar decode is a loop-carried dependence — each
@@ -37,11 +37,12 @@ inline constexpr uint64_t kVarintDecodeSlack = 16;
 /// accumulates each into `*base_io` (mod 2^32 — every arm accumulates in
 /// uint32), and writes every running sum to out[0..count). Returns the byte
 /// after the last consumed varint; `*base_io` holds the final sum for
-/// resumed decodes. This is the walk cold tier's inner loop (CompressedGraph
-/// block prefixes): decode and prefix sum in one pass, no staging buffer —
-/// the SIMD arms keep the running sum in a register (4-lane shift-add prefix
-/// + lane-3 carry broadcast). `p` must have kVarintDecodeSlack readable
-/// slack bytes after the encoded data.
+/// resumed decodes. This is the inner loop of CompressedGraph::Neighbor
+/// (every unpinned walk draw past a block's first 8 deltas) and
+/// DecodeBlock: decode and prefix sum in one pass, no staging buffer — the
+/// SIMD arms keep the running sum in a register (4-lane shift-add prefix +
+/// lane-3 carry broadcast). `p` must have kVarintDecodeSlack readable slack
+/// bytes after the encoded data.
 using VarintDeltaPrefixFn = const uint8_t* (*)(const uint8_t* p,
                                                uint64_t count,
                                                uint32_t* base_io,

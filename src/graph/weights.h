@@ -7,11 +7,11 @@
 // unchanged.
 //
 // The sampling and walk entry points come in two flavors: the plain
-// (g, v, rng) form, and a hot-path form threading a WalkContext<G> decode
-// cursor (graph/walk_cursor.h) so compressed-graph walks stop re-decoding
-// neighbor blocks on every step. Both flavors consume the RNG identically
-// and return identical vertices; the plain form simply runs on a throwaway
-// context.
+// (g, v, rng) form, and a hot-path form threading a WalkContext<G>
+// (graph/walk_cursor.h) so compressed-graph walks serve hub draws from the
+// phase's pinned decoded prefixes instead of decoding a neighbor block on
+// every step. Both flavors consume the RNG identically and return identical
+// vertices; the plain form simply runs on a throwaway context.
 #ifndef LIGHTNE_GRAPH_WEIGHTS_H_
 #define LIGHTNE_GRAPH_WEIGHTS_H_
 

@@ -54,18 +54,6 @@ inline constexpr uint64_t kMc = 64;   ///< A/C row panel handed to one task
 inline constexpr uint64_t kKc = 256;  ///< k-panel depth of a packed B tile
 inline constexpr uint64_t kNc = 64;   ///< column strip (256 B of a C row)
 inline constexpr uint64_t kTransposeTile = 32;  ///< square copy tile
-inline constexpr uint64_t kSpmmStrip = 64;      ///< dense-RHS column strip
-/// Spmm's auto policy strips only when the RHS has at least this many
-/// columns — the width where the float accumulator row alone reaches a
-/// 32 KiB L1 and can no longer stay resident through a full-width pass.
-/// Below it the single pass wins outright: measured on the baseline box,
-/// full-width beat strip-64/strip-256 at every RHS width in {512, 1024,
-/// 2048, 4096} (per-strip re-reads of the CSR indices plus chopped X-row
-/// streams cost more than the residency they buy). The threshold is thus
-/// the arithmetic point where stripping becomes necessary, not a tuning
-/// guess; SparseMatrix::Multiply takes an explicit strip override so tests
-/// and the perf baseline exercise the tiled path regardless.
-inline constexpr uint64_t kSpmmStripMinCols = (32 * 1024) / sizeof(float);
 
 /// Copies a rows x cols block between row-major buffers with leading
 /// dimensions lds/ldd. The shared pack primitive (QR panels, B tiles).

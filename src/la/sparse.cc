@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "la/kernels.h"
 #include "parallel/parallel_for.h"
 #include "parallel/scan.h"
 #include "parallel/sort.h"
@@ -136,40 +135,27 @@ void SparseMatrix::Prune(float threshold_exclusive) {
   values_ = std::move(new_vals);
 }
 
-// Row-block SPMM (the mkl_sparse_s_mm substitute, tuned per DESIGN.md §8).
-// The accumulator row is touched on every nnz iteration, so as long as it
-// fits in L1 it stays resident no matter how the gathered X rows stream —
-// measured on the baseline box, a single full-width pass beats column
-// stripping at every RHS width up to 4096 (stripping re-reads the row's
-// CSR indices per strip and chops the X-row streams into short gathers).
-// Only once the accumulator row alone outgrows L1 (kSpmmStripMinCols) does
-// the auto policy strip the RHS into kSpmmStrip-column tiles to restore
-// residency. Stripping reorders only the iteration over output columns,
-// never the nnz-ascending sum within an element, and each output row is
-// owned by one task and written flat (no atomic adds), so every path is
-// bit-identical to NaiveSpmm for any worker count and strip width.
-Matrix SparseMatrix::Multiply(const Matrix& x, uint64_t column_strip) const {
+// Row-parallel SPMM (the mkl_sparse_s_mm substitute, DESIGN.md §8). Each
+// output row is one full-width pass over the row's nnz: the accumulator row
+// is touched on every nnz iteration, so at the RHS widths the pipeline runs
+// (a few hundred columns at most) it stays L1-resident however the gathered
+// X rows stream. Each output row is owned by one task and written
+// flat (no atomic adds), and each element sums its nnz in ascending order,
+// so the result is bit-identical to NaiveSpmm for any worker count.
+Matrix SparseMatrix::Multiply(const Matrix& x) const {
   LIGHTNE_CHECK_EQ(cols_, x.rows());
   Matrix y(rows_, x.cols());
   const uint64_t d = x.cols();
-  const uint64_t strip =
-      column_strip > 0
-          ? column_strip
-          : (d >= kernels::kSpmmStripMinCols ? kernels::kSpmmStrip : d);
   ParallelFor(
       0, rows_,
       [&](uint64_t i) {
         float* __restrict yi = y.Row(i);
         const uint64_t lo = row_offsets_[i];
         const uint64_t hi = row_offsets_[i + 1];
-        for (uint64_t jb = 0; jb < d; jb += strip) {
-          const uint64_t j_len = std::min(strip, d - jb);
-          float* __restrict ys = yi + jb;
-          for (uint64_t k = lo; k < hi; ++k) {
-            const float v = values_[k];
-            const float* __restrict xs = x.Row(col_indices_[k]) + jb;
-            for (uint64_t j = 0; j < j_len; ++j) ys[j] += v * xs[j];
-          }
+        for (uint64_t k = lo; k < hi; ++k) {
+          const float v = values_[k];
+          const float* __restrict xk = x.Row(col_indices_[k]);
+          for (uint64_t j = 0; j < d; ++j) yi[j] += v * xk[j];
         }
       },
       /*grain=*/64);

@@ -58,14 +58,10 @@ class SparseMatrix {
   /// drop the zeros produced by the truncated logarithm.
   void Prune(float threshold_exclusive = 0.0f);
 
-  /// Y = this * X (mkl_sparse_s_mm counterpart). Parallel over row blocks;
-  /// bit-identical to NaiveSpmm for any worker count and any strip width
-  /// (la/kernels.h). `column_strip` = 0 picks the measured-best policy
-  /// (single pass until the accumulator row outgrows L1, then
-  /// kernels::kSpmmStrip-column tiles); a nonzero value forces that strip
-  /// width — used by the accuracy tests and the perf baseline to pin the
-  /// tiled path.
-  Matrix Multiply(const Matrix& x, uint64_t column_strip = 0) const;
+  /// Y = this * X (mkl_sparse_s_mm counterpart). Parallel over rows, one
+  /// full-width pass per row; bit-identical to NaiveSpmm for any worker
+  /// count (la/kernels.h).
+  Matrix Multiply(const Matrix& x) const;
 
   /// Returns this^T (parallel counting transpose).
   SparseMatrix Transposed() const;

@@ -99,6 +99,10 @@ TEST(CsrTest, EmptyGraph) {
 class CompressionRoundTrip : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(CompressionRoundTrip, DecodesIdenticalAdjacency) {
+  // Both decode paths against the CSR adjacency: the full-row MapNeighbors
+  // sweep, and Neighbor(v, i) at every i — which covers its inline arm
+  // (within 8 of a block start), its SIMD-decoder arm, and, for blocks
+  // wider than 64, the multi-chunk loop.
   const uint32_t block_size = GetParam();
   CsrGraph g = CsrGraph::FromEdges(GenerateRmat(12, 40000, 7));
   CompressedGraph cg = CompressedGraph::FromCsr(g, block_size);
@@ -112,6 +116,7 @@ TEST_P(CompressionRoundTrip, DecodesIdenticalAdjacency) {
     ASSERT_EQ(got.size(), expect.size()) << "vertex " << v;
     for (size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i], expect[i]) << "vertex " << v << " pos " << i;
+      ASSERT_EQ(cg.Neighbor(v, i), expect[i]) << "vertex " << v << " i " << i;
     }
   }
 }
@@ -128,49 +133,6 @@ TEST(CompressionTest, IthNeighborMatchesCsr) {
     if (g.Degree(v) == 0) continue;
     uint64_t i = rng.UniformInt(g.Degree(v));
     ASSERT_EQ(cg.Neighbor(v, i), g.Neighbor(v, i)) << v << " " << i;
-  }
-}
-
-TEST(CompressionTest, BlockPrefixResumesExactly) {
-  // DecodeBlockPrefix + ExtendBlockPrefix must reproduce the block's CSR
-  // neighbors (and DecodeBlock) for every split of a block into prefix
-  // steps — the walk cold tier leans on this to grow slot prefixes lazily.
-  // The CSR adjacency is the independent reference: DecodeBlock runs the
-  // same dispatched decoder as the prefix path.
-  const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(11, 30000, 3));
-  const CompressedGraph cg = CompressedGraph::FromCsr(g, 64);
-  Rng rng(17);
-  for (int trial = 0; trial < 800; ++trial) {
-    const NodeId v = static_cast<NodeId>(rng.UniformInt(g.NumVertices()));
-    if (g.Degree(v) == 0) continue;
-    const uint64_t nblocks = (g.Degree(v) + 63) / 64;
-    const uint64_t b = rng.UniformInt(nblocks);
-    const auto csr = g.Neighbors(v);
-    NodeId full[64];
-    const uint64_t len = cg.DecodeBlock(v, b, full);
-    ASSERT_EQ(len, std::min<uint64_t>(64, g.Degree(v) - b * 64));
-    NodeId lazy[64];
-    CompressedGraph::BlockCursor cur;
-    uint64_t upto = 1 + rng.UniformInt(len);
-    ASSERT_EQ(cg.DecodeBlockPrefix(v, b, upto, lazy, &cur),
-              std::min<uint64_t>(upto, len));
-    for (uint64_t k = 0; k < cur.decoded; ++k) {
-      ASSERT_EQ(lazy[k], csr[b * 64 + k]) << "v=" << v << " b=" << b;
-    }
-    while (cur.decoded < len) {
-      upto = cur.decoded + 1 + rng.UniformInt(len - cur.decoded);
-      cg.ExtendBlockPrefix(&cur, upto, lazy);
-      ASSERT_EQ(cur.decoded, std::min<uint64_t>(upto, len));
-    }
-    ASSERT_EQ(cur.len, len);
-    for (uint64_t k = 0; k < len; ++k) {
-      ASSERT_EQ(lazy[k], csr[b * 64 + k])
-          << "v=" << v << " b=" << b << " k=" << k;
-      ASSERT_EQ(lazy[k], full[k]) << "v=" << v << " b=" << b << " k=" << k;
-    }
-    // Over-asking clamps to the block length and is then a no-op.
-    cg.ExtendBlockPrefix(&cur, len + 100, lazy);
-    ASSERT_EQ(cur.decoded, len);
   }
 }
 

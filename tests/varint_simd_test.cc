@@ -134,7 +134,8 @@ TEST(VarintSimdTest, FuzzRandomWidthMixes) {
 TEST(VarintSimdTest, DeltaPrefixResumesMidStream) {
   // Split points must be invisible: decoding [0, k) then [k, n) with the
   // carried base and stream position equals one whole-stream scalar decode.
-  // This is the exact contract CompressedGraph::ExtendBlockPrefix leans on.
+  // CompressedGraph::Neighbor leans on this to decode long prefixes in
+  // chunks.
   Rng rng(20260811);
   std::vector<uint64_t> values;
   for (int i = 0; i < 200; ++i) values.push_back(rng.Next() & 0x3ffff);
