@@ -1,8 +1,8 @@
 // Machine-readable sampler perf baseline (DESIGN.md §11), schema v5.
 //
-// Measures the sparsifier ingestion hot path on a skewed RMAT graph —
-// combiner+edge-balanced scheduling vs the direct shared-table path at the
-// same worker count, plus a contended 4-thread shared-table row pair that
+// Measures the sparsifier ingestion hot path on a skewed RMAT graph — the
+// run-merging upsert batch (the "combiner" rows) vs direct shared-table
+// upserts at the same worker count, plus a contended 4-thread row pair that
 // revalidates UpsertBatch's prefetch pipeline under real cross-thread
 // traffic — and the walk-step primitives: CSR, compressed decode variants
 // (naive per-draw Neighbor() and the hub-pinned context), weighted
@@ -21,10 +21,11 @@
 //
 // The headline rows isolate aggregation cost: window=1 degenerates
 // PathSampling to returning the edge endpoints (no walk steps), so the pass
-// is RNG + key canonicalization + aggregation — the component the combiner
-// rewrites. The window=10 rows measure the full pipeline mix. Sampling rows
-// time internal::RunPerEdgeSampling into a pre-allocated table (cleared
-// between runs) so table sizing/extraction are excluded from the medians.
+// is RNG + key canonicalization + aggregation — the component the upsert
+// batch changes. The window=10 rows measure the full pipeline mix. Sampling
+// rows time internal::RunPerEdgeSampling into a pre-allocated table
+// (cleared between runs) so table sizing/extraction are excluded from the
+// medians.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -150,8 +151,8 @@ void RecordSamplingRow(const std::string& name, const CsrGraph& g,
 // ------------------------------------------------ contended table upserts
 // UpsertBatch's hash-prefetch pipeline was tuned on single-threaded runs;
 // these rows revalidate it with kContendedThreads plain threads hammering
-// one shared table — the regime combiner flushes actually run in. The key
-// mix sends a quarter of traffic to 1K hot keys (flush bursts colliding on
+// one shared table — the regime the sampler's batches drain in. The key
+// mix sends a quarter of traffic to 1K hot keys (batches colliding on
 // popular edges) and the rest across ~1M cold keys (the hash-miss traffic
 // the prefetch stage exists for). hw_cores is recorded in the JSON: on a
 // machine with fewer cores than threads the rows measure oversubscribed
@@ -522,8 +523,8 @@ void WriteJson(const std::string& path, const CsrGraph& g,
                  i + 1 < g_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  // End-to-end combiner effectiveness at the paper's window (w=10, with
-  // downsampling), from two full BuildSparsifier runs.
+  // End-to-end run merging at the paper's window (w=10, with downsampling),
+  // from two full BuildSparsifier runs.
   const double hit_rate =
       combiner_e2e.samples_accepted > 0
           ? static_cast<double>(combiner_e2e.combiner_hits) /
@@ -533,6 +534,8 @@ void WriteJson(const std::string& path, const CsrGraph& g,
   std::fprintf(f, "    \"samples_accepted\": %llu,\n",
                static_cast<unsigned long long>(combiner_e2e.samples_accepted));
   std::fprintf(f, "    \"hit_rate\": %.4f,\n", hit_rate);
+  std::fprintf(f, "    \"combiner_hits\": %llu,\n",
+               static_cast<unsigned long long>(combiner_e2e.combiner_hits));
   std::fprintf(f, "    \"direct_table_upserts\": %llu,\n",
                static_cast<unsigned long long>(direct_e2e.table_upserts));
   std::fprintf(f, "    \"combiner_table_upserts\": %llu,\n",
@@ -686,9 +689,9 @@ int main(int argc, char** argv) {
 
   // --- sampling ingestion (the tentpole rows) -----------------------------
   std::printf("Sampling ingestion (window=1: aggregation-bound)\n");
-  // 16 samples per edge matches the paper's regime of M >> m and gives the
-  // run-length key stream the combiner is built for (n_e back-to-back
-  // samples of each edge).
+  // 16 samples per edge matches the paper's regime of M >> m; at window 1
+  // an edge's n_e back-to-back samples share its key, so each edge's samples
+  // merge into one run.
   const uint64_t m_w1 = 16 * g.NumDirectedEdges();
   RecordSamplingRow("sampler_w1_direct_1t", g, {1, false, m_w1}, true, 3);
   RecordSamplingRow("sampler_w1_combiner_1t", g, {1, true, m_w1}, true, 3);
@@ -902,7 +905,7 @@ int main(int argc, char** argv) {
                                  gated_stats.sampling_bytes_full)));
   }
 
-  // --- end-to-end combiner accounting (window=10, downsampling on) --------
+  // --- end-to-end run-merging accounting (window=10, downsampling on) -----
   std::printf("\nEnd-to-end accounting (BuildSparsifier, w=10)\n");
   SparsifierOptions e2e;
   e2e.num_samples = m_w10;

@@ -104,13 +104,13 @@ print(f"bench smoke OK: {len(doc['results'])} results, "
 EOF
 
 # Sampler hot-path smoke: run the sampler perf baseline at reduced scale
-# under the sanitizer build (exercising the combiner, UpsertBatch under
-# 4-thread contention, the walk engine's pinned tier and block decode
-# through the dispatched varint decoder, the cross-variant checksum matrix,
-# and the full/gated alias paths end to end) and validate the v5 JSON
-# schema. The bench itself exits nonzero if any tier x thread-count walk
-# checksum diverges; the validation below re-asserts the recorded matrix for
-# good measure.
+# under the sanitizer build (exercising the run-merging upsert batch,
+# UpsertBatch under 4-thread contention, the walk engine's pinned tier and
+# block decode through the dispatched varint decoder, the cross-variant
+# checksum matrix, and the full/gated alias paths end to end) and validate
+# the v5 JSON schema and its exact ingest accounting. The bench itself exits
+# nonzero if any tier x thread-count walk checksum diverges; the validation
+# below re-asserts the recorded matrix for good measure.
 SAMPLER_JSON="$(mktemp /tmp/bench_sampler_smoke.XXXXXX.json)"
 trap 'rm -f "${SMOKE_JSON}" "${SAMPLER_JSON}" "${SERVE_JSON}" "${SERVE_STORE}"' EXIT
 LIGHTNE_BENCH_SCALE=0.1 LIGHTNE_GIT_SHA="$(git rev-parse --short=12 HEAD)" \
@@ -142,11 +142,18 @@ for required in ("walk_compressed_naive", "walk_compressed_pinned",
     assert required in names, f"missing v5 result row {required!r}"
 assert not any("coldtier" in name for name in names), \
     "v5 has no cold-tier rows"
-for key in ("samples_accepted", "hit_rate", "direct_table_upserts",
-            "combiner_table_upserts", "combiner_flushes",
-            "table_batch_upserts"):
+for key in ("samples_accepted", "hit_rate", "combiner_hits",
+            "direct_table_upserts", "combiner_table_upserts",
+            "combiner_flushes", "table_batch_upserts"):
     assert key in doc["combiner"], f"combiner block missing {key!r}"
-assert doc["combiner"]["samples_accepted"] > 0
+comb = doc["combiner"]
+assert comb["samples_accepted"] > 0
+# Exact ingest accounting: every accepted sample either starts a same-key
+# run (one table upsert) or merges into one; the direct path upserts each.
+assert comb["combiner_table_upserts"] + comb["combiner_hits"] == \
+    comb["samples_accepted"], f"combiner accounting off: {comb}"
+assert comb["direct_table_upserts"] == comb["samples_accepted"], \
+    f"direct accounting off: {comb}"
 for key in ("threads", "hw_cores", "ops_per_thread", "batch_size",
             "direct_median_ms", "batch_median_ms", "batch_vs_direct"):
     assert key in doc["contended_combiner"], \

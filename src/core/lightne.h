@@ -45,8 +45,8 @@ struct LightNeOptions {
   uint64_t num_samples = 0;
   /// Edge downsampling (§3.2). Off = plain NetSMF sampling.
   bool downsample = true;
-  /// Per-worker software combiner in front of the sampler's shared hash
-  /// table (see SparsifierOptions::combiner). Counters and the sparsity
+  /// Per-worker run-merging upsert batch in front of the sampler's shared
+  /// hash table (see SparsifierOptions::combiner). Counters and the sparsity
   /// pattern are bit-identical either way; off = the direct-upsert path.
   bool sampler_combiner = true;
   /// Byte budget for the sampler's hub-pinned decode cache on compressed

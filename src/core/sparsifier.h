@@ -25,7 +25,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/aggregation.h"
@@ -34,7 +34,6 @@
 #include "graph/walk_cursor.h"
 #include "graph/weights.h"
 #include "la/sparse.h"
-#include "parallel/combiner.h"
 #include "parallel/concurrent_hash_table.h"
 #include "parallel/reduce.h"
 #include "parallel/scan.h"
@@ -70,15 +69,13 @@ struct SparsifierOptions {
   /// kResourceExhausted is returned only when no degradation fits. Null or
   /// unlimited = the exact paper behavior.
   MemoryBudget* memory_budget = nullptr;
-  /// Per-worker software combiner in front of the shared hash table
-  /// (parallel/combiner.h). Pre-aggregates repeated keys locally so only
-  /// distinct-ish records pay a global atomic + cache miss. Off = every
-  /// accepted sample upserts the shared table directly (the pre-combiner
-  /// behavior, kept as the equivalence/bench reference). Integer counters
-  /// and the distinct-key set are bit-identical either way.
+  /// Per-worker run-merging upsert batch in front of the shared hash table
+  /// (see RunPerEdgeSampling): consecutive records of one key merge into one
+  /// record, and records reach the table 64 at a time through UpsertBatch.
+  /// Off = every accepted sample upserts the shared table directly (the
+  /// reference path for tests and the benchmarks). Integer counters and the
+  /// distinct-key set are bit-identical either way.
   bool combiner = true;
-  /// log2 of the per-worker combiner slot count (13 -> 8192 slots, 128 KiB).
-  uint32_t combiner_log2_slots = 13;
   /// Byte budget for the walk accelerator (graph/walk_cursor.h): on
   /// compressed graphs, the hub-pinned decode cache shared by all sampling
   /// workers. 0 disables pinning (every draw then decodes its block).
@@ -112,14 +109,16 @@ struct SparsifierResult {
   /// edge-count-conservation property test.
   uint64_t mass_fp20 = 0;
   /// Records delivered to the shared hash table by the final pass. Without
-  /// the combiner this equals samples_accepted; with it, duplicates merged
-  /// locally never reach the table, so the ratio is the combiner's win.
+  /// the combiner this equals samples_accepted; with it, it is the number of
+  /// same-key runs. Like combiner_hits, a function of the per-edge RNG
+  /// streams only, so equal at any worker count.
   uint64_t table_upserts = 0;
-  /// Combiner records merged into a resident entry (0 with combiner off).
+  /// Records merged into the pending run of their key (0 with combiner off);
+  /// table_upserts + combiner_hits == samples_accepted.
   uint64_t combiner_hits = 0;
-  /// Combiner Flush() drains (one per worker per pass, plus retries).
+  /// Pass-end drains of the per-worker batch (one per worker).
   uint64_t combiner_flushes = 0;
-  /// UpsertBatch calls issued by combiner flushes/evictions.
+  /// UpsertBatch calls issued by the per-worker batches.
   uint64_t table_batch_upserts = 0;
 };
 
@@ -196,8 +195,9 @@ bool SampleVertexEdges(const G& g, const SparsifierOptions& opt,
 }
 
 /// Exact integer counters of one sampling pass. `drawn`, `accepted` and
-/// `mass_fp` are bit-identical across worker counts and combiner settings;
-/// the remaining fields describe how the records reached the shared table.
+/// `mass_fp` are bit-identical across worker counts and combiner settings,
+/// `table_upserts` and `combiner_hits` across worker counts; the last two
+/// fields count per-worker batch traffic.
 struct SamplerPassStats {
   uint64_t drawn = 0;
   uint64_t accepted = 0;
@@ -244,17 +244,27 @@ std::vector<NodeId> EdgeBalancedBoundaries(const G& g, uint64_t chunks) {
 ///
 /// Scheduling: edge-balanced chunks (kChunksPerWorker per worker) assigned
 /// statically round-robin — worker w takes chunks w, w+W, w+2W, ... — so
-/// which vertices share a worker (and a combiner) is a deterministic
-/// function of (graph, worker count), not of thread timing. Each worker owns
-/// one WalkContext (on compressed graphs, a view of the phase-shared
-/// `accel`'s pinned hub prefixes plus draw counters) and, when enabled, one
-/// SamplerCombiner flushed at pass end.
+/// which vertices share a worker is a deterministic function of (graph,
+/// worker count), not of thread timing. Each worker owns one WalkContext
+/// (on compressed graphs, a view of the phase-shared `accel`'s pinned hub
+/// prefixes plus draw counters).
+///
+/// With opt.combiner, each worker also owns a run-merging upsert batch. A
+/// record whose key equals the pending run's key is added to it (a combiner
+/// hit; an edge's n_e samples arrive back to back); any other key pushes
+/// the run into a 64-record array that drains through UpsertBatch when full
+/// and at the pass end. The pending run is pushed at the end of every
+/// vertex, so runs never span vertices and the hit and upsert counts depend
+/// on the per-edge RNG streams alone, not on the worker count. A rejected
+/// batch fails the sink exactly as a rejected direct Upsert does.
 template <GraphView G>
 bool RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
                         double per_edge, double c, uint64_t seed,
                         const WalkAccel<G>& accel,
                         ConcurrentHashTable<double>* table,
                         SamplerPassStats* stats) {
+  constexpr uint64_t kEmptyKey = ConcurrentHashTable<double>::kEmptyKey;
+  constexpr uint32_t kBatch = 64;  // records per UpsertBatch (1 KiB)
   const NodeId n = g.NumVertices();
   constexpr uint64_t kChunksPerWorker = 8;
   const uint64_t workers_hint =
@@ -271,36 +281,62 @@ bool RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
   std::atomic<uint64_t> batches_total{0};
   ParallelForWorkers([&](int worker, int workers) {
     WalkContext<G> ctx(accel);
-    std::optional<SamplerCombiner> combiner;
-    if (opt.combiner) combiner.emplace(table, opt.combiner_log2_slots);
     uint64_t local_drawn = 0, local_accepted = 0, local_mass = 0;
-    uint64_t local_direct = 0;
-    bool ok = true;
-    auto sink = [&](uint64_t key, double w) {
-      if (combiner) return combiner->Add(key, w);
-      ++local_direct;
-      return table->Upsert(key, w);
+    uint64_t local_upserts = 0, local_hits = 0, local_batches = 0;
+    std::pair<uint64_t, double> batch[kBatch];
+    uint32_t batch_size = 0;
+    uint64_t run_key = kEmptyKey;
+    double run_weight = 0.0;
+    auto drain = [&] {
+      if (batch_size == 0) return true;
+      ++local_batches;
+      const bool drained = table->UpsertBatch(batch, batch_size);
+      batch_size = 0;
+      return drained;
     };
+    auto push_run = [&] {
+      if (run_key == kEmptyKey) return true;
+      batch[batch_size++] = {run_key, run_weight};
+      ++local_upserts;
+      run_key = kEmptyKey;
+      return batch_size < kBatch || drain();
+    };
+    auto sink = [&](uint64_t key, double w) {
+      if (!opt.combiner) {
+        ++local_upserts;
+        return table->Upsert(key, w);
+      }
+      LIGHTNE_CHECK_NE(key, kEmptyKey);
+      if (key == run_key) {
+        run_weight += w;
+        ++local_hits;
+        return true;
+      }
+      const bool pushed = push_run();
+      run_key = key;
+      run_weight = w;
+      return pushed;
+    };
+    bool ok = true;
     for (uint64_t chunk = static_cast<uint64_t>(worker);
          ok && chunk < chunks; chunk += static_cast<uint64_t>(workers)) {
       if (table->overflowed()) break;
       for (NodeId u = bounds[chunk]; ok && u < bounds[chunk + 1]; ++u) {
         ok = SampleVertexEdges(g, opt, per_edge, c, seed, u, ctx, sink,
-                               &local_drawn, &local_accepted, &local_mass);
+                               &local_drawn, &local_accepted, &local_mass) &&
+             push_run();
       }
     }
-    if (combiner) {
-      combiner->Flush();  // overflow surfaces via table->overflowed()
-      const SamplerCombiner::Stats& cs = combiner->stats();
-      local_direct = cs.flushed_records;
-      hits_total.fetch_add(cs.hits, std::memory_order_relaxed);
-      flushes_total.fetch_add(cs.flushes, std::memory_order_relaxed);
-      batches_total.fetch_add(cs.batch_upserts, std::memory_order_relaxed);
+    if (opt.combiner) {
+      drain();  // overflow surfaces via table->overflowed()
+      flushes_total.fetch_add(1, std::memory_order_relaxed);
     }
     drawn_total.fetch_add(local_drawn, std::memory_order_relaxed);
     accepted_total.fetch_add(local_accepted, std::memory_order_relaxed);
     mass_total.fetch_add(local_mass, std::memory_order_relaxed);
-    upserts_total.fetch_add(local_direct, std::memory_order_relaxed);
+    upserts_total.fetch_add(local_upserts, std::memory_order_relaxed);
+    hits_total.fetch_add(local_hits, std::memory_order_relaxed);
+    batches_total.fetch_add(local_batches, std::memory_order_relaxed);
   });
   stats->drawn = drawn_total.load();
   stats->accepted = accepted_total.load();
@@ -314,8 +350,8 @@ bool RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
 
 /// One full pass of Algorithm 2 into per-worker record buffers (the
 /// considered alternative — GBBS sparse histogram, §4.2). Never fails.
-/// Buffers are strictly per-worker, so the combiner would add nothing here;
-/// the pass still gets the walk context and per-worker counters.
+/// Buffers are strictly per-worker, so there is no shared-table traffic to
+/// batch; the pass still gets the walk context and per-worker counters.
 template <GraphView G>
 void RunPerEdgeSamplingBuffered(const G& g, const SparsifierOptions& opt,
                                 double per_edge, double c, uint64_t seed,

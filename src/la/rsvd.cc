@@ -46,11 +46,7 @@ Result<RandomizedSvdResult> RandomizedSvd(const SparseMatrix& a,
   Orthonormalize(&y);
   sketch_span.End();
 
-  // Optional subspace (power) iterations for tougher spectra. The blocked
-  // kernels invoked each step (Spmm, the TSQR panel products, and later
-  // GemmTN) draw their packing panels and partial buffers from the calling
-  // thread's ScratchArena, so every iteration after the first reuses warm
-  // workspace instead of reallocating (parallel/scratch.h).
+  // Optional subspace (power) iterations for tougher spectra.
   for (uint64_t it = 0; it < opt.power_iters; ++it) {
     TraceSpan iter_span("rsvd/power_iter");
     Matrix z = a.Multiply(y);

@@ -1,10 +1,10 @@
 // Sampler hot-path tests (DESIGN.md §11, §13): combiner-vs-direct
-// equivalence (bit-identical integer counters, 1-ulp matrix values), the
-// alias-table sampler's exact distribution and RNG-consumption contract
-// against the prefix-scan reference (full and degree-gated), the
-// compressed-graph walk engine (hub-pinned tier and direct block decode)
-// against walks on the CSR graph it was built from, and the edge-balanced
-// scheduling partition.
+// equivalence (bit-identical integer counters, 1-ulp matrix values, ingest
+// counters equal at any worker count), the alias-table sampler's exact
+// distribution and RNG-consumption contract against the prefix-scan
+// reference (full and degree-gated), the compressed-graph walk engine
+// (hub-pinned tier and direct block decode) against walks on the CSR graph
+// it was built from, and the edge-balanced scheduling partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -75,41 +75,34 @@ void ExpectEquivalentSparsifiers(const SparsifierResult& a,
 
 TEST(CombinerTest, CombinerMatchesDirectPath) {
   const CsrGraph g = SamplerGraph();
-  SparsifierOptions direct = BaseOptions();
-  direct.combiner = false;
-  SparsifierOptions combined = BaseOptions();
-  combined.combiner = true;
-  auto rd = BuildSparsifier(g, direct);
-  auto rc = BuildSparsifier(g, combined);
-  ASSERT_TRUE(rd.ok());
-  ASSERT_TRUE(rc.ok());
-  ExpectEquivalentSparsifiers(*rd, *rc);
-  // Accounting: the direct path upserts once per accepted sample; the
-  // combiner path upserts once per non-merged record, and every accepted
-  // sample is either merged or flushed.
-  EXPECT_EQ(rd->table_upserts, rd->samples_accepted);
-  EXPECT_EQ(rd->combiner_hits, 0u);
-  EXPECT_EQ(rc->table_upserts + rc->combiner_hits, rc->samples_accepted);
-  EXPECT_LT(rc->table_upserts, rc->samples_accepted);
-  EXPECT_GT(rc->combiner_hits, 0u);
-  EXPECT_GT(rc->combiner_flushes, 0u);
-  EXPECT_GT(rc->table_batch_upserts, 0u);
-}
-
-TEST(CombinerTest, TinyCombinerEvictionStormStaysExact) {
-  // A 16-slot combiner evicts constantly; the multiset of records reaching
-  // the table must still be a grouping of the direct path's.
-  const CsrGraph g = SamplerGraph();
-  SparsifierOptions direct = BaseOptions();
-  direct.combiner = false;
-  SparsifierOptions tiny = BaseOptions();
-  tiny.combiner = true;
-  tiny.combiner_log2_slots = 4;
-  auto rd = BuildSparsifier(g, direct);
-  auto rt = BuildSparsifier(g, tiny);
-  ASSERT_TRUE(rd.ok());
-  ASSERT_TRUE(rt.ok());
-  ExpectEquivalentSparsifiers(*rd, *rt);
+  for (const uint32_t window : {6u, 1u}) {
+    SCOPED_TRACE(window);
+    SparsifierOptions direct = BaseOptions();
+    direct.window = window;
+    direct.combiner = false;
+    SparsifierOptions combined = direct;
+    combined.combiner = true;
+    auto rd = BuildSparsifier(g, direct);
+    auto rc = BuildSparsifier(g, combined);
+    ASSERT_TRUE(rd.ok());
+    ASSERT_TRUE(rc.ok());
+    ExpectEquivalentSparsifiers(*rd, *rc);
+    // Accounting: the direct path upserts once per accepted sample; the
+    // combiner path upserts once per same-key run, and every accepted
+    // sample either starts a run or merges into one.
+    EXPECT_EQ(rd->table_upserts, rd->samples_accepted);
+    EXPECT_EQ(rd->combiner_hits, 0u);
+    EXPECT_EQ(rc->table_upserts + rc->combiner_hits, rc->samples_accepted);
+    EXPECT_LT(rc->table_upserts, rc->samples_accepted);
+    EXPECT_GT(rc->combiner_hits, 0u);
+    EXPECT_GT(rc->combiner_flushes, 0u);
+    EXPECT_GT(rc->table_batch_upserts, 0u);
+    if (window == 1) {
+      // A length-1 path is the edge itself, so every accepted sample repeats
+      // its edge's key: at most one run per directed edge.
+      EXPECT_LE(rc->table_upserts, g.NumDirectedEdges());
+    }
+  }
 }
 
 TEST(CombinerTest, CountersBitIdenticalAcrossWorkerCounts) {
@@ -125,6 +118,10 @@ TEST(CombinerTest, CountersBitIdenticalAcrossWorkerCounts) {
     ASSERT_TRUE(serial.ok());
     ASSERT_TRUE(parallel.ok());
     ExpectEquivalentSparsifiers(*serial, *parallel);
+    // Runs never span a vertex, so the ingest counters do not depend on how
+    // vertices are split across workers either.
+    EXPECT_EQ(serial->combiner_hits, parallel->combiner_hits);
+    EXPECT_EQ(serial->table_upserts, parallel->table_upserts);
   }
 }
 
