@@ -1,7 +1,8 @@
 // Machine-readable kernel perf baseline.
 //
 // Runs the dense/sparse kernel layer (naive reference vs blocked, 1 worker
-// vs pool) plus rSVD end-to-end at a few fixed sizes and writes a JSON
+// vs pool), panel orthonormalization (CholeskyQR2 vs the Householder
+// fallback) plus rSVD end-to-end at a few fixed sizes and writes a JSON
 // trajectory artifact (default BENCH_kernels.json, overridable as argv[1]).
 // Every perf PR re-runs `scripts/bench_baseline.sh` and commits the result,
 // so regressions and wins are visible in version control; scripts/check.sh
@@ -24,6 +25,7 @@
 #include "graph/types.h"
 #include "la/kernels.h"
 #include "la/matrix.h"
+#include "la/qr.h"
 #include "la/rsvd.h"
 #include "la/sparse.h"
 #include "parallel/parallel_for.h"
@@ -39,8 +41,8 @@ uint64_t Scaled(uint64_t n, uint64_t floor_value = 64) {
 
 struct ResultRow {
   std::string name;     // stable key, e.g. "gemm_512_blocked_1t"
-  std::string kernel;   // gemm | gemm_tn | spmm | rsvd
-  std::string variant;  // naive | blocked
+  std::string kernel;   // gemm | gemm_tn | spmm | qr | rsvd
+  std::string variant;  // naive | blocked | householder | cholqr2
   int threads = 1;
   std::vector<std::pair<std::string, uint64_t>> shape;
   int runs = 0;
@@ -167,6 +169,48 @@ void BenchSpmm() {
   }
 }
 
+void BenchQr() {
+  std::printf("QR (orthonormalize an n x q panel, pipeline shapes)\n");
+  struct Size {
+    int scale;
+    uint64_t q;
+    bool householder;
+  };
+  // rmat-small (d=128), serve-topk (d=64), rmat-compressed (d=32), each
+  // with oversample 10.
+  for (const Size& s : {Size{14, 138, true}, Size{16, 74, false},
+                        Size{16, 42, false}}) {
+    const uint64_t n = Scaled(1ull << s.scale, 1024);
+    const Matrix y = Matrix::Gaussian(n, s.q, s.scale * 1000 + s.q);
+    const std::string tag =
+        "qr_s" + std::to_string(s.scale) + "x" + std::to_string(s.q);
+    auto shape = std::vector<std::pair<std::string, uint64_t>>{{"n", n},
+                                                               {"q", s.q}};
+    // Two passes, each a Gram and a panel product of 2nq^2 flops.
+    const double cholqr2_flops = 8.0 * n * s.q * s.q;
+    // LAPACK's geqrf + orgqr count: 2 * (2nq^2 - 2q^3/3).
+    const double householder_flops =
+        4.0 * n * s.q * s.q - 4.0 * s.q * s.q * s.q / 3.0;
+    if (s.householder) {
+      Record({tag + "_householder_1t", "qr", "householder", 1, shape},
+             householder_flops, 3, true, [&] {
+               Matrix q = y;
+               HouseholderQr(&q);
+             });
+    }
+    Record({tag + "_cholqr2_1t", "qr", "cholqr2", 1, shape}, cholqr2_flops, 5,
+           true, [&] {
+             Matrix q = y;
+             Orthonormalize(&q);
+           });
+    Record({tag + "_cholqr2_mt", "qr", "cholqr2", 1, shape}, cholqr2_flops, 5,
+           false, [&] {
+             Matrix q = y;
+             Orthonormalize(&q);
+           });
+  }
+}
+
 void BenchRsvd() {
   std::printf("rSVD end-to-end (Algorithm 3)\n");
   SparseMatrix m = RmatSparse(14, Scaled(200000, 10000), 7);
@@ -230,12 +274,18 @@ void WriteJson(const std::string& path) {
   const double blocked = FindMs("gemm_512_blocked_1t");
   const double spmm_naive = FindMs("spmm_s14x128_naive_1t");
   const double spmm_blocked = FindMs("spmm_s14x128_blocked_1t");
+  const double qr_householder = FindMs("qr_s14x138_householder_1t");
+  const double qr_cholqr2 = FindMs("qr_s14x138_cholqr2_1t");
   std::fprintf(f, "  \"speedups\": {\n");
   std::fprintf(f, "    \"gemm_512_blocked_vs_naive_1t\": %.3f,\n",
                (naive > 0 && blocked > 0) ? naive / blocked : -1.0);
-  std::fprintf(f, "    \"spmm_s14x128_blocked_vs_naive_1t\": %.3f\n",
+  std::fprintf(f, "    \"spmm_s14x128_blocked_vs_naive_1t\": %.3f,\n",
                (spmm_naive > 0 && spmm_blocked > 0)
                    ? spmm_naive / spmm_blocked
+                   : -1.0);
+  std::fprintf(f, "    \"qr_s14x138_cholqr2_vs_householder_1t\": %.3f\n",
+               (qr_householder > 0 && qr_cholqr2 > 0)
+                   ? qr_householder / qr_cholqr2
                    : -1.0);
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
@@ -259,6 +309,7 @@ int main(int argc, char** argv) {
   BenchGemm();
   BenchGemmTN();
   BenchSpmm();
+  BenchQr();
   BenchRsvd();
   WriteJson(out);
   return 0;

@@ -79,17 +79,25 @@ void BM_Spmm(benchmark::State& state) {
 }
 BENCHMARK(BM_Spmm)->Arg(16384)->Arg(262144)->Unit(benchmark::kMillisecond);
 
+// Orthonormalize (CholeskyQR2) at the pipeline's three panel shapes:
+// rmat-small (2^14 x 138), serve-topk (2^16 x 74), rmat-compressed
+// (2^16 x 42).
 void BM_TallSkinnyQr(benchmark::State& state) {
   const uint64_t n = static_cast<uint64_t>(state.range(0));
-  Matrix a = Matrix::Gaussian(n, 74, 11);  // d=64 + oversample 10
+  const uint64_t q = static_cast<uint64_t>(state.range(1));
+  Matrix a = Matrix::Gaussian(n, q, 11);
   for (auto _ : state) {
     Matrix copy = a;
-    Matrix r = TsqrFactorize(&copy);
-    benchmark::DoNotOptimize(r.data());
+    Orthonormalize(&copy);
+    benchmark::DoNotOptimize(copy.data());
+    benchmark::ClobberMemory();
   }
-  state.SetLabel("n=" + std::to_string(n) + " q=74");
+  state.SetLabel("n=" + std::to_string(n) + " q=" + std::to_string(q));
 }
-BENCHMARK(BM_TallSkinnyQr)->Arg(16384)->Arg(262144)
+BENCHMARK(BM_TallSkinnyQr)
+    ->Args({16384, 138})
+    ->Args({65536, 74})
+    ->Args({65536, 42})
     ->Unit(benchmark::kMillisecond);
 
 void BM_JacobiSvdSmall(benchmark::State& state) {

@@ -99,8 +99,18 @@ for row in doc["results"]:
         assert key in row, f"result row missing key {key!r}: {row}"
     assert row["median_ms"] > 0, f"non-positive median in {row['name']}"
 assert "gemm_512_blocked_vs_naive_1t" in doc["speedups"]
+# Orthonormalization rows at the three pipeline panel shapes, and the
+# CholeskyQR2-vs-Householder ratio at rmat-small's.
+names = {row["name"] for row in doc["results"]}
+for shape in ("s14x138", "s16x74", "s16x42"):
+    for variant in ("cholqr2_1t", "cholqr2_mt"):
+        assert f"qr_{shape}_{variant}" in names, f"missing qr_{shape}_{variant}"
+assert "qr_s14x138_householder_1t" in names, "missing householder QR row"
+assert "qr_s14x138_cholqr2_vs_householder_1t" in doc["speedups"]
 print(f"bench smoke OK: {len(doc['results'])} results, "
-      f"gemm_512 speedup {doc['speedups']['gemm_512_blocked_vs_naive_1t']}x")
+      f"gemm_512 speedup {doc['speedups']['gemm_512_blocked_vs_naive_1t']}x, "
+      f"qr_s14x138 cholqr2 speedup "
+      f"{doc['speedups']['qr_s14x138_cholqr2_vs_householder_1t']}x")
 EOF
 
 # Sampler hot-path smoke: run the sampler perf baseline at reduced scale

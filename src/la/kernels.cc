@@ -66,8 +66,9 @@ Matrix NaiveSpmm(const SparseMatrix& a, const Matrix& x) {
 
 // ------------------------------------------------------- shared primitives
 
-namespace kernels {
+namespace {
 
+// Copies a rows x cols row-major block (leading dims lds -> ldd).
 void CopyBlock(const float* __restrict src, uint64_t lds,
                float* __restrict dst, uint64_t ldd, uint64_t rows,
                uint64_t cols) {
@@ -76,6 +77,7 @@ void CopyBlock(const float* __restrict src, uint64_t lds,
   }
 }
 
+// Writes the rows x cols block's transpose into dst (leading dim ldd).
 void TransposeBlock(const float* __restrict src, uint64_t lds,
                     float* __restrict dst, uint64_t ldd, uint64_t rows,
                     uint64_t cols) {
@@ -85,20 +87,9 @@ void TransposeBlock(const float* __restrict src, uint64_t lds,
   }
 }
 
-void MicroGemm(const float* __restrict a, uint64_t lda,
-               const float* __restrict b, uint64_t ldb, float* __restrict c,
-               uint64_t ldc, uint64_t m, uint64_t k, uint64_t n) {
-  for (uint64_t i = 0; i < m; ++i) {
-    float* __restrict ci = c + i * ldc;
-    for (uint64_t j = 0; j < n; ++j) ci[j] = 0.0f;
-    const float* __restrict ai = a + i * lda;
-    for (uint64_t p = 0; p < k; ++p) {
-      const float aip = ai[p];
-      const float* __restrict bp = b + p * ldb;
-      for (uint64_t j = 0; j < n; ++j) ci[j] += aip * bp[j];
-    }
-  }
-}
+}  // namespace
+
+namespace kernels {
 
 uint64_t GemmTnBlocks(uint64_t rows, uint64_t m, uint64_t n) {
   // One block per ~1K rows caps the per-element reduction tree while giving
@@ -152,8 +143,8 @@ Matrix Gemm(const Matrix& a, const Matrix& b) {
         const uint64_t k_len = std::min(kKc, k - k_lo);
         const uint64_t j_lo = jb * kNc;
         const uint64_t j_len = std::min(kNc, n - j_lo);
-        kernels::CopyBlock(b.Row(k_lo) + j_lo, n, packed + t * kKc * kNc,
-                           j_len, k_len, j_len);
+        CopyBlock(b.Row(k_lo) + j_lo, n, packed + t * kKc * kNc, j_len,
+                  k_len, j_len);
       },
       /*grain=*/1);
 
@@ -188,35 +179,52 @@ Matrix Gemm(const Matrix& a, const Matrix& b) {
 
 // C = A^T * B for tall-skinny A, B. Rows are partitioned into
 // GemmTnBlocks(...) contiguous blocks — a function of the shape only — each
-// reduced into its own double-precision partial buffer (rows ascending),
-// then merged block-ascending. The partial buffers come from the calling
-// thread's scratch arena, so repeated calls of the same shape (the rSVD
-// power-iteration loop) reuse warm memory instead of reallocating.
-Matrix GemmTN(const Matrix& a, const Matrix& b) {
+// reduced into its own double-precision partial buffer, then merged
+// block-ascending. A block widens kRows rows at a time to double, zero past
+// its end, and adds them to each element in row order: the row-at-a-time
+// sum bit for bit (it starts at +0, so never turns -0, and x + 0*0 == x).
+// The buffers come from the calling thread's scratch arena, so repeated
+// calls of one shape (the rSVD power iterations) reuse warm memory.
+std::vector<double> kernels::GemmTnDouble(const Matrix& a, const Matrix& b) {
   LIGHTNE_CHECK_EQ(a.rows(), b.rows());
   const uint64_t rows = a.rows();
   const uint64_t m = a.cols();
   const uint64_t n = b.cols();
-  Matrix c(m, n);
+  std::vector<double> c(m * n, 0.0);
   if (rows == 0 || m == 0 || n == 0) return c;
+  constexpr uint64_t kRows = 4;
   const uint64_t blocks = kernels::GemmTnBlocks(rows, m, n);
+  const uint64_t stride = m * n + kRows * (m + n);
   ScratchArena::Scope scope(ScratchArena::ForCurrentThread());
-  double* partials = scope.AllocArray<double>(blocks * m * n);
+  double* scratch = scope.AllocArray<double>(blocks * stride);
   ParallelFor(
       0, blocks,
       [&](uint64_t bidx) {
-        double* __restrict acc = partials + bidx * m * n;
+        double* __restrict acc = scratch + bidx * stride;
+        double* __restrict aw = acc + m * n;
+        double* __restrict bw = aw + kRows * m;
         for (uint64_t e = 0; e < m * n; ++e) acc[e] = 0.0;
         const uint64_t lo = rows * bidx / blocks;
         const uint64_t hi = rows * (bidx + 1) / blocks;
-        for (uint64_t r = lo; r < hi; ++r) {
-          const float* __restrict ar = a.Row(r);
-          const float* __restrict br = b.Row(r);
+        for (uint64_t r = lo; r < hi; r += kRows) {
+          for (uint64_t t = 0; t < kRows; ++t) {
+            const bool in = r + t < hi;
+            for (uint64_t i = 0; i < m; ++i) {
+              aw[t * m + i] = in ? a.At(r + t, i) : 0.0;
+            }
+            for (uint64_t j = 0; j < n; ++j) {
+              bw[t * n + j] = in ? b.At(r + t, j) : 0.0;
+            }
+          }
           for (uint64_t i = 0; i < m; ++i) {
-            const double ari = ar[i];
-            if (ari == 0.0) continue;
             double* __restrict acc_row = acc + i * n;
-            for (uint64_t j = 0; j < n; ++j) acc_row[j] += ari * br[j];
+            for (uint64_t j = 0; j < n; ++j) {
+              double sum = acc_row[j];
+              for (uint64_t t = 0; t < kRows; ++t) {
+                sum += aw[t * m + i] * bw[t * n + j];
+              }
+              acc_row[j] = sum;
+            }
           }
         }
       },
@@ -224,10 +232,17 @@ Matrix GemmTN(const Matrix& a, const Matrix& b) {
   ParallelFor(0, m * n, [&](uint64_t e) {
     double sum = 0.0;
     for (uint64_t bidx = 0; bidx < blocks; ++bidx) {
-      sum += partials[bidx * m * n + e];
+      sum += scratch[bidx * stride + e];
     }
-    c.data()[e] = static_cast<float>(sum);
+    c[e] = sum;
   });
+  return c;
+}
+
+Matrix GemmTN(const Matrix& a, const Matrix& b) {
+  const std::vector<double> sums = kernels::GemmTnDouble(a, b);
+  Matrix c(a.cols(), b.cols());
+  std::copy(sums.begin(), sums.end(), c.data());  // rounds each to float
   return c;
 }
 
@@ -250,8 +265,8 @@ Matrix Transpose(const Matrix& a) {
         for (uint64_t ct = 0; ct < col_tiles; ++ct) {
           const uint64_t j_lo = ct * kTile;
           const uint64_t j_len = std::min(kTile, cols - j_lo);
-          kernels::TransposeBlock(a.Row(i_lo) + j_lo, cols,
-                                  t.Row(j_lo) + i_lo, rows, i_len, j_len);
+          TransposeBlock(a.Row(i_lo) + j_lo, cols, t.Row(j_lo) + i_lo, rows,
+                         i_len, j_len);
         }
       },
       /*grain=*/1);

@@ -26,6 +26,7 @@
 #define LIGHTNE_LA_KERNELS_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "la/matrix.h"
 #include "la/sparse.h"
@@ -55,24 +56,10 @@ inline constexpr uint64_t kKc = 256;  ///< k-panel depth of a packed B tile
 inline constexpr uint64_t kNc = 64;   ///< column strip (256 B of a C row)
 inline constexpr uint64_t kTransposeTile = 32;  ///< square copy tile
 
-/// Copies a rows x cols block between row-major buffers with leading
-/// dimensions lds/ldd. The shared pack primitive (QR panels, B tiles).
-void CopyBlock(const float* __restrict src, uint64_t lds,
-               float* __restrict dst, uint64_t ldd, uint64_t rows,
-               uint64_t cols);
-
-/// Writes the transpose of a rows x cols row-major block of src into dst
-/// (dst is cols x rows with leading dimension ldd).
-void TransposeBlock(const float* __restrict src, uint64_t lds,
-                    float* __restrict dst, uint64_t ldd, uint64_t rows,
-                    uint64_t cols);
-
-/// C = A * B on raw row-major views (C overwritten), float accumulation in
-/// strict k-ascending order. Single-threaded; sized for the small q x q
-/// panel products inside TSQR — no packing, B is assumed cache-resident.
-void MicroGemm(const float* __restrict a, uint64_t lda,
-               const float* __restrict b, uint64_t ldb, float* __restrict c,
-               uint64_t ldc, uint64_t m, uint64_t k, uint64_t n);
+/// C = A^T * B as an m x n row-major double buffer (m = a.cols(),
+/// n = b.cols()): the shape-partitioned reduction GemmTN rounds to float.
+/// The CholeskyQR Gram in la/qr.cc keeps it in double.
+std::vector<double> GemmTnDouble(const Matrix& a, const Matrix& b);
 
 /// Number of row blocks GemmTN partitions its reduction into. Depends only
 /// on the shape (rows, m, n) — never the worker count — so the blockwise

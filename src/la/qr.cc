@@ -1,11 +1,13 @@
 #include "la/qr.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "la/kernels.h"
-#include "parallel/parallel_for.h"
 #include "util/check.h"
+#include "util/metrics.h"
+#include "util/trace.h"
 
 namespace lightne {
 
@@ -19,14 +21,12 @@ struct Workspace {
   std::vector<double> beta;  // q reflector scales (0 = skipped)
 
   double& At(uint64_t i, uint64_t j) { return a[j * n + i]; }
-  double At(uint64_t i, uint64_t j) const { return a[j * n + i]; }
 };
 
 Matrix FactorizeInPlace(Workspace* w) {
   const uint64_t n = w->n, q = w->q;
   Matrix r(q, q);
   w->beta.assign(q, 0.0);
-  std::vector<double> work(q);
   for (uint64_t k = 0; k < q; ++k) {
     // Householder vector from column k, rows k..n-1.
     double norm2 = 0;
@@ -96,6 +96,50 @@ Workspace ToWorkspace(const Matrix& a) {
   return w;
 }
 
+// Smallest Cholesky pivot a CholeskyQR pass accepts, relative to the largest
+// diagonal entry of the Gram. A double Gram over ~1e4 rows can carry a
+// relative rounding error near 1e-12, so a smaller pivot is not known to be
+// positive. Pivots are at least sigma_min(Y)^2: condition numbers up to
+// ~1e6 pass.
+constexpr double kPivotFloor = 1e-12;
+
+// One CholeskyQR pass: *a <- *a R^-1 with G = a^T a = R^T R. Returns false,
+// leaving *a untouched, when a pivot is non-finite or below the floor.
+bool CholeskyQrPass(Matrix* a) {
+  const uint64_t q = a->cols();
+  // Row-oriented Cholesky, R overwriting the upper triangle of G.
+  std::vector<double> r = kernels::GemmTnDouble(*a, *a);
+  double max_diag = 0.0;
+  for (uint64_t k = 0; k < q; ++k) max_diag = std::max(max_diag, r[k * q + k]);
+  for (uint64_t k = 0; k < q; ++k) {
+    double* rk = r.data() + k * q;
+    for (uint64_t i = 0; i < k; ++i) {
+      const double rik = r[i * q + k];
+      for (uint64_t j = k; j < q; ++j) rk[j] -= rik * r[i * q + j];
+    }
+    if (!std::isfinite(rk[k]) || !(rk[k] > kPivotFloor * max_diag)) {
+      return false;
+    }
+    rk[k] = std::sqrt(rk[k]);
+    for (uint64_t j = k + 1; j < q; ++j) rk[j] /= rk[k];
+  }
+  // R^-1 by back substitution, one row at a time from the bottom.
+  std::vector<double> x(q * q, 0.0);
+  for (uint64_t i = q; i-- > 0;) {
+    double* xi = x.data() + i * q;
+    xi[i] = 1.0;
+    for (uint64_t k = i + 1; k < q; ++k) {
+      const double rik = r[i * q + k];
+      for (uint64_t j = k; j < q; ++j) xi[j] -= rik * x[k * q + j];
+    }
+    for (uint64_t j = i; j < q; ++j) xi[j] /= r[i * q + i];
+  }
+  Matrix r_inv(q, q);
+  std::copy(x.begin(), x.end(), r_inv.data());  // rounds each to float
+  *a = Gemm(*a, r_inv);
+  return true;
+}
+
 }  // namespace
 
 Matrix HouseholderQr(Matrix* a) {
@@ -106,58 +150,11 @@ Matrix HouseholderQr(Matrix* a) {
   return r;
 }
 
-Matrix TsqrFactorize(Matrix* a) {
-  const uint64_t n = a->rows();
-  const uint64_t q = a->cols();
-  LIGHTNE_CHECK_GE(n, q);
-  // The block count is a function of the shape only — never the worker
-  // count — so the factorization (and everything downstream of rSVD) is
-  // bit-identical for any pool size. ~4K rows per block keeps the per-block
-  // Householder sweep long enough to amortize the stacked-R combine.
-  constexpr uint64_t kBlockRows = 1u << 12;
-  constexpr uint64_t kMaxBlocks = 64;
-  const uint64_t max_blocks = q == 0 ? 1 : n / q;
-  uint64_t blocks = n / kBlockRows;
-  if (blocks > kMaxBlocks) blocks = kMaxBlocks;
-  if (blocks > max_blocks) blocks = max_blocks;
-  if (blocks <= 1 || n < (1u << 12)) return HouseholderQr(a);
-
-  // Row ranges per block.
-  auto block_lo = [&](uint64_t b) { return n * b / blocks; };
-
-  // Per-block QR. Panel copies go through the shared blocked-copy primitive.
-  std::vector<Matrix> q_blocks(blocks);
-  Matrix stacked(blocks * q, q);
-  ParallelFor(
-      0, blocks,
-      [&](uint64_t b) {
-        const uint64_t lo = block_lo(b), hi = block_lo(b + 1);
-        Matrix ab(hi - lo, q);
-        kernels::CopyBlock(a->Row(lo), q, ab.Row(0), q, hi - lo, q);
-        Matrix rb = HouseholderQr(&ab);
-        q_blocks[b] = std::move(ab);
-        kernels::CopyBlock(rb.Row(0), q, stacked.Row(b * q), q, q, q);
-      },
-      /*grain=*/1);
-
-  // QR of the stacked R factors (small: blocks*q x q).
-  Matrix r_final = HouseholderQr(&stacked);
-
-  // Recover thin Q: block b of Q = Q_b * stacked[b*q:(b+1)*q, :]. The q x q
-  // panel product runs through the shared microkernel (stacked panel is
-  // cache-resident), writing the block of `a` in place.
-  ParallelFor(
-      0, blocks,
-      [&](uint64_t b) {
-        const uint64_t lo = block_lo(b), hi = block_lo(b + 1);
-        const Matrix& qb = q_blocks[b];
-        kernels::MicroGemm(qb.Row(0), q, stacked.Row(b * q), q, a->Row(lo),
-                           q, hi - lo, q, q);
-      },
-      /*grain=*/1);
-  return r_final;
+void Orthonormalize(Matrix* a) {
+  TraceSpan span("rsvd/orthonormalize");
+  if (CholeskyQrPass(a) && CholeskyQrPass(a)) return;
+  MetricsRegistry::Global().GetCounter("rsvd/qr_fallbacks")->Add(1);
+  HouseholderQr(a);
 }
-
-void Orthonormalize(Matrix* a) { TsqrFactorize(a); }
 
 }  // namespace lightne

@@ -1,9 +1,11 @@
 // QR factorization / orthonormalization — the LAPACKE_sgeqrf +
 // LAPACKE_sorgqr counterpart used by Algo 3 (lines 4 and 7).
 //
-// Tall-skinny inputs (the only shape the pipeline produces) go through TSQR:
-// independent Householder QRs on row blocks in parallel, a small QR on the
-// stacked R factors, then per-block GEMMs to recover the thin Q.
+// Orthonormalize runs CholeskyQR2 (Fukaya et al., 2014): twice, the Gram
+// G = Y^T Y in double through GemmTN's core, a q x q Cholesky G = R^T R and
+// R^-1 in double, then Y <- Y R^-1 through Gemm — bit-identical at any
+// worker count (DESIGN.md §8). A rank-deficient or badly conditioned panel
+// falls back to HouseholderQr, which is also the test oracle.
 #ifndef LIGHTNE_LA_QR_H_
 #define LIGHTNE_LA_QR_H_
 
@@ -17,10 +19,9 @@ namespace lightne {
 /// and identity-like columns in Q; Q is always orthonormal.
 Matrix HouseholderQr(Matrix* a);
 
-/// Parallel tall-skinny QR. Same contract as HouseholderQr.
-Matrix TsqrFactorize(Matrix* a);
-
-/// Replaces *a by an orthonormal basis of its column span (discards R).
+/// Replaces *a (n x q, n >= q) by an orthonormal basis of its column span.
+/// Traced as `rsvd/orthonormalize`; each panel that falls back to
+/// HouseholderQr adds 1 to the `rsvd/qr_fallbacks` counter.
 void Orthonormalize(Matrix* a);
 
 }  // namespace lightne

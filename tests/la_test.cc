@@ -17,6 +17,8 @@
 #include "la/special.h"
 #include "la/svd.h"
 #include "parallel/parallel_for.h"
+#include "qr_oracle.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace lightne {
@@ -127,13 +129,32 @@ INSTANTIATE_TEST_SUITE_P(Shapes, QrShapes,
                                            std::make_pair(1000ull, 1ull),
                                            std::make_pair(5000ull, 40ull)));
 
-TEST(QrTest, TsqrMatchesContractOnTallMatrix) {
-  Matrix a = Matrix::Gaussian(20000, 24, 11);
-  Matrix original = a;
-  Matrix r = TsqrFactorize(&a);
-  ExpectOrthonormal(a, 1e-4);
-  EXPECT_LT(MaxAbsDiff(Gemm(a, r), original), 2e-3);
+uint64_t QrFallbacks() {
+  return MetricsRegistry::Global().GetCounter("rsvd/qr_fallbacks")->Value();
 }
+
+// Orthonormalize against the Householder oracle on tall panels of growing
+// condition number: orthonormal to float precision and spanning the
+// oracle's subspace up to an error that grows with kappa. Up to kappa 1e6
+// CholeskyQR2 does the work; at 1e8 the pivot floor sends the panel to
+// Householder.
+class OrthonormalizeConditioning : public ::testing::TestWithParam<double> {};
+
+TEST_P(OrthonormalizeConditioning, MatchesHouseholderOracle) {
+  const double kappa = GetParam();
+  const Matrix y = qr_oracle::ConditionedPanel(20000, 24, kappa, 11);
+  Matrix q_h = y;
+  HouseholderQr(&q_h);
+  Matrix q_c = y;
+  const uint64_t fallbacks = QrFallbacks();
+  Orthonormalize(&q_c);
+  EXPECT_EQ(QrFallbacks(), fallbacks + (kappa > 1e6 ? 1 : 0));
+  EXPECT_LE(qr_oracle::OrthogonalityError(q_c), 1e-6);
+  EXPECT_LE(qr_oracle::SpanDistance(q_h, q_c), 1e-8 * kappa);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kappa, OrthonormalizeConditioning,
+                         ::testing::Values(1e2, 1e4, 1e6, 1e8));
 
 TEST(QrTest, RankDeficientInputStillGivesOrthonormalQ) {
   // Two identical columns.
@@ -157,6 +178,23 @@ TEST(QrTest, RankDeficientInputStillGivesOrthonormalQ) {
   // R reflects rank 1: second and third rows ~0.
   EXPECT_NEAR(r.At(1, 1), 0.0, 1e-3);
   EXPECT_NEAR(r.At(2, 2), 0.0, 1e-3);
+
+  // Through Orthonormalize, with a duplicate and a zero column: the
+  // Cholesky meets a zero pivot and the panel falls back to Householder.
+  Matrix b = Matrix::Gaussian(200, 1, 14);
+  Matrix panel(200, 4);
+  for (uint64_t i = 0; i < 200; ++i) {
+    panel.At(i, 0) = a.At(i, 0);
+    panel.At(i, 1) = a.At(i, 0);
+    panel.At(i, 3) = b.At(i, 0);
+  }
+  const uint64_t fallbacks = QrFallbacks();
+  Matrix q = panel;
+  Orthonormalize(&q);
+  EXPECT_EQ(QrFallbacks(), fallbacks + 1);
+  ExpectOrthonormal(q, 1e-4);
+  // Both nonzero directions lie in the span of Q.
+  EXPECT_LT(qr_oracle::SpanDistance(panel, q), 1e-4);
 }
 
 // -------------------------------------------------------------------- SVD --
@@ -298,7 +336,11 @@ TEST(RsvdTest, RecoversPlantedSpectrum) {
   opt.oversample = 8;
   opt.symmetric = true;
   opt.seed = 5;
+  // Rank 4 < q = 14: the sketch panel is rank-deficient, so at least one
+  // orthonormalization falls back to Householder.
+  const uint64_t fallbacks = QrFallbacks();
   auto svd = RandomizedSvd(a, opt).value();
+  EXPECT_GE(QrFallbacks(), fallbacks + 1);
   for (int i = 0; i < 4; ++i) EXPECT_NEAR(svd.sigma[i], 50.0, 0.5) << i;
   EXPECT_NEAR(svd.sigma[4], 0.0, 0.5);
   EXPECT_NEAR(svd.sigma[5], 0.0, 0.5);
@@ -499,6 +541,28 @@ TEST(BlockedKernelTest, GemmTnBlocksDependOnShapeOnly) {
   EXPECT_EQ(kernels::GemmTnBlocks(1u << 20, 2048, 2048), 1ull);
 }
 
+TEST(BlockedKernelTest, GemmTnDoubleIsTheRowOrderSum) {
+  // One partition block with a ragged tail of one row: the four-row widened
+  // core must equal the row-at-a-time double sum bit for bit, with zero and
+  // negative-zero entries in A.
+  Matrix a = Matrix::Gaussian(1501, 9, 3);
+  Matrix b = Matrix::Gaussian(1501, 7, 4);
+  for (uint64_t r = 0; r < 1501; r += 5) {
+    a.At(r, r % 9) = r % 2 == 0 ? 0.0f : -0.0f;
+  }
+  ASSERT_EQ(kernels::GemmTnBlocks(1501, 9, 7), 1ull);
+  const std::vector<double> got = kernels::GemmTnDouble(a, b);
+  for (uint64_t i = 0; i < 9; ++i) {
+    for (uint64_t j = 0; j < 7; ++j) {
+      double sum = 0.0;
+      for (uint64_t r = 0; r < 1501; ++r) {
+        sum += static_cast<double>(a.At(r, i)) * b.At(r, j);
+      }
+      EXPECT_EQ(got[i * 7 + j], sum) << i << "," << j;
+    }
+  }
+}
+
 TEST(BlockedKernelTest, TransposeMatchesNaiveOnRaggedShapes) {
   for (auto [r, c] : std::vector<std::pair<uint64_t, uint64_t>>{
            {1, 1}, {32, 32}, {33, 31}, {100, 257}, {513, 7}}) {
@@ -560,15 +624,33 @@ TEST(DeterminismTest, RandomizedSvdBitIdenticalAcrossWorkerCounts) {
   opt.power_iters = 2;
   opt.symmetric = true;
   opt.seed = 12;
+  const uint64_t fallbacks = QrFallbacks();
   auto parallel_run = RandomizedSvd(a, opt).value();
   SequentialRegion sequential;
   auto sequential_run = RandomizedSvd(a, opt).value();
+  // Full-rank panels: every orthonormalization stays on CholeskyQR2.
+  EXPECT_EQ(QrFallbacks(), fallbacks);
   EXPECT_EQ(MaxAbsDiff(parallel_run.u, sequential_run.u), 0.0);
   EXPECT_EQ(MaxAbsDiff(parallel_run.v, sequential_run.v), 0.0);
   ASSERT_EQ(parallel_run.sigma.size(), sequential_run.sigma.size());
   for (size_t i = 0; i < parallel_run.sigma.size(); ++i) {
     EXPECT_EQ(parallel_run.sigma[i], sequential_run.sigma[i]) << i;
   }
+}
+
+TEST(DeterminismTest, OrthonormalizeBitIdenticalAcrossWorkerCounts) {
+  // rmat-small's panel shape (n = 2^14, q = 128 + 10): the Gram through
+  // GemmTN's shape partition, the product through Gemm.
+  const Matrix y =
+      RmatSparse(14, 100000, 5).Multiply(Matrix::Gaussian(1u << 14, 138, 6));
+  Matrix parallel_q = y;
+  Orthonormalize(&parallel_q);
+  Matrix sequential_q = y;
+  {
+    SequentialRegion sequential;
+    Orthonormalize(&sequential_q);
+  }
+  EXPECT_EQ(MaxAbsDiff(parallel_q, sequential_q), 0.0);
 }
 
 TEST(DeterminismTest, NonSymmetricRsvdBitIdenticalAcrossWorkerCounts) {

@@ -16,6 +16,7 @@
 #include "graph/weighted_csr.h"
 #include "la/qr.h"
 #include "la/rsvd.h"
+#include "qr_oracle.h"
 #include "util/metrics.h"
 #include "util/random.h"
 
@@ -108,19 +109,29 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RsvdPlantedRank,
 
 // -------------------------------------------------------------------- QR ----
 
-TEST(QrProperty, TsqrAndHouseholderAgreeUpToColumnSigns) {
-  Matrix a = Matrix::Gaussian(30000, 12, 3);
-  Matrix a2 = a;
-  Matrix r1 = HouseholderQr(&a);
-  Matrix r2 = TsqrFactorize(&a2);
-  // R is unique up to row signs for a full-rank matrix.
-  for (uint64_t i = 0; i < 12; ++i) {
-    for (uint64_t j = 0; j < 12; ++j) {
-      EXPECT_NEAR(std::fabs(r1.At(i, j)), std::fabs(r2.At(i, j)), 2e-2)
-          << i << "," << j;
-    }
-  }
+// Orthonormalize (CholeskyQR2) and the Householder oracle span the same
+// subspace across panel shapes and condition numbers.
+class QrProperty
+    : public ::testing::TestWithParam<
+          std::tuple<std::pair<uint64_t, uint64_t>, double>> {};
+
+TEST_P(QrProperty, OrthonormalizeSpansHouseholderSubspace) {
+  const auto [shape, kappa] = GetParam();
+  const auto [n, q] = shape;
+  const Matrix y = qr_oracle::ConditionedPanel(n, q, kappa, n + q);
+  Matrix q_h = y;
+  HouseholderQr(&q_h);
+  Matrix q_c = y;
+  Orthonormalize(&q_c);
+  EXPECT_LE(qr_oracle::OrthogonalityError(q_c), 1e-6);
+  EXPECT_LE(qr_oracle::SpanDistance(q_h, q_c), 1e-8 * kappa);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, QrProperty,
+    ::testing::Combine(::testing::Values(std::make_pair(30000ull, 12ull),
+                                         std::make_pair(3001ull, 74ull)),
+                       ::testing::Values(1e2, 1e4, 1e6)));
 
 // -------------------------------------------------- sparsifier estimator ----
 
