@@ -67,32 +67,17 @@ void BM_TableUpsert(benchmark::State& state) {
   const uint64_t ops = 1u << 20;
   for (auto _ : state) {
     state.PauseTiming();
-    ConcurrentHashTable<double> table(keys * 2 + 1024);
+    ConcurrentHashTable<uint64_t> table(keys * 2 + 1024);
     state.ResumeTiming();
     ParallelFor(0, ops, [&](uint64_t i) {
       Rng rng = ItemRng(3, i);
-      table.Upsert(rng.UniformInt(keys) + 1, 1.0);
+      table.Upsert(rng.UniformInt(keys) + 1, 1);
     });
   }
   state.SetItemsProcessed(state.iterations() * ops);
   state.SetLabel(std::to_string(keys) + " distinct keys");
 }
 BENCHMARK(BM_TableUpsert)->Arg(64)->Arg(4096)->Arg(1 << 18);
-
-// --- extraction -------------------------------------------------------------
-
-void BM_TableExtract(benchmark::State& state) {
-  ConcurrentHashTable<double> table(1 << 20);
-  ParallelFor(0, 1u << 20, [&](uint64_t i) {
-    Rng rng = ItemRng(7, i);
-    table.Upsert(rng.UniformInt(1 << 19) + 1, 1.0);
-  });
-  for (auto _ : state) {
-    auto entries = table.Extract();
-    benchmark::DoNotOptimize(entries.data());
-  }
-}
-BENCHMARK(BM_TableExtract);
 
 }  // namespace
 }  // namespace lightne

@@ -116,13 +116,16 @@ void RecordSamplingRow(const std::string& name, const CsrGraph& g,
   const WalkAccel<CsrGraph> accel;  // no-op on direct-access graphs
   // Size the table generously once so no run overflows and re-allocation
   // stays out of the timing loop.
-  ConcurrentHashTable<double> table(g.NumDirectedEdges() + 1024);
+  ConcurrentHashTable<uint64_t> table(g.NumDirectedEdges() + 1024);
+  // Without downsampling every weight is 1 or 2, so any width fits.
+  const internal::WeightFixedPoint weights(internal::kMinWeightFractionBits);
   internal::SamplerPassStats stats;
   auto pass = [&] {
     table.Clear();
     internal::SamplerPassStats run_stats;
-    if (!internal::RunPerEdgeSampling(g, opt, per_edge, /*c=*/1.0, opt.seed,
-                                      accel, &table, &run_stats)) {
+    if (!internal::RunPerEdgeSampling(g, opt, per_edge, /*c=*/1.0,
+                                      weights, opt.seed, accel, &table,
+                                      &run_stats)) {
       std::fprintf(stderr, "%s: table overflowed\n", name.c_str());
       std::exit(1);
     }
@@ -168,11 +171,11 @@ uint64_t ContendedOpsPerThread() {
 }
 
 void RecordContendedRow(const std::string& name, bool batched,
-                        ConcurrentHashTable<double>& table, int runs) {
+                        ConcurrentHashTable<uint64_t>& table, int runs) {
   const uint64_t ops = ContendedOpsPerThread();
   auto worker = [&table, ops, batched](int t) {
     Rng rng(HashCombine64(0xC0117E47, static_cast<uint64_t>(t)));
-    std::pair<uint64_t, double> batch[kContendedBatch];
+    std::pair<uint64_t, uint64_t> batch[kContendedBatch];
     uint32_t fill = 0;
     bool ok = true;
     for (uint64_t op = 0; op < ops; ++op) {
@@ -181,13 +184,13 @@ void RecordContendedRow(const std::string& name, bool batched,
                                ? ((r >> 2) & 1023)
                                : (((r >> 2) % kContendedKeyspace) + 1024);
       if (batched) {
-        batch[fill++] = {key, 1.0};
+        batch[fill++] = {key, 1};
         if (fill == kContendedBatch) {
           ok = table.UpsertBatch(batch, fill) && ok;
           fill = 0;
         }
       } else {
-        ok = table.Upsert(key, 1.0) && ok;
+        ok = table.Upsert(key, 1) && ok;
       }
     }
     if (fill > 0) ok = table.UpsertBatch(batch, fill) && ok;
@@ -709,7 +712,7 @@ int main(int argc, char** argv) {
   {
     // Sized so the full hot+cold keyspace fits without resize; shared by
     // both rows and cleared between runs (single-threaded at that point).
-    ConcurrentHashTable<double> contended_table(kContendedKeyspace + 4096);
+    ConcurrentHashTable<uint64_t> contended_table(kContendedKeyspace + 4096);
     RecordContendedRow("sampler_contended_direct_4t", /*batched=*/false,
                        contended_table, 3);
     RecordContendedRow("sampler_contended_batch_4t", /*batched=*/true,

@@ -2,8 +2,8 @@
 
 namespace lightne {
 
-std::vector<std::pair<uint64_t, double>> SortHistogram(
-    std::vector<std::pair<uint64_t, double>> records) {
+std::vector<std::pair<uint64_t, uint64_t>> SortHistogram(
+    std::vector<std::pair<uint64_t, uint64_t>> records) {
   const uint64_t n = records.size();
   if (n == 0) return records;
   ParallelSort(records.data(), n,
@@ -15,13 +15,13 @@ std::vector<std::pair<uint64_t, double>> SortHistogram(
         return k == 0 || records[k].first != records[k - 1].first;
       },
       [](uint64_t k) { return k; });
-  std::vector<std::pair<uint64_t, double>> unique(heads.size());
+  std::vector<std::pair<uint64_t, uint64_t>> unique(heads.size());
   ParallelFor(
       0, heads.size(),
       [&](uint64_t h) {
         const uint64_t lo = heads[h];
         const uint64_t hi = (h + 1 < heads.size()) ? heads[h + 1] : n;
-        double sum = 0;
+        uint64_t sum = 0;
         for (uint64_t k = lo; k < hi; ++k) sum += records[k].second;
         unique[h] = {records[lo].first, sum};
       },
@@ -29,10 +29,10 @@ std::vector<std::pair<uint64_t, double>> SortHistogram(
   return unique;
 }
 
-std::vector<std::pair<uint64_t, double>> WorkerBuffers::Collapse() {
+std::vector<std::pair<uint64_t, uint64_t>> WorkerBuffers::Collapse() {
   uint64_t total = 0;
   for (const auto& b : buffers_) total += b.size();
-  std::vector<std::pair<uint64_t, double>> all;
+  std::vector<std::pair<uint64_t, uint64_t>> all;
   all.reserve(total);
   for (auto& b : buffers_) {
     all.insert(all.end(), b.begin(), b.end());

@@ -7,9 +7,10 @@
 //   (2) per-worker hash tables periodically merged.
 // This header implements strategy (1) — kSortHistogram — alongside the
 // chosen kSharedHashTable, so the decision is reproducible as an ablation
-// (bench_aggregation). The histogram path needs one record per accepted
+// (bench_ablation_samples). The histogram path needs one record per accepted
 // sample (like NetSMF's buffers) but aggregates faster per record at low
-// duplication; the hash table wins once duplication is high.
+// duplication; the hash table wins once duplication is high. Both sum the
+// same fixed-point integer weights (core/sparsifier.h), so both are exact.
 #ifndef LIGHTNE_CORE_AGGREGATION_H_
 #define LIGHTNE_CORE_AGGREGATION_H_
 
@@ -29,16 +30,17 @@ enum class AggregationStrategy {
 
 /// GBBS-style sparse histogram: collapses (key, weight) records into unique
 /// (key, total-weight) pairs via a parallel sort and a segmented reduction.
-/// Input is consumed. Output is sorted by key.
-std::vector<std::pair<uint64_t, double>> SortHistogram(
-    std::vector<std::pair<uint64_t, double>> records);
+/// Weights are integers (fixed point), so each total is exact. Input is
+/// consumed. Output is sorted by key.
+std::vector<std::pair<uint64_t, uint64_t>> SortHistogram(
+    std::vector<std::pair<uint64_t, uint64_t>> records);
 
 /// Per-worker record buffers for the kSortHistogram strategy.
 class WorkerBuffers {
  public:
   explicit WorkerBuffers(int workers) : buffers_(workers) {}
 
-  void Add(int worker, uint64_t key, double weight) {
+  void Add(int worker, uint64_t key, uint64_t weight) {
     buffers_[worker].push_back({key, weight});
   }
 
@@ -46,7 +48,7 @@ class WorkerBuffers {
   uint64_t MemoryBytes() const {
     uint64_t total = 0;
     for (const auto& b : buffers_) {
-      total += b.capacity() * sizeof(std::pair<uint64_t, double>);
+      total += b.capacity() * sizeof(std::pair<uint64_t, uint64_t>);
     }
     return total;
   }
@@ -58,10 +60,10 @@ class WorkerBuffers {
   }
 
   /// Concatenates and histograms all buffers; clears them.
-  std::vector<std::pair<uint64_t, double>> Collapse();
+  std::vector<std::pair<uint64_t, uint64_t>> Collapse();
 
  private:
-  std::vector<std::vector<std::pair<uint64_t, double>>> buffers_;
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> buffers_;
 };
 
 }  // namespace lightne

@@ -5,8 +5,11 @@
 // With LightNeOptions::checkpoint_dir set, every stage boundary persists its
 // output through the crash-safe artifact layer (core/checkpoint.h), and
 // `resume` restarts a killed run from the last completed stage. The pipeline
-// is bit-deterministic in (options, graph, seed), so a resumed run produces
-// an embedding byte-identical to the uninterrupted one — the property
+// is bit-deterministic in (options, graph, seed) by construction, at any
+// worker count: the sampler's RNG streams are per edge, the hash table sums
+// fixed-point integers (exact under any schedule), and every kernel fixes its
+// reduction order by shape. A resumed run therefore produces an embedding
+// byte-identical to the uninterrupted one — the property
 // tests/crash_recovery_test.cc enforces.
 #ifndef LIGHTNE_CORE_LIGHTNE_H_
 #define LIGHTNE_CORE_LIGHTNE_H_
@@ -46,8 +49,9 @@ struct LightNeOptions {
   /// Edge downsampling (§3.2). Off = plain NetSMF sampling.
   bool downsample = true;
   /// Per-worker run-merging upsert batch in front of the sampler's shared
-  /// hash table (see SparsifierOptions::combiner). Counters and the sparsity
-  /// pattern are bit-identical either way; off = the direct-upsert path.
+  /// hash table (see SparsifierOptions::combiner). The table sums exact
+  /// fixed-point integers, so counters, sparsity pattern and values are
+  /// bit-identical either way; off = the direct-upsert path.
   bool sampler_combiner = true;
   /// Byte budget for the sampler's hub-pinned decode cache on compressed
   /// graphs (see SparsifierOptions::walk_pin_budget_bytes). A pure decode

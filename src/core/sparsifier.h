@@ -1,6 +1,6 @@
 // Parallel sparsifier construction (§3.2 + §4.2 of the paper):
 // downsampled per-edge PathSampling (Algorithm 2) aggregated into the sparse
-// parallel hash table, then extracted as a symmetric SparseMatrix.
+// parallel hash table, then read out as a symmetric SparseMatrix.
 //
 // The estimator: with M the target number of path samples over the 2m
 // directed edges, each directed edge e = (u, v) draws
@@ -19,10 +19,20 @@
 // distinct count with a cheap pilot run (1/64 of the samples) extrapolated
 // through a Poissonized support model, and fall back to doubling + resample
 // if the estimate is exceeded.
+//
+// Exact aggregation: the table adds integers, as the paper's xadd does. Each
+// accepted sample's weight (1 or 2)/p_e enters as a 64-bit fixed-point
+// integer with `bits` fractional bits, where bits is the largest width at
+// which an integer bound on the pass's total mass (internal::PassBound,
+// computed from per-edge maxima, so the same at any worker count) stays
+// below 2^63. Every sum is then exact, so the matrix is bit-identical under
+// any schedule, aggregation strategy or combiner setting. A graph whose
+// bound leaves fewer than kMinWeightFractionBits is refused up front.
 #ifndef LIGHTNE_CORE_SPARSIFIER_H_
 #define LIGHTNE_CORE_SPARSIFIER_H_
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -41,6 +51,7 @@
 #include "util/memory.h"
 #include "util/metrics.h"
 #include "util/status.h"
+#include "util/trace.h"
 
 namespace lightne {
 
@@ -60,8 +71,9 @@ struct SparsifierOptions {
   double table_slack = 1.6;
   /// How accepted samples are aggregated (§4.2). The shared hash table is
   /// the paper's choice; kSortHistogram is the per-worker-lists alternative
-  /// the paper considered, kept for the ablation. Both yield bit-identical
-  /// sparsifiers.
+  /// the paper considered, kept for the ablation. Both sum the same
+  /// fixed-point integers and go through the same CSR builder, so they
+  /// yield bit-identical sparsifiers.
   AggregationStrategy aggregation = AggregationStrategy::kSharedHashTable;
   /// Optional memory-budget governor. When limited, the builder reserves the
   /// hash-table footprint before allocating and walks the degradation ladder
@@ -73,7 +85,8 @@ struct SparsifierOptions {
   /// (see RunPerEdgeSampling): consecutive records of one key merge into one
   /// record, and records reach the table 64 at a time through UpsertBatch.
   /// Off = every accepted sample upserts the shared table directly (the
-  /// reference path for tests and the benchmarks). Integer counters and the
+  /// reference path for tests and the benchmarks). Table sums are exact
+  /// integers, so the matrix values, the integer counters and the
   /// distinct-key set are bit-identical either way.
   bool combiner = true;
   /// Byte budget for the walk accelerator (graph/walk_cursor.h): on
@@ -132,6 +145,34 @@ inline uint64_t MassFp(double w) {
   return static_cast<uint64_t>(w * kMassFpScale + 0.5);
 }
 
+/// Fewest fractional bits a table value may have: the resolution mass_fp20
+/// already assumes.
+inline constexpr int kMinWeightFractionBits = 20;
+
+/// Largest fractional width at which a pass whose table mass is bounded by
+/// `mass_bound` (see PassBound) keeps every sum below 2^63.
+inline int WeightFractionBits(uint64_t mass_bound) {
+  return 63 - static_cast<int>(std::bit_width(mass_bound));
+}
+
+/// Fixed-point format of the table values: a sample weight w = (1 or 2)/p_e
+/// is stored as round(w 2^bits). Multiplying by a power of two is exact, so
+/// Encode rounds once; Decode rounds the exact integer sum to float once
+/// and rescales exactly.
+struct WeightFixedPoint {
+  explicit WeightFixedPoint(int fraction_bits)
+      : scale(std::ldexp(1.0, fraction_bits)),
+        inv_scale(std::ldexp(1.0f, -fraction_bits)) {}
+  uint64_t Encode(double w) const {
+    return static_cast<uint64_t>(w * scale + 0.5);
+  }
+  float Decode(uint64_t value) const {
+    return static_cast<float>(value) * inv_scale;
+  }
+  double scale;
+  float inv_scale;
+};
+
 /// p_e = min(1, C A_uv (1/d_u + 1/d_v)) for edge (u, v) of weight `w` under
 /// degree downsampling (weighted degrees; w = 1 on unweighted graphs).
 template <GraphView G>
@@ -150,9 +191,9 @@ double DownsampleProbability(const G& g, NodeId u, NodeId v, double c,
 /// record (hash-table overflow).
 ///
 /// The sparsifier is symmetric: only the canonical pair is emitted — half
-/// the aggregation traffic and memory — and mirrored at extraction. Diagonal
-/// hits carry double weight so the estimator matches the symmetrized
-/// two-insert scheme.
+/// the aggregation traffic and memory — and mirrored when the CSR is built.
+/// Diagonal hits carry double weight so the estimator matches the
+/// symmetrized two-insert scheme.
 template <GraphView G, typename Sink>
 bool SampleVertexEdges(const G& g, const SparsifierOptions& opt,
                        double per_unit_weight, double c, uint64_t seed,
@@ -172,6 +213,9 @@ bool SampleVertexEdges(const G& g, const SparsifierOptions& opt,
     *drawn += ne;
     const double pe =
         opt.downsample ? DownsampleProbability(g, u, v, c, weight) : 1.0;
+    // Total matrix contribution of a sample is 2/p_e whether or not it hits
+    // the diagonal (off-diagonal entries are mirrored in the CSR).
+    const uint64_t sample_mass = MassFp(2.0 / pe);
     for (uint64_t i = 0; i < ne; ++i) {
       const uint64_t r = 1 + rng.UniformInt(opt.window);
       // opt.downsample is fixed for the whole run, so the draw count is
@@ -186,9 +230,7 @@ bool SampleVertexEdges(const G& g, const SparsifierOptions& opt,
         return;
       }
       ++*accepted;
-      // Total matrix contribution of this sample is 2/p_e whether or not it
-      // hit the diagonal (off-diagonal entries are mirrored at extraction).
-      *mass_fp += MassFp(2.0 / pe);
+      *mass_fp += sample_mass;
     }
   });
   return ok;
@@ -239,6 +281,69 @@ std::vector<NodeId> EdgeBalancedBoundaries(const G& g, uint64_t chunks) {
   return bounds;
 }
 
+/// What one sampling pass of a build can put into the table, from the
+/// graph, the intensity and C alone (recomputed when the governor halves C).
+struct PassBound {
+  /// sum_e E[n_e] p_e: the capacity bound on distinct entries. A double
+  /// sum grouped per worker, so it is only used for sizing.
+  double expected_accepted = 0;
+  /// Integer bound on the pass's table mass in weight units: sum over
+  /// directed edges of max n_e * (ceil(2/p_e) + 1), saturating at 2^62. A
+  /// sample adds at most Encode(2/p_e) <= 2^bits (2/p_e + 1) to the table,
+  /// so the pass's total stays below 2^bits * mass_bound. An integer sum of
+  /// per-edge terms, hence equal at any worker count.
+  uint64_t mass_bound = 0;
+};
+
+template <GraphView G>
+PassBound ComputePassBound(const G& g, const SparsifierOptions& opt,
+                           double per_unit_weight, double c) {
+  constexpr uint64_t kSaturated = uint64_t{1} << 62;
+  const NodeId n = g.NumVertices();
+  const size_t workers = static_cast<size_t>(NumWorkers());
+  std::vector<double> expected(workers, 0.0);
+  std::vector<uint64_t> mass(workers, 0);
+  // Each worker's partials go to its own slot and are combined in
+  // worker-index order, so the capacity hint does not depend on which worker
+  // finishes first either.
+  ParallelForWorkers([&](int worker, int nworkers) {
+    const NodeId lo = static_cast<NodeId>(
+        static_cast<uint64_t>(n) * worker / nworkers);
+    const NodeId hi = static_cast<NodeId>(
+        static_cast<uint64_t>(n) * (worker + 1) / nworkers);
+    double local_expected = 0;
+    uint64_t local_mass = 0;
+    for (NodeId u = lo; u < hi; ++u) {
+      MapNeighborsWeighted(g, u, [&](NodeId v, float w) {
+        const double pe =
+            opt.downsample ? DownsampleProbability(g, u, v, c, w) : 1.0;
+        local_expected += static_cast<double>(w) * pe;
+        // n_e is floor(x) plus a Bernoulli(frac(x)) coin: at most ceil(x).
+        const double most_samples =
+            std::ceil(per_unit_weight * static_cast<double>(w));
+        if (most_samples == 0) return;
+        const double term = most_samples * (std::ceil(2.0 / pe) + 1.0);
+        const uint64_t units = term < static_cast<double>(kSaturated)
+                                   ? static_cast<uint64_t>(term)
+                                   : kSaturated;
+        local_mass = std::min(local_mass + units, kSaturated);
+      });
+    }
+    expected[static_cast<size_t>(worker)] = local_expected;
+    mass[static_cast<size_t>(worker)] = local_mass;
+  });
+  PassBound bound;
+  double sum_wp = 0.0;
+  for (const double e : expected) sum_wp += e;
+  bound.expected_accepted = opt.downsample
+                                ? per_unit_weight * sum_wp
+                                : static_cast<double>(opt.num_samples);
+  for (const uint64_t m : mass) {
+    bound.mass_bound = std::min(bound.mass_bound + m, kSaturated);
+  }
+  return bound;
+}
+
 /// One full pass of Algorithm 2 into the shared hash table (the paper's
 /// strategy). Returns false if the table overflowed mid-run.
 ///
@@ -259,11 +364,12 @@ std::vector<NodeId> EdgeBalancedBoundaries(const G& g, uint64_t chunks) {
 /// batch fails the sink exactly as a rejected direct Upsert does.
 template <GraphView G>
 bool RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
-                        double per_edge, double c, uint64_t seed,
+                        double per_edge, double c,
+                        const WeightFixedPoint& weights, uint64_t seed,
                         const WalkAccel<G>& accel,
-                        ConcurrentHashTable<double>* table,
+                        ConcurrentHashTable<uint64_t>* table,
                         SamplerPassStats* stats) {
-  constexpr uint64_t kEmptyKey = ConcurrentHashTable<double>::kEmptyKey;
+  constexpr uint64_t kEmptyKey = ConcurrentHashTable<uint64_t>::kEmptyKey;
   constexpr uint32_t kBatch = 64;  // records per UpsertBatch (1 KiB)
   const NodeId n = g.NumVertices();
   constexpr uint64_t kChunksPerWorker = 8;
@@ -283,10 +389,10 @@ bool RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
     WalkContext<G> ctx(accel);
     uint64_t local_drawn = 0, local_accepted = 0, local_mass = 0;
     uint64_t local_upserts = 0, local_hits = 0, local_batches = 0;
-    std::pair<uint64_t, double> batch[kBatch];
+    std::pair<uint64_t, uint64_t> batch[kBatch];
     uint32_t batch_size = 0;
     uint64_t run_key = kEmptyKey;
-    double run_weight = 0.0;
+    uint64_t run_weight = 0;
     auto drain = [&] {
       if (batch_size == 0) return true;
       ++local_batches;
@@ -301,7 +407,8 @@ bool RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
       run_key = kEmptyKey;
       return batch_size < kBatch || drain();
     };
-    auto sink = [&](uint64_t key, double w) {
+    auto sink = [&](uint64_t key, double weight) {
+      const uint64_t w = weights.Encode(weight);
       if (!opt.combiner) {
         ++local_upserts;
         return table->Upsert(key, w);
@@ -354,8 +461,9 @@ bool RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
 /// batch; the pass still gets the walk context and per-worker counters.
 template <GraphView G>
 void RunPerEdgeSamplingBuffered(const G& g, const SparsifierOptions& opt,
-                                double per_edge, double c, uint64_t seed,
-                                const WalkAccel<G>& accel,
+                                double per_edge, double c,
+                                const WeightFixedPoint& weights,
+                                uint64_t seed, const WalkAccel<G>& accel,
                                 WorkerBuffers* buffers,
                                 SamplerPassStats* stats) {
   const NodeId n = g.NumVertices();
@@ -373,7 +481,7 @@ void RunPerEdgeSamplingBuffered(const G& g, const SparsifierOptions& opt,
       SampleVertexEdges(
           g, opt, per_edge, c, seed, u, ctx,
           [&](uint64_t key, double w) {
-            buffers->Add(worker, key, w);
+            buffers->Add(worker, key, weights.Encode(w));
             return true;
           },
           &local_drawn, &local_accepted, &local_mass);
@@ -385,25 +493,6 @@ void RunPerEdgeSamplingBuffered(const G& g, const SparsifierOptions& opt,
   stats->drawn = drawn_total.load();
   stats->accepted = accepted_total.load();
   stats->mass_fp = mass_total.load();
-}
-
-/// Mirrors canonical upper-triangle (key, weight) entries back to a full
-/// symmetric entry set (diagonal entries stay single).
-inline std::vector<std::pair<uint64_t, double>> MirrorCanonical(
-    std::vector<std::pair<uint64_t, double>> canonical) {
-  const size_t upper = canonical.size();
-  size_t off_diagonal = 0;
-  for (const auto& [key, value] : canonical) {
-    if (PackedSrc(key) != PackedDst(key)) ++off_diagonal;
-  }
-  canonical.reserve(upper + off_diagonal);
-  for (size_t k = 0; k < upper; ++k) {
-    const auto [key, value] = canonical[k];
-    if (PackedSrc(key) != PackedDst(key)) {
-      canonical.push_back({PackEdge(PackedDst(key), PackedSrc(key)), value});
-    }
-  }
-  return canonical;
 }
 
 /// Poissonized support model: if `upserts` uniform draws over a support of
@@ -456,7 +545,9 @@ inline void RecordSparsifierMetrics(const SparsifierResult& r,
 }  // namespace internal
 
 /// Builds the sparsifier. Fails with ResourceExhausted only if the hash
-/// table overflows repeatedly (it is retried with doubled capacity).
+/// table overflows repeatedly (it is retried with doubled capacity), and with
+/// InvalidArgument, before any sampling, if the sample weights span too wide
+/// a range for exact 64-bit fixed point (see internal::PassBound).
 template <GraphView G>
 Result<SparsifierResult> BuildSparsifier(const G& g,
                                          const SparsifierOptions& opt) {
@@ -476,33 +567,23 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
   const double per_edge =
       static_cast<double>(opt.num_samples) / g.Volume();
 
-  // Expected accepted samples = sum_e E[n_e] p_e; the hard upper bound on
-  // distinct entries. Recomputed by the budget governor when it tightens C.
-  // Each worker's partial is stored in its own slot and the slots are summed
-  // in worker-index order, so the result (and with it the pilot gate and the
-  // table capacity hint) does not depend on which worker finishes first.
-  auto compute_expected_accepted = [&](double downsample_c) {
-    if (!opt.downsample) return static_cast<double>(opt.num_samples);
-    std::vector<double> partial(static_cast<size_t>(NumWorkers()), 0.0);
-    ParallelForWorkers([&](int worker, int workers) {
-      const NodeId lo = static_cast<NodeId>(
-          static_cast<uint64_t>(n) * worker / workers);
-      const NodeId hi = static_cast<NodeId>(
-          static_cast<uint64_t>(n) * (worker + 1) / workers);
-      double local = 0;
-      for (NodeId u = lo; u < hi; ++u) {
-        MapNeighborsWeighted(g, u, [&](NodeId v, float w) {
-          local += static_cast<double>(w) *
-                   internal::DownsampleProbability(g, u, v, downsample_c, w);
-        });
-      }
-      partial[static_cast<size_t>(worker)] = local;
-    });
-    double sum_wp = 0.0;
-    for (const double p : partial) sum_wp += p;
-    return per_edge * sum_wp;
+  // Expected accepted samples (the hard upper bound on distinct entries) and
+  // the fixed-point width of the table values, both recomputed by the budget
+  // governor when it tightens C.
+  internal::PassBound bound = internal::ComputePassBound(g, opt, per_edge, c);
+  auto weight_format = [&]() -> Result<internal::WeightFixedPoint> {
+    const int bits = internal::WeightFractionBits(bound.mass_bound);
+    if (bits < internal::kMinWeightFractionBits) {
+      return Status::InvalidArgument(
+          "sample weights 1/p_e span too wide a range for exact 64-bit "
+          "fixed point: " + std::to_string(bits) + " fractional bits left, " +
+          std::to_string(internal::kMinWeightFractionBits) + " needed");
+    }
+    return internal::WeightFixedPoint(bits);
   };
-  double expected_accepted = compute_expected_accepted(c);
+  Result<internal::WeightFixedPoint> weights = weight_format();
+  if (!weights.ok()) return weights.status();
+  double expected_accepted = bound.expected_accepted;
 
   // Walk accelerator for every sampling pass of this build (pilot + main):
   // on compressed graphs this pins the decoded top-degree adjacencies, with
@@ -515,19 +596,25 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
   if (opt.aggregation == AggregationStrategy::kSortHistogram) {
     WorkerBuffers buffers(NumWorkers());
     internal::SamplerPassStats stats;
-    internal::RunPerEdgeSamplingBuffered(g, opt, per_edge, c, opt.seed,
-                                         walk_accel, &buffers, &stats);
+    {
+      TraceSpan span("sparsifier/main");
+      internal::RunPerEdgeSamplingBuffered(g, opt, per_edge, c, *weights,
+                                           opt.seed, walk_accel, &buffers,
+                                           &stats);
+    }
     SparsifierResult result;
     result.samples_drawn = stats.drawn;
     result.samples_accepted = stats.accepted;
     result.mass_fp20 = stats.mass_fp;
     result.table_bytes = buffers.MemoryBytes();  // peak footprint
-    std::vector<std::pair<uint64_t, double>> canonical = buffers.Collapse();
-    result.distinct_entries = canonical.size();
     result.downsample_constant_used = c;
-    result.matrix =
-        SparseMatrix::FromEntries(n, n, internal::MirrorCanonical(
-                                            std::move(canonical)));
+    TraceSpan span("sparsifier/extract");
+    const std::vector<std::pair<uint64_t, uint64_t>> canonical =
+        buffers.Collapse();
+    result.distinct_entries = canonical.size();
+    result.matrix = SparseMatrix::FromCanonicalSlots(
+        n, canonical.size(), [&](uint64_t i) { return canonical[i].first; },
+        [&](uint64_t i) { return weights->Decode(canonical[i].second); });
     internal::RecordSparsifierMetrics(result, /*table_capacity=*/0);
     return result;
   }
@@ -541,19 +628,23 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
   constexpr double kPilotScale = 64.0;
   constexpr uint64_t kPilotThreshold = 1u << 20;
   if (expected_accepted > kPilotThreshold) {
+    TraceSpan span("sparsifier/pilot");
     const uint64_t pilot_hint = static_cast<uint64_t>(
         expected_accepted / kPilotScale * opt.table_slack) + 4096;
     // The pilot table is 1/64 of the main one; if even that does not fit
     // the budget, skip the pilot and let the degradation ladder deal with
     // the conservative estimate.
     BudgetReservation pilot_reservation(
-        budget, ConcurrentHashTable<double>::ProjectedMemoryBytes(pilot_hint));
+        budget,
+        ConcurrentHashTable<uint64_t>::ProjectedMemoryBytes(pilot_hint));
     if (pilot_reservation.ok()) {
-      ConcurrentHashTable<double> pilot(pilot_hint);
+      ConcurrentHashTable<uint64_t> pilot(pilot_hint);
       internal::SamplerPassStats pilot_stats;
+      // The pilot draws at most as many samples per edge as the main pass,
+      // so the main pass's fixed-point width is safe for it too.
       if (internal::RunPerEdgeSampling(g, opt, per_edge / kPilotScale, c,
-                                       opt.seed ^ 0x9107ull, walk_accel,
-                                       &pilot, &pilot_stats)) {
+                                       *weights, opt.seed ^ 0x9107ull,
+                                       walk_accel, &pilot, &pilot_stats)) {
         distinct_estimate = internal::ExtrapolateDistinct(
             static_cast<double>(pilot_stats.accepted),
             static_cast<double>(pilot.NumEntries()), kPilotScale);
@@ -592,22 +683,27 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
   if (budgeted) {
     constexpr int kMaxTightenings = 4;
     while (opt.downsample && tightenings < kMaxTightenings &&
-           ConcurrentHashTable<double>::ProjectedMemoryBytes(capacity_hint) >
+           ConcurrentHashTable<uint64_t>::ProjectedMemoryBytes(capacity_hint) >
                budget->available_bytes()) {
       c *= 0.5;
       ++tightenings;
       degraded = true;
-      const double tightened = compute_expected_accepted(c);
+      // A smaller C raises 1/p_e, so the fixed-point width is re-derived.
+      bound = internal::ComputePassBound(g, opt, per_edge, c);
+      weights = weight_format();
+      if (!weights.ok()) return weights.status();
       // Scale the (pilot or exact) estimate by the acceptance shrinkage;
       // distinct entries can only shrink along with accepted samples.
-      distinct_estimate = std::min(
-          distinct_estimate * (tightened / expected_accepted), tightened);
-      expected_accepted = tightened;
+      distinct_estimate =
+          std::min(distinct_estimate *
+                       (bound.expected_accepted / expected_accepted),
+                   bound.expected_accepted);
+      expected_accepted = bound.expected_accepted;
       capacity_hint = hint_from_estimate(distinct_estimate);
     }
-    if (ConcurrentHashTable<double>::ProjectedMemoryBytes(capacity_hint) >
+    if (ConcurrentHashTable<uint64_t>::ProjectedMemoryBytes(capacity_hint) >
         budget->available_bytes()) {
-      const uint64_t capped_hint = ConcurrentHashTable<double>::
+      const uint64_t capped_hint = ConcurrentHashTable<uint64_t>::
           LargestHintFitting(budget->available_bytes());
       if (capped_hint == 0) {
         return Status::ResourceExhausted(
@@ -628,20 +724,25 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
   }
 
   for (int attempt = 1; attempt <= 6; ++attempt) {
-    BudgetReservation table_reservation(
-        budget,
-        ConcurrentHashTable<double>::ProjectedMemoryBytes(capacity_hint));
+    const uint64_t table_bytes =
+        ConcurrentHashTable<uint64_t>::ProjectedMemoryBytes(capacity_hint);
+    BudgetReservation table_reservation(budget, table_bytes);
     if (!table_reservation.ok()) {
       return Status::ResourceExhausted(
-          "sparsifier hash table (" +
-          HumanBytes(ConcurrentHashTable<double>::ProjectedMemoryBytes(
-              capacity_hint)) +
+          "sparsifier hash table (" + HumanBytes(table_bytes) +
           ") exceeds the remaining memory budget after degradation");
     }
-    ConcurrentHashTable<double> table(capacity_hint);
+    ConcurrentHashTable<uint64_t> table = [&] {
+      TraceSpan span("sparsifier/table");
+      return ConcurrentHashTable<uint64_t>(capacity_hint);
+    }();
     internal::SamplerPassStats stats;
-    const bool ok = internal::RunPerEdgeSampling(
-        g, opt, per_edge, c, opt.seed, walk_accel, &table, &stats);
+    bool ok;
+    {
+      TraceSpan span("sparsifier/main");
+      ok = internal::RunPerEdgeSampling(g, opt, per_edge, c, *weights,
+                                        opt.seed, walk_accel, &table, &stats);
+    }
     if (!ok) {
       LIGHTNE_LOG_WARN(
           "sparsifier hash table overflowed (capacity %llu); retrying at 2x",
@@ -664,8 +765,14 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
     result.budget_tightenings = tightenings;
     result.capacity_capped = capacity_capped;
     result.downsample_constant_used = c;
-    result.matrix = SparseMatrix::FromEntries(
-        n, n, internal::MirrorCanonical(table.Extract()));
+    {
+      TraceSpan span("sparsifier/extract");
+      static_assert(ConcurrentHashTable<uint64_t>::kEmptyKey ==
+                    SparseMatrix::kNoKey);
+      result.matrix = SparseMatrix::FromCanonicalSlots(
+          n, table.capacity(), [&](uint64_t i) { return table.SlotKey(i); },
+          [&](uint64_t i) { return weights->Decode(table.SlotValue(i)); });
+    }
     internal::RecordSparsifierMetrics(result, table.capacity());
     return result;
   }

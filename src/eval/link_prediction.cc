@@ -1,7 +1,7 @@
 #include "eval/link_prediction.h"
 
 #include <algorithm>
-#include <atomic>
+#include <vector>
 
 #include "parallel/parallel_for.h"
 #include "parallel/scan.h"
@@ -65,10 +65,9 @@ RankingMetrics EvaluateRanking(
   out.hits_at.assign(ks.size(), 0.0);
   if (positives.empty()) return out;
   const NodeId n = static_cast<NodeId>(embedding.rows());
-  std::atomic<uint64_t> rank_sum{0};
-  std::atomic<double> mrr_sum{0.0};
-  std::vector<std::atomic<uint64_t>> hits(ks.size());
-  for (auto& h : hits) h.store(0);
+  // Each positive's rank is computed in parallel; the sums run afterwards in
+  // index order, so the floating-point MRR does not depend on the schedule.
+  std::vector<uint64_t> ranks(positives.size());
   ParallelFor(
       0, positives.size(),
       [&](uint64_t i) {
@@ -86,22 +85,24 @@ RankingMetrics EvaluateRanking(
           }
           if (Dot(embedding, u, w) > pos_score) ++better;
         }
-        const uint64_t rank = better + 1;
-        rank_sum.fetch_add(rank, std::memory_order_relaxed);
-        double expected = mrr_sum.load(std::memory_order_relaxed);
-        while (!mrr_sum.compare_exchange_weak(expected, expected + 1.0 / rank,
-                                              std::memory_order_relaxed)) {
-        }
-        for (size_t k = 0; k < ks.size(); ++k) {
-          if (rank <= ks[k]) hits[k].fetch_add(1, std::memory_order_relaxed);
-        }
+        ranks[i] = better + 1;
       },
       /*grain=*/16);
+  uint64_t rank_sum = 0;
+  double mrr_sum = 0.0;
+  std::vector<uint64_t> hits(ks.size(), 0);
+  for (const uint64_t rank : ranks) {
+    rank_sum += rank;
+    mrr_sum += 1.0 / static_cast<double>(rank);
+    for (size_t k = 0; k < ks.size(); ++k) {
+      if (rank <= ks[k]) ++hits[k];
+    }
+  }
   const double count = static_cast<double>(positives.size());
-  out.mean_rank = static_cast<double>(rank_sum.load()) / count;
-  out.mean_reciprocal_rank = mrr_sum.load() / count;
+  out.mean_rank = static_cast<double>(rank_sum) / count;
+  out.mean_reciprocal_rank = mrr_sum / count;
   for (size_t k = 0; k < ks.size(); ++k) {
-    out.hits_at[k] = static_cast<double>(hits[k].load()) / count;
+    out.hits_at[k] = static_cast<double>(hits[k]) / count;
   }
   return out;
 }

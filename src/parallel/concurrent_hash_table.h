@@ -1,8 +1,16 @@
 // Sparse parallel hash table (§4.2 of the paper): a lock-free open-addressing
 // table with linear probing that aggregates weighted samples. Keys are
-// inserted with a CAS on the key slot; values are accumulated with atomic
-// fetch-add (xadd for integral values). No deletions. Counts are exact: every
-// accepted sample is accounted for by an atomic instruction.
+// inserted with a CAS on the key slot; values are accumulated with one
+// atomic fetch-add (x86 lock xadd). No deletions. Values are integral (a
+// static_assert), so every sum is exact and independent of the order in
+// which the adds arrive: callers with fractional weights store them in
+// fixed point (the sparsifier derives its scale from a bound on the pass's
+// total mass, core/sparsifier.h).
+//
+// Layout: plain 16-byte {key, value} slots, four to a cache line, updated
+// through std::atomic_ref. The slot array is allocated uninitialized and
+// constructed by one parallel pass, so the pages are first touched by all
+// workers at once rather than zero-filled serially.
 //
 // The table has fixed capacity. Callers size it from the expected number of
 // accepted samples (an upper bound on distinct keys); if the fill factor
@@ -14,12 +22,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
-#include "parallel/atomics.h"
 #include "parallel/parallel_for.h"
-#include "parallel/scan.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
 #include "util/random.h"
@@ -28,6 +34,10 @@ namespace lightne {
 
 template <typename V>
 class ConcurrentHashTable {
+  static_assert(std::is_integral_v<V>,
+                "table values must be integral so sums are exact; store "
+                "fractional weights in fixed point");
+
  public:
   /// Sentinel for an unoccupied slot; user keys must differ from it.
   static constexpr uint64_t kEmptyKey = ~0ull;
@@ -37,13 +47,9 @@ class ConcurrentHashTable {
       : max_load_(max_load) {
     LIGHTNE_CHECK_GT(max_load, 0.0);
     LIGHTNE_CHECK_LT(max_load, 1.0);
-    uint64_t want = static_cast<uint64_t>(
-        static_cast<double>(capacity_hint < 16 ? 16 : capacity_hint) /
-        max_load);
-    capacity_ = 1;
-    while (capacity_ < want) capacity_ <<= 1;
+    capacity_ = CapacityFor(capacity_hint, max_load);
     mask_ = capacity_ - 1;
-    slots_ = std::make_unique<Slot[]>(capacity_);
+    slots_ = std::make_unique_for_overwrite<Slot[]>(capacity_);
     Clear();
   }
 
@@ -62,25 +68,26 @@ class ConcurrentHashTable {
     uint64_t idx = Hash(key) & mask_;
     for (uint64_t probes = 0; probes <= mask_; ++probes) {
       Slot& slot = slots_[idx];
-      uint64_t k = slot.key.load(std::memory_order_acquire);
+      std::atomic_ref<uint64_t> slot_key(slot.key);
+      uint64_t k = slot_key.load(std::memory_order_acquire);
       if (k == key) {
-        AtomicFetchAdd(slot.value, delta);
+        Add(slot, delta);
         return true;
       }
       if (k == kEmptyKey) {
         uint64_t expected = kEmptyKey;
-        if (slot.key.compare_exchange_strong(expected, key,
+        if (slot_key.compare_exchange_strong(expected, key,
                                              std::memory_order_acq_rel)) {
           uint64_t filled = 1 + fill_.fetch_add(1, std::memory_order_relaxed);
           if (static_cast<double>(filled) >
               max_load_ * static_cast<double>(capacity_)) {
             overflow_.store(true, std::memory_order_relaxed);
           }
-          AtomicFetchAdd(slot.value, delta);
+          Add(slot, delta);
           return true;
         }
         if (expected == key) {  // lost the race to the same key
-          AtomicFetchAdd(slot.value, delta);
+          Add(slot, delta);
           return true;
         }
         // lost to a different key: fall through and keep probing this slot's
@@ -116,9 +123,12 @@ class ConcurrentHashTable {
   V Get(uint64_t key) const {
     uint64_t idx = Hash(key) & mask_;
     for (uint64_t probes = 0; probes <= mask_; ++probes) {
-      const Slot& slot = slots_[idx];
-      uint64_t k = slot.key.load(std::memory_order_acquire);
-      if (k == key) return slot.value.load(std::memory_order_relaxed);
+      Slot& slot = slots_[idx];
+      uint64_t k =
+          std::atomic_ref<uint64_t>(slot.key).load(std::memory_order_acquire);
+      if (k == key) {
+        return std::atomic_ref<V>(slot.value).load(std::memory_order_relaxed);
+      }
       if (k == kEmptyKey) return V{};
       idx = (idx + 1) & mask_;
     }
@@ -141,12 +151,7 @@ class ConcurrentHashTable {
   /// before allocating (see the sparsifier's memory-budget governor).
   static uint64_t ProjectedMemoryBytes(uint64_t capacity_hint,
                                        double max_load = 0.8) {
-    const uint64_t want = static_cast<uint64_t>(
-        static_cast<double>(capacity_hint < 16 ? 16 : capacity_hint) /
-        max_load);
-    uint64_t capacity = 1;
-    while (capacity < want) capacity <<= 1;
-    return capacity * sizeof(Slot);
+    return CapacityFor(capacity_hint, max_load) * sizeof(Slot);
   }
 
   /// Largest capacity hint whose table fits in `budget_bytes`, or 0 if even
@@ -163,60 +168,51 @@ class ConcurrentHashTable {
     return ProjectedMemoryBytes(hint, max_load) <= budget_bytes ? hint : 0;
   }
 
+  /// Key held by slot i (kEmptyKey if unoccupied) and its value, in the
+  /// table's storage order. Must not run concurrently with Upsert; this is
+  /// how a consumer reads the table out without copying it.
+  uint64_t SlotKey(uint64_t i) const { return slots_[i].key; }
+  V SlotValue(uint64_t i) const { return slots_[i].value; }
+
   /// Applies fn(key, value) to every occupied slot, in parallel. Must not
   /// run concurrently with Upsert.
   template <typename F>
   void ForEach(F&& fn) const {
     ParallelFor(0, capacity_, [&](uint64_t i) {
-      uint64_t k = slots_[i].key.load(std::memory_order_relaxed);
-      if (k != kEmptyKey) {
-        fn(k, slots_[i].value.load(std::memory_order_relaxed));
-      }
+      if (slots_[i].key != kEmptyKey) fn(slots_[i].key, slots_[i].value);
     });
   }
 
-  /// Extracts all (key, value) pairs (unordered), in parallel.
-  std::vector<std::pair<uint64_t, V>> Extract() const {
-    return ParallelPack<std::pair<uint64_t, V>>(
-        capacity_,
-        [&](uint64_t i) {
-          return slots_[i].key.load(std::memory_order_relaxed) != kEmptyKey;
-        },
-        [&](uint64_t i) {
-          return std::make_pair(slots_[i].key.load(std::memory_order_relaxed),
-                                slots_[i].value.load(std::memory_order_relaxed));
-        });
-  }
-
-  /// Resets the table to empty. Not thread-safe.
+  /// Resets the table to empty in one parallel pass (which is also how a
+  /// new table's uninitialized slots are constructed). Not thread-safe.
   void Clear() {
     ParallelFor(0, capacity_, [&](uint64_t i) {
-      slots_[i].key.store(kEmptyKey, std::memory_order_relaxed);
-      slots_[i].value.store(V{}, std::memory_order_relaxed);
+      slots_[i] = Slot{kEmptyKey, V{}};
     });
     fill_.store(0, std::memory_order_relaxed);
     overflow_.store(false, std::memory_order_relaxed);
   }
 
  private:
-  // Layout choice: each slot is padded to its own cache line. The sparsifier
-  // ingestion path has every worker CAS-ing keys and fetch-adding values at
-  // hash-random slots; with the natural 16-byte layout four adjacent slots
-  // share one 64-byte line, so a hot slot's xadd traffic invalidates the
-  // line under three innocent neighbors (false sharing) and the probe
-  // cluster around any popular key serializes. A full line per slot makes
-  // every atomic RMW miss-or-own exactly one line. The 4x memory cost is
-  // deliberate and visible to the memory-budget governor, which sizes
-  // tables through sizeof(Slot) (MemoryBytes / ProjectedMemoryBytes), so
-  // budget degradation accounts for the padding automatically. The
-  // alternative — interleaving the hash so probe sequences stride across
-  // lines — keeps the memory but costs an extra line fetch per probe even
-  // when uncontended; ingestion throughput is the hot path, so we pad.
-  struct alignas(64) Slot {
-    std::atomic<uint64_t> key;
-    std::atomic<V> value;
+  struct Slot {
+    uint64_t key;
+    V value;
   };
-  static_assert(alignof(Slot) == 64, "slots must not share a cache line");
+  static_assert(std::is_trivial_v<Slot>, "slots are allocated uninitialized");
+
+  static uint64_t CapacityFor(uint64_t capacity_hint, double max_load) {
+    const uint64_t want = static_cast<uint64_t>(
+        static_cast<double>(capacity_hint < 16 ? 16 : capacity_hint) /
+        max_load);
+    uint64_t capacity = 1;
+    while (capacity < want) capacity <<= 1;
+    return capacity;
+  }
+
+  static void Add(Slot& slot, V delta) {
+    std::atomic_ref<V>(slot.value).fetch_add(delta,
+                                             std::memory_order_relaxed);
+  }
 
   static uint64_t Hash(uint64_t key) {
     uint64_t s = key;

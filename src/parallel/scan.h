@@ -1,6 +1,6 @@
 // Parallel exclusive prefix sums and scan-based pack/filter. These are the
 // workhorses behind CSR construction, compressed-graph encoding (per-vertex
-// byte offsets) and hash-table extraction.
+// byte offsets) and the sort-histogram aggregation.
 #ifndef LIGHTNE_PARALLEL_SCAN_H_
 #define LIGHTNE_PARALLEL_SCAN_H_
 

@@ -246,58 +246,60 @@ TEST(SparsifierTest, DeterministicInSeedAndAcrossRepresentations) {
 // ------------------------------------------------------------ aggregation --
 
 TEST(AggregationTest, SortHistogramCollapsesDuplicates) {
-  std::vector<std::pair<uint64_t, double>> records = {
-      {5, 1.0}, {3, 2.0}, {5, 0.5}, {9, 1.0}, {3, 1.0}, {5, 1.5}};
+  std::vector<std::pair<uint64_t, uint64_t>> records = {
+      {5, 2}, {3, 4}, {5, 1}, {9, 2}, {3, 2}, {5, 3}};
   auto unique = SortHistogram(std::move(records));
   ASSERT_EQ(unique.size(), 3u);
   EXPECT_EQ(unique[0].first, 3u);
-  EXPECT_DOUBLE_EQ(unique[0].second, 3.0);
+  EXPECT_EQ(unique[0].second, 6u);
   EXPECT_EQ(unique[1].first, 5u);
-  EXPECT_DOUBLE_EQ(unique[1].second, 3.0);
+  EXPECT_EQ(unique[1].second, 6u);
   EXPECT_EQ(unique[2].first, 9u);
-  EXPECT_DOUBLE_EQ(unique[2].second, 1.0);
+  EXPECT_EQ(unique[2].second, 2u);
 }
 
 TEST(AggregationTest, SortHistogramEmptyAndSingleton) {
   EXPECT_TRUE(SortHistogram({}).empty());
-  auto one = SortHistogram({{7, 2.5}});
+  auto one = SortHistogram({{7, 5}});
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0].first, 7u);
+  EXPECT_EQ(one[0].second, 5u);
 }
 
 TEST(AggregationTest, SortHistogramMatchesMapOnRandomInput) {
-  std::vector<std::pair<uint64_t, double>> records;
+  std::vector<std::pair<uint64_t, uint64_t>> records;
   Rng rng(3);
-  std::map<uint64_t, double> expect;
+  std::map<uint64_t, uint64_t> expect;
   for (int i = 0; i < 200000; ++i) {
     uint64_t key = rng.UniformInt(5000);
-    double w = 1.0 + rng.UniformInt(3);
+    uint64_t w = (uint64_t{1} << 40) + rng.UniformInt(1u << 30);
     records.push_back({key, w});
     expect[key] += w;
   }
   auto unique = SortHistogram(std::move(records));
   ASSERT_EQ(unique.size(), expect.size());
   for (auto& [key, sum] : unique) {
-    ASSERT_DOUBLE_EQ(sum, expect[key]) << key;
+    ASSERT_EQ(sum, expect[key]) << key;
   }
 }
 
 TEST(AggregationTest, WorkerBuffersTrackMemoryAndRecords) {
   WorkerBuffers buffers(2);
-  buffers.Add(0, 1, 1.0);
-  buffers.Add(1, 1, 2.0);
-  buffers.Add(1, 2, 3.0);
+  buffers.Add(0, 1, 1);
+  buffers.Add(1, 1, 2);
+  buffers.Add(1, 2, 3);
   EXPECT_EQ(buffers.NumRecords(), 3u);
   EXPECT_GT(buffers.MemoryBytes(), 0u);
   auto unique = buffers.Collapse();
   ASSERT_EQ(unique.size(), 2u);
-  EXPECT_DOUBLE_EQ(unique[0].second, 3.0);
-  EXPECT_DOUBLE_EQ(unique[1].second, 3.0);
+  EXPECT_EQ(unique[0].second, 3u);
+  EXPECT_EQ(unique[1].second, 3u);
   EXPECT_EQ(buffers.NumRecords(), 0u);
 }
 
-// The two aggregation strategies must produce bit-identical sparsifiers
-// (same per-edge RNG streams, exact aggregation on both sides).
+// The two aggregation strategies, and the table with and without the
+// run-merging batch, must produce bit-identical sparsifiers (same per-edge
+// RNG streams, exact integer aggregation, one CSR builder).
 TEST(AggregationTest, StrategiesProduceIdenticalSparsifier) {
   const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(11, 20000, 13));
   SparsifierOptions opt;
@@ -306,15 +308,20 @@ TEST(AggregationTest, StrategiesProduceIdenticalSparsifier) {
   opt.seed = 5;
   opt.aggregation = AggregationStrategy::kSharedHashTable;
   auto hashed = BuildSparsifier(g, opt);
+  opt.combiner = false;
+  auto direct = BuildSparsifier(g, opt);
   opt.aggregation = AggregationStrategy::kSortHistogram;
   auto sorted = BuildSparsifier(g, opt);
-  ASSERT_TRUE(hashed.ok() && sorted.ok());
-  EXPECT_EQ(hashed->samples_drawn, sorted->samples_drawn);
-  EXPECT_EQ(hashed->samples_accepted, sorted->samples_accepted);
-  EXPECT_EQ(hashed->distinct_entries, sorted->distinct_entries);
-  ASSERT_EQ(hashed->matrix.nnz(), sorted->matrix.nnz());
-  EXPECT_EQ(hashed->matrix.col_indices(), sorted->matrix.col_indices());
-  EXPECT_EQ(hashed->matrix.values(), sorted->matrix.values());
+  ASSERT_TRUE(hashed.ok() && direct.ok() && sorted.ok());
+  for (const SparsifierResult* other : {&*direct, &*sorted}) {
+    EXPECT_EQ(hashed->samples_drawn, other->samples_drawn);
+    EXPECT_EQ(hashed->samples_accepted, other->samples_accepted);
+    EXPECT_EQ(hashed->distinct_entries, other->distinct_entries);
+    ASSERT_EQ(hashed->matrix.nnz(), other->matrix.nnz());
+    EXPECT_EQ(hashed->matrix.row_offsets(), other->matrix.row_offsets());
+    EXPECT_EQ(hashed->matrix.col_indices(), other->matrix.col_indices());
+    EXPECT_EQ(hashed->matrix.values(), other->matrix.values());
+  }
 }
 
 // ------------------------------------------------------------------ NetMF --

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 
@@ -10,6 +11,7 @@
 #include "eval/embedding_quality.h"
 #include "eval/link_prediction.h"
 #include "graph/csr.h"
+#include "parallel/parallel_for.h"
 #include "util/random.h"
 
 namespace lightne {
@@ -149,6 +151,32 @@ TEST(RankingTest, FilteredProtocolExcludesTrueEdges) {
   EXPECT_GT(unfiltered.mean_rank, 100.0);
   // Filtered: those are true edges of `known` and are excluded.
   EXPECT_DOUBLE_EQ(filtered.mean_rank, 1.0);
+}
+
+TEST(EvalTest, RankingBitIdenticalAcrossWorkerCounts) {
+  // The MRR is a floating-point sum of 1/rank; it must be summed in index
+  // order, not in the order the pool finishes positives. Compared against a
+  // forced 1-worker run; the eval_test_mt4 variant is where it bites.
+  const NodeId n = 5000;
+  const Matrix x = Matrix::Gaussian(n, 16, 21);
+  std::vector<std::pair<NodeId, NodeId>> positives(20000);
+  for (uint64_t i = 0; i < positives.size(); ++i) {
+    Rng rng = ItemRng(5, i);
+    positives[i] = {static_cast<NodeId>(rng.UniformInt(n)),
+                    static_cast<NodeId>(rng.UniformInt(n))};
+  }
+  const std::vector<uint32_t> ks = {1, 10};
+  const RankingMetrics serial = [&] {
+    SequentialRegion seq;
+    return EvaluateRanking(x, positives, 50, ks, 9);
+  }();
+  for (int run = 0; run < 3; ++run) {
+    const RankingMetrics pooled = EvaluateRanking(x, positives, 50, ks, 9);
+    EXPECT_EQ(std::bit_cast<uint64_t>(pooled.mean_reciprocal_rank),
+              std::bit_cast<uint64_t>(serial.mean_reciprocal_rank));
+    EXPECT_EQ(pooled.mean_rank, serial.mean_rank);
+    EXPECT_EQ(pooled.hits_at, serial.hits_at);
+  }
 }
 
 // ------------------------------------------------------- embedding quality --

@@ -5,6 +5,7 @@
 #include <map>
 #include <vector>
 
+#include "parallel/atomics.h"
 #include "parallel/concurrent_hash_table.h"
 #include "parallel/parallel_for.h"
 #include "util/random.h"
@@ -67,31 +68,37 @@ TEST(HashTableTest, ExactCountsUnderContention) {
 }
 
 TEST(HashTableTest, ParallelMatchesSequentialAggregation) {
+  // Fixed-point weights as the sparsifier stores them (2^40 scale): the
+  // parallel sums must equal the sequential ones exactly.
   const uint64_t kOps = 500000;
   const uint64_t kKeys = 5000;
-  std::vector<std::pair<uint64_t, double>> updates(kOps);
+  std::vector<std::pair<uint64_t, uint64_t>> updates(kOps);
   for (uint64_t i = 0; i < kOps; ++i) {
     Rng rng = ItemRng(7, i);
-    updates[i] = {rng.UniformInt(kKeys), 1.0 + rng.UniformInt(4)};
+    updates[i] = {rng.UniformInt(kKeys),
+                  (uint64_t{1} << 40) + rng.UniformInt(uint64_t{1} << 42)};
   }
-  std::map<uint64_t, double> expect;
+  std::map<uint64_t, uint64_t> expect;
   for (auto& [k, v] : updates) expect[k] += v;
 
-  ConcurrentHashTable<double> table(kKeys * 2);
+  ConcurrentHashTable<uint64_t> table(kKeys * 2);
   ParallelFor(0, kOps, [&](uint64_t i) {
     ASSERT_TRUE(table.Upsert(updates[i].first, updates[i].second));
   });
   EXPECT_EQ(table.NumEntries(), expect.size());
   for (auto& [k, v] : expect) {
-    // Integer-valued doubles added in any order are exact.
-    EXPECT_DOUBLE_EQ(table.Get(k), v) << "key " << k;
+    EXPECT_EQ(table.Get(k), v) << "key " << k;
   }
 }
 
-TEST(HashTableTest, ExtractReturnsAllEntries) {
+TEST(HashTableTest, SlotsHoldEveryEntry) {
   ConcurrentHashTable<uint64_t> table(1000);
   for (uint64_t k = 0; k < 500; ++k) table.Upsert(k * 17, k + 1);
-  auto entries = table.Extract();
+  std::vector<std::pair<uint64_t, uint64_t>> entries;
+  for (uint64_t i = 0; i < table.capacity(); ++i) {
+    if (table.SlotKey(i) == ConcurrentHashTable<uint64_t>::kEmptyKey) continue;
+    entries.push_back({table.SlotKey(i), table.SlotValue(i)});
+  }
   ASSERT_EQ(entries.size(), 500u);
   std::sort(entries.begin(), entries.end());
   for (uint64_t k = 0; k < 500; ++k) {
@@ -124,9 +131,12 @@ TEST(HashTableTest, ClearResets) {
 }
 
 TEST(HashTableTest, MemoryBytesScalesWithCapacity) {
-  ConcurrentHashTable<double> small(100), big(100000);
+  ConcurrentHashTable<uint64_t> small(100), big(100000);
   EXPECT_GT(big.MemoryBytes(), small.MemoryBytes());
-  EXPECT_EQ(big.MemoryBytes() % big.capacity(), 0u);
+  // Plain 16-byte {key, value} slots, no cache-line padding.
+  EXPECT_EQ(big.MemoryBytes(), 16 * big.capacity());
+  EXPECT_EQ(ConcurrentHashTable<uint64_t>::ProjectedMemoryBytes(100000),
+            big.MemoryBytes());
 }
 
 // Property sweep: many (key-space, op-count) shapes, parallel counts always

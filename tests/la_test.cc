@@ -2,6 +2,8 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -307,6 +309,69 @@ TEST(SparseTest, RowSums) {
   EXPECT_DOUBLE_EQ(sums[0], 4.0);
   EXPECT_DOUBLE_EQ(sums[1], 0.0);
   EXPECT_DOUBLE_EQ(sums[2], -1.0);
+}
+
+// The direct CSR builder against the sort-and-merge oracle: the canonical
+// keys mirrored by hand and handed to FromEntries.
+TEST(SparseTest, FromCanonicalSlotsMatchesFromEntriesOracle) {
+  for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    const uint64_t n = 700;
+    const NodeId hub = 5;
+    Rng rng(seed);
+    std::map<uint64_t, double> canonical;  // distinct keys, row <= col
+    auto add = [&](NodeId a, NodeId b) {
+      if (a > b) std::swap(a, b);
+      canonical[PackEdge(a, b)] = 0.25 + 1000.0 * rng.Uniform();
+    };
+    for (int k = 0; k < 3000; ++k) {
+      // Vertices >= 600 never appear: empty rows at the end, and every
+      // tenth vertex below is skipped too.
+      NodeId a = static_cast<NodeId>(rng.UniformInt(600));
+      NodeId b = static_cast<NodeId>(rng.UniformInt(600));
+      if (a % 10 == 7 || b % 10 == 7) continue;
+      add(a, b);
+      if (k % 20 == 0) add(a, a);  // diagonal keys
+    }
+    for (NodeId v = 0; v < 600; v += 2) add(hub, v);  // one hub row
+    // Slots as a hash table would hold them: at random positions (linear
+    // probing), with empty slots.
+    std::vector<std::pair<uint64_t, double>> slots(4 * canonical.size(),
+                                                   {SparseMatrix::kNoKey, 0});
+    std::vector<std::pair<uint64_t, double>> mirrored;
+    for (const auto& [key, value] : canonical) {
+      uint64_t at = rng.UniformInt(slots.size());
+      while (slots[at].first != SparseMatrix::kNoKey) {
+        at = (at + 1) % slots.size();
+      }
+      slots[at] = {key, value};
+      mirrored.push_back({key, value});
+      if (PackedSrc(key) != PackedDst(key)) {
+        mirrored.push_back({PackEdge(PackedDst(key), PackedSrc(key)), value});
+      }
+    }
+    const SparseMatrix oracle =
+        SparseMatrix::FromEntries(n, n, std::move(mirrored));
+    const SparseMatrix built = SparseMatrix::FromCanonicalSlots(
+        n, slots.size(), [&](uint64_t i) { return slots[i].first; },
+        [&](uint64_t i) { return static_cast<float>(slots[i].second); });
+    EXPECT_EQ(built.rows(), n);
+    EXPECT_EQ(built.cols(), n);
+    EXPECT_EQ(built.row_offsets(), oracle.row_offsets());
+    EXPECT_EQ(built.col_indices(), oracle.col_indices());
+    ASSERT_EQ(built.values().size(), oracle.values().size());
+    EXPECT_EQ(0, std::memcmp(built.values().data(), oracle.values().data(),
+                             built.values().size() * sizeof(float)));
+    EXPECT_GE(built.RowCols(hub).size(), 300u);
+    EXPECT_EQ(built.RowCols(7).size(), 0u);
+    EXPECT_EQ(built.RowCols(n - 1).size(), 0u);
+  }
+  // No entries at all: every row empty.
+  const SparseMatrix empty = SparseMatrix::FromCanonicalSlots(
+      3, 2, [](uint64_t) { return SparseMatrix::kNoKey; },
+      [](uint64_t) { return 0.0f; });
+  EXPECT_EQ(empty.nnz(), 0u);
+  EXPECT_EQ(empty.row_offsets(), std::vector<uint64_t>(4, 0));
 }
 
 // ------------------------------------------------------------------- rSVD --

@@ -212,8 +212,8 @@ TEST(OptionValidation, LightNeExplicitSampleCountOverridesRatio) {
 }
 
 TEST(OptionValidation, HashTableRejectsSillyLoadFactors) {
-  EXPECT_DEATH(ConcurrentHashTable<double>(16, 1.5), "CHECK failed");
-  EXPECT_DEATH(ConcurrentHashTable<double>(16, 0.0), "CHECK failed");
+  EXPECT_DEATH(ConcurrentHashTable<uint64_t>(16, 1.5), "CHECK failed");
+  EXPECT_DEATH(ConcurrentHashTable<uint64_t>(16, 0.0), "CHECK failed");
 }
 
 // ------------------------------------------------------- fault injection ----

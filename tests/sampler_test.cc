@@ -1,6 +1,8 @@
 // Sampler hot-path tests (DESIGN.md §11, §13): combiner-vs-direct
-// equivalence (bit-identical integer counters, 1-ulp matrix values, ingest
-// counters equal at any worker count), the alias-table sampler's exact
+// equivalence (bit-identical integer counters and matrix values, ingest
+// counters equal at any worker count), the exact fixed-point table (order-
+// and worker-count-independent matrices, the derived scale and its bound),
+// the alias-table sampler's exact
 // distribution and RNG-consumption contract against the prefix-scan
 // reference (full and degree-gated), the compressed-graph walk engine
 // (hub-pinned tier and direct block decode) against walks on the CSR graph
@@ -22,6 +24,7 @@
 #include "graph/weighted_csr.h"
 #include "graph/weights.h"
 #include "parallel/parallel_for.h"
+#include "util/fault_injection.h"
 #include "util/memory.h"
 #include "util/metrics.h"
 #include "util/random.h"
@@ -41,13 +44,13 @@ SparsifierOptions BaseOptions() {
   return opt;
 }
 
-// Floats within `ulps` representable steps of each other (same sign; the
-// matrix values here are all positive sums of positive weights).
-bool FloatWithinUlps(float a, float b, int32_t ulps) {
-  int32_t ia, ib;
-  std::memcpy(&ia, &a, 4);
-  std::memcpy(&ib, &b, 4);
-  return std::abs(ia - ib) <= ulps;
+// Byte equality of two CSR matrices: offsets, columns and value bits.
+void ExpectByteEqualMatrices(const SparseMatrix& a, const SparseMatrix& b) {
+  EXPECT_EQ(a.row_offsets(), b.row_offsets());
+  EXPECT_EQ(a.col_indices(), b.col_indices());
+  ASSERT_EQ(a.values().size(), b.values().size());
+  EXPECT_EQ(0, std::memcmp(a.values().data(), b.values().data(),
+                           a.values().size() * sizeof(float)));
 }
 
 void ExpectEquivalentSparsifiers(const SparsifierResult& a,
@@ -57,18 +60,10 @@ void ExpectEquivalentSparsifiers(const SparsifierResult& a,
   EXPECT_EQ(a.samples_accepted, b.samples_accepted);
   EXPECT_EQ(a.mass_fp20, b.mass_fp20);
   EXPECT_EQ(a.distinct_entries, b.distinct_entries);
-  // The sparsity pattern is the distinct-key set, also exact.
+  // The sparsity pattern is the distinct-key set, and the values are exact
+  // fixed-point integer sums: the whole matrix is bit-identical.
   ASSERT_EQ(a.matrix.nnz(), b.matrix.nnz());
-  EXPECT_EQ(a.matrix.col_indices(), b.matrix.col_indices());
-  // Values are double sums in different groupings rounded to float: within
-  // 1 ulp (in practice identical — the 29 extra double bits absorb the
-  // reassociation).
-  const auto& av = a.matrix.values();
-  const auto& bv = b.matrix.values();
-  for (size_t i = 0; i < av.size(); ++i) {
-    ASSERT_TRUE(FloatWithinUlps(av[i], bv[i], 1))
-        << "entry " << i << ": " << av[i] << " vs " << bv[i];
-  }
+  ExpectByteEqualMatrices(a.matrix, b.matrix);
 }
 
 // ------------------------------------------- combiner / direct equivalence ----
@@ -158,6 +153,136 @@ TEST(CombinerTest, MetricsSurfaceCombinerCounters) {
             r->combiner_flushes);
   EXPECT_EQ(snap.CounterValue("sparsifier/table_batch_upserts"),
             r->table_batch_upserts);
+}
+
+// ------------------------------------------------------ exact fixed point ----
+
+TEST(ExactTableTest, UpsertOrderAndWorkerCountDoNotChangeTheMatrix) {
+  // One multiset of canonical records with weights like the sampler's
+  // (1 or 2)/p_e in fixed point: heavy repeats on a few keys, diagonal keys,
+  // and weights whose float sums would round differently by order.
+  constexpr uint64_t kN = 300;
+  const internal::WeightFixedPoint fp(40);
+  std::vector<std::pair<uint64_t, uint64_t>> records;
+  for (uint64_t i = 0; i < 60000; ++i) {
+    Rng rng = ItemRng(17, i);
+    NodeId a = static_cast<NodeId>(rng.UniformInt(i % 4 == 0 ? 8 : kN));
+    NodeId b = static_cast<NodeId>(rng.UniformInt(kN));
+    if (a > b) std::swap(a, b);
+    const double inv_pe = 1.0 + 997.0 * rng.Uniform();
+    records.push_back({PackEdge(a, b), fp.Encode((a == b ? 2 : 1) * inv_pe)});
+  }
+  auto build = [&](const std::vector<std::pair<uint64_t, uint64_t>>& recs) {
+    ConcurrentHashTable<uint64_t> table(recs.size());
+    ParallelFor(0, recs.size(), [&](uint64_t i) {
+      EXPECT_TRUE(table.Upsert(recs[i].first, recs[i].second));
+    });
+    // Read out as the sparsifier does.
+    return SparseMatrix::FromCanonicalSlots(
+        kN, table.capacity(), [&](uint64_t i) { return table.SlotKey(i); },
+        [&](uint64_t i) { return fp.Decode(table.SlotValue(i)); });
+  };
+  const SparseMatrix reference = [&] {
+    SequentialRegion seq;
+    return build(records);
+  }();
+  ASSERT_GT(reference.nnz(), 0u);
+  for (uint64_t order = 0; order < 8; ++order) {
+    SCOPED_TRACE(order);
+    std::vector<std::pair<uint64_t, uint64_t>> shuffled = records;
+    Rng rng(1000 + order);
+    for (uint64_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.UniformInt(i)]);
+    }
+    ExpectByteEqualMatrices(build(shuffled), reference);
+    SequentialRegion seq;
+    ExpectByteEqualMatrices(build(shuffled), reference);
+  }
+}
+
+WeightedCsrGraph TinyWeightGraph(float tiny) {
+  // A heavy triangle plus vertex 3, tied to 0 by a heavy edge and to 1 by an
+  // edge of weight `tiny`: that edge's p_e ~ C tiny / 1000 is the smallest
+  // by far.
+  WeightedEdgeList list;
+  list.num_vertices = 4;
+  list.Add(0, 1, 1000.0f);
+  list.Add(1, 2, 1000.0f);
+  list.Add(2, 0, 1000.0f);
+  list.Add(0, 3, 1000.0f);
+  list.Add(1, 3, tiny);
+  return WeightedCsrGraph::FromEdges(std::move(list));
+}
+
+TEST(ExactTableTest, ScaleKeepsTheLargestPossibleSumBelowTwoTo63) {
+  const WeightedCsrGraph g = TinyWeightGraph(1e-4f);
+  SparsifierOptions opt;
+  opt.num_samples = 200000;
+  opt.window = 3;
+  const double c = std::log(static_cast<double>(g.NumVertices()));
+  const double per_edge = static_cast<double>(opt.num_samples) / g.Volume();
+  const internal::PassBound bound =
+      internal::ComputePassBound(g, opt, per_edge, c);
+  const int bits = internal::WeightFractionBits(bound.mass_bound);
+  ASSERT_GE(bits, internal::kMinWeightFractionBits);
+  const internal::WeightFixedPoint fp(bits);
+  // Recount, independently and in long double, the largest table mass the
+  // pass can reach: every edge draws its maximal n_e and every sample adds
+  // the diagonal weight 2/p_e.
+  long double largest = 0;
+  double smallest_pe = 1.0;
+  for (NodeId u = 0; u < g.NumVertices(); ++u) {
+    MapNeighborsWeighted(g, u, [&](NodeId v, float w) {
+      const double pe = internal::DownsampleProbability(g, u, v, c, w);
+      smallest_pe = std::min(smallest_pe, pe);
+      const long double most = std::ceil(per_edge * w);
+      largest += most * static_cast<long double>(fp.Encode(2.0 / pe));
+    });
+  }
+  EXPECT_LT(smallest_pe, 1e-5);
+  EXPECT_LT(largest, std::ldexp(1.0L, 63));
+  // The width is not wasted: the largest sum reaches 2^61, so two more bits
+  // would overflow.
+  EXPECT_GE(largest * 4, std::ldexp(1.0L, 63));
+  auto r = BuildSparsifier(g, opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GT(r->matrix.nnz(), 0u);
+}
+
+TEST(ExactTableTest, TooFewFractionalBitsIsInvalidArgumentBeforeSampling) {
+  const WeightedCsrGraph g = TinyWeightGraph(1e-12f);
+  SparsifierOptions opt;
+  opt.num_samples = 200000;
+  opt.window = 3;
+  const double c = std::log(static_cast<double>(g.NumVertices()));
+  const internal::PassBound bound = internal::ComputePassBound(
+      g, opt, static_cast<double>(opt.num_samples) / g.Volume(), c);
+  ASSERT_LT(internal::WeightFractionBits(bound.mass_bound),
+            internal::kMinWeightFractionBits);
+  // Count table inserts: any sampling pass would evaluate this fault point.
+  FaultRegistry::Global().Reset();
+  FaultRegistry::Global().ArmFailOnNthHit("sparsifier/table_insert",
+                                          ~uint64_t{0});
+  auto r = BuildSparsifier(g, opt);
+  EXPECT_EQ(FaultRegistry::Global().HitCount("sparsifier/table_insert"), 0u);
+  FaultRegistry::Global().Reset();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  // Without downsampling every p_e is 1, so the same graph is fine.
+  opt.downsample = false;
+  EXPECT_TRUE(BuildSparsifier(g, opt).ok());
+}
+
+TEST(ExactTableTest, PassBoundIsIndependentOfTheWorkerCount) {
+  const CsrGraph g = SamplerGraph();
+  const SparsifierOptions opt = BaseOptions();
+  const double per_edge = static_cast<double>(opt.num_samples) / g.Volume();
+  const double c = std::log(static_cast<double>(g.NumVertices()));
+  const internal::PassBound pooled =
+      internal::ComputePassBound(g, opt, per_edge, c);
+  SequentialRegion seq;
+  EXPECT_EQ(internal::ComputePassBound(g, opt, per_edge, c).mass_bound,
+            pooled.mass_bound);
 }
 
 // --------------------------------------------------- alias-table sampling ----

@@ -145,20 +145,20 @@ TEST(HashTableStress, UpsertBatchOverflowSurfacesLikeUpsert) {
   // direct Upsert does: UpsertBatch returns false and the overflow flag is
   // set. Every batch carries more distinct keys than the table holds, so
   // every one of them is rejected, and so is any batch after the overflow.
-  ConcurrentHashTable<double> table(16);
+  ConcurrentHashTable<uint64_t> table(16);
   constexpr uint32_t kBatch = 64;
   constexpr uint64_t kBatches = 64;
   std::atomic<uint64_t> rejected{0};
   ParallelFor(0, kBatches, [&](uint64_t b) {
-    std::pair<uint64_t, double> records[kBatch];
-    for (uint32_t i = 0; i < kBatch; ++i) records[i] = {b * kBatch + i, 1.0};
+    std::pair<uint64_t, uint64_t> records[kBatch];
+    for (uint32_t i = 0; i < kBatch; ++i) records[i] = {b * kBatch + i, 1};
     if (!table.UpsertBatch(records, kBatch)) {
       rejected.fetch_add(1, std::memory_order_relaxed);
     }
   });
   EXPECT_TRUE(table.overflowed());
   EXPECT_EQ(rejected.load(), kBatches);
-  const std::pair<uint64_t, double> hit = {0, 1.0};
+  const std::pair<uint64_t, uint64_t> hit = {0, 1};
   EXPECT_FALSE(table.UpsertBatch(&hit, 1));
 }
 

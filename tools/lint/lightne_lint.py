@@ -45,8 +45,11 @@ extraction + a static call/lock graph — see FileIndex below):
              to the lambda (per-item state, the GemmTN row-pointer idiom),
              targets indexed by a lambda-local (per-worker partitions like
              partial[worker]), and integer fixed-point counters (names
-             matching *_fp<N>, e.g. mass_fp20). Everything else needs a
-             justified suppression. Scope: src/.
+             matching *_fp<N>, e.g. mass_fp20). The same holds for atomic
+             read-modify-writes: fetch_add / fetch_sub /
+             compare_exchange_* on, or AtomicFetchAdd / CasLoopFetchAdd of,
+             a captured std::atomic<float|double> sums in arrival order.
+             Everything else needs a justified suppression. Scope: src/.
   rngflow    The one-Uniform-per-draw contract: in sampling hot paths
              (src/graph/, src/core/) an Rng draw may not sit behind a
              conditional — an if/else/switch branch, a while/do loop, the
@@ -879,6 +882,14 @@ FLOATY_DECL_RE = re.compile(
     r"\b(?:float|double|Matrix)\b[^;(){}=]*?[\s*&>]([A-Za-z_]\w*)\s*"
     r"[;=({,)\[]")
 FIXED_POINT_RE = re.compile(r"_fp\d*$")
+FLOAT_ATOMIC_DECL_RE = re.compile(
+    r"\batomic\s*<\s*(?:long\s+)?(?:float|double)\s*>[^;(){}=]*?[\s*&>]"
+    r"([A-Za-z_]\w*)\s*[;=({,)\[]")
+ATOMIC_RMW_METHODS = frozenset((
+    "fetch_add", "fetch_sub", "compare_exchange_weak",
+    "compare_exchange_strong",
+))
+ATOMIC_RMW_HELPERS = frozenset(("AtomicFetchAdd", "CasLoopFetchAdd"))
 
 
 def floaty_names(text):
@@ -903,12 +914,68 @@ def params_of(idx, lam):
     return names
 
 
+def object_chain(idx, end, lo):
+    """Identifiers of the postfix expression ending at token `end` (e.g.
+    a, b for `a[i].b` or `a->b`), scanning back no further than `lo`;
+    bracket groups are skipped whole."""
+    toks = idx.toks
+    names = []
+    k = end
+    while k > lo:
+        t = toks[k][0]
+        if t in (")", "]") and k in idx.match:
+            k = idx.match[k] - 1
+            continue
+        if not is_ident(t):
+            break
+        names.append(t)
+        if toks[k - 1][0] not in (".", "->", "::"):
+            break
+        k -= 2
+    return names
+
+
+def float_atomic_rmw_sites(idx, lam, float_atomics):
+    """(token index, atomic name) of each read-modify-write on a captured
+    floating-point std::atomic inside a parallel lambda."""
+    toks = idx.toks
+    locs = idx.locals_of(lam)
+    lo, hi = lam.body
+    for i in range(lo + 1, hi):
+        t = toks[i][0]
+        if t in ATOMIC_RMW_METHODS and toks[i - 1][0] in (".", "->"):
+            chain = object_chain(idx, i - 2, lo)
+        elif (t in ATOMIC_RMW_HELPERS and toks[i + 1][0] == "("
+              and (i + 1) in idx.match):
+            # The first argument: up to the first top-level comma.
+            k = i + 2
+            close = idx.match[i + 1]
+            while k < close and toks[k][0] != ",":
+                k = idx.match.get(k, k) + 1 if toks[k][0] in OPENERS else k + 1
+            chain = object_chain(idx, k - 1, i + 1)
+        else:
+            continue
+        hits = [name for name in chain if name in float_atomics]
+        if hits and not any(name in locs for name in chain):
+            yield i, hits[0]
+
+
 def check_parfloat(idx):
     if not idx.path.startswith("src/"):
         return
     floaty = floaty_names(idx.text)
+    float_atomics = {m.group(1)
+                     for m in FLOAT_ATOMIC_DECL_RE.finditer(idx.text)}
     toks = idx.toks
     for lam, callee in idx.parallel_lambdas():
+        for i, name in float_atomic_rmw_sites(idx, lam, float_atomics):
+            yield anchored(
+                idx.path, "parfloat",
+                f"'{toks[i][0]}' on floating-point atomic '{name}' inside a "
+                f"{callee} lambda sums in arrival order, which is "
+                "schedule-dependent; keep per-item results and sum them in "
+                "index order, use an integer fixed-point atomic, or suppress "
+                "with a written justification", idx.text, toks[i][1])
         locs = idx.locals_of(lam)
         pars = params_of(idx, lam)
         lo, hi = lam.body

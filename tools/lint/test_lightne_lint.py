@@ -285,6 +285,47 @@ class ParfloatInternals(unittest.TestCase):
             "  ParallelFor(0, n, [&](uint64_t i) { sum += x[i]; });\n"
             "}\n", path="tests/x.cc"))
 
+    CAS_LOOP = (
+        "void F(uint64_t n) {{\n"
+        "  std::atomic<{t}> total{{0}};\n"
+        "  ParallelFor(0, n, [&](uint64_t i) {{\n"
+        "    {t} expected = total.load(std::memory_order_relaxed);\n"
+        "    while (!total.compare_exchange_weak(expected, expected + i)) {{\n"
+        "    }}\n"
+        "  }});\n"
+        "}}\n")
+
+    def test_cas_loop_on_float_atomic_is_flagged(self):
+        findings = self.lint(self.CAS_LOOP.format(t="double"))
+        self.assertEqual(1, len(findings))
+        self.assertEqual("parfloat", findings[0].rule)
+        self.assertEqual(5, findings[0].line)
+        self.assertIn("total", findings[0].message)
+
+    def test_cas_loop_on_integer_atomic_is_not_flagged(self):
+        self.assertEqual([], self.lint(self.CAS_LOOP.format(t="uint64_t")))
+
+    def test_fetch_add_and_helper_on_float_atomics_are_flagged(self):
+        findings = self.lint(
+            "void F(uint64_t n, std::vector<std::atomic<float>>& bins) {\n"
+            "  std::atomic<double> sum{0.0};\n"
+            "  ParallelFor(0, n, [&](uint64_t i) {\n"
+            "    sum.fetch_add(1.0, std::memory_order_relaxed);\n"
+            "    AtomicFetchAdd(bins[i % 8], 1.0f);\n"
+            "  });\n"
+            "}\n")
+        self.assertEqual([4, 5], sorted(f.line for f in findings))
+
+    def test_integer_atomic_helpers_are_not_flagged(self):
+        self.assertEqual([], self.lint(
+            "void F(uint64_t n, std::vector<std::atomic<uint64_t>>& c) {\n"
+            "  std::atomic<uint64_t> sum{0};\n"
+            "  ParallelFor(0, n, [&](uint64_t i) {\n"
+            "    sum.fetch_add(i, std::memory_order_relaxed);\n"
+            "    AtomicFetchAdd(c[i % 8], uint64_t{1});\n"
+            "  });\n"
+            "}\n"))
+
 
 class RngflowInternals(unittest.TestCase):
     def lint(self, body, path="src/graph/x.cc"):
