@@ -2,7 +2,8 @@
 //
 // Runs the dense/sparse kernel layer (naive reference vs blocked, 1 worker
 // vs pool), panel orthonormalization (CholeskyQR2 vs the Householder
-// fallback) plus rSVD end-to-end at a few fixed sizes and writes a JSON
+// fallback), the Chebyshev filter, plus rSVD end-to-end at a few fixed
+// sizes and writes a JSON
 // trajectory artifact (default BENCH_kernels.json, overridable as argv[1]).
 // Every perf PR re-runs `scripts/bench_baseline.sh` and commits the result,
 // so regressions and wins are visible in version control; scripts/check.sh
@@ -18,10 +19,13 @@
 #include <cstdlib>
 #include <ctime>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
+#include "core/spectral_propagation.h"
 #include "data/generators.h"
+#include "graph/csr.h"
 #include "graph/types.h"
 #include "la/kernels.h"
 #include "la/matrix.h"
@@ -41,8 +45,8 @@ uint64_t Scaled(uint64_t n, uint64_t floor_value = 64) {
 
 struct ResultRow {
   std::string name;     // stable key, e.g. "gemm_512_blocked_1t"
-  std::string kernel;   // gemm | gemm_tn | spmm | qr | rsvd
-  std::string variant;  // naive | blocked | householder | cholqr2
+  std::string kernel;   // gemm | gemm_tn | spmm | qr | propagation | rsvd
+  std::string variant;  // naive | blocked | upper | sym | householder | ...
   int threads = 1;
   std::vector<std::pair<std::string, uint64_t>> shape;
   int runs = 0;
@@ -102,6 +106,38 @@ void BenchGemm() {
   }
 }
 
+// The n x q times q x q products of CholeskyQR2 (Y R^-1) and the rSVD
+// recovery at the three pipeline panel shapes: a general q x q B through
+// Gemm, and an upper-triangular U through GemmUpper. GFLOP/s counts the
+// nominal 2nq^2 for both, so the upper rows' rate is not kernel efficiency.
+void BenchGemmPanels() {
+  std::printf("GEMM (n x q times q x q, pipeline panel shapes)\n");
+  for (const auto& [scale, q] : {std::pair<int, uint64_t>{14, 138},
+                                 std::pair<int, uint64_t>{16, 74},
+                                 std::pair<int, uint64_t>{16, 42}}) {
+    const uint64_t n = Scaled(1ull << scale, 1024);
+    const Matrix y = Matrix::Gaussian(n, q, scale * 1000 + q);
+    const Matrix b = Matrix::Gaussian(q, q, scale * 1000 + q + 1);
+    Matrix u = b;
+    for (uint64_t k = 1; k < q; ++k) {
+      for (uint64_t j = 0; j < k; ++j) u.At(k, j) = 0.0f;
+    }
+    const double flops = 2.0 * n * q * q;
+    const std::string tag =
+        "gemm_s" + std::to_string(scale) + "x" + std::to_string(q);
+    auto shape = std::vector<std::pair<std::string, uint64_t>>{
+        {"m", n}, {"k", q}, {"n", q}};
+    Record({tag + "_blocked_1t", "gemm", "blocked", 1, shape}, flops, 5, true,
+           [&] { Matrix c = Gemm(y, b); });
+    Record({tag + "_blocked_mt", "gemm", "blocked", 1, shape}, flops, 5,
+           false, [&] { Matrix c = Gemm(y, b); });
+    Record({tag + "_upper_1t", "gemm", "upper", 1, shape}, flops, 5, true,
+           [&] { Matrix c = kernels::GemmUpper(y, u); });
+    Record({tag + "_upper_mt", "gemm", "upper", 1, shape}, flops, 5, false,
+           [&] { Matrix c = kernels::GemmUpper(y, u); });
+  }
+}
+
 void BenchGemmTN() {
   std::printf("GemmTN (C = A^T*B, tall-skinny)\n");
   struct Size {
@@ -125,6 +161,11 @@ void BenchGemmTN() {
            true, [&] { Matrix c = GemmTN(a, b); });
     Record({tag + "_blocked_mt", "gemm_tn", "blocked", 1, shape}, flops, 5,
            false, [&] { Matrix c = GemmTN(a, b); });
+    // The Gram A^T A: the same call with a as both operands (nominal flops).
+    Record({tag + "_sym_1t", "gemm_tn", "sym", 1, shape}, flops, 5, true,
+           [&] { Matrix c = GemmTN(a, a); });
+    Record({tag + "_sym_mt", "gemm_tn", "sym", 1, shape}, flops, 5, false,
+           [&] { Matrix c = GemmTN(a, a); });
   }
 }
 
@@ -209,6 +250,31 @@ void BenchQr() {
              Orthonormalize(&q);
            });
   }
+}
+
+// The Chebyshev filter of SpectralPropagate without smoothing, at the
+// pipeline's order 10: 2 (k - 1) Mop sweeps and one A + I sweep, operator
+// build included.
+void BenchPropagation() {
+  std::printf("Propagation (order-10 Chebyshev filter, RMAT, no smoothing)\n");
+  const CsrGraph g =
+      CsrGraph::FromEdges(GenerateRmat(16, Scaled(1000000, 10000), 1016));
+  const uint64_t d = 64;
+  const Matrix x = Matrix::Gaussian(g.NumVertices(), d, 16);
+  SpectralPropagationOptions opt;
+  opt.order = 10;
+  opt.svd_smoothing = false;
+  const double sweeps = 2.0 * (opt.order - 1) + 1.0;
+  const double flops =
+      sweeps * 2.0 * static_cast<double>(g.NumDirectedEdges() + g.NumVertices()) *
+      static_cast<double>(d);
+  auto shape = std::vector<std::pair<std::string, uint64_t>>{
+      {"n", g.NumVertices()}, {"nnz", g.NumDirectedEdges()}, {"d", d},
+      {"order", opt.order}};
+  Record({"propagation_s16x64_1t", "propagation", "fused", 1, shape}, flops, 3,
+         true, [&] { Matrix y = SpectralPropagate(g, x, opt).value(); });
+  Record({"propagation_s16x64_mt", "propagation", "fused", 1, shape}, flops, 3,
+         false, [&] { Matrix y = SpectralPropagate(g, x, opt).value(); });
 }
 
 void BenchRsvd() {
@@ -307,9 +373,11 @@ int main(int argc, char** argv) {
   std::printf("LightNE kernel perf baseline (scale %.2f, %d workers)\n\n",
               BenchScale(), lightne::NumWorkers());
   BenchGemm();
+  BenchGemmPanels();
   BenchGemmTN();
   BenchSpmm();
   BenchQr();
+  BenchPropagation();
   BenchRsvd();
   WriteJson(out);
   return 0;

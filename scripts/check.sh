@@ -20,6 +20,12 @@
 #                   its self-tests + clang-tidy over src/ tests/ bench/
 #                   examples/ when clang-tidy is installed; writes the
 #                   machine-readable finding report to lint_report.json
+#   native          release build for the host's widest ISA
+#                   (-march=native: AVX2/AVX-512 and FMA where present) in
+#                   build-native/, then the bit-identity suites (la_test,
+#                   core_test, query_test, property_test and their _mt4
+#                   twins): the determinism contract must not depend on the
+#                   default x86-64 target's lack of FMA (DESIGN.md §8)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -47,6 +53,18 @@ if [[ "${PRESET}" == "lint" ]]; then
     echo "== clang-tidy not installed; skipped (lint rules still enforced)"
   fi
   echo "lint OK"
+  exit 0
+fi
+
+if [[ "${PRESET}" == "native" ]]; then
+  echo "== wide-ISA bit-identity gate (-march=native) in build-native/"
+  cmake -B build-native -S . -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS=-march=native
+  cmake --build build-native -j "${JOBS}" --target la_test core_test \
+    query_test property_test
+  ctest --test-dir build-native --output-on-failure \
+    -R '^(la_test|core_test|query_test|property_test)(_mt4)?$'
+  echo "native gate OK"
   exit 0
 fi
 
@@ -107,6 +125,18 @@ for shape in ("s14x138", "s16x74", "s16x42"):
         assert f"qr_{shape}_{variant}" in names, f"missing qr_{shape}_{variant}"
 assert "qr_s14x138_householder_1t" in names, "missing householder QR row"
 assert "qr_s14x138_cholqr2_vs_householder_1t" in doc["speedups"]
+# Ledger rows of the dense-pass accelerators: the panel products through
+# Gemm and GemmUpper, the Gram path of GemmTN, and the fused filter.
+for shape in ("s14x138", "s16x74", "s16x42"):
+    for variant in ("blocked_1t", "blocked_mt", "upper_1t", "upper_mt"):
+        assert f"gemm_{shape}_{variant}" in names, \
+            f"missing gemm_{shape}_{variant}"
+for tag in ("gemm_tn_32768x64", "gemm_tn_131072x128"):
+    for variant in ("sym_1t", "sym_mt"):
+        assert f"{tag}_{variant}" in names, f"missing {tag}_{variant}"
+for variant in ("1t", "mt"):
+    assert f"propagation_s16x64_{variant}" in names, \
+        f"missing propagation_s16x64_{variant}"
 print(f"bench smoke OK: {len(doc['results'])} results, "
       f"gemm_512 speedup {doc['speedups']['gemm_512_blocked_vs_naive_1t']}x, "
       f"qr_s14x138 cholqr2 speedup "

@@ -10,17 +10,22 @@
 //   conv = I_0(theta) T_0 + sum_{i>=1} (-1)^i 2 I_i(theta) T_i
 //   result = smoothing( A' (X - conv) )
 //
-// Mop and A' are applied as operators directly over the graph (an SPMM per
-// application — MKL Sparse BLAS in the paper, §4.3) so no extra sparse
-// matrix is materialized.
+// Mop and A' are applied through one CSR copy of A per call, in
+// MapNeighborsWeighted order, with each row's float(1 / (d_u + 1)) scale
+// (an SPMM per application — MKL Sparse BLAS in the paper, §4.3). Every
+// application is one row sweep compiled at -O3 in spectral_propagation.cc;
+// its epilogue folds in the element-wise steps above, with the same float
+// expressions in the same order, so the filter does not depend on the graph
+// representation or the worker count.
 #ifndef LIGHTNE_CORE_SPECTRAL_PROPAGATION_H_
 #define LIGHTNE_CORE_SPECTRAL_PROPAGATION_H_
+
+#include <vector>
 
 #include "graph/graph_view.h"
 #include "graph/weights.h"
 #include "la/matrix.h"
-#include "la/special.h"
-#include "parallel/parallel_for.h"
+#include "parallel/scan.h"
 #include "util/metrics.h"
 #include "util/status.h"
 #include "util/trace.h"
@@ -36,47 +41,47 @@ struct SpectralPropagationOptions {
 
 namespace internal {
 
-/// Y = Mop X where Mop = (1 - mu) I - rownorm(A + I). Weighted graphs use
-/// weighted rows (self loop weight 1, the ProNE renormalization trick).
+/// A + I as the filter applies it: A's rows in MapNeighborsWeighted order
+/// (self loop implicit, weight 1) and each row's Mop scale.
+struct PropagationOperator {
+  std::vector<uint64_t> offsets;  // n + 1
+  std::vector<NodeId> neighbors;
+  std::vector<float> weights;
+  std::vector<float> scale;  // float(1 / (weighted degree + 1))
+};
+
+/// Copies any GraphView into a PropagationOperator. Weighted graphs keep
+/// their weights (the ProNE renormalization trick); unweighted edges are 1.
 template <GraphView G>
-Matrix MultiplyMop(const G& g, const Matrix& x, double mu) {
-  Matrix y(x.rows(), x.cols());
-  const uint64_t d = x.cols();
+PropagationOperator BuildPropagationOperator(const G& g) {
+  const uint64_t n = g.NumVertices();
+  PropagationOperator op;
+  op.offsets.assign(n + 1, 0);
+  op.scale.resize(n);
   g.MapVertices([&](NodeId u) {
-    const double inv = 1.0 / (VertexWeightedDegree(g, u) + 1.0);
-    float* yu = y.Row(u);
-    const float* xu = x.Row(u);
-    // accumulate weighted neighbor sum (+ the self loop)
-    for (uint64_t j = 0; j < d; ++j) yu[j] = xu[j];
-    MapNeighborsWeighted(g, u, [&](NodeId v, float w) {
-      const float* xv = x.Row(v);
-      for (uint64_t j = 0; j < d; ++j) yu[j] += w * xv[j];
-    });
-    const float one_minus_mu = static_cast<float>(1.0 - mu);
-    const float scale = static_cast<float>(inv);
-    for (uint64_t j = 0; j < d; ++j) {
-      yu[j] = one_minus_mu * xu[j] - scale * yu[j];
-    }
+    op.offsets[u] = g.Degree(u);
+    op.scale[u] =
+        static_cast<float>(1.0 / (VertexWeightedDegree(g, u) + 1.0));
   });
-  return y;
+  const uint64_t nnz = ParallelScanExclusive(op.offsets.data(), n + 1);
+  op.neighbors.resize(nnz);
+  op.weights.resize(nnz);
+  g.MapVertices([&](NodeId u) {
+    uint64_t e = op.offsets[u];
+    MapNeighborsWeighted(g, u, [&](NodeId v, float w) {
+      op.neighbors[e] = v;
+      op.weights[e] = w;
+      ++e;
+    });
+    LIGHTNE_CHECK_EQ(e, op.offsets[u + 1]);
+  });
+  return op;
 }
 
-/// Y = (A + I) X.
-template <GraphView G>
-Matrix MultiplyAPlusI(const G& g, const Matrix& x) {
-  Matrix y(x.rows(), x.cols());
-  const uint64_t d = x.cols();
-  g.MapVertices([&](NodeId u) {
-    float* yu = y.Row(u);
-    const float* xu = x.Row(u);
-    for (uint64_t j = 0; j < d; ++j) yu[j] = xu[j];
-    MapNeighborsWeighted(g, u, [&](NodeId v, float w) {
-      const float* xv = x.Row(v);
-      for (uint64_t j = 0; j < d; ++j) yu[j] += w * xv[j];
-    });
-  });
-  return y;
-}
+/// The Chebyshev filter before smoothing: A' (X - conv) for X with one row
+/// per operator row and opt.order >= 2.
+Matrix ChebyshevFilter(const PropagationOperator& op, const Matrix& x,
+                       const SpectralPropagationOptions& opt);
 
 }  // namespace internal
 
@@ -98,45 +103,11 @@ Result<Matrix> SpectralPropagate(const G& g, const Matrix& x,
         " vertices");
   }
   if (opt.order <= 1) return x;
-  const uint64_t total = x.rows() * x.cols();
   MetricsRegistry::Global().GetCounter("propagation/terms")->Add(opt.order);
 
   TraceSpan chebyshev_span("propagation/chebyshev");
-  Matrix t0 = x;                                 // T_0
-  Matrix t1 = internal::MultiplyMop(g, x, opt.mu);
-  {
-    Matrix mt1 = internal::MultiplyMop(g, t1, opt.mu);
-    ParallelFor(0, total, [&](uint64_t k) {
-      t1.data()[k] = 0.5f * mt1.data()[k] - x.data()[k];
-    });
-  }
-  Matrix conv(x.rows(), x.cols());
-  {
-    const float c0 = static_cast<float>(BesselI(0, opt.theta));
-    const float c1 = static_cast<float>(2.0 * BesselI(1, opt.theta));
-    ParallelFor(0, total, [&](uint64_t k) {
-      conv.data()[k] = c0 * t0.data()[k] - c1 * t1.data()[k];
-    });
-  }
-  for (uint32_t i = 2; i < opt.order; ++i) {
-    Matrix mt1 = internal::MultiplyMop(g, t1, opt.mu);
-    Matrix t2 = internal::MultiplyMop(g, mt1, opt.mu);
-    ParallelFor(0, total, [&](uint64_t k) {
-      t2.data()[k] = (t2.data()[k] - 2.0f * t1.data()[k]) - t0.data()[k];
-    });
-    const float ci = static_cast<float>(2.0 * BesselI(i, opt.theta));
-    const float sign = (i % 2 == 0) ? 1.0f : -1.0f;
-    ParallelFor(0, total, [&](uint64_t k) {
-      conv.data()[k] += sign * ci * t2.data()[k];
-    });
-    t0 = std::move(t1);
-    t1 = std::move(t2);
-  }
-  Matrix diff(x.rows(), x.cols());
-  ParallelFor(0, total, [&](uint64_t k) {
-    diff.data()[k] = x.data()[k] - conv.data()[k];
-  });
-  Matrix mm = internal::MultiplyAPlusI(g, diff);
+  Matrix mm = internal::ChebyshevFilter(internal::BuildPropagationOperator(g),
+                                        x, opt);
   chebyshev_span.End();
   if (!opt.svd_smoothing) return mm;
   TraceSpan smoothing_span("propagation/smoothing");

@@ -116,13 +116,31 @@ using kernels::kKc;
 using kernels::kMc;
 using kernels::kNc;
 
+namespace {
+
+// First column of a strip starting at j_lo that an upper-triangular B row k
+// can touch: U(k, j) = 0 for j < k.
+inline uint64_t FirstUpperColumn(uint64_t k, uint64_t j_lo) {
+  return k > j_lo ? k - j_lo : 0;
+}
+
 // C = A * B via packed B tiles. B is packed once into (kb, jb) tiles of at
 // most kKc x kNc, each stored row-major with its real strip width, so the
 // innermost loop streams contiguous panel rows while the C strip (<= 256 B)
-// stays in L1. Parallel over kMc-row panels of A/C; every output element is
-// produced by exactly one task with products added in ascending k — the
-// result is bit-identical to NaiveGemm and independent of the worker count.
-Matrix Gemm(const Matrix& a, const Matrix& b) {
+// stays in L1. The k loop adds four products to each C element per load and
+// store of the strip, left to right in ascending k, then one at a time for
+// the remainder: the same sum, rounding for rounding, as NaiveGemm's. Parallel
+// over kMc-row panels of A/C; every output element is produced by exactly
+// one task, so the result is bit-identical to NaiveGemm and independent of
+// the worker count.
+//
+// kUpperB: B is upper triangular (B(k, j) = 0 for k > j). Tiles and strip
+// columns left of row k's diagonal are skipped; a four-row group starts at
+// its first row's diagonal, so at most three of its products per strip are
+// known zeros. Skipping a product a * 0 is exact when a is finite: the
+// accumulator starts at +0.0f and never becomes -0, and x + (+-0) == x.
+template <bool kUpperB>
+Matrix BlockedGemm(const Matrix& a, const Matrix& b) {
   LIGHTNE_CHECK_EQ(a.cols(), b.rows());
   const uint64_t m = a.rows();
   const uint64_t k = a.cols();
@@ -161,13 +179,36 @@ Matrix Gemm(const Matrix& a, const Matrix& b) {
             for (uint64_t jb = 0; jb < jb_count; ++jb) {
               const uint64_t j_lo = jb * kNc;
               const uint64_t j_len = std::min(kNc, n - j_lo);
+              uint64_t p_end = k_len;
+              if constexpr (kUpperB) {
+                // Rows at or past the strip's end are zero in it.
+                if (k_lo >= j_lo + j_len) continue;
+                p_end = std::min(k_len, j_lo + j_len - k_lo);
+              }
               float* __restrict ci = c.Row(i) + j_lo;
               const float* __restrict tile =
                   packed + (kb * jb_count + jb) * kKc * kNc;
-              for (uint64_t p = 0; p < k_len; ++p) {
+              uint64_t p = 0;
+              for (; p + 4 <= p_end; p += 4) {
+                const float a0 = ai[p], a1 = ai[p + 1];
+                const float a2 = ai[p + 2], a3 = ai[p + 3];
+                const float* __restrict b0 = tile + p * j_len;
+                const float* __restrict b1 = b0 + j_len;
+                const float* __restrict b2 = b1 + j_len;
+                const float* __restrict b3 = b2 + j_len;
+                const uint64_t j0 =
+                    kUpperB ? FirstUpperColumn(k_lo + p, j_lo) : 0;
+                for (uint64_t j = j0; j < j_len; ++j) {
+                  ci[j] = ci[j] + a0 * b0[j] + a1 * b1[j] + a2 * b2[j] +
+                          a3 * b3[j];
+                }
+              }
+              for (; p < p_end; ++p) {
                 const float aip = ai[p];
                 const float* __restrict bp = tile + p * j_len;
-                for (uint64_t j = 0; j < j_len; ++j) ci[j] += aip * bp[j];
+                const uint64_t j0 =
+                    kUpperB ? FirstUpperColumn(k_lo + p, j_lo) : 0;
+                for (uint64_t j = j0; j < j_len; ++j) ci[j] += aip * bp[j];
               }
             }
           }
@@ -177,64 +218,110 @@ Matrix Gemm(const Matrix& a, const Matrix& b) {
   return c;
 }
 
+}  // namespace
+
+Matrix Gemm(const Matrix& a, const Matrix& b) {
+  return BlockedGemm</*kUpperB=*/false>(a, b);
+}
+
+Matrix kernels::GemmUpper(const Matrix& a, const Matrix& u) {
+  LIGHTNE_CHECK_EQ(u.rows(), u.cols());
+  return BlockedGemm</*kUpperB=*/true>(a, u);
+}
+
+namespace {
+
+constexpr uint64_t kTnRows = 4;  // rows widened to double per step
+
+// One GemmTN block: acc (m x n) = the sum over rows [lo, hi) of A^T B,
+// kTnRows rows at a time; acc is followed by the kTnRows x (m + n) widening
+// buffers. kGram: b is a, so only A is widened and only j >= i is summed.
+template <bool kGram>
+void GemmTnBlock(const Matrix& a, const Matrix& b, uint64_t lo, uint64_t hi,
+                 double* __restrict acc) {
+  const uint64_t m = a.cols();
+  const uint64_t n = b.cols();
+  double* __restrict aw = acc + m * n;
+  double* __restrict bw = aw + kTnRows * m;
+  for (uint64_t e = 0; e < m * n; ++e) acc[e] = 0.0;
+  for (uint64_t r = lo; r < hi; r += kTnRows) {
+    for (uint64_t t = 0; t < kTnRows; ++t) {
+      const bool in = r + t < hi;
+      for (uint64_t i = 0; i < m; ++i) {
+        aw[t * m + i] = in ? a.At(r + t, i) : 0.0;
+      }
+      if constexpr (!kGram) {
+        for (uint64_t j = 0; j < n; ++j) {
+          bw[t * n + j] = in ? b.At(r + t, j) : 0.0;
+        }
+      }
+    }
+    const double* __restrict bt = kGram ? aw : bw;
+    for (uint64_t i = 0; i < m; ++i) {
+      double* __restrict acc_row = acc + i * n;
+      for (uint64_t j = kGram ? i : 0; j < n; ++j) {
+        double sum = acc_row[j];
+        for (uint64_t t = 0; t < kTnRows; ++t) {
+          sum += aw[t * m + i] * bt[t * n + j];
+        }
+        acc_row[j] = sum;
+      }
+    }
+  }
+}
+
+}  // namespace
+
 // C = A^T * B for tall-skinny A, B. Rows are partitioned into
 // GemmTnBlocks(...) contiguous blocks — a function of the shape only — each
 // reduced into its own double-precision partial buffer, then merged
-// block-ascending. A block widens kRows rows at a time to double, zero past
-// its end, and adds them to each element in row order: the row-at-a-time
-// sum bit for bit (it starts at +0, so never turns -0, and x + 0*0 == x).
-// The buffers come from the calling thread's scratch arena, so repeated
-// calls of one shape (the rSVD power iterations) reuse warm memory.
+// block-ascending. A block widens kTnRows rows at a time to double, zero
+// past its end, and adds them to each element in row order: the
+// row-at-a-time sum bit for bit (it starts at +0, so never turns -0, and
+// x + 0*0 == x). The buffers come from the calling thread's scratch arena,
+// so repeated calls of one shape (the rSVD power iterations) reuse warm
+// memory.
+//
+// A Gram (a and b the same object) accumulates only j >= i and the merge
+// mirrors each sum to (j, i). Element (j, i) of the general path adds the
+// same products, a_ri * a_rj == a_rj * a_ri, in the same row order, so the
+// mirrored result is bit-identical to GemmTnDouble(a, copy_of_a). The
+// blocks, row order and scratch layout are the general path's.
 std::vector<double> kernels::GemmTnDouble(const Matrix& a, const Matrix& b) {
   LIGHTNE_CHECK_EQ(a.rows(), b.rows());
+  const bool gram = &a == &b;
   const uint64_t rows = a.rows();
   const uint64_t m = a.cols();
   const uint64_t n = b.cols();
   std::vector<double> c(m * n, 0.0);
   if (rows == 0 || m == 0 || n == 0) return c;
-  constexpr uint64_t kRows = 4;
   const uint64_t blocks = kernels::GemmTnBlocks(rows, m, n);
-  const uint64_t stride = m * n + kRows * (m + n);
+  const uint64_t stride = m * n + kTnRows * (m + n);
   ScratchArena::Scope scope(ScratchArena::ForCurrentThread());
   double* scratch = scope.AllocArray<double>(blocks * stride);
   ParallelFor(
       0, blocks,
       [&](uint64_t bidx) {
-        double* __restrict acc = scratch + bidx * stride;
-        double* __restrict aw = acc + m * n;
-        double* __restrict bw = aw + kRows * m;
-        for (uint64_t e = 0; e < m * n; ++e) acc[e] = 0.0;
         const uint64_t lo = rows * bidx / blocks;
         const uint64_t hi = rows * (bidx + 1) / blocks;
-        for (uint64_t r = lo; r < hi; r += kRows) {
-          for (uint64_t t = 0; t < kRows; ++t) {
-            const bool in = r + t < hi;
-            for (uint64_t i = 0; i < m; ++i) {
-              aw[t * m + i] = in ? a.At(r + t, i) : 0.0;
-            }
-            for (uint64_t j = 0; j < n; ++j) {
-              bw[t * n + j] = in ? b.At(r + t, j) : 0.0;
-            }
-          }
-          for (uint64_t i = 0; i < m; ++i) {
-            double* __restrict acc_row = acc + i * n;
-            for (uint64_t j = 0; j < n; ++j) {
-              double sum = acc_row[j];
-              for (uint64_t t = 0; t < kRows; ++t) {
-                sum += aw[t * m + i] * bw[t * n + j];
-              }
-              acc_row[j] = sum;
-            }
-          }
+        double* acc = scratch + bidx * stride;
+        if (gram) {
+          GemmTnBlock</*kGram=*/true>(a, b, lo, hi, acc);
+        } else {
+          GemmTnBlock</*kGram=*/false>(a, b, lo, hi, acc);
         }
       },
       /*grain=*/1);
   ParallelFor(0, m * n, [&](uint64_t e) {
+    const uint64_t i = e / n;
+    const uint64_t j = e % n;
+    if (gram && j < i) return;  // written by (j, i)'s mirror
     double sum = 0.0;
     for (uint64_t bidx = 0; bidx < blocks; ++bidx) {
       sum += scratch[bidx * stride + e];
     }
     c[e] = sum;
+    if (gram) c[j * n + i] = sum;
   });
   return c;
 }

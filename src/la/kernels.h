@@ -21,7 +21,10 @@
 // counts. GemmTN reduces per-element in double through a shape-determined
 // block partition: still bit-identical across worker counts, and equal to
 // its reference to ~1 float ulp after the final double→float rounding
-// (tested at 1e-12 relative Frobenius, far below that ulp).
+// (tested at 1e-12 relative Frobenius, far below that ulp). "Same order and
+// precision" includes no fused multiply-add: the root CMakeLists.txt builds
+// with -ffp-contract=off, so a wider target (-march=native) rounds every
+// product before it is added, as the references do.
 #ifndef LIGHTNE_LA_KERNELS_H_
 #define LIGHTNE_LA_KERNELS_H_
 
@@ -58,8 +61,19 @@ inline constexpr uint64_t kTransposeTile = 32;  ///< square copy tile
 
 /// C = A^T * B as an m x n row-major double buffer (m = a.cols(),
 /// n = b.cols()): the shape-partitioned reduction GemmTN rounds to float.
-/// The CholeskyQR Gram in la/qr.cc keeps it in double.
+/// The CholeskyQR Gram in la/qr.cc keeps it in double. When a and b are the
+/// same object (a Gram), only j >= i is accumulated and mirrored: the result
+/// is bit-identical to passing a copy of a as b.
 std::vector<double> GemmTnDouble(const Matrix& a, const Matrix& b);
+
+/// C = A * U for a square upper-triangular U: Gemm's loop nest with the
+/// products of U's zero triangle skipped (CholeskyQR2's Y * R^-1).
+/// Precondition: U(k, j) is +0 or -0 for every k > j, and A is finite. Then
+/// each skipped product is +-0 and cannot change the float accumulator,
+/// which starts at +0 and never becomes -0, so the result is bit-identical
+/// to NaiveGemm(a, u), its oracle. A non-finite A (0 * inf is NaN) breaks
+/// that equality.
+Matrix GemmUpper(const Matrix& a, const Matrix& u);
 
 /// Number of row blocks GemmTN partitions its reduction into. Depends only
 /// on the shape (rows, m, n) — never the worker count — so the blockwise

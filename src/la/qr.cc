@@ -136,7 +136,9 @@ bool CholeskyQrPass(Matrix* a) {
   }
   Matrix r_inv(q, q);
   std::copy(x.begin(), x.end(), r_inv.data());  // rounds each to float
-  *a = Gemm(*a, r_inv);
+  // R^-1 is upper triangular, and the finite pivots above imply a finite
+  // panel: GemmUpper's precondition.
+  *a = kernels::GemmUpper(*a, r_inv);
   return true;
 }
 

@@ -577,6 +577,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(65ull, 257ull, 66ull),
                       std::make_tuple(128ull, 300ull, 64ull),
                       std::make_tuple(200ull, 513ull, 3ull),
+                      std::make_tuple(70ull, 130ull, 67ull),  // k = 2 mod 4
                       std::make_tuple(3ull, 1000ull, 129ull)));
 
 class BlockedGemmTNShapes
@@ -625,6 +626,46 @@ TEST(BlockedKernelTest, GemmTnDoubleIsTheRowOrderSum) {
       }
       EXPECT_EQ(got[i * 7 + j], sum) << i << "," << j;
     }
+  }
+}
+
+TEST(BlockedKernelTest, GramIsBitIdenticalToGeneralPath) {
+  // GemmTnDouble(a, a) accumulates j >= i and mirrors; a copy of a as b
+  // takes the general path. Row counts cover every residue mod 4 (the
+  // widened core's ragged tail) and 1, 2 and 4 partition blocks.
+  for (uint64_t rows : {5ull, 6ull, 7ull, 8ull, 1022ull, 2049ull, 2050ull,
+                        3071ull, 4100ull}) {
+    for (uint64_t m : {1ull, 9ull, 33ull}) {
+      Matrix a = Matrix::Gaussian(rows, m, rows * 7 + m);
+      a.At(rows / 2, m / 2) = -0.0f;
+      const Matrix copy = a;
+      const std::vector<double> gram = kernels::GemmTnDouble(a, a);
+      const std::vector<double> general = kernels::GemmTnDouble(a, copy);
+      ASSERT_EQ(gram.size(), general.size());
+      EXPECT_EQ(std::memcmp(gram.data(), general.data(),
+                            gram.size() * sizeof(double)),
+                0)
+          << rows << " x " << m << ", "
+          << kernels::GemmTnBlocks(rows, m, m) << " blocks";
+    }
+  }
+}
+
+TEST(BlockedKernelTest, GemmUpperIsBitIdenticalToReference) {
+  // Finite A, upper-triangular U with +-0 below the diagonal: skipping the
+  // zero triangle leaves every float sum as NaiveGemm's. q crosses kNc = 64
+  // and kKc = 256, and covers every residue mod 4 of the unrolled k loop.
+  for (uint64_t q : {1ull, 3ull, 63ull, 64ull, 65ull, 74ull, 138ull, 257ull,
+                     300ull}) {
+    Matrix a = Matrix::Gaussian(70, q, q);
+    a.At(69, q - 1) = 0.0f;
+    Matrix u = Matrix::Gaussian(q, q, q + 1);
+    for (uint64_t k = 1; k < q; ++k) {
+      for (uint64_t j = 0; j < k; ++j) u.At(k, j) = (k + j) % 2 ? -0.0f : 0.0f;
+    }
+    const Matrix got = kernels::GemmUpper(a, u);
+    const Matrix want = NaiveGemm(a, u);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.SizeBytes()), 0) << q;
   }
 }
 
