@@ -22,8 +22,10 @@ struct SgnsOptions {
   uint64_t seed = 1;
 };
 
-/// Two-tower SGNS parameter store with the standard sigmoid updates,
-/// Hogwild-safe (unsynchronized concurrent updates).
+/// Two-tower SGNS parameter store with the standard sigmoid updates.
+/// TrainPair may run concurrently (Hogwild): it reads and writes the shared
+/// rows through relaxed atomics without locks, so concurrent updates to one
+/// row may overwrite each other, but they are never a data race.
 class SgnsModel {
  public:
   SgnsModel(NodeId num_nodes, const SgnsOptions& opt);

@@ -31,34 +31,6 @@ inline T CasLoopFetchAdd(std::atomic<T>& target, T delta) {
   return observed;
 }
 
-/// Atomically sets target = min(target, value). Returns true if it wrote.
-template <typename T>
-inline bool AtomicMin(std::atomic<T>& target, T value) {
-  T observed = target.load(std::memory_order_relaxed);
-  while (value < observed) {
-    if (target.compare_exchange_weak(observed, value,
-                                     std::memory_order_relaxed,
-                                     std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Atomically sets target = max(target, value). Returns true if it wrote.
-template <typename T>
-inline bool AtomicMax(std::atomic<T>& target, T value) {
-  T observed = target.load(std::memory_order_relaxed);
-  while (observed < value) {
-    if (target.compare_exchange_weak(observed, value,
-                                     std::memory_order_relaxed,
-                                     std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace lightne
 
 #endif  // LIGHTNE_PARALLEL_ATOMICS_H_

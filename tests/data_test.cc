@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
+#include <vector>
 
 #include "data/datasets.h"
 #include "data/generators.h"
 #include "data/labels.h"
+#include "graph/csr.h"
 #include "graph/stats.h"
 
 namespace lightne {
@@ -162,6 +165,40 @@ TEST(DatasetsTest, LinkPredictionStandInsAreClustered) {
   EXPECT_EQ(spec->task, DatasetSpec::Task::kLinkPrediction);
   EXPECT_GT(spec->communities, 100u);
   EXPECT_GE(spec->intra_fraction, 0.85);
+}
+
+// Global clustering coefficient, 3 * triangles / wedges, counted
+// sequentially: each triangle {u < v < w} once, as the common neighbours of
+// u and v above v (adjacency lists are sorted).
+double GlobalClustering(const CsrGraph& g) {
+  uint64_t triangles = 0;
+  uint64_t wedges = 0;
+  std::vector<NodeId> common;
+  for (NodeId u = 0; u < g.NumVertices(); ++u) {
+    auto nu = g.Neighbors(u);
+    if (nu.empty()) continue;
+    wedges += nu.size() * (nu.size() - 1) / 2;
+    for (NodeId v : nu) {
+      if (v <= u) continue;
+      auto nv = g.Neighbors(v);
+      common.clear();
+      std::set_intersection(std::upper_bound(nu.begin(), nu.end(), v),
+                            nu.end(),
+                            std::upper_bound(nv.begin(), nv.end(), v),
+                            nv.end(), std::back_inserter(common));
+      triangles += common.size();
+    }
+  }
+  return 3.0 * static_cast<double>(triangles) / static_cast<double>(wedges);
+}
+
+TEST(DatasetsTest, ClusteredStandInsBeatRandomGraphs) {
+  // The DESIGN.md claim: link-prediction stand-ins are clustered.
+  std::vector<NodeId> community;
+  CsrGraph sbm = CsrGraph::FromEdges(
+      GenerateSbm(5000, 100, 60000, 0.9, 3, &community));
+  CsrGraph er = CsrGraph::FromEdges(GenerateErdosRenyi(5000, 60000, 3));
+  EXPECT_GT(GlobalClustering(sbm), 5.0 * GlobalClustering(er));
 }
 
 TEST(DatasetsTest, DeterministicAcrossBuilds) {

@@ -9,6 +9,7 @@
 #include "data/generators.h"
 #include "graph/compressed.h"
 #include "graph/csr.h"
+#include "graph/dynamic.h"
 #include "graph/edge_list.h"
 #include "graph/graph_view.h"
 #include "graph/io.h"
@@ -349,6 +350,67 @@ TEST(IoTest, BadBinaryHeaderRejected) {
   auto r = LoadEdgeListBinary(path);
   ASSERT_FALSE(r.ok());
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------- dynamic graph --
+
+TEST(DynamicGraphTest, SnapshotMatchesBatchRebuild) {
+  Rng rng(5);
+  DynamicGraph dyn(100);
+  EdgeList all;
+  all.num_vertices = 100;
+  for (int round = 0; round < 5; ++round) {
+    std::vector<std::pair<NodeId, NodeId>> batch;
+    for (int e = 0; e < 200; ++e) {
+      NodeId u = static_cast<NodeId>(rng.UniformInt(100));
+      NodeId v = static_cast<NodeId>(rng.UniformInt(100));
+      batch.push_back({u, v});
+      all.Add(u, v);
+    }
+    dyn.AddEdges(batch);
+    const CsrGraph& snap = dyn.Snapshot();
+    EdgeList copy = all;
+    CsrGraph expect = CsrGraph::FromEdges(std::move(copy));
+    ASSERT_EQ(snap.NumDirectedEdges(), expect.NumDirectedEdges()) << round;
+    ASSERT_EQ(snap.neighbors(), expect.neighbors()) << round;
+    ASSERT_EQ(snap.offsets(), expect.offsets()) << round;
+  }
+}
+
+TEST(DynamicGraphTest, SnapshotIsCachedUntilNextBatch) {
+  DynamicGraph dyn(10);
+  dyn.AddEdge(0, 1);
+  dyn.Snapshot();
+  const uint64_t v1 = dyn.version();
+  dyn.Snapshot();
+  EXPECT_EQ(dyn.version(), v1);  // cached, no rebuild
+  dyn.AddEdge(1, 2);
+  dyn.Snapshot();
+  EXPECT_EQ(dyn.version(), v1 + 1);
+}
+
+TEST(DynamicGraphTest, UniverseGrowsWithIds) {
+  DynamicGraph dyn;
+  dyn.AddEdge(3, 10);
+  EXPECT_EQ(dyn.NumVertices(), 11u);
+  dyn.AddEdge(20, 1);
+  EXPECT_EQ(dyn.NumVertices(), 21u);
+  const CsrGraph& snap = dyn.Snapshot();
+  EXPECT_EQ(snap.NumVertices(), 21u);
+  EXPECT_EQ(snap.NumUndirectedEdges(), 2u);
+}
+
+TEST(DynamicGraphTest, DuplicatesAndSelfLoopsCleaned) {
+  DynamicGraph dyn(5);
+  dyn.AddEdge(0, 1);
+  dyn.AddEdge(1, 0);
+  dyn.AddEdge(0, 1);
+  dyn.AddEdge(2, 2);
+  const CsrGraph& snap = dyn.Snapshot();
+  EXPECT_EQ(snap.NumUndirectedEdges(), 1u);
+  // Re-adding an existing edge across snapshots stays deduped.
+  dyn.AddEdge(0, 1);
+  EXPECT_EQ(dyn.Snapshot().NumUndirectedEdges(), 1u);
 }
 
 }  // namespace

@@ -184,15 +184,5 @@ TEST(AtomicsTest, CasLoopFetchAddMatches) {
   EXPECT_EQ(counter.load(), n);
 }
 
-TEST(AtomicsTest, AtomicMinMax) {
-  std::atomic<int64_t> mn{1 << 30}, mx{-(1 << 30)};
-  ParallelFor(0, 100000, [&](uint64_t i) {
-    AtomicMin(mn, static_cast<int64_t>(i * 7 % 99991));
-    AtomicMax(mx, static_cast<int64_t>(i * 7 % 99991));
-  });
-  EXPECT_EQ(mn.load(), 0);
-  EXPECT_EQ(mx.load(), 99990);
-}
-
 }  // namespace
 }  // namespace lightne

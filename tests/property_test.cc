@@ -11,8 +11,6 @@
 #include "data/generators.h"
 #include "graph/compressed.h"
 #include "graph/csr.h"
-#include "graph/edge_map.h"
-#include "graph/pagerank.h"
 #include "graph/weighted_csr.h"
 #include "la/qr.h"
 #include "la/rsvd.h"
@@ -311,69 +309,6 @@ TEST(PropagationProperty, ConstantVectorStaysNearKernel) {
   }
   var /= static_cast<double>(out.rows());
   EXPECT_LT(std::sqrt(var), 0.2 * std::fabs(mean) + 1e-3);
-}
-
-// ----------------------------------------------------------- EdgeMap/BFS ----
-
-class EdgeMapDirections : public ::testing::TestWithParam<int> {};
-
-TEST_P(EdgeMapDirections, SparseEqualsDenseOnRandomFrontiers) {
-  const int seed = GetParam();
-  CsrGraph g = CsrGraph::FromEdges(GenerateRmat(10, 6000, seed));
-  Rng rng(seed * 31);
-  for (int trial = 0; trial < 5; ++trial) {
-    std::vector<NodeId> ids;
-    const uint64_t size = 1 + rng.UniformInt(g.NumVertices() / 4);
-    std::vector<uint8_t> in(g.NumVertices(), 0);
-    while (ids.size() < size) {
-      NodeId v = static_cast<NodeId>(rng.UniformInt(g.NumVertices()));
-      if (!in[v]) {
-        in[v] = 1;
-        ids.push_back(v);
-      }
-    }
-    VertexSubset f1(g.NumVertices(), ids);
-    VertexSubset f2(g.NumVertices(), ids);
-    auto update = [](NodeId, NodeId v) { return v % 3 != 0; };
-    auto cond = [](NodeId v) { return v % 5 != 0; };
-    EdgeMapOptions sparse_opt;
-    sparse_opt.force_direction = 1;
-    EdgeMapOptions dense_opt;
-    dense_opt.force_direction = 2;
-    ASSERT_EQ(EdgeMap(g, f1, update, cond, sparse_opt).ToIds(),
-              EdgeMap(g, f2, update, cond, dense_opt).ToIds());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, EdgeMapDirections, ::testing::Values(1, 2, 5));
-
-// --------------------------------------------------------------- PageRank ----
-
-TEST(PageRankProperty, ZeroDampingIsUniform) {
-  CsrGraph g = CsrGraph::FromEdges(GenerateRmat(10, 5000, 3));
-  PageRankOptions opt;
-  opt.damping = 0.0;
-  PageRankResult r = PageRank(g, opt);
-  for (NodeId v = 0; v < g.NumVertices(); ++v) {
-    ASSERT_NEAR(r.rank[v], 1.0 / g.NumVertices(), 1e-12);
-  }
-}
-
-TEST(PageRankProperty, InvariantUnderVertexRelabeling) {
-  // Build a graph, relabel vertices by an involution, check ranks permute.
-  EdgeList list = GenerateErdosRenyi(400, 3000, 11);
-  const NodeId n = 400;
-  auto perm = [n](NodeId v) { return static_cast<NodeId>(n - 1 - v); };
-  EdgeList permuted;
-  permuted.num_vertices = n;
-  for (auto [u, v] : list.edges) permuted.Add(perm(u), perm(v));
-  CsrGraph g1 = CsrGraph::FromEdges(std::move(list));
-  CsrGraph g2 = CsrGraph::FromEdges(std::move(permuted));
-  PageRankResult r1 = PageRank(g1);
-  PageRankResult r2 = PageRank(g2);
-  for (NodeId v = 0; v < n; ++v) {
-    ASSERT_NEAR(r1.rank[v], r2.rank[perm(v)], 1e-9);
-  }
 }
 
 }  // namespace

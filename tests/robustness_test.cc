@@ -19,7 +19,6 @@
 #include "graph/compressed.h"
 #include "graph/csr.h"
 #include "graph/io.h"
-#include "graph/pagerank.h"
 #include "la/embedding_io.h"
 #include "util/fault_injection.h"
 #include "util/retry.h"
@@ -175,25 +174,6 @@ TEST(SgnsInternals, DeterministicWithFixedSeedOnOneWorker) {
   Matrix a = TrainDeepWalk(g, opt);
   Matrix b = TrainDeepWalk(g, opt);
   EXPECT_EQ(MaxAbsDiff(a, b), 0.0);
-}
-
-// ------------------------------------------------------------- PageRank ----
-
-TEST(PageRankRobustness, IterationCapRespected) {
-  CsrGraph g = CsrGraph::FromEdges(GenerateRmat(10, 5000, 5));
-  PageRankOptions opt;
-  opt.tolerance = 0;  // never converges by delta
-  opt.max_iters = 7;
-  PageRankResult r = PageRank(g, opt);
-  EXPECT_EQ(r.iterations, 7u);
-}
-
-TEST(PageRankRobustness, EmptyGraphIsFine) {
-  EdgeList list;
-  list.num_vertices = 0;
-  CsrGraph g = CsrGraph::FromEdges(std::move(list));
-  PageRankResult r = PageRank(g);
-  EXPECT_TRUE(r.rank.empty());
 }
 
 // ----------------------------------------------------- option validation ----
