@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Sanitizer + lint gate. Usage: scripts/check.sh [mode]
 #   asan (default)  configure/build the asan preset, run all tests under
-#                   AddressSanitizer/UBSan + the bench smoke
+#                   AddressSanitizer/UBSan + the bench, serving and
+#                   quickstart checkpoint/resume smokes
 #   tsan            same under ThreadSanitizer (includes stress_test);
 #                   the crash_recovery kill matrix runs reduced
 #                   (LIGHTNE_CRASH_MATRIX=reduced) — process re-exec under
@@ -348,3 +349,41 @@ for bad in "--requests 0" "--batch -1" "--k 0"; do
   fi
 done
 echo "lightne_serve smoke OK"
+
+# Quickstart resume smoke: a checkpointed run, a --resume run that must skip
+# all three stages, then a --resume run after one payload byte of final.art
+# is flipped, which must fall back to rsvd.art (two stages skipped). All
+# three embeddings must be byte-identical.
+CKPT_DIR="$(mktemp -d /tmp/quickstart_ckpt.XXXXXX)"
+trap 'rm -f "${SMOKE_JSON}" "${SAMPLER_JSON}" "${BREAKDOWN_JSON}" "${TRACE_JSON}" "${SERVE_JSON}" "${SERVE_STORE}"; rm -rf "${CKPT_DIR}"' EXIT
+quickstart_ckpt() {
+  "./${BINDIR}/examples/quickstart" --dim 16 --ratio 0.1 \
+    --checkpoint_dir "${CKPT_DIR}/ck" "$@"
+}
+expect_skipped() {
+  if ! grep -qF "resumed from checkpoint: $1 stage(s) skipped" "$2"; then
+    echo "quickstart --resume: expected $1 stage(s) skipped, got:"
+    cat "$2"
+    exit 1
+  fi
+}
+quickstart_ckpt --out "${CKPT_DIR}/first.txt" >/dev/null
+quickstart_ckpt --resume --out "${CKPT_DIR}/resumed.txt" \
+  >"${CKPT_DIR}/resumed.log"
+expect_skipped 3 "${CKPT_DIR}/resumed.log"
+cmp "${CKPT_DIR}/first.txt" "${CKPT_DIR}/resumed.txt"
+# The last bytes of final.art are the embedding frame's payload.
+python3 - "${CKPT_DIR}/ck/final.art" <<'EOF'
+import os, sys
+
+with open(sys.argv[1], "r+b") as f:
+    f.seek(-8, os.SEEK_END)
+    byte = f.read(1)[0]
+    f.seek(-8, os.SEEK_END)
+    f.write(bytes([byte ^ 0xff]))
+EOF
+quickstart_ckpt --resume --out "${CKPT_DIR}/fallback.txt" \
+  >"${CKPT_DIR}/fallback.log"
+expect_skipped 2 "${CKPT_DIR}/fallback.log"
+cmp "${CKPT_DIR}/first.txt" "${CKPT_DIR}/fallback.txt"
+echo "quickstart resume smoke OK"

@@ -3,15 +3,12 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 
-#include <bit>
 #include <cerrno>
 #include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
+#include <vector>
 
-#include "util/artifact_io.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/timer.h"
@@ -21,9 +18,6 @@ namespace lightne {
 
 namespace {
 
-constexpr char kManifestFile[] = "manifest.json";
-constexpr char kManifestSchema[] = "lightne-checkpoint-v1";
-
 constexpr char kStageSparsifier[] = "sparsifier";
 constexpr char kStageRsvd[] = "rsvd";
 constexpr char kStageFinal[] = "final";
@@ -32,175 +26,53 @@ constexpr char kStageFinal[] = "final";
 constexpr uint32_t kSchemaSparsifier = 1;
 constexpr uint32_t kSchemaRsvd = 2;
 constexpr uint32_t kSchemaFinal = 3;
-constexpr uint32_t kSchemaVersion = 1;
+// Artifacts of any other version (version 1 has no header frame) are
+// refused and recomputed.
+constexpr uint32_t kSchemaVersion = 2;
 
-#ifndef LIGHTNE_GIT_SHA
-#define LIGHTNE_GIT_SHA "unknown"
-#endif
+// Frame 0 of every stage artifact, as little-endian u64 words: it binds the
+// artifact to the (options, graph) pair that wrote it.
+struct HeaderFrame {
+  uint64_t options_fp;
+  uint64_t graph_fp;
+  CheckpointedPipelineStats stats;
+};
+static_assert(sizeof(HeaderFrame) ==
+              (2 + std::tuple_size_v<CheckpointedPipelineStats>) *
+                  sizeof(uint64_t));
 
-// ---- stats frame --------------------------------------------------------
-// CheckpointedPipelineStats as 16 little-endian u64 words in declaration
-// order (doubles bit-cast). A fixed word count makes truncation detectable.
-constexpr uint64_t kStatsWords = 16;
-
-std::vector<uint8_t> EncodeStats(const CheckpointedPipelineStats& s) {
-  const uint64_t words[kStatsWords] = {
-      s.samples_drawn,
-      s.samples_accepted,
-      s.distinct_entries,
-      s.table_bytes,
-      s.attempts,
-      s.budget_tightenings,
-      s.degraded,
-      s.capacity_capped,
-      std::bit_cast<uint64_t>(s.downsample_constant_used),
-      s.mass_fp20,
-      s.table_upserts,
-      s.combiner_hits,
-      s.combiner_flushes,
-      s.table_batch_upserts,
-      s.sparsifier_nnz_raw,
-      s.sparsifier_nnz,
-  };
-  std::vector<uint8_t> out(sizeof(words));
-  std::memcpy(out.data(), words, sizeof(words));
-  return out;
-}
-
-bool DecodeStats(const std::vector<uint8_t>& bytes,
-                 CheckpointedPipelineStats* s) {
-  if (bytes.size() != kStatsWords * sizeof(uint64_t)) return false;
-  uint64_t words[kStatsWords];
-  std::memcpy(words, bytes.data(), sizeof(words));
-  s->samples_drawn = words[0];
-  s->samples_accepted = words[1];
-  s->distinct_entries = words[2];
-  s->table_bytes = words[3];
-  s->attempts = words[4];
-  s->budget_tightenings = words[5];
-  s->degraded = words[6];
-  s->capacity_capped = words[7];
-  s->downsample_constant_used = std::bit_cast<double>(words[8]);
-  s->mass_fp20 = words[9];
-  s->table_upserts = words[10];
-  s->combiner_hits = words[11];
-  s->combiner_flushes = words[12];
-  s->table_batch_upserts = words[13];
-  s->sparsifier_nnz_raw = words[14];
-  s->sparsifier_nnz = words[15];
-  return true;
-}
-
-Status AppendU64Frame(ArtifactWriter* w, const uint64_t* data,
-                      uint64_t count) {
-  return w->AppendFrame(data, count * sizeof(uint64_t));
-}
-
-// Reads one frame and checks its byte count is exactly `bytes`.
-Result<std::vector<uint8_t>> ReadSizedFrame(ArtifactReader* r,
-                                            uint64_t bytes,
-                                            const char* what) {
-  auto frame = r->ReadFrame();
-  if (!frame.ok()) return frame.status();
-  if (frame->size() != bytes) {
+// Frame `index` of a validated artifact, checked to hold exactly `bytes`.
+Result<const void*> SizedFrame(const MappedArtifact& artifact, size_t index,
+                               uint64_t bytes, const char* what) {
+  const MappedArtifact::FrameView& frame = artifact.frame(index);
+  if (frame.bytes != bytes) {
     return Status::DataLoss(std::string(what) + " frame holds " +
-                            std::to_string(frame->size()) +
+                            std::to_string(frame.bytes) +
                             " bytes, expected " + std::to_string(bytes));
   }
-  return frame;
+  return frame.data;
 }
 
-Status ReadMatrixFrames(ArtifactReader* r, uint64_t rows, uint64_t cols,
-                        const char* what, Matrix* out) {
-  if (rows != 0 && cols != 0 && cols > UINT64_MAX / sizeof(float) / rows) {
-    return Status::DataLoss(std::string(what) +
-                            " dimensions overflow a byte count");
-  }
-  auto data = ReadSizedFrame(r, rows * cols * sizeof(float), what);
+Status CopyFrame(const MappedArtifact& artifact, size_t index, void* out,
+                 uint64_t bytes, const char* what) {
+  auto data = SizedFrame(artifact, index, bytes, what);
   if (!data.ok()) return data.status();
-  *out = Matrix(rows, cols);
-  std::memcpy(out->data(), data->data(), data->size());
+  if (bytes > 0) std::memcpy(out, *data, bytes);
   return Status::Ok();
 }
 
-// ---- manifest write -----------------------------------------------------
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // control chars out
-    out.push_back(c);
+Status ReadMatrix(const MappedArtifact& artifact, size_t index, uint64_t rows,
+                  uint64_t cols, const char* what, Matrix* out) {
+  if (cols != 0 && rows > UINT64_MAX / sizeof(float) / cols) {
+    return Status::DataLoss(std::string(what) +
+                            " dimensions overflow a byte count");
   }
-  return out;
-}
-
-// ---- manifest parse -----------------------------------------------------
-// The manifest is machine-written by WriteManifest below; this parser
-// handles exactly that shape (flat objects, no escapes in the strings we
-// read back). Any deviation — corruption, truncation, hand-editing gone
-// wrong — fails the parse, which the caller treats as "no checkpoint".
-
-// Finds `"key":` in `text` and returns the raw value token: a quoted
-// string's contents, or a bare token up to `,`/`}`/`]`.
-bool FindRawValue(const std::string& text, const std::string& key,
-                  std::string* out) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  size_t p = at + needle.size();
-  while (p < text.size() && (text[p] == ' ' || text[p] == '\n')) ++p;
-  if (p >= text.size()) return false;
-  if (text[p] == '"') {
-    const size_t end = text.find('"', p + 1);
-    if (end == std::string::npos) return false;
-    *out = text.substr(p + 1, end - p - 1);
-    return true;
-  }
-  size_t end = p;
-  while (end < text.size() && text[end] != ',' && text[end] != '}' &&
-         text[end] != ']' && text[end] != '\n') {
-    ++end;
-  }
-  if (end == p) return false;
-  *out = text.substr(p, end - p);
-  return true;
-}
-
-bool ParseU64(const std::string& token, int base, uint64_t* out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(token.c_str(), &end, base);
-  if (errno != 0 || end == token.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-// Returns the flat JSON object (brace to brace) whose "name" field equals
-// `stage`, or an empty string.
-std::string FindStageObject(const std::string& text,
-                            const std::string& stage) {
-  const std::string needle = "\"name\": \"" + stage + "\"";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) return "";
-  const size_t open = text.rfind('{', at);
-  const size_t close = text.find('}', at);
-  if (open == std::string::npos || close == std::string::npos) return "";
-  return text.substr(open, close - open + 1);
-}
-
-Result<std::string> ReadWholeFile(const std::string& path) {
-  auto bytes = FileSizeBytes(path);
-  if (!bytes.ok()) return bytes.status();
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  std::string out(*bytes, '\0');
-  const size_t got = out.empty() ? 0 : std::fread(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  if (got != out.size()) return Status::IOError("short read from " + path);
-  return out;
+  const uint64_t bytes = rows * cols * sizeof(float);
+  auto data = SizedFrame(artifact, index, bytes, what);
+  if (!data.ok()) return data.status();
+  *out = Matrix(rows, cols);
+  if (bytes > 0) std::memcpy(out->data(), *data, bytes);
+  return Status::Ok();
 }
 
 // mkdir -p. Best-effort: failures surface later as save failures.
@@ -222,485 +94,241 @@ void MakeDirs(const std::string& dir) {
   }
 }
 
-Counter* StagesSkippedCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().GetCounter("resume/stages_skipped");
-  return c;
-}
-
 }  // namespace
 
 CheckpointManager::CheckpointManager(std::string dir, bool resume,
                                      uint64_t options_fp, uint64_t graph_fp,
                                      uint64_t total_stages)
     : dir_(std::move(dir)),
-      resume_(resume),
+      resume_(resume && !dir_.empty()),
       options_fp_(options_fp),
       graph_fp_(graph_fp),
       total_stages_(total_stages) {
-  if (dir_.empty()) return;
-  MakeDirs(dir_);
-  if (resume_) LoadManifest();
+  if (enabled()) MakeDirs(dir_);
 }
 
-std::string CheckpointManager::ArtifactPath(const std::string& file) const {
-  return dir_ + "/" + file;
+// ---- shared save / load ---------------------------------------------------
+
+void CheckpointManager::Save(const char* stage, uint32_t schema_id,
+                             const CheckpointedPipelineStats& stats,
+                             std::initializer_list<Frame> frames) {
+  if (!enabled()) return;
+  TraceSpan span(std::string("checkpoint/save/") + stage);
+  Timer timer;
+  ArtifactWriter writer;
+  const HeaderFrame header = {options_fp_, graph_fp_, stats};
+  const Status saved = [&]() -> Status {
+    LIGHTNE_RETURN_IF_ERROR(writer.Open(dir_ + "/" + stage + ".art",
+                                        schema_id, kSchemaVersion));
+    LIGHTNE_RETURN_IF_ERROR(writer.AppendFrame(&header, sizeof(header)));
+    for (const Frame& frame : frames) {
+      LIGHTNE_RETURN_IF_ERROR(writer.AppendFrame(frame.data, frame.bytes));
+    }
+    return writer.Commit();
+  }();
+  if (!saved.ok()) {
+    static Counter* failures =
+        MetricsRegistry::Global().GetCounter("checkpoint/save_failures");
+    failures->Increment();
+    LIGHTNE_LOG_WARN("checkpoint: %s not saved (pipeline continues): %s",
+                     stage, saved.message().c_str());
+    return;
+  }
+  static Counter* saves =
+      MetricsRegistry::Global().GetCounter("checkpoint/saves");
+  static Counter* save_ms =
+      MetricsRegistry::Global().GetCounter("checkpoint/save_ms");
+  static Counter* save_bytes =
+      MetricsRegistry::Global().GetCounter("checkpoint/bytes");
+  saves->Increment();
+  save_ms->Add(static_cast<uint64_t>(timer.Millis()));
+  save_bytes->Add(writer.bytes_written());
 }
 
-void CheckpointManager::CountCorrupt(const std::string& stage,
-                                     const Status& why) {
-  static Counter* c =
-      MetricsRegistry::Global().GetCounter("resume/corrupt_artifacts");
-  c->Increment();
-  LIGHTNE_LOG_WARN("checkpoint: %s artifact unusable, recomputing: %s",
-                   stage.c_str(), why.message().c_str());
-}
-
-void CheckpointManager::CountSaveFailure(const std::string& stage,
-                                         const Status& why) {
-  static Counter* c =
-      MetricsRegistry::Global().GetCounter("checkpoint/save_failures");
-  c->Increment();
-  LIGHTNE_LOG_WARN("checkpoint: %s not saved (pipeline continues): %s",
-                   stage.c_str(), why.message().c_str());
-}
-
-void CheckpointManager::LoadManifest() {
-  const std::string path = ArtifactPath(kManifestFile);
-  if (!FileExists(path)) return;  // fresh directory: nothing to resume
-  auto text = ReadWholeFile(path);
-  if (!text.ok()) {
-    CountCorrupt("manifest", text.status());
-    return;
-  }
-  std::string schema, options_fp, graph_fp;
-  if (!FindRawValue(*text, "schema", &schema) ||
-      !FindRawValue(*text, "options_fingerprint", &options_fp) ||
-      !FindRawValue(*text, "graph_fingerprint", &graph_fp)) {
-    CountCorrupt("manifest",
-                 Status::DataLoss(path + " is missing required fields"));
-    return;
-  }
-  if (schema != kManifestSchema) {
-    CountCorrupt("manifest", Status::DataLoss(path + " has schema \"" +
-                                              schema + "\""));
-    return;
-  }
-  uint64_t opt_fp = 0, gr_fp = 0;
-  if (!ParseU64(options_fp, 16, &opt_fp) || !ParseU64(graph_fp, 16, &gr_fp)) {
-    CountCorrupt("manifest",
-                 Status::DataLoss(path + " has unparsable fingerprints"));
-    return;
-  }
-  if (opt_fp != options_fp_ || gr_fp != graph_fp_) {
+bool CheckpointManager::Load(const char* stage, uint32_t schema_id,
+                             size_t frames, uint64_t stages,
+                             CheckpointedPipelineStats* stats,
+                             const Decoder& decode) {
+  if (!resume_) return false;
+  const std::string path = dir_ + "/" + stage + ".art";
+  if (!FileExists(path)) return false;  // never saved: nothing to count
+  TraceSpan span(std::string("checkpoint/load/") + stage);
+  auto artifact = MappedArtifact::Open(path, schema_id);
+  HeaderFrame header{};
+  Status status = [&]() -> Status {
+    LIGHTNE_RETURN_IF_ERROR(artifact.status());
+    if (artifact->schema_version() != kSchemaVersion ||
+        artifact->num_frames() != frames) {
+      return Status::DataLoss(
+          path + " is schema version " +
+          std::to_string(artifact->schema_version()) + " with " +
+          std::to_string(artifact->num_frames()) + " frames, expected " +
+          std::to_string(kSchemaVersion) + " with " + std::to_string(frames));
+    }
+    return CopyFrame(*artifact, 0, &header, sizeof(header), "header");
+  }();
+  if (status.ok() &&
+      (header.options_fp != options_fp_ || header.graph_fp != graph_fp_)) {
     static Counter* stale =
-        MetricsRegistry::Global().GetCounter("resume/stale_manifest");
+        MetricsRegistry::Global().GetCounter("resume/stale_artifacts");
     stale->Increment();
     LIGHTNE_LOG_WARN(
-        "checkpoint: %s was written for different options/graph "
-        "(options %s vs %016" PRIx64 ", graph %s vs %016" PRIx64
-        "), recomputing everything",
-        path.c_str(), options_fp.c_str(), options_fp_, graph_fp.c_str(),
+        "checkpoint: %s was written for different options/graph (options "
+        "%016" PRIx64 " vs %016" PRIx64 ", graph %016" PRIx64 " vs %016" PRIx64
+        "), recomputing",
+        path.c_str(), header.options_fp, options_fp_, header.graph_fp,
         graph_fp_);
-    return;
+    return false;
   }
-  for (const char* stage : {kStageSparsifier, kStageRsvd, kStageFinal}) {
-    const std::string obj = FindStageObject(*text, stage);
-    if (obj.empty()) continue;
-    StageEntry entry;
-    std::string bytes, crc, complete;
-    if (!FindRawValue(obj, "file", &entry.file) ||
-        !FindRawValue(obj, "bytes", &bytes) ||
-        !FindRawValue(obj, "crc32c", &crc) ||
-        !FindRawValue(obj, "complete", &complete) ||
-        !ParseU64(bytes, 10, &entry.bytes)) {
-      CountCorrupt(stage, Status::DataLoss(path + " has a malformed \"" +
-                                           stage + "\" entry"));
-      continue;
-    }
-    uint64_t crc_value = 0;
-    if (!ParseU64(crc, 10, &crc_value) || crc_value > UINT32_MAX) {
-      CountCorrupt(stage, Status::DataLoss(path + " has a malformed \"" +
-                                           stage + "\" checksum"));
-      continue;
-    }
-    entry.crc32c = static_cast<uint32_t>(crc_value);
-    entry.complete = complete == "true";
-    stages_[stage] = std::move(entry);
+  if (status.ok()) status = decode(*artifact);
+  if (!status.ok()) {
+    static Counter* corrupt =
+        MetricsRegistry::Global().GetCounter("resume/corrupt_artifacts");
+    corrupt->Increment();
+    LIGHTNE_LOG_WARN("checkpoint: %s artifact unusable, recomputing: %s",
+                     stage, status.message().c_str());
+    return false;
   }
-  resumable_ = true;
+  *stats = header.stats;
+  stages_skipped_ += stages;
+  static Counter* skipped =
+      MetricsRegistry::Global().GetCounter("resume/stages_skipped");
+  skipped->Add(stages);
+  LIGHTNE_LOG_INFO("checkpoint: resumed %s from %s (%" PRIu64
+                   " stage(s) skipped)",
+                   stage, path.c_str(), stages);
+  return true;
 }
 
-Status CheckpointManager::WriteManifest() const {
-  AtomicFileWriter writer;
-  LIGHTNE_RETURN_IF_ERROR(writer.Open(ArtifactPath(kManifestFile)));
-  std::FILE* f = writer.stream();
-  std::fprintf(f,
-               "{\n"
-               "  \"schema\": \"%s\",\n"
-               "  \"options_fingerprint\": \"%016" PRIx64 "\",\n"
-               "  \"graph_fingerprint\": \"%016" PRIx64 "\",\n"
-               "  \"git_sha\": \"%s\",\n"
-               "  \"stages\": [",
-               kManifestSchema, options_fp_, graph_fp_,
-               JsonEscape(LIGHTNE_GIT_SHA).c_str());
-  bool first = true;
-  // Fixed pipeline order, independent of map iteration details.
-  for (const char* stage : {kStageSparsifier, kStageRsvd, kStageFinal}) {
-    const auto it = stages_.find(stage);
-    if (it == stages_.end()) continue;
-    std::fprintf(f,
-                 "%s\n"
-                 "    {\"name\": \"%s\", \"file\": \"%s\", \"bytes\": %" PRIu64
-                 ", \"crc32c\": %" PRIu32 ", \"complete\": %s}",
-                 first ? "" : ",", stage, JsonEscape(it->second.file).c_str(),
-                 it->second.bytes, it->second.crc32c,
-                 it->second.complete ? "true" : "false");
-    first = false;
-  }
-  if (std::fprintf(f, "\n  ]\n}\n") < 0) {
-    return Status::IOError("short write to " + ArtifactPath(kManifestFile));
-  }
-  return writer.Commit();
-}
-
-std::string CheckpointManager::ValidateStage(const std::string& stage) {
-  const auto it = stages_.find(stage);
-  if (it == stages_.end() || !it->second.complete) return "";
-  const std::string path = ArtifactPath(it->second.file);
-  if (!FileExists(path)) {
-    // Manifest promised an artifact that is gone: corruption, not "never
-    // checkpointed".
-    CountCorrupt(stage, Status::DataLoss(path + " is missing"));
-    return "";
-  }
-  auto size = FileSizeBytes(path);
-  if (!size.ok() || *size != it->second.bytes) {
-    CountCorrupt(stage,
-                 Status::DataLoss(path + " holds " +
-                                  (size.ok() ? std::to_string(*size)
-                                             : std::string("unreadable")) +
-                                  " bytes, manifest says " +
-                                  std::to_string(it->second.bytes)));
-    return "";
-  }
-  auto crc = Crc32cOfFile(path);
-  if (!crc.ok() || *crc != it->second.crc32c) {
-    CountCorrupt(stage,
-                 Status::DataLoss(path + " fails its whole-file checksum"));
-    return "";
-  }
-  return path;
-}
-
-void CheckpointManager::RecordStage(const std::string& stage,
-                                    const std::string& file, uint64_t bytes) {
-  auto crc = Crc32cOfFile(ArtifactPath(file));
-  if (!crc.ok()) {
-    CountSaveFailure(stage, crc.status());
-    return;
-  }
-  StageEntry entry;
-  entry.file = file;
-  entry.bytes = bytes;
-  entry.crc32c = *crc;
-  entry.complete = true;
-  stages_[stage] = std::move(entry);
-  const Status written = WriteManifest();
-  if (!written.ok()) CountSaveFailure(stage, written);
-}
-
-// ---- loads --------------------------------------------------------------
+// ---- loads ----------------------------------------------------------------
 
 bool CheckpointManager::LoadFinal(Matrix* embedding,
                                   CheckpointedPipelineStats* stats) {
-  if (!resumable_) return false;
-  const std::string path = ValidateStage(kStageFinal);
-  if (path.empty()) return false;
-  TraceSpan span("checkpoint/load/final");
-  const Status loaded = [&]() -> Status {
-    ArtifactReader reader;
-    LIGHTNE_RETURN_IF_ERROR(reader.Open(path, kSchemaFinal));
-    auto stats_frame =
-        ReadSizedFrame(&reader, kStatsWords * sizeof(uint64_t), "stats");
-    if (!stats_frame.ok()) return stats_frame.status();
-    if (!DecodeStats(*stats_frame, stats)) {
-      return Status::DataLoss("undecodable stats frame in " + path);
-    }
-    auto dims = ReadSizedFrame(&reader, 2 * sizeof(uint64_t), "dims");
-    if (!dims.ok()) return dims.status();
-    uint64_t shape[2];
-    std::memcpy(shape, dims->data(), sizeof(shape));
-    LIGHTNE_RETURN_IF_ERROR(
-        ReadMatrixFrames(&reader, shape[0], shape[1], "embedding", embedding));
-    if (!reader.AtEnd()) {
-      return Status::DataLoss(path + " has trailing bytes");
-    }
-    return Status::Ok();
-  }();
-  if (!loaded.ok()) {
-    CountCorrupt(kStageFinal, loaded);
-    return false;
-  }
-  stages_skipped_ += total_stages_;
-  StagesSkippedCounter()->Add(total_stages_);
-  LIGHTNE_LOG_INFO("checkpoint: resumed final embedding from %s (%" PRIu64
-                   " stages skipped)",
-                   path.c_str(), total_stages_);
-  return true;
+  // Frames: header, dims {rows, cols}, embedding.
+  return Load(kStageFinal, kSchemaFinal, 3, total_stages_, stats,
+              [&](const MappedArtifact& artifact) -> Status {
+                uint64_t shape[2] = {};
+                LIGHTNE_RETURN_IF_ERROR(
+                    CopyFrame(artifact, 1, shape, sizeof(shape), "dims"));
+                return ReadMatrix(artifact, 2, shape[0], shape[1],
+                                  "embedding", embedding);
+              });
 }
 
 bool CheckpointManager::LoadRsvdFactors(RandomizedSvdResult* svd,
                                         CheckpointedPipelineStats* stats) {
-  if (!resumable_) return false;
-  const std::string path = ValidateStage(kStageRsvd);
-  if (path.empty()) return false;
-  TraceSpan span("checkpoint/load/rsvd");
-  const Status loaded = [&]() -> Status {
-    ArtifactReader reader;
-    LIGHTNE_RETURN_IF_ERROR(reader.Open(path, kSchemaRsvd));
-    auto stats_frame =
-        ReadSizedFrame(&reader, kStatsWords * sizeof(uint64_t), "stats");
-    if (!stats_frame.ok()) return stats_frame.status();
-    if (!DecodeStats(*stats_frame, stats)) {
-      return Status::DataLoss("undecodable stats frame in " + path);
-    }
-    auto dims = ReadSizedFrame(&reader, 5 * sizeof(uint64_t), "dims");
-    if (!dims.ok()) return dims.status();
-    uint64_t shape[5];
-    std::memcpy(shape, dims->data(), sizeof(shape));
-    LIGHTNE_RETURN_IF_ERROR(
-        ReadMatrixFrames(&reader, shape[0], shape[1], "U", &svd->u));
-    auto sigma =
-        ReadSizedFrame(&reader, shape[2] * sizeof(float), "sigma");
-    if (!sigma.ok()) return sigma.status();
-    svd->sigma.resize(shape[2]);
-    std::memcpy(svd->sigma.data(), sigma->data(), sigma->size());
-    LIGHTNE_RETURN_IF_ERROR(
-        ReadMatrixFrames(&reader, shape[3], shape[4], "V", &svd->v));
-    if (!reader.AtEnd()) {
-      return Status::DataLoss(path + " has trailing bytes");
-    }
-    if (svd->u.cols() != svd->sigma.size() ||
-        svd->v.cols() != svd->sigma.size()) {
-      return Status::DataLoss(path + " factor shapes are inconsistent");
-    }
-    return Status::Ok();
-  }();
-  if (!loaded.ok()) {
-    CountCorrupt(kStageRsvd, loaded);
-    return false;
-  }
-  stages_skipped_ += 2;
-  StagesSkippedCounter()->Add(2);
-  LIGHTNE_LOG_INFO("checkpoint: resumed rSVD factors from %s", path.c_str());
-  return true;
+  // Frames: header, dims {U rows, U cols, |sigma|, V rows, V cols}, U,
+  // sigma, V.
+  return Load(
+      kStageRsvd, kSchemaRsvd, 5, 2, stats,
+      [&](const MappedArtifact& artifact) -> Status {
+        uint64_t shape[5] = {};
+        LIGHTNE_RETURN_IF_ERROR(
+            CopyFrame(artifact, 1, shape, sizeof(shape), "dims"));
+        if (shape[1] != shape[2] || shape[4] != shape[2]) {
+          return Status::DataLoss("factor shapes are inconsistent");
+        }
+        LIGHTNE_RETURN_IF_ERROR(
+            ReadMatrix(artifact, 2, shape[0], shape[1], "U", &svd->u));
+        Matrix sigma;
+        LIGHTNE_RETURN_IF_ERROR(
+            ReadMatrix(artifact, 3, 1, shape[2], "sigma", &sigma));
+        svd->sigma.assign(sigma.data(), sigma.data() + shape[2]);
+        return ReadMatrix(artifact, 4, shape[3], shape[4], "V", &svd->v);
+      });
 }
 
 bool CheckpointManager::LoadSparsifier(SparseMatrix* matrix,
                                        CheckpointedPipelineStats* stats) {
-  if (!resumable_) return false;
-  const std::string path = ValidateStage(kStageSparsifier);
-  if (path.empty()) return false;
-  TraceSpan span("checkpoint/load/sparsifier");
-  const Status loaded = [&]() -> Status {
-    ArtifactReader reader;
-    LIGHTNE_RETURN_IF_ERROR(reader.Open(path, kSchemaSparsifier));
-    auto stats_frame =
-        ReadSizedFrame(&reader, kStatsWords * sizeof(uint64_t), "stats");
-    if (!stats_frame.ok()) return stats_frame.status();
-    if (!DecodeStats(*stats_frame, stats)) {
-      return Status::DataLoss("undecodable stats frame in " + path);
-    }
-    auto dims = ReadSizedFrame(&reader, 3 * sizeof(uint64_t), "dims");
-    if (!dims.ok()) return dims.status();
-    uint64_t shape[3];  // rows, cols, nnz
-    std::memcpy(shape, dims->data(), sizeof(shape));
-    const uint64_t rows = shape[0], cols = shape[1], nnz = shape[2];
-    if (rows > UINT64_MAX / sizeof(uint64_t) - 1 ||
-        nnz > UINT64_MAX / sizeof(uint64_t) || cols > UINT64_MAX / 2) {
-      return Status::DataLoss(path + " declares absurd dimensions");
-    }
-    auto offsets =
-        ReadSizedFrame(&reader, (rows + 1) * sizeof(uint64_t), "row_offsets");
-    if (!offsets.ok()) return offsets.status();
-    auto cols_frame =
-        ReadSizedFrame(&reader, nnz * sizeof(uint32_t), "col_indices");
-    if (!cols_frame.ok()) return cols_frame.status();
-    auto values = ReadSizedFrame(&reader, nnz * sizeof(float), "values");
-    if (!values.ok()) return values.status();
-    if (!reader.AtEnd()) {
-      return Status::DataLoss(path + " has trailing bytes");
-    }
-    std::vector<uint64_t> row_offsets(rows + 1);
-    std::memcpy(row_offsets.data(), offsets->data(), offsets->size());
-    // Rebuild the strictly-increasing (row << 32 | col, value) stream
-    // FromSortedTriplets expects, re-validating the CSR invariants so a
-    // corruption mode the checksum happens to miss degrades to recompute
-    // instead of tripping a CHECK.
-    if (row_offsets[0] != 0 || row_offsets[rows] != nnz) {
-      return Status::DataLoss(path + " has inconsistent row offsets");
-    }
-    std::vector<std::pair<uint64_t, float>> keyed(nnz);
-    const uint8_t* col_bytes = cols_frame->data();
-    const uint8_t* val_bytes = values->data();
-    uint64_t prev_key = 0;
-    for (uint64_t i = 0; i < rows; ++i) {
-      if (row_offsets[i] > row_offsets[i + 1]) {
-        return Status::DataLoss(path + " has decreasing row offsets");
-      }
-      for (uint64_t k = row_offsets[i]; k < row_offsets[i + 1]; ++k) {
-        uint32_t col;
-        float value;
-        std::memcpy(&col, col_bytes + k * sizeof(uint32_t), sizeof(col));
-        std::memcpy(&value, val_bytes + k * sizeof(float), sizeof(value));
-        if (col >= cols) {
-          return Status::DataLoss(path + " has an out-of-range column");
+  // Frames: header, dims {rows, cols, nnz}, row_offsets, col_indices, values.
+  return Load(
+      kStageSparsifier, kSchemaSparsifier, 5, 1, stats,
+      [&](const MappedArtifact& artifact) -> Status {
+        uint64_t shape[3] = {};
+        LIGHTNE_RETURN_IF_ERROR(
+            CopyFrame(artifact, 1, shape, sizeof(shape), "dims"));
+        const uint64_t rows = shape[0], cols = shape[1], nnz = shape[2];
+        if (rows > UINT64_MAX / sizeof(uint64_t) - 1 ||
+            nnz > UINT64_MAX / sizeof(uint64_t) || cols > UINT64_MAX / 2) {
+          return Status::DataLoss("sparsifier declares absurd dimensions");
         }
-        const uint64_t key = (i << 32) | col;
-        if (k > 0 && key <= prev_key) {
-          return Status::DataLoss(path + " has unsorted entries");
+        auto offsets = SizedFrame(artifact, 2, (rows + 1) * sizeof(uint64_t),
+                                  "row_offsets");
+        if (!offsets.ok()) return offsets.status();
+        auto col_frame =
+            SizedFrame(artifact, 3, nnz * sizeof(uint32_t), "col_indices");
+        if (!col_frame.ok()) return col_frame.status();
+        auto values = SizedFrame(artifact, 4, nnz * sizeof(float), "values");
+        if (!values.ok()) return values.status();
+        std::vector<uint64_t> row_offsets(rows + 1);
+        std::memcpy(row_offsets.data(), *offsets,
+                    row_offsets.size() * sizeof(uint64_t));
+        // Rebuild the strictly-increasing (row << 32 | col, value) stream
+        // FromSortedTriplets expects, re-validating the CSR invariants so a
+        // corruption mode the checksum happens to miss degrades to
+        // recompute instead of tripping a CHECK.
+        if (row_offsets[0] != 0 || row_offsets[rows] != nnz) {
+          return Status::DataLoss("sparsifier has inconsistent row offsets");
         }
-        prev_key = key;
-        keyed[k] = {key, value};
-      }
-    }
-    *matrix = SparseMatrix::FromSortedTriplets(rows, cols, keyed);
-    return Status::Ok();
-  }();
-  if (!loaded.ok()) {
-    CountCorrupt(kStageSparsifier, loaded);
-    return false;
-  }
-  stages_skipped_ += 1;
-  StagesSkippedCounter()->Add(1);
-  LIGHTNE_LOG_INFO("checkpoint: resumed sparsifier matrix from %s",
-                   path.c_str());
-  return true;
+        std::vector<std::pair<uint64_t, float>> keyed(nnz);
+        const auto* col_bytes = static_cast<const uint8_t*>(*col_frame);
+        const auto* val_bytes = static_cast<const uint8_t*>(*values);
+        uint64_t prev_key = 0;
+        for (uint64_t i = 0; i < rows; ++i) {
+          if (row_offsets[i] > row_offsets[i + 1]) {
+            return Status::DataLoss("sparsifier has decreasing row offsets");
+          }
+          for (uint64_t k = row_offsets[i]; k < row_offsets[i + 1]; ++k) {
+            uint32_t col = 0;
+            float value = 0.0f;
+            std::memcpy(&col, col_bytes + k * sizeof(uint32_t), sizeof(col));
+            std::memcpy(&value, val_bytes + k * sizeof(float), sizeof(value));
+            if (col >= cols) {
+              return Status::DataLoss("sparsifier has an out-of-range column");
+            }
+            const uint64_t key = (i << 32) | col;
+            if (k > 0 && key <= prev_key) {
+              return Status::DataLoss("sparsifier has unsorted entries");
+            }
+            prev_key = key;
+            keyed[k] = {key, value};
+          }
+        }
+        *matrix = SparseMatrix::FromSortedTriplets(rows, cols, keyed);
+        return Status::Ok();
+      });
 }
 
-// ---- saves --------------------------------------------------------------
+// ---- saves ----------------------------------------------------------------
 
 void CheckpointManager::SaveSparsifier(const SparseMatrix& matrix,
                                        const CheckpointedPipelineStats& stats) {
-  if (!enabled()) return;
-  TraceSpan span("checkpoint/save/sparsifier");
-  Timer timer;
-  const std::string file = "sparsifier.art";
-  ArtifactWriter writer;
-  uint64_t bytes = 0;
-  const Status saved = [&]() -> Status {
-    LIGHTNE_RETURN_IF_ERROR(
-        writer.Open(ArtifactPath(file), kSchemaSparsifier, kSchemaVersion));
-    const std::vector<uint8_t> stats_frame = EncodeStats(stats);
-    LIGHTNE_RETURN_IF_ERROR(
-        writer.AppendFrame(stats_frame.data(), stats_frame.size()));
-    const uint64_t dims[3] = {matrix.rows(), matrix.cols(), matrix.nnz()};
-    LIGHTNE_RETURN_IF_ERROR(AppendU64Frame(&writer, dims, 3));
-    LIGHTNE_RETURN_IF_ERROR(AppendU64Frame(&writer, matrix.row_offsets().data(),
-                                           matrix.row_offsets().size()));
-    LIGHTNE_RETURN_IF_ERROR(writer.AppendFrame(
-        matrix.col_indices().data(),
-        matrix.col_indices().size() * sizeof(uint32_t)));
-    LIGHTNE_RETURN_IF_ERROR(writer.AppendFrame(
-        matrix.values().data(), matrix.values().size() * sizeof(float)));
-    bytes = writer.bytes_written();
-    return writer.Commit();
-  }();
-  if (!saved.ok()) {
-    CountSaveFailure(kStageSparsifier, saved);
-    return;
-  }
-  static Counter* saves = MetricsRegistry::Global().GetCounter(
-      "checkpoint/saves");
-  static Counter* save_ms =
-      MetricsRegistry::Global().GetCounter("checkpoint/save_ms");
-  static Counter* save_bytes =
-      MetricsRegistry::Global().GetCounter("checkpoint/bytes");
-  saves->Increment();
-  save_ms->Add(static_cast<uint64_t>(timer.Millis()));
-  save_bytes->Add(bytes);
-  RecordStage(kStageSparsifier, file, bytes);
+  const uint64_t dims[3] = {matrix.rows(), matrix.cols(), matrix.nnz()};
+  Save(kStageSparsifier, kSchemaSparsifier, stats,
+       {{dims, sizeof(dims)},
+        {matrix.row_offsets().data(),
+         matrix.row_offsets().size() * sizeof(uint64_t)},
+        {matrix.col_indices().data(),
+         matrix.col_indices().size() * sizeof(uint32_t)},
+        {matrix.values().data(), matrix.values().size() * sizeof(float)}});
 }
 
 void CheckpointManager::SaveRsvdFactors(const RandomizedSvdResult& svd,
                                         const CheckpointedPipelineStats& stats) {
-  if (!enabled()) return;
-  TraceSpan span("checkpoint/save/rsvd");
-  Timer timer;
-  const std::string file = "rsvd.art";
-  ArtifactWriter writer;
-  uint64_t bytes = 0;
-  const Status saved = [&]() -> Status {
-    LIGHTNE_RETURN_IF_ERROR(
-        writer.Open(ArtifactPath(file), kSchemaRsvd, kSchemaVersion));
-    const std::vector<uint8_t> stats_frame = EncodeStats(stats);
-    LIGHTNE_RETURN_IF_ERROR(
-        writer.AppendFrame(stats_frame.data(), stats_frame.size()));
-    const uint64_t dims[5] = {svd.u.rows(), svd.u.cols(), svd.sigma.size(),
-                              svd.v.rows(), svd.v.cols()};
-    LIGHTNE_RETURN_IF_ERROR(AppendU64Frame(&writer, dims, 5));
-    LIGHTNE_RETURN_IF_ERROR(writer.AppendFrame(
-        svd.u.data(), svd.u.rows() * svd.u.cols() * sizeof(float)));
-    LIGHTNE_RETURN_IF_ERROR(writer.AppendFrame(
-        svd.sigma.data(), svd.sigma.size() * sizeof(float)));
-    LIGHTNE_RETURN_IF_ERROR(writer.AppendFrame(
-        svd.v.data(), svd.v.rows() * svd.v.cols() * sizeof(float)));
-    bytes = writer.bytes_written();
-    return writer.Commit();
-  }();
-  if (!saved.ok()) {
-    CountSaveFailure(kStageRsvd, saved);
-    return;
-  }
-  static Counter* saves =
-      MetricsRegistry::Global().GetCounter("checkpoint/saves");
-  static Counter* save_ms =
-      MetricsRegistry::Global().GetCounter("checkpoint/save_ms");
-  static Counter* save_bytes =
-      MetricsRegistry::Global().GetCounter("checkpoint/bytes");
-  saves->Increment();
-  save_ms->Add(static_cast<uint64_t>(timer.Millis()));
-  save_bytes->Add(bytes);
-  RecordStage(kStageRsvd, file, bytes);
+  const uint64_t dims[5] = {svd.u.rows(), svd.u.cols(), svd.sigma.size(),
+                            svd.v.rows(), svd.v.cols()};
+  Save(kStageRsvd, kSchemaRsvd, stats,
+       {{dims, sizeof(dims)},
+        {svd.u.data(), svd.u.SizeBytes()},
+        {svd.sigma.data(), svd.sigma.size() * sizeof(float)},
+        {svd.v.data(), svd.v.SizeBytes()}});
 }
 
 void CheckpointManager::SaveFinal(const Matrix& embedding,
                                   const CheckpointedPipelineStats& stats) {
-  if (!enabled()) return;
-  TraceSpan span("checkpoint/save/final");
-  Timer timer;
-  const std::string file = "final.art";
-  ArtifactWriter writer;
-  uint64_t bytes = 0;
-  const Status saved = [&]() -> Status {
-    LIGHTNE_RETURN_IF_ERROR(
-        writer.Open(ArtifactPath(file), kSchemaFinal, kSchemaVersion));
-    const std::vector<uint8_t> stats_frame = EncodeStats(stats);
-    LIGHTNE_RETURN_IF_ERROR(
-        writer.AppendFrame(stats_frame.data(), stats_frame.size()));
-    const uint64_t dims[2] = {embedding.rows(), embedding.cols()};
-    LIGHTNE_RETURN_IF_ERROR(AppendU64Frame(&writer, dims, 2));
-    LIGHTNE_RETURN_IF_ERROR(writer.AppendFrame(
-        embedding.data(),
-        embedding.rows() * embedding.cols() * sizeof(float)));
-    bytes = writer.bytes_written();
-    return writer.Commit();
-  }();
-  if (!saved.ok()) {
-    CountSaveFailure(kStageFinal, saved);
-    return;
-  }
-  static Counter* saves =
-      MetricsRegistry::Global().GetCounter("checkpoint/saves");
-  static Counter* save_ms =
-      MetricsRegistry::Global().GetCounter("checkpoint/save_ms");
-  static Counter* save_bytes =
-      MetricsRegistry::Global().GetCounter("checkpoint/bytes");
-  saves->Increment();
-  save_ms->Add(static_cast<uint64_t>(timer.Millis()));
-  save_bytes->Add(bytes);
-  RecordStage(kStageFinal, file, bytes);
+  const uint64_t dims[2] = {embedding.rows(), embedding.cols()};
+  Save(kStageFinal, kSchemaFinal, stats,
+       {{dims, sizeof(dims)}, {embedding.data(), embedding.SizeBytes()}});
 }
 
 }  // namespace lightne

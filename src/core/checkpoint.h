@@ -1,18 +1,17 @@
 // Crash-safe pipeline checkpoint/resume (DESIGN.md §12).
 //
 // A checkpoint directory holds one framed artifact (util/artifact_io.h) per
-// completed pipeline stage plus a JSON run manifest binding them together:
+// completed pipeline stage, and nothing else:
 //
-//   <dir>/manifest.json      run manifest (see below)
-//   <dir>/sparsifier.art     NetMF-transformed sparsifier matrix + stats
-//   <dir>/rsvd.art           rSVD factors U / sigma / V + stats
-//   <dir>/final.art          final embedding (post-propagation) + stats
+//   <dir>/sparsifier.art     NetMF-transformed sparsifier matrix
+//   <dir>/rsvd.art           rSVD factors U / sigma / V
+//   <dir>/final.art          final embedding (post-propagation)
 //
-// The manifest records the options fingerprint, the graph fingerprint, the
-// builder's git sha, and per-stage {file, bytes, crc32c, complete} entries.
-// A stage entry is appended (and the manifest atomically rewritten) only
-// after its artifact has been committed, so the manifest never references a
-// torn artifact.
+// Each artifact is self-describing: its first frame is a header holding the
+// options fingerprint, the graph fingerprint and the pipeline stats, so the
+// file itself says which run wrote it. Artifacts are committed atomically,
+// so a file under its final name is complete, and a stage is resumable as
+// soon as its artifact commits.
 //
 // Resume contract: because the pipeline is bit-deterministic in
 // (options, graph, seed) at any worker count (DESIGN.md §8), a run that
@@ -21,53 +20,40 @@
 // correctness machine-checkable — tests/crash_recovery_test.cc kills the
 // pipeline at registered fault points and asserts exactly this.
 //
-// Graceful-degradation ladder (never a hard failure):
-//   1. manifest missing            -> fresh run, all stages recomputed
-//   2. manifest corrupt            -> same, resume/corrupt_artifacts++
-//   3. fingerprint mismatch        -> same, resume/stale_manifest++
-//   4. stage artifact missing      -> that stage (and later) recomputed
-//   5. stage artifact corrupt      -> same, resume/corrupt_artifacts++
-//      (truncation, bit-flip, checksum mismatch, bad frame)
-//   6. stage save fails            -> logged, checkpoint/save_failures++,
+// Graceful-degradation ladder, per artifact (never a hard failure):
+//   1. artifact missing            -> that stage (and later) recomputed
+//   2. artifact corrupt            -> same, resume/corrupt_artifacts++
+//      (any byte of the framing, a frame checksum, the schema version, the
+//      frame count or a frame size, a CSR invariant)
+//   3. fingerprint mismatch        -> same, resume/stale_artifacts++
+//   4. stage save fails            -> logged, checkpoint/save_failures++,
 //                                     pipeline continues uncheckpointed
 //
 // Observability: checkpoint/{saves,save_ms,bytes,save_failures} and
-// resume/{stages_skipped,corrupt_artifacts,stale_manifest} counters, plus
+// resume/{stages_skipped,corrupt_artifacts,stale_artifacts} counters, plus
 // "checkpoint/save/<stage>" and "checkpoint/load/<stage>" trace spans.
 #ifndef LIGHTNE_CORE_CHECKPOINT_H_
 #define LIGHTNE_CORE_CHECKPOINT_H_
 
+#include <array>
 #include <cstdint>
-#include <map>
+#include <functional>
+#include <initializer_list>
 #include <string>
 
 #include "la/matrix.h"
 #include "la/rsvd.h"
 #include "la/sparse.h"
+#include "util/artifact_io.h"
 #include "util/status.h"
 
 namespace lightne {
 
 /// Scalar pipeline facts carried inside every stage artifact so a resumed
-/// LightNeResult reports the same statistics as the uninterrupted run.
-struct CheckpointedPipelineStats {
-  uint64_t samples_drawn = 0;
-  uint64_t samples_accepted = 0;
-  uint64_t distinct_entries = 0;
-  uint64_t table_bytes = 0;
-  uint64_t attempts = 1;
-  uint64_t budget_tightenings = 0;
-  uint64_t degraded = 0;
-  uint64_t capacity_capped = 0;
-  double downsample_constant_used = 0.0;
-  uint64_t mass_fp20 = 0;
-  uint64_t table_upserts = 0;
-  uint64_t combiner_hits = 0;
-  uint64_t combiner_flushes = 0;
-  uint64_t table_batch_upserts = 0;
-  uint64_t sparsifier_nnz_raw = 0;
-  uint64_t sparsifier_nnz = 0;
-};
+/// LightNeResult reports the same statistics as the uninterrupted run: one
+/// u64 word per field (doubles bit-cast), in the order
+/// internal::ForEachCheckpointedStat (core/lightne.h) lists the fields.
+using CheckpointedPipelineStats = std::array<uint64_t, 16>;
 
 /// Stage-boundary save/load for RunLightNe. All failure handling lives here:
 /// loads return false (recompute) on every corruption mode, saves are
@@ -84,18 +70,15 @@ class CheckpointManager {
 
   bool enabled() const { return !dir_.empty(); }
 
-  /// True when resume was requested and the manifest matched this run's
-  /// fingerprints; loads only consult artifacts in that case.
-  bool resumable() const { return resumable_; }
-
-  // ---- Loads (latest stage first; each success bumps
+  // ---- Loads (latest stage first; false unless resume was requested and
+  //      the artifact is valid for this run; each success bumps
   //      resume/stages_skipped by the number of stages it covers) ----------
   bool LoadFinal(Matrix* embedding, CheckpointedPipelineStats* stats);
   bool LoadRsvdFactors(RandomizedSvdResult* svd,
                        CheckpointedPipelineStats* stats);
   bool LoadSparsifier(SparseMatrix* matrix, CheckpointedPipelineStats* stats);
 
-  // ---- Saves (best-effort; manifest rewritten after each commit) ---------
+  // ---- Saves (best-effort) -----------------------------------------------
   void SaveSparsifier(const SparseMatrix& matrix,
                       const CheckpointedPipelineStats& stats);
   void SaveRsvdFactors(const RandomizedSvdResult& svd,
@@ -110,36 +93,30 @@ class CheckpointManager {
   CheckpointManager& operator=(const CheckpointManager&) = delete;
 
  private:
-  struct StageEntry {
-    std::string file;    // relative to dir_
-    uint64_t bytes = 0;
-    uint32_t crc32c = 0;  // whole-file CRC32C of the committed artifact
-    bool complete = false;
+  struct Frame {
+    const void* data;
+    uint64_t bytes;
   };
+  using Decoder = std::function<Status(const MappedArtifact&)>;
 
-  std::string ArtifactPath(const std::string& file) const;
-  /// Parses <dir>/manifest.json; adopts its stage entries when the schema
-  /// and both fingerprints match this run.
-  void LoadManifest();
-  /// Atomically rewrites <dir>/manifest.json from stages_.
-  Status WriteManifest() const;
-  /// Shared load prologue: entry lookup + whole-file checksum validation.
-  /// Returns the artifact path, or empty when the stage must be recomputed.
-  std::string ValidateStage(const std::string& stage);
-  /// Shared save epilogue: records the committed artifact in the manifest.
-  void RecordStage(const std::string& stage, const std::string& file,
-                   uint64_t bytes);
-  void CountCorrupt(const std::string& stage, const Status& why);
-  void CountSaveFailure(const std::string& stage, const Status& why);
+  /// Shared save: commits <dir>/<stage>.art as the header frame followed by
+  /// `frames`. Failures are counted and logged, never returned.
+  void Save(const char* stage, uint32_t schema_id,
+            const CheckpointedPipelineStats& stats,
+            std::initializer_list<Frame> frames);
+  /// Shared load: maps <dir>/<stage>.art, checks it is a `frames`-frame
+  /// artifact of this run, then runs `decode` over it. On success restores
+  /// `stats` and counts `stages` skipped stages.
+  bool Load(const char* stage, uint32_t schema_id, size_t frames,
+            uint64_t stages, CheckpointedPipelineStats* stats,
+            const Decoder& decode);
 
   std::string dir_;
   bool resume_ = false;
-  bool resumable_ = false;
   uint64_t options_fp_ = 0;
   uint64_t graph_fp_ = 0;
   uint64_t total_stages_ = 3;
   uint64_t stages_skipped_ = 0;
-  std::map<std::string, StageEntry> stages_;
 };
 
 }  // namespace lightne

@@ -17,6 +17,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "core/checkpoint.h"
@@ -80,17 +81,18 @@ struct LightNeOptions {
   /// logged, never turned into a pipeline error.
   std::string trace_path;
   /// When non-empty, each completed stage (NetMF-transformed sparsifier,
-  /// rSVD factors, final embedding) is checkpointed into this directory as a
-  /// checksummed artifact plus a run manifest, all written atomically
-  /// (core/checkpoint.h). Save failures are logged and counted
-  /// ("checkpoint/save_failures"), never pipeline errors.
+  /// rSVD factors, final embedding) is checkpointed into this directory as
+  /// one checksummed, atomically written artifact whose header frame
+  /// carries the options and graph fingerprints (core/checkpoint.h). Save
+  /// failures are logged and counted ("checkpoint/save_failures"), never
+  /// pipeline errors.
   std::string checkpoint_dir;
   /// With checkpoint_dir set: resume from the latest completed stage of a
   /// previous run over the same options and graph instead of recomputing.
   /// Missing, stale (fingerprint mismatch), or corrupt (truncated /
   /// bit-flipped / bad checksum) artifacts degrade gracefully to
-  /// recomputing — counted under "resume/corrupt_artifacts" and
-  /// "resume/stale_manifest", never a hard failure.
+  /// recomputing — counted per artifact under "resume/stale_artifacts" and
+  /// "resume/corrupt_artifacts", never a hard failure.
   bool resume = false;
 };
 
@@ -158,48 +160,57 @@ uint64_t CheckpointGraphFingerprint(const G& g) {
   return h;
 }
 
-inline CheckpointedPipelineStats CheckpointStatsFromResult(
-    const LightNeResult& result) {
-  const SparsifierResult& s = result.sparsifier_stats;
-  CheckpointedPipelineStats out;
-  out.samples_drawn = s.samples_drawn;
-  out.samples_accepted = s.samples_accepted;
-  out.distinct_entries = s.distinct_entries;
-  out.table_bytes = s.table_bytes;
-  out.attempts = static_cast<uint64_t>(s.attempts);
-  out.budget_tightenings = static_cast<uint64_t>(s.budget_tightenings);
-  out.degraded = s.degraded ? 1 : 0;
-  out.capacity_capped = s.capacity_capped ? 1 : 0;
-  out.downsample_constant_used = s.downsample_constant_used;
-  out.mass_fp20 = s.mass_fp20;
-  out.table_upserts = s.table_upserts;
-  out.combiner_hits = s.combiner_hits;
-  out.combiner_flushes = s.combiner_flushes;
-  out.table_batch_upserts = s.table_batch_upserts;
-  out.sparsifier_nnz_raw = result.sparsifier_nnz_raw;
-  out.sparsifier_nnz = result.sparsifier_nnz;
-  return out;
+/// The one list of the LightNeResult scalars a stage artifact carries, in
+/// CheckpointedPipelineStats word order. `visit` is called on each field.
+template <typename R, typename Visit>
+void ForEachCheckpointedStat(R& result, Visit&& visit) {
+  auto& s = result.sparsifier_stats;
+  visit(s.samples_drawn);
+  visit(s.samples_accepted);
+  visit(s.distinct_entries);
+  visit(s.table_bytes);
+  visit(s.attempts);
+  visit(s.budget_tightenings);
+  visit(s.degraded);
+  visit(s.capacity_capped);
+  visit(s.downsample_constant_used);
+  visit(s.mass_fp20);
+  visit(s.table_upserts);
+  visit(s.combiner_hits);
+  visit(s.combiner_flushes);
+  visit(s.table_batch_upserts);
+  visit(result.sparsifier_nnz_raw);
+  visit(result.sparsifier_nnz);
 }
 
-inline void ApplyCheckpointStats(const CheckpointedPipelineStats& stats,
+inline CheckpointedPipelineStats CheckpointStatsFromResult(
+    const LightNeResult& result) {
+  CheckpointedPipelineStats words{};
+  size_t i = 0;
+  ForEachCheckpointedStat(result, [&](const auto& field) {
+    LIGHTNE_CHECK_LT(i, words.size());
+    if constexpr (std::is_same_v<std::decay_t<decltype(field)>, double>) {
+      words[i++] = std::bit_cast<uint64_t>(field);
+    } else {
+      words[i++] = static_cast<uint64_t>(field);
+    }
+  });
+  LIGHTNE_CHECK_EQ(i, words.size());
+  return words;
+}
+
+inline void ApplyCheckpointStats(const CheckpointedPipelineStats& words,
                                  LightNeResult* result) {
-  SparsifierResult& s = result->sparsifier_stats;
-  s.samples_drawn = stats.samples_drawn;
-  s.samples_accepted = stats.samples_accepted;
-  s.distinct_entries = stats.distinct_entries;
-  s.table_bytes = stats.table_bytes;
-  s.attempts = static_cast<int>(stats.attempts);
-  s.budget_tightenings = static_cast<int>(stats.budget_tightenings);
-  s.degraded = stats.degraded != 0;
-  s.capacity_capped = stats.capacity_capped != 0;
-  s.downsample_constant_used = stats.downsample_constant_used;
-  s.mass_fp20 = stats.mass_fp20;
-  s.table_upserts = stats.table_upserts;
-  s.combiner_hits = stats.combiner_hits;
-  s.combiner_flushes = stats.combiner_flushes;
-  s.table_batch_upserts = stats.table_batch_upserts;
-  result->sparsifier_nnz_raw = stats.sparsifier_nnz_raw;
-  result->sparsifier_nnz = stats.sparsifier_nnz;
+  size_t i = 0;
+  ForEachCheckpointedStat(*result, [&](auto& field) {
+    using T = std::decay_t<decltype(field)>;
+    LIGHTNE_CHECK_LT(i, words.size());
+    if constexpr (std::is_same_v<T, double>) {
+      field = std::bit_cast<double>(words[i++]);
+    } else {
+      field = static_cast<T>(words[i++]);
+    }
+  });
 }
 
 }  // namespace internal
@@ -228,7 +239,7 @@ Result<LightNeResult> RunLightNe(const G& g, const LightNeOptions& opt) {
       /*total_stages=*/opt.spectral_propagation ? 3 : 2);
   // Stage scalars carried inside every artifact, so a resume from any rung
   // of the ladder restores the same LightNeResult statistics.
-  CheckpointedPipelineStats ckpt_stats;
+  CheckpointedPipelineStats ckpt_stats{};
 
   const auto finish = [&](LightNeResult&& r) -> LightNeResult {
     r.timing.Stop();
@@ -247,8 +258,7 @@ Result<LightNeResult> RunLightNe(const G& g, const LightNeOptions& opt) {
   };
 
   // ---- Resume ladder: newest artifact first ------------------------------
-  if (checkpoint.resumable() &&
-      checkpoint.LoadFinal(&result.embedding, &ckpt_stats)) {
+  if (checkpoint.LoadFinal(&result.embedding, &ckpt_stats)) {
     internal::ApplyCheckpointStats(ckpt_stats, &result);
     result.degraded = result.sparsifier_stats.degraded;
     return finish(std::move(result));
@@ -257,15 +267,13 @@ Result<LightNeResult> RunLightNe(const G& g, const LightNeOptions& opt) {
   RandomizedSvdResult svd_factors;
   bool have_matrix = false;
   bool have_factors = false;
-  if (checkpoint.resumable()) {
-    if (checkpoint.LoadRsvdFactors(&svd_factors, &ckpt_stats)) {
-      have_factors = true;
-    } else if (checkpoint.LoadSparsifier(&matrix, &ckpt_stats)) {
-      have_matrix = true;
-    }
-    if (have_factors || have_matrix) {
-      internal::ApplyCheckpointStats(ckpt_stats, &result);
-    }
+  if (checkpoint.LoadRsvdFactors(&svd_factors, &ckpt_stats)) {
+    have_factors = true;
+  } else if (checkpoint.LoadSparsifier(&matrix, &ckpt_stats)) {
+    have_matrix = true;
+  }
+  if (have_factors || have_matrix) {
+    internal::ApplyCheckpointStats(ckpt_stats, &result);
   }
 
   // ---- Stage 1: parallel sparsifier construction -------------------------

@@ -77,16 +77,6 @@ void CopyBlock(const float* __restrict src, uint64_t lds,
   }
 }
 
-// Writes the rows x cols block's transpose into dst (leading dim ldd).
-void TransposeBlock(const float* __restrict src, uint64_t lds,
-                    float* __restrict dst, uint64_t ldd, uint64_t rows,
-                    uint64_t cols) {
-  for (uint64_t i = 0; i < rows; ++i) {
-    const float* __restrict s = src + i * lds;
-    for (uint64_t j = 0; j < cols; ++j) dst[j * ldd + i] = s[j];
-  }
-}
-
 }  // namespace
 
 namespace kernels {
@@ -331,33 +321,6 @@ Matrix GemmTN(const Matrix& a, const Matrix& b) {
   Matrix c(a.cols(), b.cols());
   std::copy(sums.begin(), sums.end(), c.data());  // rounds each to float
   return c;
-}
-
-// Square-tile transpose: each kTransposeTile x kTransposeTile tile is read
-// row-wise and written column-wise, so both matrices are touched a cache
-// line at a time instead of striding the full output row pitch per element.
-Matrix Transpose(const Matrix& a) {
-  const uint64_t rows = a.rows();
-  const uint64_t cols = a.cols();
-  Matrix t(cols, rows);
-  if (rows == 0 || cols == 0) return t;
-  constexpr uint64_t kTile = kernels::kTransposeTile;
-  const uint64_t row_tiles = (rows + kTile - 1) / kTile;
-  const uint64_t col_tiles = (cols + kTile - 1) / kTile;
-  ParallelFor(
-      0, row_tiles,
-      [&](uint64_t rt) {
-        const uint64_t i_lo = rt * kTile;
-        const uint64_t i_len = std::min(kTile, rows - i_lo);
-        for (uint64_t ct = 0; ct < col_tiles; ++ct) {
-          const uint64_t j_lo = ct * kTile;
-          const uint64_t j_len = std::min(kTile, cols - j_lo);
-          TransposeBlock(a.Row(i_lo) + j_lo, cols, t.Row(j_lo) + i_lo, rows,
-                         i_len, j_len);
-        }
-      },
-      /*grain=*/1);
-  return t;
 }
 
 }  // namespace lightne

@@ -8,18 +8,18 @@
 //    permanently — they are the accuracy oracle for the blocked kernels and
 //    the denominator of the recorded perf baseline
 //    (bench/bench_kernels_baseline.cc → BENCH_kernels.json).
-//  - Blocked kernels, reached through the public Gemm / GemmTN / Transpose
-//    entry points (la/matrix.h) and SparseMatrix::Multiply: L1/L2 cache
+//  - Blocked kernels, reached through the public Gemm / GemmTN entry
+//    points (la/matrix.h) and SparseMatrix::Multiply: L1/L2 cache
 //    blocking with packed B panels, __restrict-qualified inner loops the
 //    compiler auto-vectorizes, parallelized over row panels.
 //
 // Determinism contract (relied on by the 1-vs-N-worker tests): every
 // blocked kernel accumulates each output element in exactly the same order
 // and precision as its naive reference, and partitions work as a function
-// of the problem shape only — never the worker count. Gemm, Transpose and
-// Spmm are therefore bit-identical to their references and across worker
-// counts. GemmTN reduces per-element in double through a shape-determined
-// block partition: still bit-identical across worker counts, and equal to
+// of the problem shape only — never the worker count. Gemm and Spmm are
+// therefore bit-identical to their references and across worker counts.
+// GemmTN reduces per-element in double through a shape-determined block
+// partition: still bit-identical across worker counts, and equal to
 // its reference to ~1 float ulp after the final double→float rounding
 // (tested at 1e-12 relative Frobenius, far below that ulp). "Same order and
 // precision" includes no fused multiply-add: the root CMakeLists.txt builds
@@ -57,7 +57,6 @@ namespace kernels {
 inline constexpr uint64_t kMc = 64;   ///< A/C row panel handed to one task
 inline constexpr uint64_t kKc = 256;  ///< k-panel depth of a packed B tile
 inline constexpr uint64_t kNc = 64;   ///< column strip (256 B of a C row)
-inline constexpr uint64_t kTransposeTile = 32;  ///< square copy tile
 
 /// C = A^T * B as an m x n row-major double buffer (m = a.cols(),
 /// n = b.cols()): the shape-partitioned reduction GemmTN rounds to float.

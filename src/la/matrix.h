@@ -72,9 +72,6 @@ Matrix Gemm(const Matrix& a, const Matrix& b);
 /// (la/kernels.h); deterministic for any worker count.
 Matrix GemmTN(const Matrix& a, const Matrix& b);
 
-/// B = A^T. Square-tile blocked copy (la/kernels.h).
-Matrix Transpose(const Matrix& a);
-
 /// max_{i,j} |A_ij - B_ij|; shapes must match.
 double MaxAbsDiff(const Matrix& a, const Matrix& b);
 

@@ -273,6 +273,9 @@ Result<MappedArtifact> MappedArtifact::Open(const std::string& path,
     if (frame.payload_bytes > file_bytes - offset) {
       return Status::DataLoss("truncated artifact frame in " + path);
     }
+    if (frame.reserved != 0) {
+      return Status::DataLoss("nonzero frame reserved word in " + path);
+    }
     const uint8_t* payload = base + offset;
     if (Crc32c(payload, frame.payload_bytes) != frame.crc32c) {
       return Status::DataLoss("artifact frame checksum mismatch in " + path);
@@ -284,72 +287,6 @@ Result<MappedArtifact> MappedArtifact::Open(const std::string& path,
   }
   LIGHTNE_CHECK_MSG(offset == file_bytes, "frame walk overran the map");
   return artifact;
-}
-
-// --------------------------------------------------------- ArtifactReader --
-
-ArtifactReader::~ArtifactReader() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-Status ArtifactReader::Open(const std::string& path,
-                            uint32_t expected_schema_id) {
-  LIGHTNE_CHECK_MSG(file_ == nullptr, "ArtifactReader reopened");
-  if (LIGHTNE_FAULT_POINT("io/read")) {
-    return Status::IOError("injected fault io/read opening " + path);
-  }
-  if (!FileExists(path)) return Status::NotFound(path + " does not exist");
-  file_ = std::fopen(path.c_str(), "rb");
-  if (file_ == nullptr) return Status::IOError("cannot open " + path);
-  path_ = path;
-  FileHeader header;
-  if (std::fread(&header, sizeof(header), 1, file_) != 1) {
-    return Status::DataLoss("truncated artifact header in " + path);
-  }
-  if (header.magic != kArtifactMagic) {
-    return Status::DataLoss("bad artifact magic in " + path);
-  }
-  if (header.schema_id != expected_schema_id) {
-    return Status::InvalidArgument(
-        path + " holds schema id " + std::to_string(header.schema_id) +
-        ", expected " + std::to_string(expected_schema_id));
-  }
-  schema_version_ = header.schema_version;
-  return Status::Ok();
-}
-
-Result<std::vector<uint8_t>> ArtifactReader::ReadFrame() {
-  LIGHTNE_CHECK_MSG(file_ != nullptr, "ReadFrame without a successful Open");
-  FrameHeader header;
-  if (std::fread(&header, sizeof(header), 1, file_) != 1) {
-    return Status::DataLoss("truncated artifact: missing frame in " + path_);
-  }
-  // An absurd length (e.g. a bit-flip in the length field) would otherwise
-  // turn into a giant allocation; any length beyond the file's remaining
-  // bytes is corruption by definition, caught by the short read below, but
-  // cap the allocation first.
-  constexpr uint64_t kMaxFrameBytes = 1ull << 40;
-  if (header.payload_bytes > kMaxFrameBytes) {
-    return Status::DataLoss("corrupt frame length in " + path_);
-  }
-  std::vector<uint8_t> payload(header.payload_bytes);
-  if (header.payload_bytes > 0 &&
-      std::fread(payload.data(), 1, payload.size(), file_) !=
-          payload.size()) {
-    return Status::DataLoss("truncated artifact frame in " + path_);
-  }
-  if (Crc32c(payload.data(), payload.size()) != header.crc32c) {
-    return Status::DataLoss("artifact frame checksum mismatch in " + path_);
-  }
-  return payload;
-}
-
-bool ArtifactReader::AtEnd() {
-  LIGHTNE_CHECK_MSG(file_ != nullptr, "AtEnd without a successful Open");
-  const int c = std::fgetc(file_);
-  if (c == EOF) return true;
-  std::ungetc(c, file_);
-  return false;
 }
 
 }  // namespace lightne

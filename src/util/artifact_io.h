@@ -11,17 +11,21 @@
 //     direct write-mode fopen/std::ofstream outside this module so the
 //     guarantee holds repo-wide.
 //
-//  2. ArtifactWriter / ArtifactReader — a framed, versioned, checksummed
-//     binary container for checkpoint artifacts. File layout:
+//  2. ArtifactWriter / MappedArtifact — a framed, versioned, checksummed
+//     binary container for checkpoint artifacts and embedding stores. File
+//     layout:
 //
 //         [u64 magic "LNEART1"] [u32 schema_id] [u32 schema_version]
 //         frame*: [u64 payload_bytes] [u32 crc32c(payload)] [u32 reserved=0]
 //                 [payload bytes]
 //
-//     Readers map every corruption mode — short file, truncated frame,
-//     checksum mismatch, wrong magic/schema — to kDataLoss instead of
+//     The reader checks the magic, the schema id, each frame's length,
+//     checksum and zero reserved word, and that the frames end exactly at
+//     the file's end. It maps every corruption mode to kDataLoss instead of
 //     crashing or silently returning garbage, so callers can degrade to
-//     recomputing the artifact (core/checkpoint).
+//     recomputing the artifact (core/checkpoint). The schema version and
+//     the frame count and sizes are the caller's to check, since its schema
+//     defines them; with those checks, every byte of the file is covered.
 //
 // Fault points: "io/write" is evaluated per frame append and at Commit(), so
 // the fault-injection harness can fail — or crash-kill (kCrash) — a writer
@@ -118,9 +122,10 @@ class ArtifactWriter {
 /// returned MappedArtifact guarantees the mapped bytes are exactly what the
 /// writer committed; after that, frames are served zero-copy out of the map
 /// (the embedding store serves multi-GiB payloads this way without a heap
-/// copy). Error mapping matches ArtifactReader: missing file kNotFound,
-/// wrong schema_id kInvalidArgument, anything structurally wrong — short
-/// header, truncated frame, checksum mismatch, trailing bytes — kDataLoss.
+/// copy). Error mapping: missing file kNotFound, wrong schema_id
+/// kInvalidArgument, anything structurally wrong — short header, truncated
+/// frame, checksum mismatch, nonzero reserved word, trailing bytes —
+/// kDataLoss.
 class MappedArtifact {
  public:
   /// One validated frame inside the map. `data` stays valid as long as the
@@ -157,36 +162,6 @@ class MappedArtifact {
   uint64_t file_bytes_ = 0;
   uint32_t schema_version_ = 0;
   std::vector<FrameView> frames_;
-};
-
-/// Framed artifact reader. Every structural problem is kDataLoss; a missing
-/// file is kNotFound; wrong schema_id is kInvalidArgument.
-class ArtifactReader {
- public:
-  ~ArtifactReader();
-  ArtifactReader() = default;
-  ArtifactReader(const ArtifactReader&) = delete;
-  ArtifactReader& operator=(const ArtifactReader&) = delete;
-
-  /// Opens and validates the header. Evaluates fault point "io/read".
-  Status Open(const std::string& path, uint32_t expected_schema_id);
-
-  /// Schema version from the header (valid after Open).
-  uint32_t schema_version() const { return schema_version_; }
-
-  /// Reads the next frame, verifying its checksum. kDataLoss on truncation
-  /// or checksum mismatch — including clean EOF, since callers only ask for
-  /// frames their schema says must exist.
-  Result<std::vector<uint8_t>> ReadFrame();
-
-  /// True once every byte has been consumed (call between frames to check
-  /// for the expected end of the artifact).
-  bool AtEnd();
-
- private:
-  std::FILE* file_ = nullptr;
-  std::string path_;
-  uint32_t schema_version_ = 0;
 };
 
 }  // namespace lightne

@@ -9,26 +9,31 @@
 // makes resume correctness exactly checkable.
 //
 // The in-process suites cover the rest of the recovery ladder: torn/
-// bit-flipped/truncated artifacts and corrupt or stale manifests degrade to
-// recomputation (counted, never a hard failure), and the kCrash fault mode
-// itself (arming across fork, exact-Nth-hit firing, exit code, zero-cost
-// disarmed path).
+// bit-flipped/truncated artifacts and artifacts written for another run
+// degrade to recomputation (counted, never a hard failure), a sweep corrupts
+// every header byte, every payload frame and every frame boundary of each
+// artifact kind, and the kCrash fault mode itself is self-tested (arming
+// across fork, exact-Nth-hit firing, exit code, zero-cost disarmed path).
+#include <dirent.h>
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/lightne.h"
 #include "data/generators.h"
 #include "graph/csr.h"
 #include "la/embedding_io.h"
 #include "util/artifact_io.h"
 #include "util/fault_injection.h"
+#include "util/logging.h"
 #include "util/metrics.h"
 
 namespace lightne {
@@ -72,8 +77,7 @@ uint64_t CounterValue(const char* name) {
 /// .tmp the crash left behind, then the directory itself.
 void CleanCheckpointDir(const std::string& dir) {
   for (const char* f :
-       {"manifest.json", "sparsifier.art", "rsvd.art", "final.art",
-        "final.emb", "stats.txt"}) {
+       {"sparsifier.art", "rsvd.art", "final.art", "final.emb", "stats.txt"}) {
     std::remove((dir + "/" + f).c_str());
     std::remove((dir + "/" + f + ".tmp").c_str());
   }
@@ -86,6 +90,28 @@ void TruncateFile(const std::string& path, uint64_t remove_bytes) {
   ASSERT_GT(*size, remove_bytes);
   ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(*size - remove_bytes)),
             0);
+}
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  uint8_t buf[4096];
+  size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + got);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& b) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  if (!b.empty()) {
+    ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
+  }
+  ASSERT_EQ(std::fclose(f), 0);
 }
 
 void FlipByteAt(const std::string& path, uint64_t offset) {
@@ -171,15 +197,17 @@ struct KillPoint {
 TEST(CrashRecovery, KilledPipelineResumesBitIdentical) {
   // Crash sites spanning the pipeline: mid-sampling (before any artifact),
   // the first artifact's first frame, the artifact commit itself, inside the
-  // SVD solver (sparsifier already durable), and deep in the save sequence
-  // with two stages durable. "io/write" hits count across every frame
-  // append, commit, and manifest rewrite, so the indices walk the ladder.
+  // SVD solver (sparsifier already durable), and just after rsvd.art commits
+  // (two stages durable). "io/write" hits count every frame append and
+  // commit: sparsifier.art is hits 1-5 (header, dims, offsets, columns,
+  // values) plus commit 6, rsvd.art hits 7-11 plus commit 12, and hit 13 is
+  // final.art's header frame.
   std::vector<KillPoint> matrix = {
       {"sparsifier/table_insert", 3, 0},
       {"io/write", 1, 0},
       {"io/write", 6, 0},
       {"svd/converge", 1, 1},
-      {"io/write", 14, 1},
+      {"io/write", 13, 2},
   };
   if (const char* mode = std::getenv("LIGHTNE_CRASH_MATRIX");
       mode != nullptr && std::string(mode) == "reduced") {
@@ -242,6 +270,18 @@ TEST_F(CheckpointResumeTest, ResumeSkipsAllStagesBitIdentical) {
   EXPECT_EQ(first->resume_stages_skipped, 0u);
   EXPECT_EQ(CounterValue("checkpoint/saves") - saves_before, 3u);
   EXPECT_GT(CounterValue("checkpoint/bytes") - bytes_before, 0u);
+  // The three artifacts are the whole checkpoint: nothing else is written.
+  std::vector<std::string> files;
+  DIR* listing = ::opendir(dir_.c_str());
+  ASSERT_NE(listing, nullptr);
+  while (const dirent* entry = ::readdir(listing)) {
+    const std::string name = entry->d_name;
+    if (name != "." && name != "..") files.push_back(name);
+  }
+  ::closedir(listing);
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"final.art", "rsvd.art",
+                                              "sparsifier.art"}));
 
   const uint64_t skipped_before = CounterValue("resume/stages_skipped");
   auto second = RunLightNe(g, TestOptions(dir_, true));
@@ -272,12 +312,29 @@ TEST_F(CheckpointResumeTest, TruncatedFinalArtifactFallsBackToRsvd) {
   EXPECT_TRUE(BitIdentical(first->embedding, resumed->embedding));
 }
 
+TEST_F(CheckpointResumeTest, MissingArtifactsAreRecomputedUncounted) {
+  const CsrGraph g = TestGraph();
+  auto first = RunLightNe(g, TestOptions(dir_, false));
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(std::remove((dir_ + "/final.art").c_str()), 0);
+  ASSERT_EQ(std::remove((dir_ + "/rsvd.art").c_str()), 0);
+
+  const uint64_t corrupt_before = CounterValue("resume/corrupt_artifacts");
+  const uint64_t stale_before = CounterValue("resume/stale_artifacts");
+  auto resumed = RunLightNe(g, TestOptions(dir_, true));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(CounterValue("resume/corrupt_artifacts") - corrupt_before, 0u);
+  EXPECT_EQ(CounterValue("resume/stale_artifacts") - stale_before, 0u);
+  EXPECT_EQ(resumed->resume_stages_skipped, 1u);  // sparsifier rung
+  EXPECT_TRUE(BitIdentical(first->embedding, resumed->embedding));
+}
+
 TEST_F(CheckpointResumeTest, BitFlippedArtifactsFallToSparsifier) {
   const CsrGraph g = TestGraph();
   auto first = RunLightNe(g, TestOptions(dir_, false));
   ASSERT_TRUE(first.ok());
-  // Flip one payload byte in each of the two newest artifacts: both
-  // whole-file checksums fail, leaving the sparsifier rung.
+  // Flip one payload byte (in the dims frame) of each of the two newest
+  // artifacts: both frame checksums fail, leaving the sparsifier rung.
   FlipByteAt(dir_ + "/final.art", 200);
   FlipByteAt(dir_ + "/rsvd.art", 200);
 
@@ -289,19 +346,23 @@ TEST_F(CheckpointResumeTest, BitFlippedArtifactsFallToSparsifier) {
   EXPECT_TRUE(BitIdentical(first->embedding, resumed->embedding));
 }
 
-TEST_F(CheckpointResumeTest, CorruptManifestRecomputesEverything) {
+TEST_F(CheckpointResumeTest, CorruptHeaderFrameRecomputesEverything) {
   const CsrGraph g = TestGraph();
   auto first = RunLightNe(g, TestOptions(dir_, false));
   ASSERT_TRUE(first.ok());
-  std::FILE* f = std::fopen((dir_ + "/manifest.json").c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fprintf(f, "{\"schema\": \"lightne-checkpoi");  // torn mid-write
-  std::fclose(f);
+  // Byte 40 is inside each artifact's header frame (file header 16 B, frame
+  // header 16 B, then the options fingerprint): its checksum fails before
+  // the fingerprints are read, so this is corruption, not staleness.
+  for (const char* file : {"sparsifier.art", "rsvd.art", "final.art"}) {
+    FlipByteAt(dir_ + "/" + file, 40);
+  }
 
   const uint64_t corrupt_before = CounterValue("resume/corrupt_artifacts");
+  const uint64_t stale_before = CounterValue("resume/stale_artifacts");
   auto resumed = RunLightNe(g, TestOptions(dir_, true));
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_GE(CounterValue("resume/corrupt_artifacts") - corrupt_before, 1u);
+  EXPECT_EQ(CounterValue("resume/corrupt_artifacts") - corrupt_before, 3u);
+  EXPECT_EQ(CounterValue("resume/stale_artifacts") - stale_before, 0u);
   EXPECT_EQ(resumed->resume_stages_skipped, 0u);
   // Recomputed, and determinism makes even the recomputed bytes identical.
   EXPECT_TRUE(BitIdentical(first->embedding, resumed->embedding));
@@ -313,14 +374,43 @@ TEST_F(CheckpointResumeTest, StaleFingerprintRefusesResume) {
   ASSERT_TRUE(first.ok());
 
   LightNeOptions changed = TestOptions(dir_, true);
-  changed.seed = 6;  // any option change stales the manifest
-  const uint64_t stale_before = CounterValue("resume/stale_manifest");
+  changed.seed = 6;  // any option change stales every artifact
+  const uint64_t stale_before = CounterValue("resume/stale_artifacts");
   auto resumed = RunLightNe(g, changed);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(CounterValue("resume/stale_manifest") - stale_before, 1u);
+  EXPECT_EQ(CounterValue("resume/stale_artifacts") - stale_before, 3u);
   EXPECT_EQ(resumed->resume_stages_skipped, 0u);
   // Different seed, honestly recomputed: must NOT be the seed-5 bytes.
   EXPECT_FALSE(BitIdentical(first->embedding, resumed->embedding));
+}
+
+TEST_F(CheckpointResumeTest, MixedRunDirectoryResumesOnlyMatchingArtifacts) {
+  const CsrGraph g = TestGraph();
+  LightNeOptions seed6 = TestOptions(dir_, false);
+  seed6.seed = 6;
+  auto six = RunLightNe(g, seed6);
+  ASSERT_TRUE(six.ok()) << six.status().ToString();
+  // A seed-5 final.art lands among seed-6 artifacts: each artifact answers
+  // for itself, so only that one is refused.
+  const std::string other = dir_ + "_seed5";
+  CleanCheckpointDir(other);
+  auto five = RunLightNe(g, TestOptions(other, false));
+  ASSERT_TRUE(five.ok()) << five.status().ToString();
+  const std::vector<uint8_t> final5 = ReadFileBytes(other + "/final.art");
+  CleanCheckpointDir(other);
+  ASSERT_FALSE(final5.empty());
+  WriteFileBytes(dir_ + "/final.art", final5);
+
+  seed6.resume = true;
+  const uint64_t stale_before = CounterValue("resume/stale_artifacts");
+  const uint64_t corrupt_before = CounterValue("resume/corrupt_artifacts");
+  auto resumed = RunLightNe(g, seed6);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(CounterValue("resume/stale_artifacts") - stale_before, 1u);
+  EXPECT_EQ(CounterValue("resume/corrupt_artifacts") - corrupt_before, 0u);
+  EXPECT_EQ(resumed->resume_stages_skipped, 2u);  // rsvd rung of the ladder
+  EXPECT_TRUE(BitIdentical(six->embedding, resumed->embedding));
+  EXPECT_FALSE(BitIdentical(five->embedding, resumed->embedding));
 }
 
 TEST_F(CheckpointResumeTest, ResumeFalseIgnoresExistingArtifacts) {
@@ -343,8 +433,118 @@ TEST_F(CheckpointResumeTest, SaveFailureIsCountedNotFatal) {
   EXPECT_GE(CounterValue("checkpoint/save_failures") - failures_before, 3u);
   EXPECT_TRUE(BitIdentical(r->embedding, ReferenceEmbedding()));
   // Nothing committed: a later resume has nothing to pick up.
-  EXPECT_FALSE(FileExists(dir_ + "/manifest.json"));
-  EXPECT_FALSE(FileExists(dir_ + "/sparsifier.art"));
+  for (const char* file : {"sparsifier.art", "rsvd.art", "final.art"}) {
+    EXPECT_FALSE(FileExists(dir_ + "/" + file)) << file;
+  }
+}
+
+// -------------------------------------------------- corruption sweep --
+
+// Offsets of the frame headers of a well-formed artifact (util/artifact_io.h
+// layout: 16-byte file header, then per frame a 16-byte header whose first
+// word is the payload length, then the payload).
+std::vector<uint64_t> FrameOffsets(const std::vector<uint8_t>& bytes) {
+  std::vector<uint64_t> offsets;
+  for (uint64_t at = 16; at < bytes.size();) {
+    offsets.push_back(at);
+    uint64_t payload = 0;
+    std::memcpy(&payload, bytes.data() + at, sizeof(payload));
+    at += 16 + payload;
+  }
+  return offsets;
+}
+
+// Loads `stage` through a fresh resuming manager bound to `options_fp`.
+bool LoadStage(const std::string& dir, const std::string& stage,
+               uint64_t options_fp) {
+  CheckpointManager manager(dir, /*resume=*/true, options_fp,
+                            /*graph_fp=*/7, /*total_stages=*/3);
+  CheckpointedPipelineStats stats{};
+  if (stage == "final") {
+    Matrix embedding;
+    return manager.LoadFinal(&embedding, &stats);
+  }
+  if (stage == "rsvd") {
+    RandomizedSvdResult svd;
+    return manager.LoadRsvdFactors(&svd, &stats);
+  }
+  SparseMatrix matrix;
+  return manager.LoadSparsifier(&matrix, &stats);
+}
+
+TEST_F(CheckpointResumeTest, SweepEveryHeaderByteFrameAndBoundaryIsCorrupt) {
+  constexpr uint64_t kOptionsFp = 0x5eed;
+  // Each artifact kind written once, from small synthetic inputs.
+  {
+    CheckpointManager writer(dir_, /*resume=*/false, kOptionsFp,
+                             /*graph_fp=*/7, /*total_stages=*/3);
+    CheckpointedPipelineStats stats{};
+    for (size_t i = 0; i < stats.size(); ++i) stats[i] = i + 1;
+    writer.SaveSparsifier(
+        SparseMatrix::FromSortedTriplets(
+            3, 3, {{1, 0.5f}, {uint64_t{1} << 32, 0.5f},
+                   {(uint64_t{2} << 32) | 2, 1.5f}}),
+        stats);
+    RandomizedSvdResult svd;
+    svd.u = Matrix::Gaussian(5, 2, 1);
+    svd.sigma = {2.0f, 1.0f};
+    svd.v = Matrix::Gaussian(5, 2, 2);
+    writer.SaveRsvdFactors(svd, stats);
+    writer.SaveFinal(Matrix::Gaussian(5, 2, 3), stats);
+  }
+  const LogLevel log_level = GetLogLevel();
+  SetLogLevel(LogLevel::kError);  // one warning per corrupted load
+  for (const char* stage : {"sparsifier", "rsvd", "final"}) {
+    SCOPED_TRACE(stage);
+    const std::string path = dir_ + "/" + stage + ".art";
+    const std::vector<uint8_t> pristine = ReadFileBytes(path);
+    ASSERT_TRUE(LoadStage(dir_, stage, kOptionsFp)) << "pristine artifact";
+    const std::vector<uint64_t> frames = FrameOffsets(pristine);
+    ASSERT_GE(frames.size(), 3u);
+
+    std::vector<std::pair<std::string, std::vector<uint8_t>>> cases;
+    const auto flip = [&](uint64_t offset) {
+      std::vector<uint8_t> bytes = pristine;
+      bytes[offset] ^= 0xff;
+      cases.push_back({"flip byte " + std::to_string(offset), bytes});
+    };
+    const auto truncate = [&](uint64_t size) {
+      cases.push_back({"truncate at " + std::to_string(size),
+                       std::vector<uint8_t>(pristine.begin(),
+                                            pristine.begin() + size)});
+    };
+    for (uint64_t b = 0; b < 16; ++b) flip(b);  // file header
+    truncate(0);
+    for (size_t f = 0; f < frames.size(); ++f) {
+      const uint64_t payload_at = frames[f] + 16;
+      const uint64_t payload_end =
+          f + 1 < frames.size() ? frames[f + 1] : pristine.size();
+      ASSERT_LT(payload_at, payload_end) << "frame " << f << " is empty";
+      for (uint64_t b = frames[f]; b < payload_at; ++b) flip(b);
+      if (f == 0) {
+        for (uint64_t b = payload_at; b < payload_end; ++b) flip(b);
+      } else {
+        flip((payload_at + payload_end) / 2);
+      }
+      truncate(frames[f]);
+    }
+
+    const uint64_t corrupt_before = CounterValue("resume/corrupt_artifacts");
+    const uint64_t stale_before = CounterValue("resume/stale_artifacts");
+    for (const auto& [what, bytes] : cases) {
+      WriteFileBytes(path, bytes);
+      EXPECT_FALSE(LoadStage(dir_, stage, kOptionsFp)) << what;
+    }
+    EXPECT_EQ(CounterValue("resume/corrupt_artifacts") - corrupt_before,
+              cases.size());
+    EXPECT_EQ(CounterValue("resume/stale_artifacts") - stale_before, 0u);
+
+    // Intact again but bound to other options: stale, not corrupt.
+    WriteFileBytes(path, pristine);
+    EXPECT_FALSE(LoadStage(dir_, stage, kOptionsFp + 1));
+    EXPECT_EQ(CounterValue("resume/stale_artifacts") - stale_before, 1u);
+  }
+  SetLogLevel(log_level);
 }
 
 // ------------------------------------------------------ kCrash self-test --
