@@ -2,8 +2,8 @@
 //
 // Runs the dense/sparse kernel layer (naive reference vs blocked, 1 worker
 // vs pool), panel orthonormalization (CholeskyQR2 vs the Householder
-// fallback), the Chebyshev filter, plus rSVD end-to-end at a few fixed
-// sizes and writes a JSON
+// fallback), the q x q symmetric eigensolve of the rSVD tail, the Chebyshev
+// filter, plus rSVD end-to-end at a few fixed sizes and writes a JSON
 // trajectory artifact (default BENCH_kernels.json, overridable as argv[1]).
 // Every perf PR re-runs `scripts/bench_baseline.sh` and commits the result,
 // so regressions and wins are visible in version control; scripts/check.sh
@@ -32,6 +32,7 @@
 #include "la/qr.h"
 #include "la/rsvd.h"
 #include "la/sparse.h"
+#include "la/svd.h"
 #include "parallel/parallel_for.h"
 #include "util/artifact_io.h"
 
@@ -45,7 +46,7 @@ uint64_t Scaled(uint64_t n, uint64_t floor_value = 64) {
 
 struct ResultRow {
   std::string name;     // stable key, e.g. "gemm_512_blocked_1t"
-  std::string kernel;   // gemm | gemm_tn | spmm | qr | propagation | rsvd
+  std::string kernel;   // gemm | gemm_tn | spmm | qr | eig | propagation | rsvd
   std::string variant;  // naive | blocked | upper | sym | householder | ...
   int threads = 1;
   std::vector<std::pair<std::string, uint64_t>> shape;
@@ -139,7 +140,7 @@ void BenchGemmPanels() {
 }
 
 void BenchGemmTN() {
-  std::printf("GemmTN (C = A^T*B, tall-skinny)\n");
+  std::printf("GemmTnDouble (C = A^T*B, tall-skinny)\n");
   struct Size {
     uint64_t rows, d;
     bool naive;
@@ -155,17 +156,17 @@ void BenchGemmTN() {
         {"rows", rows}, {"m", s.d}, {"n", s.d}};
     if (s.naive) {
       Record({tag + "_naive_1t", "gemm_tn", "naive", 1, shape}, flops, 3,
-             true, [&] { Matrix c = NaiveGemmTN(a, b); });
+             true, [&] { auto c = NaiveGemmTN(a, b); });
     }
     Record({tag + "_blocked_1t", "gemm_tn", "blocked", 1, shape}, flops, 5,
-           true, [&] { Matrix c = GemmTN(a, b); });
+           true, [&] { auto c = kernels::GemmTnDouble(a, b); });
     Record({tag + "_blocked_mt", "gemm_tn", "blocked", 1, shape}, flops, 5,
-           false, [&] { Matrix c = GemmTN(a, b); });
+           false, [&] { auto c = kernels::GemmTnDouble(a, b); });
     // The Gram A^T A: the same call with a as both operands (nominal flops).
     Record({tag + "_sym_1t", "gemm_tn", "sym", 1, shape}, flops, 5, true,
-           [&] { Matrix c = GemmTN(a, a); });
+           [&] { auto c = kernels::GemmTnDouble(a, a); });
     Record({tag + "_sym_mt", "gemm_tn", "sym", 1, shape}, flops, 5, false,
-           [&] { Matrix c = GemmTN(a, a); });
+           [&] { auto c = kernels::GemmTnDouble(a, a); });
   }
 }
 
@@ -249,6 +250,19 @@ void BenchQr() {
              Matrix q = y;
              Orthonormalize(&q);
            });
+  }
+}
+
+// The rSVD tail's sequential q x q step (la/rsvd.h): SymmetricEigen of a
+// Gaussian n x q panel's Gram, at the pipeline's three q.
+void BenchEigen() {
+  std::printf("Symmetric eigensolve (q x q Gram of an n x q panel)\n");
+  for (const uint64_t q : {42ull, 74ull, 138ull}) {
+    const Matrix panel = Matrix::Gaussian(Scaled(1ull << 14, 1024), q, q);
+    const std::vector<double> gram = kernels::GemmTnDouble(panel, panel);
+    Record({"eig_q" + std::to_string(q) + "_1t", "eig", "tridiag_ql", 1,
+            {{"q", q}}},
+           -1.0, 5, true, [&] { auto r = SymmetricEigen(gram, q).value(); });
   }
 }
 
@@ -377,6 +391,7 @@ int main(int argc, char** argv) {
   BenchGemmTN();
   BenchSpmm();
   BenchQr();
+  BenchEigen();
   BenchPropagation();
   BenchRsvd();
   WriteJson(out);

@@ -1,9 +1,10 @@
 // Microbenchmarks for the randomized SVD substrate (§4.3, Algo 3): end-to-
 // end rSVD at several sizes/ranks, its component kernels (SPMM, tall-skinny
-// QR, small Jacobi SVD), and the accuracy/time effect of power iterations.
+// QR, q x q eigensolve), and the accuracy/time effect of power iterations.
 #include <benchmark/benchmark.h>
 
 #include "graph/types.h"
+#include "la/kernels.h"
 #include "la/qr.h"
 #include "la/rsvd.h"
 #include "la/sparse.h"
@@ -100,15 +101,16 @@ BENCHMARK(BM_TallSkinnyQr)
     ->Args({65536, 42})
     ->Unit(benchmark::kMillisecond);
 
-void BM_JacobiSvdSmall(benchmark::State& state) {
+void BM_SymmetricEigen(benchmark::State& state) {
   const uint64_t q = static_cast<uint64_t>(state.range(0));
-  Matrix c = Matrix::Gaussian(q, q, 13);
+  const Matrix c = Matrix::Gaussian(q, q, 13);
+  const std::vector<double> gram = kernels::GemmTnDouble(c, c);
   for (auto _ : state) {
-    SvdResult r = JacobiSvd(c).value();
-    benchmark::DoNotOptimize(r.sigma.data());
+    SymmetricEigenResult r = SymmetricEigen(gram, q).value();
+    benchmark::DoNotOptimize(r.values.data());
   }
 }
-BENCHMARK(BM_JacobiSvdSmall)->Arg(42)->Arg(74)->Arg(138);
+BENCHMARK(BM_SymmetricEigen)->Arg(42)->Arg(74)->Arg(138);
 
 }  // namespace
 }  // namespace lightne

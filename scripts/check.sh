@@ -127,7 +127,7 @@ for shape in ("s14x138", "s16x74", "s16x42"):
 assert "qr_s14x138_householder_1t" in names, "missing householder QR row"
 assert "qr_s14x138_cholqr2_vs_householder_1t" in doc["speedups"]
 # Ledger rows of the dense-pass accelerators: the panel products through
-# Gemm and GemmUpper, the Gram path of GemmTN, and the fused filter.
+# Gemm and GemmUpper, the Gram path of GemmTnDouble, and the fused filter.
 for shape in ("s14x138", "s16x74", "s16x42"):
     for variant in ("blocked_1t", "blocked_mt", "upper_1t", "upper_mt"):
         assert f"gemm_{shape}_{variant}" in names, \
@@ -138,6 +138,9 @@ for tag in ("gemm_tn_32768x64", "gemm_tn_131072x128"):
 for variant in ("1t", "mt"):
     assert f"propagation_s16x64_{variant}" in names, \
         f"missing propagation_s16x64_{variant}"
+# The rSVD tail's q x q eigensolve at the pipeline's three q.
+for q in (42, 74, 138):
+    assert f"eig_q{q}_1t" in names, f"missing eig_q{q}_1t"
 print(f"bench smoke OK: {len(doc['results'])} results, "
       f"gemm_512 speedup {doc['speedups']['gemm_512_blocked_vs_naive_1t']}x, "
       f"qr_s14x138 cholqr2 speedup "

@@ -59,7 +59,7 @@ inline Result<Matrix> RunNetmfDense(const CsrGraph& g,
   ropt.seed = opt.seed;
   auto svd = RandomizedSvd(m, ropt);
   if (!svd.ok()) return svd.status();
-  return EmbeddingFromSvd(*svd);
+  return EmbeddingFromSvd(std::move(*svd));
 }
 
 }  // namespace lightne

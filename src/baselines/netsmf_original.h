@@ -121,7 +121,7 @@ Result<NetsmfResult> RunNetsmfOriginal(const G& g, const NetsmfOptions& opt) {
   ropt.seed = opt.seed + 7;
   auto svd = RandomizedSvd(matrix, ropt);
   if (!svd.ok()) return svd.status();
-  result.embedding = EmbeddingFromSvd(*svd);
+  result.embedding = EmbeddingFromSvd(std::move(*svd));
   result.timing.Stop();
   return result;
 }

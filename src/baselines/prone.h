@@ -104,7 +104,7 @@ Result<ProneResult> RunProne(const G& g, const ProneOptions& opt) {
   ropt.seed = opt.seed + 3;
   auto svd = RandomizedSvd(m, ropt);
   if (!svd.ok()) return svd.status();
-  Matrix x = EmbeddingFromSvd(*svd);
+  Matrix x = EmbeddingFromSvd(std::move(*svd));
   x.NormalizeRows();
   result.timing.Start("propagation");
   auto propagated = SpectralPropagate(g, x, opt.propagation);

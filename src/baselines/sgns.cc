@@ -1,7 +1,8 @@
 #include "baselines/sgns.h"
 
-#include <atomic>
 #include <cmath>
+
+#include "parallel/atomics.h"
 
 namespace lightne {
 
@@ -11,15 +12,6 @@ inline float FastSigmoid(float x) {
   if (x > 8.0f) return 1.0f;
   if (x < -8.0f) return 0.0f;
   return 1.0f / (1.0f + std::exp(-x));
-}
-
-// Hogwild access to a shared parameter: relaxed, so a concurrent update
-// may be lost but is never a data race.
-inline float Load(float& x) {
-  return std::atomic_ref<float>(x).load(std::memory_order_relaxed);
-}
-inline void Store(float& x, float v) {
-  std::atomic_ref<float>(x).store(v, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -55,15 +47,19 @@ void SgnsModel::TrainPair(NodeId center, NodeId context, float lr,
     }
     float* out = output_.Row(target);
     float dot = 0;
-    for (uint64_t j = 0; j < d; ++j) dot += Load(in[j]) * Load(out[j]);
+    for (uint64_t j = 0; j < d; ++j) {
+      dot += HogwildLoad(in[j]) * HogwildLoad(out[j]);
+    }
     const float g = (label - FastSigmoid(dot)) * lr;
     for (uint64_t j = 0; j < d; ++j) {
-      const float o = Load(out[j]);
+      const float o = HogwildLoad(out[j]);
       grad_in[j] += g * o;
-      Store(out[j], o + g * Load(in[j]));
+      HogwildStore(out[j], o + g * HogwildLoad(in[j]));
     }
   }
-  for (uint64_t j = 0; j < d; ++j) Store(in[j], Load(in[j]) + grad_in[j]);
+  for (uint64_t j = 0; j < d; ++j) {
+    HogwildStore(in[j], HogwildLoad(in[j]) + grad_in[j]);
+  }
 }
 
 }  // namespace lightne

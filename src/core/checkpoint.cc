@@ -26,9 +26,9 @@ constexpr char kStageFinal[] = "final";
 constexpr uint32_t kSchemaSparsifier = 1;
 constexpr uint32_t kSchemaRsvd = 2;
 constexpr uint32_t kSchemaFinal = 3;
-// Artifacts of any other version (version 1 has no header frame) are
-// refused and recomputed.
-constexpr uint32_t kSchemaVersion = 2;
+// Artifacts of any other version are refused and recomputed (version 1 has
+// no header frame; version 2's rsvd.art holds the factors U, sigma and V).
+constexpr uint32_t kSchemaVersion = 3;
 
 // Frame 0 of every stage artifact, as little-endian u64 words: it binds the
 // artifact to the (options, graph) pair that wrote it.
@@ -58,20 +58,6 @@ Status CopyFrame(const MappedArtifact& artifact, size_t index, void* out,
   auto data = SizedFrame(artifact, index, bytes, what);
   if (!data.ok()) return data.status();
   if (bytes > 0) std::memcpy(out, *data, bytes);
-  return Status::Ok();
-}
-
-Status ReadMatrix(const MappedArtifact& artifact, size_t index, uint64_t rows,
-                  uint64_t cols, const char* what, Matrix* out) {
-  if (cols != 0 && rows > UINT64_MAX / sizeof(float) / cols) {
-    return Status::DataLoss(std::string(what) +
-                            " dimensions overflow a byte count");
-  }
-  const uint64_t bytes = rows * cols * sizeof(float);
-  auto data = SizedFrame(artifact, index, bytes, what);
-  if (!data.ok()) return data.status();
-  *out = Matrix(rows, cols);
-  if (bytes > 0) std::memcpy(out->data(), *data, bytes);
   return Status::Ok();
 }
 
@@ -202,40 +188,29 @@ bool CheckpointManager::Load(const char* stage, uint32_t schema_id,
 
 // ---- loads ----------------------------------------------------------------
 
-bool CheckpointManager::LoadFinal(Matrix* embedding,
-                                  CheckpointedPipelineStats* stats) {
+bool CheckpointManager::LoadEmbedding(EmbeddingStage stage, Matrix* embedding,
+                                      CheckpointedPipelineStats* stats) {
+  const bool is_final = stage == EmbeddingStage::kFinal;
   // Frames: header, dims {rows, cols}, embedding.
-  return Load(kStageFinal, kSchemaFinal, 3, total_stages_, stats,
+  return Load(is_final ? kStageFinal : kStageRsvd,
+              is_final ? kSchemaFinal : kSchemaRsvd, 3,
+              is_final ? total_stages_ : 2, stats,
               [&](const MappedArtifact& artifact) -> Status {
                 uint64_t shape[2] = {};
                 LIGHTNE_RETURN_IF_ERROR(
                     CopyFrame(artifact, 1, shape, sizeof(shape), "dims"));
-                return ReadMatrix(artifact, 2, shape[0], shape[1],
-                                  "embedding", embedding);
+                const uint64_t rows = shape[0], cols = shape[1];
+                if (cols != 0 && rows > UINT64_MAX / sizeof(float) / cols) {
+                  return Status::DataLoss(
+                      "embedding dimensions overflow a byte count");
+                }
+                const uint64_t bytes = rows * cols * sizeof(float);
+                auto data = SizedFrame(artifact, 2, bytes, "embedding");
+                if (!data.ok()) return data.status();
+                *embedding = Matrix(rows, cols);
+                if (bytes > 0) std::memcpy(embedding->data(), *data, bytes);
+                return Status::Ok();
               });
-}
-
-bool CheckpointManager::LoadRsvdFactors(RandomizedSvdResult* svd,
-                                        CheckpointedPipelineStats* stats) {
-  // Frames: header, dims {U rows, U cols, |sigma|, V rows, V cols}, U,
-  // sigma, V.
-  return Load(
-      kStageRsvd, kSchemaRsvd, 5, 2, stats,
-      [&](const MappedArtifact& artifact) -> Status {
-        uint64_t shape[5] = {};
-        LIGHTNE_RETURN_IF_ERROR(
-            CopyFrame(artifact, 1, shape, sizeof(shape), "dims"));
-        if (shape[1] != shape[2] || shape[4] != shape[2]) {
-          return Status::DataLoss("factor shapes are inconsistent");
-        }
-        LIGHTNE_RETURN_IF_ERROR(
-            ReadMatrix(artifact, 2, shape[0], shape[1], "U", &svd->u));
-        Matrix sigma;
-        LIGHTNE_RETURN_IF_ERROR(
-            ReadMatrix(artifact, 3, 1, shape[2], "sigma", &sigma));
-        svd->sigma.assign(sigma.data(), sigma.data() + shape[2]);
-        return ReadMatrix(artifact, 4, shape[3], shape[4], "V", &svd->v);
-      });
 }
 
 bool CheckpointManager::LoadSparsifier(SparseMatrix* matrix,
@@ -313,21 +288,13 @@ void CheckpointManager::SaveSparsifier(const SparseMatrix& matrix,
         {matrix.values().data(), matrix.values().size() * sizeof(float)}});
 }
 
-void CheckpointManager::SaveRsvdFactors(const RandomizedSvdResult& svd,
-                                        const CheckpointedPipelineStats& stats) {
-  const uint64_t dims[5] = {svd.u.rows(), svd.u.cols(), svd.sigma.size(),
-                            svd.v.rows(), svd.v.cols()};
-  Save(kStageRsvd, kSchemaRsvd, stats,
-       {{dims, sizeof(dims)},
-        {svd.u.data(), svd.u.SizeBytes()},
-        {svd.sigma.data(), svd.sigma.size() * sizeof(float)},
-        {svd.v.data(), svd.v.SizeBytes()}});
-}
-
-void CheckpointManager::SaveFinal(const Matrix& embedding,
-                                  const CheckpointedPipelineStats& stats) {
+void CheckpointManager::SaveEmbedding(EmbeddingStage stage,
+                                      const Matrix& embedding,
+                                      const CheckpointedPipelineStats& stats) {
+  const bool is_final = stage == EmbeddingStage::kFinal;
   const uint64_t dims[2] = {embedding.rows(), embedding.cols()};
-  Save(kStageFinal, kSchemaFinal, stats,
+  Save(is_final ? kStageFinal : kStageRsvd,
+       is_final ? kSchemaFinal : kSchemaRsvd, stats,
        {{dims, sizeof(dims)}, {embedding.data(), embedding.SizeBytes()}});
 }
 

@@ -4,7 +4,7 @@
 // completed pipeline stage, and nothing else:
 //
 //   <dir>/sparsifier.art     NetMF-transformed sparsifier matrix
-//   <dir>/rsvd.art           rSVD factors U / sigma / V
+//   <dir>/rsvd.art           pre-propagation embedding U diag(sqrt(sigma))
 //   <dir>/final.art          final embedding (post-propagation)
 //
 // Each artifact is self-describing: its first frame is a header holding the
@@ -42,7 +42,6 @@
 #include <string>
 
 #include "la/matrix.h"
-#include "la/rsvd.h"
 #include "la/sparse.h"
 #include "util/artifact_io.h"
 #include "util/status.h"
@@ -60,6 +59,10 @@ using CheckpointedPipelineStats = std::array<uint64_t, 16>;
 /// best-effort and never surface an error to the pipeline.
 class CheckpointManager {
  public:
+  /// The stages whose artifact is a dense n x d embedding, in one frame
+  /// layout (header, dims, matrix) told apart by the schema id.
+  enum class EmbeddingStage { kRsvd, kFinal };
+
   /// `dir` empty disables checkpointing entirely (every call is a no-op).
   /// The directory is created (recursively) if missing. `resume` requests
   /// artifact reuse; the fingerprints bind artifacts to this exact
@@ -73,18 +76,15 @@ class CheckpointManager {
   // ---- Loads (latest stage first; false unless resume was requested and
   //      the artifact is valid for this run; each success bumps
   //      resume/stages_skipped by the number of stages it covers) ----------
-  bool LoadFinal(Matrix* embedding, CheckpointedPipelineStats* stats);
-  bool LoadRsvdFactors(RandomizedSvdResult* svd,
-                       CheckpointedPipelineStats* stats);
+  bool LoadEmbedding(EmbeddingStage stage, Matrix* embedding,
+                     CheckpointedPipelineStats* stats);
   bool LoadSparsifier(SparseMatrix* matrix, CheckpointedPipelineStats* stats);
 
   // ---- Saves (best-effort) -----------------------------------------------
   void SaveSparsifier(const SparseMatrix& matrix,
                       const CheckpointedPipelineStats& stats);
-  void SaveRsvdFactors(const RandomizedSvdResult& svd,
-                       const CheckpointedPipelineStats& stats);
-  void SaveFinal(const Matrix& embedding,
-                 const CheckpointedPipelineStats& stats);
+  void SaveEmbedding(EmbeddingStage stage, const Matrix& embedding,
+                     const CheckpointedPipelineStats& stats);
 
   /// Pipeline stages skipped via artifact loads in this run.
   uint64_t stages_skipped() const { return stages_skipped_; }

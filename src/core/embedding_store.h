@@ -35,8 +35,8 @@
 // rounding of the result (i.e. plus half an ulp of the column's magnitude).
 // Encoding is deterministic and parallel over rows with a partition
 // independent of worker count, so the committed file bytes are identical at
-// any worker count — Crc32cOfFile is a fingerprint of the embedding, not of
-// the machine that wrote it.
+// any worker count: a fingerprint of the embedding, not of the machine that
+// wrote it.
 //
 // Sizing: Write() reserves the transient code buffer and Open() reserves
 // the mapped file size against the MemoryBudget governor (admission

@@ -81,11 +81,11 @@ struct LightNeOptions {
   /// logged, never turned into a pipeline error.
   std::string trace_path;
   /// When non-empty, each completed stage (NetMF-transformed sparsifier,
-  /// rSVD factors, final embedding) is checkpointed into this directory as
-  /// one checksummed, atomically written artifact whose header frame
-  /// carries the options and graph fingerprints (core/checkpoint.h). Save
-  /// failures are logged and counted ("checkpoint/save_failures"), never
-  /// pipeline errors.
+  /// pre-propagation embedding, final embedding) is checkpointed into this
+  /// directory as one checksummed, atomically written artifact whose header
+  /// frame carries the options and graph fingerprints (core/checkpoint.h).
+  /// Save failures are logged and counted ("checkpoint/save_failures"),
+  /// never pipeline errors.
   std::string checkpoint_dir;
   /// With checkpoint_dir set: resume from the latest completed stage of a
   /// previous run over the same options and graph instead of recomputing.
@@ -258,26 +258,24 @@ Result<LightNeResult> RunLightNe(const G& g, const LightNeOptions& opt) {
   };
 
   // ---- Resume ladder: newest artifact first ------------------------------
-  if (checkpoint.LoadFinal(&result.embedding, &ckpt_stats)) {
+  using EmbeddingStage = CheckpointManager::EmbeddingStage;
+  if (checkpoint.LoadEmbedding(EmbeddingStage::kFinal, &result.embedding,
+                               &ckpt_stats)) {
     internal::ApplyCheckpointStats(ckpt_stats, &result);
     result.degraded = result.sparsifier_stats.degraded;
     return finish(std::move(result));
   }
   SparseMatrix matrix;
-  RandomizedSvdResult svd_factors;
-  bool have_matrix = false;
-  bool have_factors = false;
-  if (checkpoint.LoadRsvdFactors(&svd_factors, &ckpt_stats)) {
-    have_factors = true;
-  } else if (checkpoint.LoadSparsifier(&matrix, &ckpt_stats)) {
-    have_matrix = true;
-  }
-  if (have_factors || have_matrix) {
+  const bool have_embedding = checkpoint.LoadEmbedding(
+      EmbeddingStage::kRsvd, &result.embedding, &ckpt_stats);
+  const bool have_matrix =
+      !have_embedding && checkpoint.LoadSparsifier(&matrix, &ckpt_stats);
+  if (have_embedding || have_matrix) {
     internal::ApplyCheckpointStats(ckpt_stats, &result);
   }
 
   // ---- Stage 1: parallel sparsifier construction -------------------------
-  if (!have_factors && !have_matrix) {
+  if (!have_embedding && !have_matrix) {
     result.timing.Start("sparsifier");
     SparsifierOptions sopt;
     const double m = static_cast<double>(g.NumDirectedEdges()) / 2.0;
@@ -314,7 +312,7 @@ Result<LightNeResult> RunLightNe(const G& g, const LightNeOptions& opt) {
   }
 
   // ---- Stage 2: randomized SVD (Algo 3) ----------------------------------
-  if (!have_factors) {
+  if (!have_embedding) {
     result.timing.Start("rsvd");
     RandomizedSvdOptions ropt;
     ropt.rank = opt.dim;
@@ -322,14 +320,14 @@ Result<LightNeResult> RunLightNe(const G& g, const LightNeOptions& opt) {
     ropt.power_iters = opt.svd_power_iters;
     ropt.symmetric = true;  // sparsifier is symmetric by construction
     ropt.seed = opt.seed + 7;
-    // Workspace: Algo 3 keeps ~6 dense n x q panels alive (O, Y, B, Z, ZU,
-    // YV) plus q x q small matrices. Reserve them up front so an envelope
-    // too small for the factorization is a reported error, not an OOM kill.
+    // Workspace: RandomizedSvd keeps at most two dense n x q panels alive
+    // (la/rsvd.h). Reserve them up front so an envelope too small for the
+    // factorization is a reported error, not an OOM kill.
     uint64_t q = ropt.rank + ropt.oversample;
     if (q > g.NumVertices()) q = g.NumVertices();
     BudgetReservation svd_reservation(
         budget.limited() ? &budget : nullptr,
-        6 * static_cast<uint64_t>(g.NumVertices()) * q * sizeof(float));
+        2 * static_cast<uint64_t>(g.NumVertices()) * q * sizeof(float));
     if (!svd_reservation.ok()) {
       return Status::ResourceExhausted(
           "memory budget of " + HumanBytes(budget.limit_bytes()) +
@@ -337,11 +335,12 @@ Result<LightNeResult> RunLightNe(const G& g, const LightNeOptions& opt) {
     }
     auto svd = RandomizedSvd(matrix, ropt);
     if (!svd.ok()) return svd.status();
-    svd_factors = std::move(*svd);
+    matrix = SparseMatrix();
+    result.embedding = EmbeddingFromSvd(std::move(*svd));
     svd_reservation.ReleaseEarly();
-    checkpoint.SaveRsvdFactors(svd_factors, ckpt_stats);
+    checkpoint.SaveEmbedding(EmbeddingStage::kRsvd, result.embedding,
+                             ckpt_stats);
   }
-  result.embedding = EmbeddingFromSvd(svd_factors);
 
   // ---- Stage 3: spectral propagation (ProNE enhancement) -----------------
   if (opt.spectral_propagation) {
@@ -359,7 +358,8 @@ Result<LightNeResult> RunLightNe(const G& g, const LightNeOptions& opt) {
     if (!propagated.ok()) return propagated.status();
     result.embedding = std::move(*propagated);
   }
-  checkpoint.SaveFinal(result.embedding, ckpt_stats);
+  checkpoint.SaveEmbedding(EmbeddingStage::kFinal, result.embedding,
+                           ckpt_stats);
   result.degraded = result.sparsifier_stats.degraded;
   return finish(std::move(result));
 }

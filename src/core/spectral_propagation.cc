@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "la/kernels.h"
 #include "la/special.h"
 #include "la/svd.h"
 #include "parallel/parallel_for.h"
@@ -132,25 +133,26 @@ Matrix ChebyshevFilter(const PropagationOperator& op, const Matrix& x,
 
 Result<Matrix> DenseSvdSmoothing(const Matrix& mm) {
   const uint64_t d = mm.cols();
-  // Gram trick: mm = U S V^T  =>  mm^T mm = V S^2 V^T, and JacobiSvd of the
-  // symmetric PSD Gram matrix is its eigen-decomposition (sigma_j = S_j^2).
-  Matrix gram = GemmTN(mm, mm);
-  Result<SvdResult> eig_result = JacobiSvd(gram);
-  if (!eig_result.ok()) return eig_result.status();
-  SvdResult& eig = *eig_result;
+  // Gram trick: mm = U S V^T  =>  mm^T mm = V S^2 V^T, whose eigenvalues
+  // are lambda_j = S_j^2 (la/svd.h).
+  Result<SymmetricEigenResult> eig =
+      SymmetricEigen(kernels::GemmTnDouble(mm, mm), d);
+  if (!eig.ok()) return eig.status();
   // ProNE's smoothing returns row-normalized U sqrt(S). Since
   //   U sqrt(S) = mm V S^{-1} S^{1/2} = mm V S^{-1/2},
-  // scale the columns of mm*V by S_j^{-1/2} = sigma_j^{-1/4}.
-  std::vector<float> scale(d);
+  // it is mm times W, column j of V scaled by S_j^{-1/2} = lambda_j^{-1/4}.
+  Matrix w(d, d);
   for (uint64_t j = 0; j < d; ++j) {
-    const double s2 = std::max(0.0, static_cast<double>(eig.sigma[j]));
-    scale[j] =
-        s2 > 1e-12 ? static_cast<float>(1.0 / std::sqrt(std::sqrt(s2))) : 0.0f;
+    const double lambda = eig->values[j];
+    if (!(lambda > 1e-12)) continue;
+    const double scale = 1.0 / std::sqrt(std::sqrt(lambda));
+    for (uint64_t k = 0; k < d; ++k) {
+      w.At(k, j) = static_cast<float>(eig->vectors[k * d + j] * scale);
+    }
   }
-  Matrix mv = Gemm(mm, eig.v);
-  mv.ScaleColumns(scale);
-  mv.NormalizeRows();
-  return mv;
+  Matrix mw = Gemm(mm, w);
+  mw.NormalizeRows();
+  return mw;
 }
 
 }  // namespace lightne

@@ -5,10 +5,10 @@
 #include <cmath>
 #include <numeric>
 
+#include "parallel/atomics.h"
 #include "parallel/parallel_for.h"
 #include "util/check.h"
 #include "util/random.h"
-#include "util/thread_annotations.h"
 
 namespace lightne {
 
@@ -40,12 +40,9 @@ void LoadFeature(const Matrix& features, NodeId v, bool normalize,
 }
 
 // One Hogwild SGD step (Recht et al., 2011): reads and updates every label's
-// weight row for node `v` without synchronization. Concurrent workers racing
-// on `weights` is the documented design trade-off — conflicting updates are
-// sparse and perturb SGD less than locking would cost — so ThreadSanitizer
-// instrumentation is disabled for this function. Nothing else in here may
-// touch shared mutable state.
-LIGHTNE_NO_SANITIZE_THREAD
+// weight row for node `v` without locking. Conflicting updates from
+// concurrent workers are sparse and perturb SGD less than locking would
+// cost; the relaxed atomic accesses make them lost updates, not races.
 void HogwildStep(const Matrix& features, const MultiLabels& labels, NodeId v,
                  bool normalize, uint32_t num_labels, uint64_t dim, float lr,
                  float decay, float* weights) {
@@ -58,11 +55,11 @@ void HogwildStep(const Matrix& features, const MultiLabels& labels, NodeId v,
     const float y = (li < lv.size() && lv[li] == l) ? 1.0f : 0.0f;
     float* w = weights + static_cast<size_t>(l) * dim;
     double dot = 0;
-    for (uint64_t j = 0; j < dim; ++j) dot += w[j] * x[j];
+    for (uint64_t j = 0; j < dim; ++j) dot += HogwildLoad(w[j]) * x[j];
     const float g = static_cast<float>(Sigmoid(dot)) - y;
     const float step = lr * g;
     for (uint64_t j = 0; j < dim; ++j) {
-      w[j] = decay * w[j] - step * x[j];
+      HogwildStore(w[j], decay * HogwildLoad(w[j]) - step * x[j]);
     }
   }
 }
@@ -91,8 +88,8 @@ OneVsRestLogReg OneVsRestLogReg::Train(const Matrix& features,
     const float lr = static_cast<float>(opt.learning_rate /
                                         (1.0 + 0.5 * epoch));
     const float decay = static_cast<float>(1.0 - opt.learning_rate * opt.l2);
-    // Hogwild-style: concurrent unsynchronized updates are benign for SGD
-    // (see HogwildStep, which carries the TSan opt-out for that race).
+    // Hogwild-style: concurrent unlocked updates are benign for SGD (see
+    // HogwildStep).
     ParallelFor(
         0, order.size(),
         [&](uint64_t i) {

@@ -23,16 +23,16 @@ Matrix NaiveGemm(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix NaiveGemmTN(const Matrix& a, const Matrix& b) {
+std::vector<double> NaiveGemmTN(const Matrix& a, const Matrix& b) {
   LIGHTNE_CHECK_EQ(a.rows(), b.rows());
-  Matrix c(a.cols(), b.cols());
+  std::vector<double> c(a.cols() * b.cols());
   for (uint64_t i = 0; i < a.cols(); ++i) {
     for (uint64_t j = 0; j < b.cols(); ++j) {
       double acc = 0.0;
       for (uint64_t r = 0; r < a.rows(); ++r) {
         acc += static_cast<double>(a.At(r, i)) * b.At(r, j);
       }
-      c.At(i, j) = static_cast<float>(acc);
+      c[i * b.cols() + j] = acc;
     }
   }
   return c;
@@ -83,8 +83,9 @@ namespace kernels {
 
 uint64_t GemmTnBlocks(uint64_t rows, uint64_t m, uint64_t n) {
   // One block per ~1K rows caps the per-element reduction tree while giving
-  // the pool parallelism on the tall-skinny inputs GemmTN is built for; the
-  // byte budget caps the m*n*8-byte partial buffers when m, n are not small.
+  // the pool parallelism on the tall-skinny inputs GemmTnDouble is built
+  // for; the byte budget caps the m*n*8-byte partial buffers when m, n are
+  // not small.
   constexpr uint64_t kBlockRows = 1024;
   constexpr uint64_t kMaxBlocks = 128;
   constexpr uint64_t kPartialBudgetBytes = 32ull << 20;
@@ -223,7 +224,7 @@ namespace {
 
 constexpr uint64_t kTnRows = 4;  // rows widened to double per step
 
-// One GemmTN block: acc (m x n) = the sum over rows [lo, hi) of A^T B,
+// One GemmTnDouble block: acc (m x n) = the sum over rows [lo, hi) of A^T B,
 // kTnRows rows at a time; acc is followed by the kTnRows x (m + n) widening
 // buffers. kGram: b is a, so only A is widened and only j >= i is summed.
 template <bool kGram>
@@ -313,13 +314,6 @@ std::vector<double> kernels::GemmTnDouble(const Matrix& a, const Matrix& b) {
     c[e] = sum;
     if (gram) c[j * n + i] = sum;
   });
-  return c;
-}
-
-Matrix GemmTN(const Matrix& a, const Matrix& b) {
-  const std::vector<double> sums = kernels::GemmTnDouble(a, b);
-  Matrix c(a.cols(), b.cols());
-  std::copy(sums.begin(), sums.end(), c.data());  // rounds each to float
   return c;
 }
 

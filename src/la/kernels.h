@@ -8,8 +8,8 @@
 //    permanently — they are the accuracy oracle for the blocked kernels and
 //    the denominator of the recorded perf baseline
 //    (bench/bench_kernels_baseline.cc → BENCH_kernels.json).
-//  - Blocked kernels, reached through the public Gemm / GemmTN entry
-//    points (la/matrix.h) and SparseMatrix::Multiply: L1/L2 cache
+//  - Blocked kernels, reached through Gemm (la/matrix.h),
+//    kernels::GemmTnDouble and SparseMatrix::Multiply: L1/L2 cache
 //    blocking with packed B panels, __restrict-qualified inner loops the
 //    compiler auto-vectorizes, parallelized over row panels.
 //
@@ -18,10 +18,10 @@
 // and precision as its naive reference, and partitions work as a function
 // of the problem shape only — never the worker count. Gemm and Spmm are
 // therefore bit-identical to their references and across worker counts.
-// GemmTN reduces per-element in double through a shape-determined block
-// partition: still bit-identical across worker counts, and equal to
-// its reference to ~1 float ulp after the final double→float rounding
-// (tested at 1e-12 relative Frobenius, far below that ulp). "Same order and
+// GemmTnDouble reduces per-element in double through a shape-determined
+// block partition: still bit-identical across worker counts, and equal to
+// its row-order reference up to the double rounding of the block merge
+// (tested at 1e-12 relative Frobenius). "Same order and
 // precision" includes no fused multiply-add: the root CMakeLists.txt builds
 // with -ffp-contract=off, so a wider target (-march=native) rounds every
 // product before it is added, as the references do.
@@ -41,8 +41,9 @@ namespace lightne {
 /// C = A * B, i-j-k triple loop, float accumulator, k ascending.
 Matrix NaiveGemm(const Matrix& a, const Matrix& b);
 
-/// C = A^T * B, one double accumulator per output element, rows ascending.
-Matrix NaiveGemmTN(const Matrix& a, const Matrix& b);
+/// C = A^T * B as an m x n row-major double buffer (m = a.cols(),
+/// n = b.cols()): one double accumulator per element, rows ascending.
+std::vector<double> NaiveGemmTN(const Matrix& a, const Matrix& b);
 
 /// B = A^T, element-at-a-time.
 Matrix NaiveTranspose(const Matrix& a);
@@ -59,10 +60,9 @@ inline constexpr uint64_t kKc = 256;  ///< k-panel depth of a packed B tile
 inline constexpr uint64_t kNc = 64;   ///< column strip (256 B of a C row)
 
 /// C = A^T * B as an m x n row-major double buffer (m = a.cols(),
-/// n = b.cols()): the shape-partitioned reduction GemmTN rounds to float.
-/// The CholeskyQR Gram in la/qr.cc keeps it in double. When a and b are the
-/// same object (a Gram), only j >= i is accumulated and mirrored: the result
-/// is bit-identical to passing a copy of a as b.
+/// n = b.cols()): the Grams of CholeskyQR2, the rSVD tail and the smoothing.
+/// When a and b are the same object (a Gram), only j >= i is accumulated
+/// and mirrored: the result is bit-identical to passing a copy of a as b.
 std::vector<double> GemmTnDouble(const Matrix& a, const Matrix& b);
 
 /// C = A * U for a square upper-triangular U: Gemm's loop nest with the
@@ -74,9 +74,10 @@ std::vector<double> GemmTnDouble(const Matrix& a, const Matrix& b);
 /// that equality.
 Matrix GemmUpper(const Matrix& a, const Matrix& u);
 
-/// Number of row blocks GemmTN partitions its reduction into. Depends only
-/// on the shape (rows, m, n) — never the worker count — so the blockwise
-/// double reduction is deterministic for any pool size. Exposed for tests.
+/// Number of row blocks GemmTnDouble partitions its reduction into: a
+/// function of the shape (rows, m, n) only — never the worker count — so the
+/// blockwise double reduction is deterministic for any pool size. Exposed
+/// for tests.
 uint64_t GemmTnBlocks(uint64_t rows, uint64_t m, uint64_t n);
 
 }  // namespace kernels

@@ -80,20 +80,6 @@ void Matrix::NormalizeRows() {
       /*grain=*/256);
 }
 
-Matrix Matrix::FirstColumns(uint64_t k) const {
-  LIGHTNE_CHECK_LE(k, cols_);
-  Matrix out(rows_, k);
-  ParallelFor(
-      0, rows_,
-      [&](uint64_t i) {
-        const float* src = Row(i);
-        float* dst = out.Row(i);
-        for (uint64_t j = 0; j < k; ++j) dst[j] = src[j];
-      },
-      /*grain=*/512);
-  return out;
-}
-
 double MaxAbsDiff(const Matrix& a, const Matrix& b) {
   LIGHTNE_CHECK_EQ(a.rows(), b.rows());
   LIGHTNE_CHECK_EQ(a.cols(), b.cols());

@@ -53,8 +53,6 @@ class Matrix {
   /// Normalizes each row to unit L2 norm (rows of zero norm left as-is).
   void NormalizeRows();
 
-  /// Returns the submatrix of the first `k` columns.
-  Matrix FirstColumns(uint64_t k) const;
 
  private:
   uint64_t rows_ = 0;
@@ -65,12 +63,6 @@ class Matrix {
 /// C = A * B. Cache-blocked with packed B panels, parallel over row panels
 /// of A; bit-identical to NaiveGemm for any worker count (la/kernels.h).
 Matrix Gemm(const Matrix& a, const Matrix& b);
-
-/// C = A^T * B, for tall-skinny A and B with equal row counts (the Gram-type
-/// product in Algo 3 line 8). Parallel over a shape-determined row-block
-/// partition with double-precision partials from the scratch arena
-/// (la/kernels.h); deterministic for any worker count.
-Matrix GemmTN(const Matrix& a, const Matrix& b);
 
 /// max_{i,j} |A_ij - B_ij|; shapes must match.
 double MaxAbsDiff(const Matrix& a, const Matrix& b);

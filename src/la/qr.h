@@ -1,11 +1,13 @@
 // QR factorization / orthonormalization — the LAPACKE_sgeqrf +
-// LAPACKE_sorgqr counterpart used by Algo 3 (lines 4 and 7).
+// LAPACKE_sorgqr counterpart used by Algo 3 (line 4 and the power
+// iterations).
 //
 // Orthonormalize runs CholeskyQR2 (Fukaya et al., 2014): twice, the Gram
-// G = Y^T Y in double through GemmTN's core, a q x q Cholesky G = R^T R and
-// R^-1 in double, then Y <- Y R^-1 through Gemm — bit-identical at any
-// worker count (DESIGN.md §8). A rank-deficient or badly conditioned panel
-// falls back to HouseholderQr, which is also the test oracle.
+// G = Y^T Y in double through kernels::GemmTnDouble, a q x q Cholesky
+// G = R^T R and R^-1 in double, then Y <- Y R^-1 through Gemm —
+// bit-identical at any worker count (DESIGN.md §8). A rank-deficient or
+// badly conditioned panel falls back to HouseholderQr, which is also the
+// test oracle.
 #ifndef LIGHTNE_LA_QR_H_
 #define LIGHTNE_LA_QR_H_
 

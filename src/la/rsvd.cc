@@ -1,12 +1,11 @@
 #include "la/rsvd.h"
 
 #include <cmath>
+#include <utility>
 
+#include "la/kernels.h"
 #include "la/qr.h"
 #include "la/svd.h"
-#include "parallel/parallel_for.h"
-#include "util/check.h"
-#include "util/logging.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -36,12 +35,9 @@ Result<RandomizedSvdResult> RandomizedSvd(const SparseMatrix& a,
   }
 
   TraceSpan sketch_span("rsvd/sketch");
-  // Line 2: sample Gaussian random matrices O and P.   // vsRngGaussian
-  Matrix o = Matrix::Gaussian(n, q, opt.seed);
-  Matrix p = Matrix::Gaussian(q, q, opt.seed + 1);
-
+  // Line 2: sample a Gaussian random matrix O.          // vsRngGaussian
   // Line 3: Y = A^T O.                                  // mkl_sparse_s_mm
-  Matrix y = at->Multiply(o);
+  Matrix y = at->Multiply(Matrix::Gaussian(n, q, opt.seed));
   // Line 4: orthonormalize Y.         // LAPACKE_sgeqrf, LAPACKE_sorgqr
   Orthonormalize(&y);
   sketch_span.End();
@@ -50,8 +46,10 @@ Result<RandomizedSvdResult> RandomizedSvd(const SparseMatrix& a,
   for (uint64_t it = 0; it < opt.power_iters; ++it) {
     TraceSpan iter_span("rsvd/power_iter");
     Matrix z = a.Multiply(y);
+    y = Matrix();
     Orthonormalize(&z);
     y = at->Multiply(z);
+    z = Matrix();
     Orthonormalize(&y);
   }
   MetricsRegistry::Global().GetCounter("rsvd/power_iters")
@@ -60,33 +58,41 @@ Result<RandomizedSvdResult> RandomizedSvd(const SparseMatrix& a,
   TraceSpan project_span("rsvd/project");
   // Line 5: B = A Y.                                    // mkl_sparse_s_mm
   Matrix b = a.Multiply(y);
-  // Line 6: Z = B P.                                    // cblas_sgemm
-  Matrix z = Gemm(b, p);
-  // Line 7: orthonormalize Z.         // LAPACKE_sgeqrf, LAPACKE_sorgqr
-  Orthonormalize(&z);
-  // Line 8: C = Z^T B.                                  // cblas_sgemm
-  Matrix c = GemmTN(z, b);
+  y = Matrix();
+  // Lines 6-10 as eigSVD (la/rsvd.h): B's Gram in double.
+  const std::vector<double> gram = kernels::GemmTnDouble(b, b);
   project_span.End();
-  // Line 9: SVD of the small matrix C = U S V^T.        // LAPACKE_sgesvd
   TraceSpan small_span("rsvd/small_svd");
-  Result<SvdResult> small_result = JacobiSvd(c);
+  Result<SymmetricEigenResult> eig = SymmetricEigen(gram, q);
   small_span.End();
-  if (!small_result.ok()) return small_result.status();
-  SvdResult& small = *small_result;
-  // Line 10: return (Z U, S, Y V).                      // cblas_sgemm
-  TraceSpan recover_span("rsvd/recover");
-  Matrix zu = Gemm(z, small.u);
-  Matrix yv = Gemm(y, small.v);
+  if (!eig.ok()) return eig.status();
 
+  // U = B W with W = V_d S_d^-1; a column below the floor stays zero.
+  TraceSpan recover_span("rsvd/recover");
+  const uint64_t d = opt.rank;
   RandomizedSvdResult out;
-  out.u = zu.FirstColumns(opt.rank);
-  out.v = yv.FirstColumns(opt.rank);
-  out.sigma.assign(small.sigma.begin(), small.sigma.begin() + opt.rank);
+  out.sigma.assign(d, 0.0f);
+  Matrix w(q, d);
+  uint64_t floored = 0;
+  for (uint64_t j = 0; j < d; ++j) {
+    const double lambda = eig->values[j];
+    if (!(lambda > 1e-8 * eig->values[0])) {
+      ++floored;
+      continue;
+    }
+    const double sigma = std::sqrt(lambda);
+    out.sigma[j] = static_cast<float>(sigma);
+    for (uint64_t k = 0; k < q; ++k) {
+      w.At(k, j) = static_cast<float>(eig->vectors[k * q + j] / sigma);
+    }
+  }
+  MetricsRegistry::Global().GetCounter("rsvd/floored_columns")->Add(floored);
+  out.u = Gemm(b, w);
   return out;
 }
 
-Matrix EmbeddingFromSvd(const RandomizedSvdResult& svd) {
-  Matrix x = svd.u;
+Matrix EmbeddingFromSvd(RandomizedSvdResult svd) {
+  Matrix x = std::move(svd.u);
   std::vector<float> scale(svd.sigma.size());
   for (size_t j = 0; j < scale.size(); ++j) {
     scale[j] = svd.sigma[j] > 0 ? std::sqrt(svd.sigma[j]) : 0.0f;

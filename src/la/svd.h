@@ -1,30 +1,29 @@
-// Dense SVD of small matrices via one-sided Jacobi — the LAPACKE_sgesvd
-// counterpart applied to the projected matrix C in Algo 3 (line 9). C is
-// (d + oversample)^2-sized, so a simple high-accuracy method is the right
-// tool.
+// The q x q eigensolve behind the rSVD's eigSVD tail (la/rsvd.h) and ProNE's
+// smoothing: B^T B = V L V^T gives a tall panel B's right singular vectors
+// V and singular values sqrt(L). Householder tridiagonalization plus the
+// implicit-shift symmetric QL step (Golub & Van Loan §8.3), in double.
 #ifndef LIGHTNE_LA_SVD_H_
 #define LIGHTNE_LA_SVD_H_
 
+#include <cstdint>
 #include <vector>
 
-#include "la/matrix.h"
 #include "util/status.h"
 
 namespace lightne {
 
-struct SvdResult {
-  Matrix u;                  // l x q, orthonormal columns (zero where sigma=0)
-  std::vector<float> sigma;  // q singular values, descending
-  Matrix v;                  // q x q, orthogonal
+struct SymmetricEigenResult {
+  std::vector<double> values;   // q eigenvalues, descending
+  std::vector<double> vectors;  // q x q row-major; column j pairs values[j]
 };
 
-/// Full thin SVD A = U diag(sigma) V^T for an l x q matrix with l >= q.
-/// One-sided Jacobi in double precision; singular values sorted descending.
-/// Fails with kInvalidArgument on degenerate shapes (l < q, empty, non-
-/// finite entries) and kInternal if the sweep limit is hit before the
-/// off-diagonal mass is annihilated (non-convergence is reported, never
-/// silently truncated). Fault point: "svd/converge".
-Result<SvdResult> JacobiSvd(const Matrix& a);
+/// G = V diag(values) V^T for a symmetric q x q row-major matrix g, with V
+/// orthogonal. Fails with kInvalidArgument when q is 0, g does not hold
+/// q * q entries or an entry is non-finite, and with kInternal ("did not
+/// converge") when an eigenvalue is still coupled after the iteration cap.
+/// Fault point: "svd/converge".
+Result<SymmetricEigenResult> SymmetricEigen(const std::vector<double>& g,
+                                            uint64_t q);
 
 }  // namespace lightne
 

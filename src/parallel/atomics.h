@@ -1,7 +1,8 @@
 // Atomic helpers. The paper's sparsifier aggregation relies on the x86 xadd
 // instruction (std::atomic::fetch_add on integers); we also provide an
 // explicit CAS-loop fetch-add so the bench suite can reproduce the paper's
-// xadd-vs-CAS contention comparison (§4.2, citing Shun et al. 2013).
+// xadd-vs-CAS contention comparison (§4.2, citing Shun et al. 2013), and the
+// relaxed float accesses of the Hogwild SGD loops.
 #ifndef LIGHTNE_PARALLEL_ATOMICS_H_
 #define LIGHTNE_PARALLEL_ATOMICS_H_
 
@@ -29,6 +30,16 @@ inline T CasLoopFetchAdd(std::atomic<T>& target, T delta) {
                                        std::memory_order_relaxed)) {
   }
   return observed;
+}
+
+/// Hogwild access to a shared float parameter (the SGNS trainer, the
+/// one-vs-rest classifier): relaxed, so a concurrent update may be lost but
+/// is never a data race.
+inline float HogwildLoad(float& x) {
+  return std::atomic_ref<float>(x).load(std::memory_order_relaxed);
+}
+inline void HogwildStore(float& x, float v) {
+  std::atomic_ref<float>(x).store(v, std::memory_order_relaxed);
 }
 
 }  // namespace lightne

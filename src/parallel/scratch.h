@@ -1,8 +1,8 @@
 // Reusable per-thread scratch memory for the kernel layer.
 //
 // The blocked LA kernels need short-lived workspace (packed B panels,
-// per-block GemmTN partial accumulators) on every call; allocating it fresh
-// each time dominated profile samples in the rSVD power-iteration loop,
+// per-block GemmTnDouble partial accumulators) on every call; allocating it
+// fresh each time dominated profile samples in the rSVD power-iteration loop,
 // where the same shapes recur dozens of times. ScratchArena is a grow-only
 // bump allocator owned by the calling thread: the first call pays the
 // allocation, every later call of the same shape reuses the warm memory.

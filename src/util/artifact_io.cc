@@ -45,6 +45,26 @@ const uint32_t* Crc32cTable() {
   return table;
 }
 
+#if defined(__x86_64__)
+// Eight bytes per crc32 instruction, then the tail a byte at a time. It
+// carries the sse4.2 target itself, so the default x86-64 build compiles it
+// and Hardware() decides at run time whether it may run.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
+                                                       uint64_t bytes,
+                                                       uint32_t seed) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  uint64_t crc = ~seed;
+  for (; bytes >= 8; p += 8, bytes -= 8) {
+    uint64_t chunk;
+    std::memcpy(&chunk, p, 8);
+    crc = __builtin_ia32_crc32di(crc, chunk);
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (; bytes > 0; --bytes) crc32 = __builtin_ia32_crc32qi(crc32, *p++);
+  return ~crc32;
+}
+#endif
+
 /// Fsyncs the directory containing `path` so a just-committed rename
 /// survives power loss. Best-effort: some filesystems reject O_DIRECTORY
 /// fsync, and the rename itself is already atomic for crash-of-this-process
@@ -62,44 +82,30 @@ void FsyncParentDir(const std::string& path) {
 
 }  // namespace
 
-uint32_t Crc32c(const void* data, uint64_t bytes, uint32_t seed) {
+uint32_t crc32c_internal::Software(const void* data, uint64_t bytes,
+                                   uint32_t seed) {
   const auto* p = static_cast<const uint8_t*>(data);
-  uint32_t crc = ~seed;
-#if defined(__SSE4_2__)
-  while (bytes >= 8) {
-    uint64_t chunk;
-    std::memcpy(&chunk, p, 8);
-    crc = static_cast<uint32_t>(
-        __builtin_ia32_crc32di(static_cast<uint64_t>(crc), chunk));
-    p += 8;
-    bytes -= 8;
-  }
-  while (bytes > 0) {
-    crc = __builtin_ia32_crc32qi(crc, *p++);
-    --bytes;
-  }
-#else
   const uint32_t* table = Crc32cTable();
+  uint32_t crc = ~seed;
   for (uint64_t i = 0; i < bytes; ++i) {
     crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
   }
-#endif
   return ~crc;
 }
 
-Result<uint32_t> Crc32cOfFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  uint8_t buf[1 << 16];
-  uint32_t crc = 0;
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    crc = Crc32c(buf, got, crc);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::IOError("read error in " + path);
-  return crc;
+crc32c_internal::Fn crc32c_internal::Hardware() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return &Crc32cSse42;
+#endif
+  return nullptr;
+}
+
+uint32_t Crc32c(const void* data, uint64_t bytes, uint32_t seed) {
+  // Resolved once, on first use (thread-safe static initialization).
+  static const crc32c_internal::Fn hardware = crc32c_internal::Hardware();
+  if (hardware != nullptr) return hardware(data, bytes, seed);
+  return crc32c_internal::Software(data, bytes, seed);
 }
 
 bool FileExists(const std::string& path) {

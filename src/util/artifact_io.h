@@ -42,13 +42,19 @@
 
 namespace lightne {
 
-/// CRC32C (Castagnoli) of `bytes`. Hardware-accelerated under SSE4.2,
-/// table-driven otherwise; both produce the standard reflected CRC so
-/// checksums are portable across builds.
+/// CRC32C (Castagnoli) of `bytes`: the standard reflected CRC, so checksums
+/// are portable across builds and machines. Runs the SSE4.2 crc32
+/// instruction where the CPU has it (checked once, at first use) and a table
+/// walk elsewhere.
 uint32_t Crc32c(const void* data, uint64_t bytes, uint32_t seed = 0);
 
-/// CRC32C of an entire file, streamed. kIOError if unreadable.
-Result<uint32_t> Crc32cOfFile(const std::string& path);
+namespace crc32c_internal {
+using Fn = uint32_t (*)(const void* data, uint64_t bytes, uint32_t seed);
+/// Crc32c's two arms, exposed so a test can run both. The table walk runs
+/// anywhere; Hardware() is nullptr on a CPU without SSE4.2.
+uint32_t Software(const void* data, uint64_t bytes, uint32_t seed);
+Fn Hardware();
+}  // namespace crc32c_internal
 
 /// True if `path` exists (any file type).
 bool FileExists(const std::string& path);

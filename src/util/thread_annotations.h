@@ -84,23 +84,6 @@
 #define LIGHTNE_NO_THREAD_SAFETY_ANALYSIS \
   LIGHTNE_THREAD_ANNOTATION_ATTRIBUTE(no_thread_safety_analysis)
 
-/// Escape hatch for ThreadSanitizer: the function body's memory accesses are
-/// not instrumented. Reserved for algorithms whose data races are part of the
-/// design (e.g. Hogwild SGD, where unsynchronized weight updates are the
-/// documented trade-off); every use must carry a comment saying why the race
-/// is benign. Instrumented callees are still checked, so keep any code that
-/// touches *other* shared state out of the annotated function.
-#if defined(__clang__)
-#if __has_feature(thread_sanitizer)
-#define LIGHTNE_NO_SANITIZE_THREAD __attribute__((no_sanitize("thread")))
-#endif
-#elif defined(__SANITIZE_THREAD__)
-#define LIGHTNE_NO_SANITIZE_THREAD __attribute__((no_sanitize_thread))
-#endif
-#ifndef LIGHTNE_NO_SANITIZE_THREAD
-#define LIGHTNE_NO_SANITIZE_THREAD
-#endif
-
 namespace lightne {
 
 class CondVar;

@@ -430,7 +430,7 @@ TEST(PropagationTest, BitIdenticalAcrossWorkerCounts) {
   // variant runs with 4); SequentialRegion forces a true 1-worker run in
   // the same process. The blocked kernel layer partitions work by shape,
   // never worker count (la/kernels.h), so propagation — including the
-  // GemmTN/Gemm/Jacobi smoothing path — must agree bit for bit.
+  // Gram/eigensolve/Gemm smoothing path — must agree bit for bit.
   const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(10, 8000, 77));
   Matrix x = Matrix::Gaussian(g.NumVertices(), 24, 13);
   Matrix parallel_run = SpectralPropagate(g, x).value();

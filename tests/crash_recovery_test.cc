@@ -200,14 +200,14 @@ TEST(CrashRecovery, KilledPipelineResumesBitIdentical) {
   // SVD solver (sparsifier already durable), and just after rsvd.art commits
   // (two stages durable). "io/write" hits count every frame append and
   // commit: sparsifier.art is hits 1-5 (header, dims, offsets, columns,
-  // values) plus commit 6, rsvd.art hits 7-11 plus commit 12, and hit 13 is
-  // final.art's header frame.
+  // values) plus commit 6, rsvd.art hits 7-9 (header, dims, embedding) plus
+  // commit 10, and hit 11 is final.art's header frame.
   std::vector<KillPoint> matrix = {
       {"sparsifier/table_insert", 3, 0},
       {"io/write", 1, 0},
       {"io/write", 6, 0},
       {"svd/converge", 1, 1},
-      {"io/write", 13, 2},
+      {"io/write", 11, 2},
   };
   if (const char* mode = std::getenv("LIGHTNE_CRASH_MATRIX");
       mode != nullptr && std::string(mode) == "reduced") {
@@ -460,16 +460,15 @@ bool LoadStage(const std::string& dir, const std::string& stage,
   CheckpointManager manager(dir, /*resume=*/true, options_fp,
                             /*graph_fp=*/7, /*total_stages=*/3);
   CheckpointedPipelineStats stats{};
-  if (stage == "final") {
-    Matrix embedding;
-    return manager.LoadFinal(&embedding, &stats);
+  if (stage == "sparsifier") {
+    SparseMatrix matrix;
+    return manager.LoadSparsifier(&matrix, &stats);
   }
-  if (stage == "rsvd") {
-    RandomizedSvdResult svd;
-    return manager.LoadRsvdFactors(&svd, &stats);
-  }
-  SparseMatrix matrix;
-  return manager.LoadSparsifier(&matrix, &stats);
+  Matrix embedding;
+  return manager.LoadEmbedding(
+      stage == "final" ? CheckpointManager::EmbeddingStage::kFinal
+                       : CheckpointManager::EmbeddingStage::kRsvd,
+      &embedding, &stats);
 }
 
 TEST_F(CheckpointResumeTest, SweepEveryHeaderByteFrameAndBoundaryIsCorrupt) {
@@ -485,12 +484,10 @@ TEST_F(CheckpointResumeTest, SweepEveryHeaderByteFrameAndBoundaryIsCorrupt) {
             3, 3, {{1, 0.5f}, {uint64_t{1} << 32, 0.5f},
                    {(uint64_t{2} << 32) | 2, 1.5f}}),
         stats);
-    RandomizedSvdResult svd;
-    svd.u = Matrix::Gaussian(5, 2, 1);
-    svd.sigma = {2.0f, 1.0f};
-    svd.v = Matrix::Gaussian(5, 2, 2);
-    writer.SaveRsvdFactors(svd, stats);
-    writer.SaveFinal(Matrix::Gaussian(5, 2, 3), stats);
+    writer.SaveEmbedding(CheckpointManager::EmbeddingStage::kRsvd,
+                         Matrix::Gaussian(5, 2, 1), stats);
+    writer.SaveEmbedding(CheckpointManager::EmbeddingStage::kFinal,
+                         Matrix::Gaussian(5, 2, 3), stats);
   }
   const LogLevel log_level = GetLogLevel();
   SetLogLevel(LogLevel::kError);  // one warning per corrupted load

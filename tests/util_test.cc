@@ -395,6 +395,34 @@ TEST(Crc32cTest, SeedChainsIncrementalComputation) {
   EXPECT_EQ(Crc32c(data + 7, sizeof(data) - 7, part), whole);
 }
 
+TEST(Crc32cTest, HardwareAndTableArmsAgree) {
+  // Every length 0-300 at every start offset 0-7 (the hardware arm's 8-byte
+  // loop, its byte tail and unaligned starts), whole and seed-chained.
+  const crc32c_internal::Fn hardware = crc32c_internal::Hardware();
+  EXPECT_EQ(crc32c_internal::Software("123456789", 9, 0), 0xe3069283u);
+  if (hardware == nullptr) GTEST_SKIP() << "CPU has no SSE4.2";
+  EXPECT_EQ(hardware("123456789", 9, 0), 0xe3069283u);
+  Rng rng(2024);
+  std::vector<uint8_t> buffer(8 + 300);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.UniformInt(256));
+  for (uint64_t offset = 0; offset < 8; ++offset) {
+    const uint8_t* data = buffer.data() + offset;
+    for (uint64_t len = 0; len <= 300; ++len) {
+      const uint32_t want = crc32c_internal::Software(data, len, 0);
+      ASSERT_EQ(hardware(data, len, 0), want) << offset << "+" << len;
+      ASSERT_EQ(Crc32c(data, len), want) << offset << "+" << len;
+      const uint64_t cut = len / 3;
+      ASSERT_EQ(hardware(data + cut, len - cut, hardware(data, cut, 0)), want)
+          << offset << "+" << len;
+      ASSERT_EQ(crc32c_internal::Software(
+                    data + cut, len - cut,
+                    crc32c_internal::Software(data, cut, 0)),
+                want)
+          << offset << "+" << len;
+    }
+  }
+}
+
 TEST(AtomicFileWriterTest, AbortLeavesNoFileAndPreservesPrevious) {
   const std::string path = ::testing::TempDir() + "/atomic_abort.txt";
   {
