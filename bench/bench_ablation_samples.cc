@@ -28,8 +28,8 @@ int main() {
               static_cast<unsigned long long>(g.NumUndirectedEdges()));
   const uint32_t window = 10;
 
-  std::printf("\n%-34s %10s %12s %14s %14s %10s\n", "Strategy", "M/Tm",
-              "accepted", "distinct", "memory", "time(s)");
+  std::printf("\n%-34s %10s %12s %14s %14s %8s %10s\n", "Strategy", "M/Tm",
+              "accepted", "distinct", "memory", "attempts", "time(s)");
   for (double ratio : {2.0, 8.0, 16.0}) {
     const uint64_t target = static_cast<uint64_t>(
         ratio * window * static_cast<double>(g.NumUndirectedEdges()));
@@ -44,10 +44,10 @@ int main() {
       if (!r.ok()) return 1;
       const double secs = r->timing.SecondsFor("sparsifier");
       (void)t;
-      std::printf("%-34s %10.0f %12llu %14s %14s %10.1f\n",
+      std::printf("%-34s %10.0f %12llu %14s %14s %8s %10.1f\n",
                   "NetSMF buffers (no downsample)", ratio,
                   static_cast<unsigned long long>(r->samples_drawn), "-",
-                  HumanBytes(r->buffer_bytes).c_str(), secs);
+                  HumanBytes(r->buffer_bytes).c_str(), "-", secs);
     }
     // --- the paper's considered alternative: worker lists + histogram -----
     {
@@ -59,11 +59,11 @@ int main() {
       Timer t;
       auto r = BuildSparsifier(g, opt);
       if (!r.ok()) return 1;
-      std::printf("%-34s %10.0f %12llu %14llu %14s %10.1f\n",
+      std::printf("%-34s %10.0f %12llu %14llu %14s %8s %10.1f\n",
                   "worker lists + sort histogram", ratio,
                   static_cast<unsigned long long>(r->samples_accepted),
                   static_cast<unsigned long long>(r->distinct_entries),
-                  HumanBytes(r->table_bytes).c_str(), t.Seconds());
+                  HumanBytes(r->table_bytes).c_str(), "-", t.Seconds());
     }
     // --- hash table, downsampling off/on -----------------------------------
     for (bool downsample : {false, true}) {
@@ -77,13 +77,14 @@ int main() {
         std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
         return 1;
       }
-      std::printf("%-34s %10.0f %12llu %14llu %14s %10.1f\n",
+      std::printf("%-34s %10.0f %12llu %14llu %14s %8d %10.1f\n",
                   downsample ? "hash table + downsampling"
                              : "hash table (no downsample)",
                   ratio,
                   static_cast<unsigned long long>(r->samples_accepted),
                   static_cast<unsigned long long>(r->distinct_entries),
-                  HumanBytes(r->table_bytes).c_str(), t.Seconds());
+                  HumanBytes(r->table_bytes).c_str(), r->attempts,
+                  t.Seconds());
     }
     std::printf("\n");
   }

@@ -114,18 +114,21 @@ void RecordSamplingRow(const std::string& name, const CsrGraph& g,
   const double per_edge =
       static_cast<double>(opt.num_samples) / g.Volume();
   const WalkAccel<CsrGraph> accel;  // no-op on direct-access graphs
-  // Size the table generously once so no run overflows and re-allocation
+  // Size the table generously once so no run grows it and re-allocation
   // stays out of the timing loop.
   ConcurrentHashTable<uint64_t> table(g.NumDirectedEdges() + 1024);
+  BudgetReservation unbudgeted;
   // Without downsampling every weight is 1 or 2, so any width fits.
   const internal::WeightFixedPoint weights(internal::kMinWeightFractionBits);
   internal::SamplerPassStats stats;
   auto pass = [&] {
     table.Clear();
     internal::SamplerPassStats run_stats;
-    if (!internal::RunPerEdgeSampling(g, opt, per_edge, /*c=*/1.0,
-                                      weights, opt.seed, accel, &table,
-                                      &run_stats)) {
+    if (!internal::RunPerEdgeSampling(g, opt, per_edge, /*c=*/1.0, weights,
+                                      opt.seed, accel, &table, &unbudgeted,
+                                      &run_stats)
+             .ok() ||
+        run_stats.grows > 0) {
       std::fprintf(stderr, "%s: table overflowed\n", name.c_str());
       std::exit(1);
     }
@@ -186,14 +189,14 @@ void RecordContendedRow(const std::string& name, bool batched,
       if (batched) {
         batch[fill++] = {key, 1};
         if (fill == kContendedBatch) {
-          ok = table.UpsertBatch(batch, fill) && ok;
+          ok = table.UpsertBatch(batch, fill) == fill && ok;
           fill = 0;
         }
       } else {
         ok = table.Upsert(key, 1) && ok;
       }
     }
-    if (fill > 0) ok = table.UpsertBatch(batch, fill) && ok;
+    if (fill > 0) ok = table.UpsertBatch(batch, fill) == fill && ok;
     if (!ok) {
       std::fprintf(stderr, "contended table overflowed\n");
       std::abort();

@@ -13,13 +13,6 @@
 //     S*_{ab} = (M / (T m)) * d_a * sum_{r=1..T} (D^{-1} A)^r_{ab},
 // which ApplyNetmfTransform (core/netmf.h) rescales into the NetMF matrix.
 //
-// Hash-table sizing: the table must hold one slot per *distinct* sampled
-// pair, which for large M is far below the number of accepted samples (this
-// is the memory advantage over NetSMF's per-sample buffers). We estimate the
-// distinct count with a cheap pilot run (1/64 of the samples) extrapolated
-// through a Poissonized support model, and fall back to doubling + resample
-// if the estimate is exceeded.
-//
 // Exact aggregation: the table adds integers, as the paper's xadd does. Each
 // accepted sample's weight (1 or 2)/p_e enters as a 64-bit fixed-point
 // integer with `bits` fractional bits, where bits is the largest width at
@@ -67,8 +60,6 @@ struct SparsifierOptions {
   /// C in p_e = min(1, C (1/d_u + 1/d_v)); 0 means use log(n).
   double downsample_constant = 0.0;
   uint64_t seed = 1;
-  /// Extra capacity factor on top of the estimated distinct-entry count.
-  double table_slack = 1.6;
   /// How accepted samples are aggregated (§4.2). The shared hash table is
   /// the paper's choice; kSortHistogram is the per-worker-lists alternative
   /// the paper considered, kept for the ablation. Both sum the same
@@ -104,8 +95,8 @@ struct SparsifierResult {
   uint64_t samples_drawn = 0;   // sum of n_e
   uint64_t samples_accepted = 0;
   uint64_t distinct_entries = 0;
-  uint64_t table_bytes = 0;     // hash table footprint at build time
-  int attempts = 1;             // table-resize retries used
+  uint64_t table_bytes = 0;     // final hash table footprint
+  int attempts = 1;             // 1 + times the table grew during the pass
   /// True when the memory-budget governor changed the build (the sparsifier
   /// is still a valid unbiased estimator, just sparser than requested).
   bool degraded = false;
@@ -121,17 +112,19 @@ struct SparsifierResult {
   /// bit-identical across worker counts — the measurement channel for the
   /// edge-count-conservation property test.
   uint64_t mass_fp20 = 0;
-  /// Records delivered to the shared hash table by the final pass. Without
-  /// the combiner this equals samples_accepted; with it, it is the number of
-  /// same-key runs. Like combiner_hits, a function of the per-edge RNG
-  /// streams only, so equal at any worker count.
+  /// Records delivered to the shared hash table (a record offered again
+  /// after a grow counts once). Without the combiner this equals
+  /// samples_accepted; with it, it is the number of same-key runs. Like
+  /// combiner_hits, a function of the per-edge RNG streams only, so equal at
+  /// any worker count.
   uint64_t table_upserts = 0;
   /// Records merged into the pending run of their key (0 with combiner off);
   /// table_upserts + combiner_hits == samples_accepted.
   uint64_t combiner_hits = 0;
   /// Pass-end drains of the per-worker batch (one per worker).
   uint64_t combiner_flushes = 0;
-  /// UpsertBatch calls issued by the per-worker batches.
+  /// UpsertBatch calls issued by the per-worker batches, re-offers after a
+  /// grow included.
   uint64_t table_batch_upserts = 0;
 };
 
@@ -186,23 +179,20 @@ double DownsampleProbability(const G& g, NodeId u, NodeId v, double c,
 
 /// Runs Algorithm 2 for the edges incident to u at sampling intensity
 /// `per_edge`, emitting canonical (min, max)-keyed weighted records through
-/// `sink(key, weight) -> bool`. Deterministic in the per-edge RNG streams
-/// regardless of the worker count. Returns false iff the sink rejected a
-/// record (hash-table overflow).
+/// `sink(key, weight)`. Deterministic in the per-edge RNG streams regardless
+/// of the worker count.
 ///
 /// The sparsifier is symmetric: only the canonical pair is emitted — half
 /// the aggregation traffic and memory — and mirrored when the CSR is built.
 /// Diagonal hits carry double weight so the estimator matches the
 /// symmetrized two-insert scheme.
 template <GraphView G, typename Sink>
-bool SampleVertexEdges(const G& g, const SparsifierOptions& opt,
+void SampleVertexEdges(const G& g, const SparsifierOptions& opt,
                        double per_unit_weight, double c, uint64_t seed,
                        NodeId u, WalkContext<G>& ctx, Sink&& sink,
                        uint64_t* drawn, uint64_t* accepted,
                        uint64_t* mass_fp) {
-  bool ok = true;
   MapNeighborsWeighted(g, u, [&](NodeId v, float weight) {
-    if (!ok) return;
     Rng rng(HashCombine64(PackEdge(u, v), seed));
     // n_e = floor(M w / vol) + Bernoulli(frac): the weighted generalization
     // of floor(M/2m) + Bernoulli(frac(M/2m)) — heavier edges start more
@@ -224,22 +214,17 @@ bool SampleVertexEdges(const G& g, const SparsifierOptions& opt,
       if (opt.downsample && !rng.Bernoulli(pe)) continue;  // lint-ok: rngflow (run-constant guard)
       auto [a, b] = PathSample(g, ctx, u, v, r, rng);
       const uint64_t key = a <= b ? PackEdge(a, b) : PackEdge(b, a);
-      const double w = (a == b ? 2.0 : 1.0) / pe;
-      if (!sink(key, w)) {
-        ok = false;
-        return;
-      }
+      sink(key, (a == b ? 2.0 : 1.0) / pe);
       ++*accepted;
       *mass_fp += sample_mass;
     }
   });
-  return ok;
 }
 
 /// Exact integer counters of one sampling pass. `drawn`, `accepted` and
 /// `mass_fp` are bit-identical across worker counts and combiner settings,
-/// `table_upserts` and `combiner_hits` across worker counts; the last two
-/// fields count per-worker batch traffic.
+/// `table_upserts` and `combiner_hits` across worker counts; the flushes
+/// and batch upserts count per-worker batch traffic.
 struct SamplerPassStats {
   uint64_t drawn = 0;
   uint64_t accepted = 0;
@@ -248,6 +233,7 @@ struct SamplerPassStats {
   uint64_t combiner_hits = 0;
   uint64_t combiner_flushes = 0;
   uint64_t batch_upserts = 0;
+  uint64_t grows = 0;           // times the shared table doubled
 };
 
 /// Degree-aware scheduling: partitions [0, n) into `chunks` contiguous
@@ -345,114 +331,162 @@ PassBound ComputePassBound(const G& g, const SparsifierOptions& opt,
 }
 
 /// One full pass of Algorithm 2 into the shared hash table (the paper's
-/// strategy). Returns false if the table overflowed mid-run.
+/// strategy), which doubles in place whenever it passes its load limit.
+/// `reservation` holds the table's footprint against opt.memory_budget and
+/// is replaced at each grow; a grow the budget refuses ends the pass with
+/// kResourceExhausted.
 ///
 /// Scheduling: edge-balanced chunks (kChunksPerWorker per worker) assigned
 /// statically round-robin — worker w takes chunks w, w+W, w+2W, ... — so
 /// which vertices share a worker is a deterministic function of (graph,
 /// worker count), not of thread timing. Each worker owns one WalkContext
-/// (on compressed graphs, a view of the phase-shared `accel`'s pinned hub
-/// prefixes plus draw counters).
+/// per round (on compressed graphs, a view of the phase-shared `accel`'s
+/// pinned hub prefixes plus draw counters).
 ///
 /// With opt.combiner, each worker also owns a run-merging upsert batch. A
 /// record whose key equals the pending run's key is added to it (a combiner
 /// hit; an edge's n_e samples arrive back to back); any other key pushes
-/// the run into a 64-record array that drains through UpsertBatch when full
-/// and at the pass end. The pending run is pushed at the end of every
-/// vertex, so runs never span vertices and the hit and upsert counts depend
-/// on the per-edge RNG streams alone, not on the worker count. A rejected
-/// batch fails the sink exactly as a rejected direct Upsert does.
+/// the run into the worker's pending list, which drains through UpsertBatch
+/// when it holds 64 records and at the pass end. The pending run is pushed
+/// at the end of every vertex, so runs never span vertices and the hit and
+/// upsert counts depend on the per-edge RNG streams alone, not on the
+/// worker count. Without the combiner each record goes to Upsert directly.
+///
+/// Growth (DESIGN §11, "The reject path"): the pass runs in rounds, one
+/// ParallelForWorkers call each. A worker whose record is rejected keeps
+/// it and the rest of its vertex's records pending and stops at the vertex
+/// boundary; the others stop at theirs once the table reads overflowed.
+/// Between rounds the table doubles; then each worker offers its pending
+/// records and samples on. No vertex is sampled twice and the sums are
+/// integers, so the grown table equals one that never overflowed.
 template <GraphView G>
-bool RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
-                        double per_edge, double c,
-                        const WeightFixedPoint& weights, uint64_t seed,
-                        const WalkAccel<G>& accel,
-                        ConcurrentHashTable<uint64_t>* table,
-                        SamplerPassStats* stats) {
+Status RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
+                          double per_edge, double c,
+                          const WeightFixedPoint& weights, uint64_t seed,
+                          const WalkAccel<G>& accel,
+                          ConcurrentHashTable<uint64_t>* table,
+                          BudgetReservation* reservation,
+                          SamplerPassStats* stats) {
+  using Record = std::pair<uint64_t, uint64_t>;
   constexpr uint64_t kEmptyKey = ConcurrentHashTable<uint64_t>::kEmptyKey;
-  constexpr uint32_t kBatch = 64;  // records per UpsertBatch (1 KiB)
+  constexpr size_t kBatch = 64;  // records per UpsertBatch (1 KiB)
   const NodeId n = g.NumVertices();
   constexpr uint64_t kChunksPerWorker = 8;
-  const uint64_t workers_hint =
+  const uint64_t workers =
       (InParallelRegion() || NumWorkers() <= 1) ? 1 : NumWorkers();
   const uint64_t chunks = std::max<uint64_t>(
-      1, std::min<uint64_t>(n, workers_hint * kChunksPerWorker));
+      1, std::min<uint64_t>(n, workers * kChunksPerWorker));
   const std::vector<NodeId> bounds = EdgeBalancedBoundaries(g, chunks);
-  std::atomic<uint64_t> drawn_total{0};
-  std::atomic<uint64_t> accepted_total{0};
-  std::atomic<uint64_t> mass_total{0};
-  std::atomic<uint64_t> upserts_total{0};
-  std::atomic<uint64_t> hits_total{0};
-  std::atomic<uint64_t> flushes_total{0};
-  std::atomic<uint64_t> batches_total{0};
-  ParallelForWorkers([&](int worker, int workers) {
-    WalkContext<G> ctx(accel);
-    uint64_t local_drawn = 0, local_accepted = 0, local_mass = 0;
-    uint64_t local_upserts = 0, local_hits = 0, local_batches = 0;
-    std::pair<uint64_t, uint64_t> batch[kBatch];
-    uint32_t batch_size = 0;
+  // What a worker carries from one round to the next; cache-line aligned
+  // so no two workers' counters share a line.
+  struct alignas(64) WorkerState {
+    uint64_t chunk = 0;  // chunk being sampled; >= chunks once all are done
+    NodeId next = 0;     // its next vertex
+    std::vector<Record> pending;  // records the table has not accepted yet
+    SamplerPassStats counts;
+  };
+  std::vector<WorkerState> state(workers);
+  for (uint64_t w = 0; w < workers; ++w) {
+    state[w].chunk = w;
+    if (w < chunks) state[w].next = bounds[w];
+    state[w].pending.reserve(kBatch);
+  }
+  auto round = [&](int worker, int nworkers) {
+    LIGHTNE_CHECK_EQ(static_cast<uint64_t>(nworkers), workers);
+    WorkerState& self = state[static_cast<size_t>(worker)];
+    SamplerPassStats& count = self.counts;
+    std::vector<Record>& pending = self.pending;
+    bool rejected = false;
+    // Offers the pending list, 64 records per UpsertBatch, and keeps the
+    // suffix from the first rejected record.
+    auto offer = [&] {
+      size_t applied = 0;
+      while (!rejected && applied < pending.size()) {
+        const uint32_t len =
+            static_cast<uint32_t>(std::min(kBatch, pending.size() - applied));
+        ++count.batch_upserts;
+        const uint32_t took =
+            table->UpsertBatch(pending.data() + applied, len);
+        applied += took;
+        rejected = took < len;
+      }
+      pending.erase(pending.begin(),
+                    pending.begin() + static_cast<std::ptrdiff_t>(applied));
+    };
     uint64_t run_key = kEmptyKey;
     uint64_t run_weight = 0;
-    auto drain = [&] {
-      if (batch_size == 0) return true;
-      ++local_batches;
-      const bool drained = table->UpsertBatch(batch, batch_size);
-      batch_size = 0;
-      return drained;
-    };
     auto push_run = [&] {
-      if (run_key == kEmptyKey) return true;
-      batch[batch_size++] = {run_key, run_weight};
-      ++local_upserts;
+      if (run_key == kEmptyKey) return;
+      pending.push_back({run_key, run_weight});
+      ++count.table_upserts;
       run_key = kEmptyKey;
-      return batch_size < kBatch || drain();
+      if (pending.size() >= kBatch) offer();
     };
     auto sink = [&](uint64_t key, double weight) {
       const uint64_t w = weights.Encode(weight);
       if (!opt.combiner) {
-        ++local_upserts;
-        return table->Upsert(key, w);
+        ++count.table_upserts;
+        if (rejected || !table->Upsert(key, w)) {
+          rejected = true;
+          pending.push_back({key, w});
+        }
+        return;
       }
       LIGHTNE_CHECK_NE(key, kEmptyKey);
       if (key == run_key) {
         run_weight += w;
-        ++local_hits;
-        return true;
+        ++count.combiner_hits;
+        return;
       }
-      const bool pushed = push_run();
+      push_run();
       run_key = key;
       run_weight = w;
-      return pushed;
     };
-    bool ok = true;
-    for (uint64_t chunk = static_cast<uint64_t>(worker);
-         ok && chunk < chunks; chunk += static_cast<uint64_t>(workers)) {
-      if (table->overflowed()) break;
-      for (NodeId u = bounds[chunk]; ok && u < bounds[chunk + 1]; ++u) {
-        ok = SampleVertexEdges(g, opt, per_edge, c, seed, u, ctx, sink,
-                               &local_drawn, &local_accepted, &local_mass) &&
-             push_run();
+    offer();  // what the last round left
+    WalkContext<G> ctx(accel);
+    while (self.chunk < chunks && !table->overflowed()) {
+      if (self.next == bounds[self.chunk + 1]) {
+        self.chunk += workers;
+        if (self.chunk < chunks) self.next = bounds[self.chunk];
+        continue;
       }
+      SampleVertexEdges(g, opt, per_edge, c, seed, self.next++, ctx, sink,
+                        &count.drawn, &count.accepted, &count.mass_fp);
+      push_run();
     }
-    if (opt.combiner) {
-      drain();  // overflow surfaces via table->overflowed()
-      flushes_total.fetch_add(1, std::memory_order_relaxed);
+    if (self.chunk >= chunks) offer();  // the pass-end drain
+  };
+  uint64_t grows = 0;
+  for (;;) {
+    ParallelForWorkers(round);
+    if (!table->overflowed()) break;
+    const uint64_t grown_bytes = 2 * table->MemoryBytes();
+    BudgetReservation grown(opt.memory_budget, grown_bytes);
+    if (!grown.ok()) {
+      return Status::ResourceExhausted(
+          "sparsifier hash table cannot grow to " + HumanBytes(grown_bytes) +
+          " within the memory budget");
     }
-    drawn_total.fetch_add(local_drawn, std::memory_order_relaxed);
-    accepted_total.fetch_add(local_accepted, std::memory_order_relaxed);
-    mass_total.fetch_add(local_mass, std::memory_order_relaxed);
-    upserts_total.fetch_add(local_upserts, std::memory_order_relaxed);
-    hits_total.fetch_add(local_hits, std::memory_order_relaxed);
-    batches_total.fetch_add(local_batches, std::memory_order_relaxed);
-  });
-  stats->drawn = drawn_total.load();
-  stats->accepted = accepted_total.load();
-  stats->mass_fp = mass_total.load();
-  stats->table_upserts = upserts_total.load();
-  stats->combiner_hits = hits_total.load();
-  stats->combiner_flushes = flushes_total.load();
-  stats->batch_upserts = batches_total.load();
-  return !table->overflowed();
+    {
+      TraceSpan span("sparsifier/grow");
+      table->Grow();
+    }
+    *reservation = std::move(grown);  // releases the old table's bytes
+    ++grows;
+  }
+  SamplerPassStats total;
+  for (const WorkerState& w : state) {
+    total.drawn += w.counts.drawn;
+    total.accepted += w.counts.accepted;
+    total.mass_fp += w.counts.mass_fp;
+    total.table_upserts += w.counts.table_upserts;
+    total.combiner_hits += w.counts.combiner_hits;
+    total.batch_upserts += w.counts.batch_upserts;
+  }
+  total.combiner_flushes = opt.combiner ? workers : 0;  // one drain each
+  total.grows = grows;
+  *stats = total;
+  return Status::Ok();
 }
 
 /// One full pass of Algorithm 2 into per-worker record buffers (the
@@ -482,7 +516,6 @@ void RunPerEdgeSamplingBuffered(const G& g, const SparsifierOptions& opt,
           g, opt, per_edge, c, seed, u, ctx,
           [&](uint64_t key, double w) {
             buffers->Add(worker, key, weights.Encode(w));
-            return true;
           },
           &local_drawn, &local_accepted, &local_mass);
     }
@@ -495,30 +528,9 @@ void RunPerEdgeSamplingBuffered(const G& g, const SparsifierOptions& opt,
   stats->mass_fp = mass_total.load();
 }
 
-/// Poissonized support model: if `upserts` uniform draws over a support of
-/// S cells produced `distinct` distinct cells, then
-/// distinct = S (1 - exp(-upserts / S)). Solves for S by bisection and
-/// extrapolates the distinct count at `scale` times as many draws.
-inline double ExtrapolateDistinct(double upserts, double distinct,
-                                  double scale) {
-  if (distinct <= 0) return 0;
-  // distinct -> upserts as S -> infinity; if nearly all draws were distinct,
-  // the support is effectively unbounded at this scale: extrapolate linearly.
-  if (distinct >= 0.99 * upserts) return distinct * scale;
-  double lo = distinct, hi = distinct;
-  auto model = [&](double s) { return s * (1.0 - std::exp(-upserts / s)); };
-  while (model(hi) < distinct) hi *= 2;
-  for (int iter = 0; iter < 100; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    (model(mid) < distinct ? lo : hi) = mid;
-  }
-  const double support = 0.5 * (lo + hi);
-  return support * (1.0 - std::exp(-scale * upserts / support));
-}
-
-/// Publishes a completed build into the process metrics registry. Only the
-/// final successful pass is counted (pilot and overflowed passes are
-/// excluded), so the sampler counters stay deterministic per build.
+/// Publishes a completed build into the process metrics registry. A build
+/// samples every edge exactly once, so the sampler counters are
+/// deterministic per build; `table_rebuilds` counts the table's grows.
 inline void RecordSparsifierMetrics(const SparsifierResult& r,
                                     uint64_t table_capacity) {
   MetricsRegistry& m = MetricsRegistry::Global();
@@ -544,10 +556,12 @@ inline void RecordSparsifierMetrics(const SparsifierResult& r,
 
 }  // namespace internal
 
-/// Builds the sparsifier. Fails with ResourceExhausted only if the hash
-/// table overflows repeatedly (it is retried with doubled capacity), and with
-/// InvalidArgument, before any sampling, if the sample weights span too wide
-/// a range for exact 64-bit fixed point (see internal::PassBound).
+/// Builds the sparsifier in one sampling pass, into a table that grows in
+/// place to the smallest power of two holding the distinct pairs. Fails
+/// with ResourceExhausted if the memory budget cannot hold the table or a
+/// grow of it, and with InvalidArgument, before any sampling, if the sample
+/// weights span too wide a range for exact 64-bit fixed point (see
+/// internal::PassBound).
 template <GraphView G>
 Result<SparsifierResult> BuildSparsifier(const G& g,
                                          const SparsifierOptions& opt) {
@@ -567,8 +581,8 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
   const double per_edge =
       static_cast<double>(opt.num_samples) / g.Volume();
 
-  // Expected accepted samples (the hard upper bound on distinct entries) and
-  // the fixed-point width of the table values, both recomputed by the budget
+  // Expected accepted samples (the bound on distinct entries) and the
+  // fixed-point width of the table values, both recomputed by the budget
   // governor when it tightens C.
   internal::PassBound bound = internal::ComputePassBound(g, opt, per_edge, c);
   auto weight_format = [&]() -> Result<internal::WeightFixedPoint> {
@@ -583,12 +597,11 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
   };
   Result<internal::WeightFixedPoint> weights = weight_format();
   if (!weights.ok()) return weights.status();
-  double expected_accepted = bound.expected_accepted;
 
-  // Walk accelerator for every sampling pass of this build (pilot + main):
-  // on compressed graphs this pins the decoded top-degree adjacencies, with
-  // the footprint reserved against the governor for the build's lifetime.
-  // A pure decode cache — the sparsifier is bit-identical with or without it.
+  // Walk accelerator for the build's sampling pass: on compressed graphs
+  // this pins the decoded top-degree adjacencies, with the footprint
+  // reserved against the governor for the build's lifetime. A pure decode
+  // cache — the sparsifier is bit-identical with or without it.
   const WalkAccel<G> walk_accel =
       MakeWalkAccel(g, opt.walk_pin_budget_bytes, opt.memory_budget);
 
@@ -622,60 +635,21 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
   MemoryBudget* budget = opt.memory_budget;
   const bool budgeted = budget != nullptr && budget->limited();
 
-  // Distinct-entry estimate (canonical pairs): exact bound for small runs;
-  // pilot-extrapolated for large ones.
-  double distinct_estimate = expected_accepted;
-  constexpr double kPilotScale = 64.0;
-  constexpr uint64_t kPilotThreshold = 1u << 20;
-  if (expected_accepted > kPilotThreshold) {
-    TraceSpan span("sparsifier/pilot");
-    const uint64_t pilot_hint = static_cast<uint64_t>(
-        expected_accepted / kPilotScale * opt.table_slack) + 4096;
-    // The pilot table is 1/64 of the main one; if even that does not fit
-    // the budget, skip the pilot and let the degradation ladder deal with
-    // the conservative estimate.
-    BudgetReservation pilot_reservation(
-        budget,
-        ConcurrentHashTable<uint64_t>::ProjectedMemoryBytes(pilot_hint));
-    if (pilot_reservation.ok()) {
-      ConcurrentHashTable<uint64_t> pilot(pilot_hint);
-      internal::SamplerPassStats pilot_stats;
-      // The pilot draws at most as many samples per edge as the main pass,
-      // so the main pass's fixed-point width is safe for it too.
-      if (internal::RunPerEdgeSampling(g, opt, per_edge / kPilotScale, c,
-                                       *weights, opt.seed ^ 0x9107ull,
-                                       walk_accel, &pilot, &pilot_stats)) {
-        distinct_estimate = internal::ExtrapolateDistinct(
-            static_cast<double>(pilot_stats.accepted),
-            static_cast<double>(pilot.NumEntries()), kPilotScale);
-        // The Poissonized model assumes uniform cell intensities; skewed
-        // sampling (power-law graphs) makes it underestimate, so pad by a
-        // model-error margin. Never trust the model below what the pilot
-        // already saw, and never exceed the hard bound.
-        distinct_estimate *= 1.3;
-        distinct_estimate =
-            std::max(distinct_estimate,
-                     static_cast<double>(pilot.NumEntries()));
-        distinct_estimate = std::min(distinct_estimate, expected_accepted);
-        LIGHTNE_LOG_DEBUG(
-            "pilot: %llu accepted, %llu distinct -> estimate %.0f distinct",
-            static_cast<unsigned long long>(pilot_stats.accepted),
-            static_cast<unsigned long long>(pilot.NumEntries()),
-            distinct_estimate);
-      }
-    }
-  }
-
-  auto hint_from_estimate = [&](double estimate) {
-    return static_cast<uint64_t>(estimate * opt.table_slack) + 1024;
-  };
-  uint64_t capacity_hint = hint_from_estimate(distinct_estimate);
+  // The shared table's first size. Unbudgeted it has room for
+  // min(expected accepted samples, directed edges) entries and grows from
+  // there. The degradation ladder must know before sampling whether the
+  // table fits, so under a budget it sizes from expected_accepted, the bound
+  // on distinct entries, and a budgeted build normally never grows.
+  uint64_t capacity_hint = static_cast<uint64_t>(
+      budgeted ? bound.expected_accepted
+               : std::min(bound.expected_accepted,
+                          static_cast<double>(directed)));
 
   // ---- memory-budget governor: the degradation ladder --------------------
   // Rung 1: tighten edge downsampling (halve C) so fewer samples survive and
   // the table shrinks. Rung 2: cap the table at the largest capacity the
-  // budget can hold and hope the distinct count fits (the overflow retry
-  // below turns "it did not" into kResourceExhausted). Every rung is
+  // budget can hold and hope the distinct count fits (a grow the budget
+  // refuses turns "it did not" into kResourceExhausted). Every rung is
   // recorded in the result so callers can see the embedding was degraded.
   bool degraded = false;
   bool capacity_capped = false;
@@ -692,14 +666,7 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
       bound = internal::ComputePassBound(g, opt, per_edge, c);
       weights = weight_format();
       if (!weights.ok()) return weights.status();
-      // Scale the (pilot or exact) estimate by the acceptance shrinkage;
-      // distinct entries can only shrink along with accepted samples.
-      distinct_estimate =
-          std::min(distinct_estimate *
-                       (bound.expected_accepted / expected_accepted),
-                   bound.expected_accepted);
-      expected_accepted = bound.expected_accepted;
-      capacity_hint = hint_from_estimate(distinct_estimate);
+      capacity_hint = static_cast<uint64_t>(bound.expected_accepted);
     }
     if (ConcurrentHashTable<uint64_t>::ProjectedMemoryBytes(capacity_hint) >
         budget->available_bytes()) {
@@ -723,61 +690,51 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
     }
   }
 
-  for (int attempt = 1; attempt <= 6; ++attempt) {
-    const uint64_t table_bytes =
-        ConcurrentHashTable<uint64_t>::ProjectedMemoryBytes(capacity_hint);
-    BudgetReservation table_reservation(budget, table_bytes);
-    if (!table_reservation.ok()) {
-      return Status::ResourceExhausted(
-          "sparsifier hash table (" + HumanBytes(table_bytes) +
-          ") exceeds the remaining memory budget after degradation");
-    }
-    ConcurrentHashTable<uint64_t> table = [&] {
-      TraceSpan span("sparsifier/table");
-      return ConcurrentHashTable<uint64_t>(capacity_hint);
-    }();
-    internal::SamplerPassStats stats;
-    bool ok;
-    {
-      TraceSpan span("sparsifier/main");
-      ok = internal::RunPerEdgeSampling(g, opt, per_edge, c, *weights,
-                                        opt.seed, walk_accel, &table, &stats);
-    }
-    if (!ok) {
-      LIGHTNE_LOG_WARN(
-          "sparsifier hash table overflowed (capacity %llu); retrying at 2x",
-          static_cast<unsigned long long>(table.capacity()));
-      capacity_hint = table.capacity() * 2;
-      continue;
-    }
-    SparsifierResult result;
-    result.samples_drawn = stats.drawn;
-    result.samples_accepted = stats.accepted;
-    result.mass_fp20 = stats.mass_fp;
-    result.table_upserts = stats.table_upserts;
-    result.combiner_hits = stats.combiner_hits;
-    result.combiner_flushes = stats.combiner_flushes;
-    result.table_batch_upserts = stats.batch_upserts;
-    result.distinct_entries = table.NumEntries();
-    result.table_bytes = table.MemoryBytes();
-    result.attempts = attempt;
-    result.degraded = degraded;
-    result.budget_tightenings = tightenings;
-    result.capacity_capped = capacity_capped;
-    result.downsample_constant_used = c;
-    {
-      TraceSpan span("sparsifier/extract");
-      static_assert(ConcurrentHashTable<uint64_t>::kEmptyKey ==
-                    SparseMatrix::kNoKey);
-      result.matrix = SparseMatrix::FromCanonicalSlots(
-          n, table.capacity(), [&](uint64_t i) { return table.SlotKey(i); },
-          [&](uint64_t i) { return weights->Decode(table.SlotValue(i)); });
-    }
-    internal::RecordSparsifierMetrics(result, table.capacity());
-    return result;
+  const uint64_t table_bytes =
+      ConcurrentHashTable<uint64_t>::ProjectedMemoryBytes(capacity_hint);
+  BudgetReservation table_reservation(budget, table_bytes);
+  if (!table_reservation.ok()) {
+    return Status::ResourceExhausted(
+        "sparsifier hash table (" + HumanBytes(table_bytes) +
+        ") exceeds the remaining memory budget after degradation");
   }
-  return Status::ResourceExhausted(
-      "sparsifier hash table overflowed after repeated capacity doublings");
+  ConcurrentHashTable<uint64_t> table = [&] {
+    TraceSpan span("sparsifier/table");
+    return ConcurrentHashTable<uint64_t>(capacity_hint);
+  }();
+  internal::SamplerPassStats stats;
+  {
+    TraceSpan span("sparsifier/main");
+    const Status sampled = internal::RunPerEdgeSampling(
+        g, opt, per_edge, c, *weights, opt.seed, walk_accel, &table,
+        &table_reservation, &stats);
+    if (!sampled.ok()) return sampled;
+  }
+  SparsifierResult result;
+  result.samples_drawn = stats.drawn;
+  result.samples_accepted = stats.accepted;
+  result.mass_fp20 = stats.mass_fp;
+  result.table_upserts = stats.table_upserts;
+  result.combiner_hits = stats.combiner_hits;
+  result.combiner_flushes = stats.combiner_flushes;
+  result.table_batch_upserts = stats.batch_upserts;
+  result.distinct_entries = table.NumEntries();
+  result.table_bytes = table.MemoryBytes();
+  result.attempts = static_cast<int>(1 + stats.grows);
+  result.degraded = degraded;
+  result.budget_tightenings = tightenings;
+  result.capacity_capped = capacity_capped;
+  result.downsample_constant_used = c;
+  {
+    TraceSpan span("sparsifier/extract");
+    static_assert(ConcurrentHashTable<uint64_t>::kEmptyKey ==
+                  SparseMatrix::kNoKey);
+    result.matrix = SparseMatrix::FromCanonicalSlots(
+        n, table.capacity(), [&](uint64_t i) { return table.SlotKey(i); },
+        [&](uint64_t i) { return weights->Decode(table.SlotValue(i)); });
+  }
+  internal::RecordSparsifierMetrics(result, table.capacity());
+  return result;
 }
 
 }  // namespace lightne

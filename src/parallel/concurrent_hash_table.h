@@ -12,10 +12,10 @@
 // constructed by one parallel pass, so the pages are first touched by all
 // workers at once rather than zero-filled serially.
 //
-// The table has fixed capacity. Callers size it from the expected number of
-// accepted samples (an upper bound on distinct keys); if the fill factor
-// exceeds the load limit, Upsert returns false and the caller retries with a
-// larger table (see SparsifierBuilder).
+// Growth: past the load limit Upsert rejects every record, applying nothing,
+// and sets the overflow flag; the caller stops its writers, doubles the
+// table in place with Grow() and offers the rejected records again (see
+// internal::RunPerEdgeSampling in core/sparsifier.h).
 #ifndef LIGHTNE_PARALLEL_CONCURRENT_HASH_TABLE_H_
 #define LIGHTNE_PARALLEL_CONCURRENT_HASH_TABLE_H_
 
@@ -60,7 +60,7 @@ class ConcurrentHashTable {
     LIGHTNE_CHECK_NE(key, kEmptyKey);
     if (overflow_.load(std::memory_order_relaxed)) return false;
     // Fault point: pretend the table just crossed its load limit so callers
-    // exercise their overflow-retry path (see the sparsifier builder).
+    // exercise their grow-and-offer-again path (see the sparsifier builder).
     if (LIGHTNE_FAULT_POINT("sparsifier/table_insert")) {
       overflow_.store(true, std::memory_order_relaxed);
       return false;
@@ -104,18 +104,47 @@ class ConcurrentHashTable {
   /// batch overlap instead of serializing (the table is far larger than any
   /// cache, so an unprefetched probe is a near-guaranteed miss). Same
   /// thread-safety and exactness guarantees as Upsert, record by record.
-  /// Returns false iff any record was rejected (overflow); the remaining
-  /// records are still attempted so the accepted/rejected accounting of the
-  /// caller's retry path stays simple.
-  bool UpsertBatch(const std::pair<uint64_t, V>* records, uint32_t n) {
+  /// Returns how many leading records were applied: it stops at the first
+  /// rejected record (overflow), so records[result, n) are exactly the ones
+  /// to offer again after Grow().
+  uint32_t UpsertBatch(const std::pair<uint64_t, V>* records, uint32_t n) {
     for (uint32_t i = 0; i < n; ++i) {
       PrefetchSlot(records[i].first);
     }
-    bool ok = true;
     for (uint32_t i = 0; i < n; ++i) {
-      ok = Upsert(records[i].first, records[i].second) && ok;
+      if (!Upsert(records[i].first, records[i].second)) return i;
     }
-    return ok;
+    return n;
+  }
+
+  /// Doubles the capacity, keeping every (key, value) pair and NumEntries(),
+  /// and clears the overflow flag. Must not run concurrently with Upsert.
+  /// One parallel pass constructs the new slots; a second moves the occupied
+  /// old slots in slot order. An entry whose old home is h lands at h or
+  /// h + C (C the old capacity), so a worker moving a contiguous block of
+  /// old slots writes two sequential streams, not random slots.
+  void Grow() {
+    const std::unique_ptr<Slot[]> old = std::move(slots_);
+    const uint64_t old_capacity = capacity_;
+    capacity_ *= 2;
+    mask_ = capacity_ - 1;
+    slots_ = std::make_unique_for_overwrite<Slot[]>(capacity_);
+    FillEmpty();
+    ParallelFor(0, old_capacity, [&](uint64_t i) {
+      if (old[i].key == kEmptyKey) return;
+      // The first empty slot on the key's probe path: the CAS arbitrates
+      // between movers, and only the winner writes the value.
+      uint64_t idx = Hash(old[i].key) & mask_;
+      uint64_t empty = kEmptyKey;
+      while (!std::atomic_ref<uint64_t>(slots_[idx].key)
+                  .compare_exchange_strong(empty, old[i].key,
+                                           std::memory_order_relaxed)) {
+        empty = kEmptyKey;
+        idx = (idx + 1) & mask_;
+      }
+      slots_[idx].value = old[i].value;
+    });
+    overflow_.store(false, std::memory_order_relaxed);
   }
 
   /// Value stored under key, or V{} if absent. Safe concurrently with
@@ -186,9 +215,7 @@ class ConcurrentHashTable {
   /// Resets the table to empty in one parallel pass (which is also how a
   /// new table's uninitialized slots are constructed). Not thread-safe.
   void Clear() {
-    ParallelFor(0, capacity_, [&](uint64_t i) {
-      slots_[i] = Slot{kEmptyKey, V{}};
-    });
+    FillEmpty();
     fill_.store(0, std::memory_order_relaxed);
     overflow_.store(false, std::memory_order_relaxed);
   }
@@ -207,6 +234,12 @@ class ConcurrentHashTable {
     uint64_t capacity = 1;
     while (capacity < want) capacity <<= 1;
     return capacity;
+  }
+
+  void FillEmpty() {
+    ParallelFor(0, capacity_, [&](uint64_t i) {
+      slots_[i] = Slot{kEmptyKey, V{}};
+    });
   }
 
   static void Add(Slot& slot, V delta) {

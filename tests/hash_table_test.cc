@@ -8,6 +8,7 @@
 #include "parallel/atomics.h"
 #include "parallel/concurrent_hash_table.h"
 #include "parallel/parallel_for.h"
+#include "util/fault_injection.h"
 #include "util/random.h"
 
 namespace lightne {
@@ -48,6 +49,86 @@ TEST(HashTableTest, OverflowReportsAndRejects) {
   EXPECT_TRUE(table.overflowed());
   EXPECT_LT(inserted, 10000u);
   EXPECT_GE(inserted, 8u);  // could insert at least the sized-for amount
+}
+
+TEST(HashTableTest, GrowKeepsEveryEntryAndClearsOverflow) {
+  ConcurrentHashTable<uint64_t> table(16);
+  std::map<uint64_t, uint64_t> expect;
+  for (uint64_t k = 0; !table.overflowed(); ++k) {
+    if (table.Upsert(k * 7919 + 3, k + 1)) expect[k * 7919 + 3] += k + 1;
+  }
+  const uint64_t capacity = table.capacity();
+  const uint64_t entries = table.NumEntries();
+  ASSERT_EQ(entries, expect.size());
+  table.Grow();
+  EXPECT_EQ(table.capacity(), 2 * capacity);
+  EXPECT_EQ(table.NumEntries(), entries);
+  EXPECT_FALSE(table.overflowed());
+  uint64_t occupied = 0;
+  for (uint64_t i = 0; i < table.capacity(); ++i) {
+    occupied += table.SlotKey(i) != ConcurrentHashTable<uint64_t>::kEmptyKey;
+  }
+  EXPECT_EQ(occupied, entries);
+  for (const auto& [k, v] : expect) EXPECT_EQ(table.Get(k), v) << k;
+  EXPECT_TRUE(table.Upsert(1, 1));
+  EXPECT_EQ(table.NumEntries(), entries + 1);
+}
+
+TEST(HashTableTest, GrowMovesLargeTablesInParallel) {
+  // Large enough that the move runs as a pooled loop over many chunks.
+  const uint64_t kKeys = 20000;
+  ConcurrentHashTable<uint64_t> table(kKeys);
+  ParallelFor(0, kKeys, [&](uint64_t k) {
+    ASSERT_TRUE(table.Upsert(k * 7919 + 3, k + 1));
+  });
+  for (int grow = 0; grow < 3; ++grow) {
+    const uint64_t capacity = table.capacity();
+    table.Grow();
+    ASSERT_EQ(table.capacity(), 2 * capacity);
+    ASSERT_EQ(table.NumEntries(), kKeys);
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      ASSERT_EQ(table.Get(k * 7919 + 3), k + 1) << "grow " << grow;
+    }
+  }
+}
+
+TEST(HashTableTest, UpsertBatchReturnsTheAppliedPrefix) {
+  // 32 slots at load limit 0.8: the 26th new key passes the limit (it is
+  // applied and sets the flag) and the 27th is the first rejected record.
+  ConcurrentHashTable<uint64_t> table(16);
+  ASSERT_EQ(table.capacity(), 32u);
+  std::vector<std::pair<uint64_t, uint64_t>> records;
+  for (uint64_t k = 0; k < 64; ++k) records.push_back({k * 31 + 5, k + 1});
+  const uint32_t applied = table.UpsertBatch(records.data(), 64);
+  EXPECT_EQ(applied, 26u);
+  EXPECT_TRUE(table.overflowed());
+  EXPECT_EQ(table.NumEntries(), applied);
+  for (uint32_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(table.Get(records[i].first), i < applied ? records[i].second : 0)
+        << i;
+  }
+  // Growing and offering the rejected suffix again applies exactly the rest.
+  table.Grow();
+  table.Grow();
+  EXPECT_EQ(table.UpsertBatch(records.data() + applied, 64 - applied),
+            64 - applied);
+  EXPECT_EQ(table.NumEntries(), 64u);
+  for (const auto& [k, v] : records) EXPECT_EQ(table.Get(k), v);
+}
+
+TEST(HashTableTest, UpsertBatchStopsAtAnInjectedRejection) {
+  // A roomy table whose 5th insert is rejected by the fault point: the batch
+  // applies exactly the 4 records before it and nothing after.
+  FaultRegistry::Global().Reset();
+  FaultRegistry::Global().ArmFailOnNthHit("sparsifier/table_insert", 5);
+  ConcurrentHashTable<uint64_t> table(1000);
+  std::vector<std::pair<uint64_t, uint64_t>> records;
+  for (uint64_t k = 0; k < 10; ++k) records.push_back({k, 1});
+  const uint32_t applied = table.UpsertBatch(records.data(), 10);
+  FaultRegistry::Global().Reset();
+  EXPECT_EQ(applied, 4u);
+  EXPECT_EQ(table.NumEntries(), 4u);
+  for (uint64_t k = 0; k < 10; ++k) EXPECT_EQ(table.Get(k), k < 4 ? 1u : 0u);
 }
 
 // Exactness under contention is the paper's core claim for this structure:

@@ -1,12 +1,14 @@
-// Failure-injection and edge-condition tests: overflow/retry paths, the
-// pilot extrapolation model, boundary geometry in the compressed format,
-// SGNS internals, and option-validation behavior.
+// Failure-injection and edge-condition tests: the sparsifier table's
+// grow-in-place path under forced overflow and under a memory budget,
+// boundary geometry in the compressed format, SGNS internals, and
+// option-validation behavior.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -21,75 +23,12 @@
 #include "graph/io.h"
 #include "la/embedding_io.h"
 #include "util/fault_injection.h"
+#include "util/memory.h"
+#include "util/metrics.h"
 #include "util/retry.h"
 
 namespace lightne {
 namespace {
-
-// ------------------------------------------------- pilot extrapolation ----
-
-TEST(ExtrapolateDistinctTest, ExactWhenAllDrawsDistinct) {
-  // distinct == upserts: support effectively unbounded; linear growth.
-  EXPECT_DOUBLE_EQ(internal::ExtrapolateDistinct(1000, 1000, 8.0), 8000.0);
-}
-
-TEST(ExtrapolateDistinctTest, ZeroAndSaturatedInputs) {
-  EXPECT_DOUBLE_EQ(internal::ExtrapolateDistinct(1000, 0, 4.0), 0.0);
-  // Fully saturated pilot (distinct << upserts): extrapolation stays near
-  // the support size.
-  const double support = 500;
-  const double upserts = 50000;  // model(support) ~ support
-  const double distinct = support * (1.0 - std::exp(-upserts / support));
-  const double estimate =
-      internal::ExtrapolateDistinct(upserts, distinct, 64.0);
-  EXPECT_NEAR(estimate, support, 0.02 * support);
-}
-
-TEST(ExtrapolateDistinctTest, RecoversPlantedSupportMidRange) {
-  // Simulate uniform draws into S cells, fit, extrapolate, compare with the
-  // model's own prediction at the larger scale.
-  const double support = 10000;
-  for (double upserts : {2000.0, 10000.0, 40000.0}) {
-    const double distinct = support * (1.0 - std::exp(-upserts / support));
-    const double scale = 16.0;
-    const double expect =
-        support * (1.0 - std::exp(-scale * upserts / support));
-    const double got = internal::ExtrapolateDistinct(upserts, distinct, scale);
-    EXPECT_NEAR(got, expect, 0.02 * expect) << "upserts=" << upserts;
-  }
-}
-
-TEST(ExtrapolateDistinctTest, MonotoneInScale) {
-  double prev = 0;
-  for (double scale : {1.0, 2.0, 8.0, 64.0}) {
-    const double est = internal::ExtrapolateDistinct(5000, 3000, scale);
-    EXPECT_GE(est, prev);
-    prev = est;
-  }
-}
-
-// ------------------------------------------------ sparsifier retry path ----
-
-TEST(SparsifierRetryTest, RecoversFromUndersizedTable) {
-  // A tiny slack forces the initial capacity below the true distinct count;
-  // the builder must retry with doubled capacity and still succeed.
-  const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(10, 8000, 3));
-  SparsifierOptions generous;
-  generous.num_samples = 200000;
-  generous.window = 5;
-  generous.seed = 9;
-  auto baseline = BuildSparsifier(g, generous);
-  ASSERT_TRUE(baseline.ok());
-
-  SparsifierOptions tight = generous;
-  tight.table_slack = 0.02;  // guaranteed underestimate
-  auto retried = BuildSparsifier(g, tight);
-  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
-  EXPECT_GT(retried->attempts, 1);
-  // Same seed => same final sparsifier despite the retries.
-  ASSERT_EQ(retried->matrix.nnz(), baseline->matrix.nnz());
-  EXPECT_EQ(retried->matrix.values(), baseline->matrix.values());
-}
 
 // --------------------------------------------- compressed-format geometry ----
 
@@ -307,26 +246,50 @@ TEST_F(FaultSuite, SvdNonConvergenceSurfacesWithoutAborting) {
   EXPECT_EQ(ok->embedding.rows(), g.NumVertices());
 }
 
-TEST_F(FaultSuite, ForcedTableOverflowRetriesToBitIdenticalSparsifier) {
-  const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(10, 8000, 3));
+TEST_F(FaultSuite, ForcedTableOverflowGrowsWithoutResampling) {
+  // An overflow forced in the middle of the pass: the table grows in place
+  // and the pass carries on from where each worker stopped, so no edge is
+  // sampled twice. The walk counters are pure functions of the walk stream,
+  // so any resampled edge would show up as extra draws.
+  const CompressedGraph g =
+      CompressedGraph::FromCsr(CsrGraph::FromEdges(GenerateRmat(10, 8000, 3)));
   SparsifierOptions opt;
   opt.num_samples = 200000;
   opt.window = 5;
   opt.seed = 9;
+  auto walk_draws = [] {
+    const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+    return snap.CounterValue("walk/pin_hits") +
+           snap.CounterValue("walk/decode_misses");
+  };
+  // A policy that never fires counts the pass's table inserts.
+  FaultRegistry::Global().ArmFailOnNthHit("sparsifier/table_insert",
+                                          ~uint64_t{0});
+  MetricsRegistry::Global().ResetForTest();
   auto baseline = BuildSparsifier(g, opt);
   ASSERT_TRUE(baseline.ok());
-  ASSERT_EQ(baseline->attempts, 1);
+  const uint64_t baseline_draws = walk_draws();
+  const uint64_t inserts =
+      FaultRegistry::Global().HitCount("sparsifier/table_insert");
+  ASSERT_GT(baseline_draws, 0u);
+  ASSERT_GT(inserts, 2u);
 
-  // Fail the very first table insert: the builder must treat it as an
-  // overflow, double the capacity, resample with the same seed, and land on
-  // the exact same sparsifier.
-  FaultRegistry::Global().ArmFailOnNthHit("sparsifier/table_insert", 1);
-  auto retried = BuildSparsifier(g, opt);
-  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
-  EXPECT_EQ(retried->attempts, 2);
-  ASSERT_EQ(retried->matrix.nnz(), baseline->matrix.nnz());
-  EXPECT_EQ(retried->matrix.values(), baseline->matrix.values());
+  FaultRegistry::Global().Reset();
+  FaultRegistry::Global().ArmFailOnNthHit("sparsifier/table_insert",
+                                          inserts / 2);
+  MetricsRegistry::Global().ResetForTest();
+  auto grown = BuildSparsifier(g, opt);
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
   EXPECT_EQ(FaultRegistry::Global().FireCount("sparsifier/table_insert"), 1u);
+  EXPECT_EQ(walk_draws(), baseline_draws);
+  EXPECT_EQ(grown->samples_drawn, baseline->samples_drawn);
+  EXPECT_GE(grown->attempts, 2);
+  EXPECT_EQ(grown->matrix.row_offsets(), baseline->matrix.row_offsets());
+  EXPECT_EQ(grown->matrix.col_indices(), baseline->matrix.col_indices());
+  ASSERT_EQ(grown->matrix.nnz(), baseline->matrix.nnz());
+  EXPECT_EQ(0, std::memcmp(grown->matrix.values().data(),
+                           baseline->matrix.values().data(),
+                           baseline->matrix.nnz() * sizeof(float)));
 }
 
 TEST_F(FaultSuite, PoolTaskFaultSurfacesAsParallelTaskError) {
@@ -373,7 +336,7 @@ TEST(MemoryGovernor, DegradesSparsifierInsteadOfFailing) {
   // Too small for the unbudgeted hash table, but comfortably above the
   // dense rSVD/propagation workspaces — the governor must tighten the
   // downsampling until the table fits and still deliver a usable embedding.
-  opt.memory_budget_bytes = 600000;
+  opt.memory_budget_bytes = 450000;
   ASSERT_LT(opt.memory_budget_bytes, unbudgeted->sparsifier_stats.table_bytes);
   auto budgeted = RunLightNe(g, opt);
   ASSERT_TRUE(budgeted.ok()) << budgeted.status().ToString();
@@ -387,6 +350,33 @@ TEST(MemoryGovernor, DegradesSparsifierInsteadOfFailing) {
   EXPECT_EQ(budgeted->embedding.cols(), opt.dim);
   EXPECT_GT(budgeted->peak_reserved_bytes, 0u);
   EXPECT_LE(budgeted->peak_reserved_bytes, opt.memory_budget_bytes);
+}
+
+TEST(MemoryGovernor, RefusedGrowIsResourceExhausted) {
+  // Without downsampling the ladder cannot halve C, so a budget below the
+  // table the distinct pairs need caps the first table. The pass outgrows
+  // it, and the budget refuses the grow.
+  const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(10, 8000, 3));
+  SparsifierOptions opt;
+  opt.num_samples = 200000;
+  opt.window = 5;
+  opt.seed = 9;
+  opt.downsample = false;
+  auto unbudgeted = BuildSparsifier(g, opt);
+  ASSERT_TRUE(unbudgeted.ok());
+  // It grew, so half its final table cannot hold the distinct pairs.
+  ASSERT_GE(unbudgeted->attempts, 2);
+
+  MemoryBudget budget(unbudgeted->table_bytes / 2);
+  opt.memory_budget = &budget;
+  auto r = BuildSparsifier(g, opt);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(r.status().ToString().find("grow"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_GT(budget.peak_reserved_bytes(), 0u);
+  EXPECT_LE(budget.peak_reserved_bytes(), budget.limit_bytes());
+  EXPECT_EQ(budget.reserved_bytes(), 0u);
 }
 
 TEST(MemoryGovernor, ImpossibleBudgetReturnsResourceExhausted) {

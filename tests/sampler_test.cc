@@ -2,6 +2,8 @@
 // equivalence (bit-identical integer counters and matrix values, ingest
 // counters equal at any worker count), the exact fixed-point table (order-
 // and worker-count-independent matrices, the derived scale and its bound),
+// the table grown in place during the pass (byte-equal to a pass that never
+// grew, wherever an overflow is forced),
 // the alias-table sampler's exact
 // distribution and RNG-consumption contract against the prefix-scan
 // reference (full and degree-gated), the compressed-graph walk engine
@@ -283,6 +285,111 @@ TEST(ExactTableTest, PassBoundIsIndependentOfTheWorkerCount) {
   SequentialRegion seq;
   EXPECT_EQ(internal::ComputePassBound(g, opt, per_edge, c).mass_bound,
             pooled.mass_bound);
+}
+
+// --------------------------------------------------------- grow in place ----
+
+// One pass of internal::RunPerEdgeSampling into a table built from
+// `capacity_hint`, read out as BuildSparsifier reads its table.
+struct DirectPass {
+  SparseMatrix matrix;
+  internal::SamplerPassStats stats;
+  uint64_t distinct = 0;
+};
+
+template <GraphView G>
+DirectPass RunPass(const G& g, const SparsifierOptions& opt,
+                   uint64_t capacity_hint) {
+  const double per_edge = static_cast<double>(opt.num_samples) / g.Volume();
+  const double c = std::log(static_cast<double>(g.NumVertices()));
+  const internal::WeightFixedPoint weights(internal::WeightFractionBits(
+      internal::ComputePassBound(g, opt, per_edge, c).mass_bound));
+  const WalkAccel<G> accel = MakeWalkAccel(g, opt.walk_pin_budget_bytes);
+  ConcurrentHashTable<uint64_t> table(capacity_hint);
+  BudgetReservation unbudgeted;
+  DirectPass pass;
+  EXPECT_TRUE(internal::RunPerEdgeSampling(g, opt, per_edge, c, weights,
+                                           opt.seed, accel, &table,
+                                           &unbudgeted, &pass.stats)
+                  .ok());
+  pass.distinct = table.NumEntries();
+  pass.matrix = SparseMatrix::FromCanonicalSlots(
+      g.NumVertices(), table.capacity(),
+      [&](uint64_t i) { return table.SlotKey(i); },
+      [&](uint64_t i) { return weights.Decode(table.SlotValue(i)); });
+  return pass;
+}
+
+template <GraphView G>
+void ExpectGrownPassEqualsOnePass(const G& g) {
+  SparsifierOptions opt = BaseOptions();
+  for (const bool use_combiner : {false, true}) {
+    SCOPED_TRACE(use_combiner);
+    opt.combiner = use_combiner;
+    // From the smallest table (hint 16, 32 slots) the pass grows many times.
+    const DirectPass grown = RunPass(g, opt, 16);
+    // With room for every accepted sample, the table never passes its load
+    // limit.
+    const DirectPass one = RunPass(g, opt, grown.stats.accepted);
+    EXPECT_GE(grown.stats.grows, 8u);
+    EXPECT_EQ(one.stats.grows, 0u);
+    EXPECT_EQ(grown.stats.drawn, one.stats.drawn);
+    EXPECT_EQ(grown.stats.accepted, one.stats.accepted);
+    EXPECT_EQ(grown.stats.mass_fp, one.stats.mass_fp);
+    EXPECT_EQ(grown.stats.table_upserts, one.stats.table_upserts);
+    EXPECT_EQ(grown.stats.combiner_hits, one.stats.combiner_hits);
+    EXPECT_EQ(grown.stats.combiner_flushes, one.stats.combiner_flushes);
+    EXPECT_EQ(grown.distinct, one.distinct);
+    ExpectByteEqualMatrices(grown.matrix, one.matrix);
+  }
+}
+
+TEST(GrowTest, GrownPassEqualsOnePassOnCsrAndCompressedGraphs) {
+  const CsrGraph csr = SamplerGraph();
+  ExpectGrownPassEqualsOnePass(csr);
+  ExpectGrownPassEqualsOnePass(CompressedGraph::FromCsr(csr));
+}
+
+TEST(GrowTest, AttemptsAndTableBytesIndependentOfTheWorkerCount) {
+  const CsrGraph g = SamplerGraph();
+  const SparsifierOptions opt = BaseOptions();
+  auto pooled = BuildSparsifier(g, opt);
+  Result<SparsifierResult> serial = [&] {
+    SequentialRegion seq;
+    return BuildSparsifier(g, opt);
+  }();
+  ASSERT_TRUE(pooled.ok());
+  ASSERT_TRUE(serial.ok());
+  EXPECT_GE(pooled->attempts, 2);  // the default first table grows here
+  EXPECT_EQ(serial->attempts, pooled->attempts);
+  EXPECT_EQ(serial->table_bytes, pooled->table_bytes);
+  ExpectEquivalentSparsifiers(*serial, *pooled);
+}
+
+TEST(GrowTest, ForcedOverflowAnywhereInThePassLeavesTheMatrixUnchanged) {
+  const CsrGraph g = SamplerGraph();
+  const SparsifierOptions opt = BaseOptions();
+  FaultRegistry& faults = FaultRegistry::Global();
+  faults.Reset();
+  // A policy that never fires counts the pass's table inserts.
+  faults.ArmFailOnNthHit("sparsifier/table_insert", ~uint64_t{0});
+  auto reference = BuildSparsifier(g, opt);
+  const uint64_t inserts = faults.HitCount("sparsifier/table_insert");
+  faults.Reset();
+  ASSERT_TRUE(reference.ok());
+  ASSERT_GE(inserts, 9u);
+  for (uint64_t k = 1; k <= 8; ++k) {
+    const uint64_t hit = inserts * k / 9;
+    SCOPED_TRACE(hit);
+    faults.ArmFailOnNthHit("sparsifier/table_insert", hit);
+    auto forced = BuildSparsifier(g, opt);
+    const uint64_t fired = faults.FireCount("sparsifier/table_insert");
+    faults.Reset();
+    ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+    EXPECT_EQ(fired, 1u);
+    EXPECT_GE(forced->attempts, reference->attempts);
+    ExpectEquivalentSparsifiers(*reference, *forced);
+  }
 }
 
 // --------------------------------------------------- alias-table sampling ----

@@ -1,6 +1,7 @@
 // TSan-targeted stress suite: many-thread churn on the lock-free
 // ConcurrentHashTable (mixed insert/accumulate, concurrent reads,
-// overflow-and-rebuild ladders) and task-exception storms on the thread
+// overflow-and-rebuild ladders, batches that overflow, grow in place and
+// offer their rejected suffixes again) and task-exception storms on the thread
 // pool. The assertions are exact-count checks — every accepted sample must
 // be accounted for by an atomic instruction (§4.2) — but the real payload
 // is running these interleavings under `scripts/check.sh tsan`, where any
@@ -8,10 +9,12 @@
 // registry's shared-lock hot path fails the build. Also rerun as
 // stress_test_mt4 with a pinned 4-worker pool.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -76,10 +79,10 @@ TEST(HashTableStress, ReadersRacingWriters) {
 }
 
 TEST(HashTableStress, OverflowRebuildLadder) {
-  // The sparsifier's retry ladder: ingest into a table sized far too small,
-  // observe overflow (a concurrent decision — every worker can trip it),
-  // rebuild larger and re-ingest until it fits. Churn = repeated allocate/
-  // Clear/ingest cycles racing across rounds.
+  // A rebuild ladder: ingest into a table sized far too small, observe
+  // overflow (a concurrent decision — every worker can trip it), rebuild
+  // larger and re-ingest until it fits. Churn = repeated allocate/ingest
+  // cycles racing across rounds.
   const uint64_t distinct = 1 << 10;
   uint64_t hint = 16;
   std::unique_ptr<ConcurrentHashTable<uint64_t>> table;
@@ -125,7 +128,7 @@ TEST(HashTableStress, UpsertBatchContention) {
       const uint64_t op = b * kBatch + i;
       records[i] = {i % 2 == 0 ? SkewedKey(op) : b % 8, 1};
     }
-    ASSERT_TRUE(table.UpsertBatch(records, kBatch));
+    ASSERT_EQ(table.UpsertBatch(records, kBatch), kBatch);
   });
   EXPECT_FALSE(table.overflowed());
   std::vector<uint64_t> expected(kKeys, 0);
@@ -142,24 +145,84 @@ TEST(HashTableStress, UpsertBatchContention) {
 
 TEST(HashTableStress, UpsertBatchOverflowSurfacesLikeUpsert) {
   // Batches racing past the load limit of a tiny table must fail the way a
-  // direct Upsert does: UpsertBatch returns false and the overflow flag is
-  // set. Every batch carries more distinct keys than the table holds, so
-  // every one of them is rejected, and so is any batch after the overflow.
+  // direct Upsert does and set the overflow flag. Each batch applies exactly
+  // a prefix of its records: every key is new, so the prefixes add up to
+  // the table's entries, and no key past a batch's prefix is in the table.
   ConcurrentHashTable<uint64_t> table(16);
   constexpr uint32_t kBatch = 64;
   constexpr uint64_t kBatches = 64;
-  std::atomic<uint64_t> rejected{0};
+  std::vector<uint32_t> applied(kBatches);
   ParallelFor(0, kBatches, [&](uint64_t b) {
     std::pair<uint64_t, uint64_t> records[kBatch];
     for (uint32_t i = 0; i < kBatch; ++i) records[i] = {b * kBatch + i, 1};
-    if (!table.UpsertBatch(records, kBatch)) {
-      rejected.fetch_add(1, std::memory_order_relaxed);
-    }
+    applied[b] = table.UpsertBatch(records, kBatch);
   });
   EXPECT_TRUE(table.overflowed());
-  EXPECT_EQ(rejected.load(), kBatches);
+  uint64_t total = 0;
+  for (uint64_t b = 0; b < kBatches; ++b) {
+    EXPECT_LT(applied[b], kBatch);  // more keys than the table holds
+    total += applied[b];
+    for (uint32_t i = 0; i < kBatch; ++i) {
+      ASSERT_EQ(table.Get(b * kBatch + i), i < applied[b] ? 1u : 0u)
+          << "batch " << b << " record " << i;
+    }
+  }
+  EXPECT_EQ(total, table.NumEntries());
   const std::pair<uint64_t, uint64_t> hit = {0, 1};
-  EXPECT_FALSE(table.UpsertBatch(&hit, 1));
+  EXPECT_EQ(table.UpsertBatch(&hit, 1), 0u);
+}
+
+TEST(HashTableStress, GrowAndReofferRejectedSuffixesMatchesSerialReplay) {
+  // The sampler's grow-in-place protocol on 4 plain threads: each offers
+  // its records in batches and keeps the suffix from the first rejected
+  // record; between rounds the table doubles and the suffixes are offered
+  // again. Every record must land exactly once.
+  constexpr int kThreads = 4;
+  constexpr uint32_t kBatch = 64;
+  constexpr uint64_t kPerThread = kOps / 16;
+  ConcurrentHashTable<uint64_t> table(16);
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> pending(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (uint64_t j = 0; j < kPerThread; ++j) {
+      const uint64_t op = static_cast<uint64_t>(t) * kPerThread + j;
+      pending[t].push_back({SkewedKey(op), op % 5 + 1});
+    }
+  }
+  auto offer = [&](int t) {
+    std::vector<std::pair<uint64_t, uint64_t>>& mine = pending[t];
+    size_t done = 0;
+    while (done < mine.size()) {
+      const uint32_t len =
+          static_cast<uint32_t>(std::min<size_t>(kBatch, mine.size() - done));
+      const uint32_t took = table.UpsertBatch(mine.data() + done, len);
+      done += took;
+      if (took < len) break;
+    }
+    mine.erase(mine.begin(), mine.begin() + static_cast<std::ptrdiff_t>(done));
+  };
+  int grows = 0;
+  for (;;) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) threads.emplace_back(offer, t);
+    for (std::thread& th : threads) th.join();
+    bool drained = true;
+    for (const auto& mine : pending) drained = drained && mine.empty();
+    if (drained) break;
+    ASSERT_TRUE(table.overflowed());
+    table.Grow();
+    ASSERT_LT(++grows, 16) << "growth failed to converge";
+  }
+  EXPECT_GE(grows, 6);  // 32 slots up to at least 4096 keys / 0.8
+  std::vector<uint64_t> expected(kKeys, 0);
+  for (uint64_t op = 0; op < kThreads * kPerThread; ++op) {
+    expected[SkewedKey(op)] += op % 5 + 1;
+  }
+  uint64_t distinct = 0;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    distinct += expected[k] != 0;
+    ASSERT_EQ(table.Get(k), expected[k]) << "key " << k;
+  }
+  EXPECT_EQ(table.NumEntries(), distinct);
 }
 
 // A clean parallel sum; run between storms to prove the pool recovered.
