@@ -9,7 +9,8 @@
 #include "data/generators.h"
 #include "graph/compressed.h"
 #include "graph/csr.h"
-#include "graph/random_walk.h"
+#include "graph/walk_cursor.h"
+#include "graph/weights.h"
 #include "util/memory.h"
 #include "util/timer.h"
 
@@ -42,12 +43,15 @@ double IthEdgeLatencyNs(const G& g, uint64_t probes) {
 template <typename G>
 double WalkThroughputMsteps(const G& g, uint64_t walks) {
   Rng rng(5);
+  // One context for the whole loop: a compressed graph's context publishes
+  // its draw counters once, at destruction.
+  WalkContext<G> ctx;
   Timer t;
   uint64_t sink = 0;
   for (uint64_t w = 0; w < walks; ++w) {
     NodeId v = static_cast<NodeId>(rng.UniformInt(g.NumVertices()));
     if (g.Degree(v) == 0) continue;
-    sink += RandomWalk(g, v, 10, rng);
+    sink += WeightedRandomWalk(g, ctx, v, 10, rng);
   }
   if (sink == 0xdeadbeef) std::printf("!");
   return static_cast<double>(walks) * 10 / t.Seconds() / 1e6;

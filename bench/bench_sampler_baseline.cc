@@ -1,18 +1,18 @@
-// Machine-readable sampler perf baseline (DESIGN.md §11), schema v5.
+// Machine-readable sampler perf baseline (DESIGN.md §11), schema v6.
 //
 // Measures the sparsifier ingestion hot path on a skewed RMAT graph — the
 // run-merging upsert batch (the "combiner" rows) vs direct shared-table
 // upserts at the same worker count, plus a contended 4-thread row pair that
 // revalidates UpsertBatch's prefetch pipeline under real cross-thread
 // traffic — and the walk-step primitives: CSR, compressed decode variants
-// (naive per-draw Neighbor() and the hub-pinned context), weighted
-// prefix-scan vs full alias vs degree-gated alias, and an out-of-LLC RMAT-20
-// section where the adjacency no longer fits any cache level. Every walk row
-// runs sequential WeightedRandomWalk calls, the walk path the sparsifier
-// itself takes. A cross-variant checksum matrix — {csr, compressed, pinned}
-// x {1, 4 threads} with per-start seeded RNGs and an order-independent XOR
-// reduction — proves compressed walks, pinned or not, draw exactly the CSR
-// walks: any divergence fails the run.
+// (naive per-draw Neighbor() and the hub-pinned context), the weighted
+// inverse-CDF draw, and an out-of-LLC RMAT-20 section where the adjacency
+// no longer fits any cache level. Every walk row but the two naive decode
+// references draws through SampleNeighborProportional, the step the
+// sparsifier's own walks take. A cross-variant checksum matrix — {csr,
+// compressed, pinned} x {1, 4 threads} with per-start seeded RNGs and an
+// order-independent XOR reduction — proves compressed walks, pinned or
+// not, draw exactly the CSR walks: any divergence fails the run.
 // Writes a JSON trajectory artifact (default BENCH_sampler.json,
 // overridable as argv[1]).
 // `scripts/bench_baseline.sh` re-runs this at scale 1.0 and commits the
@@ -51,13 +51,6 @@
 
 namespace lightne::bench {
 namespace {
-
-// Degree gate for the gated weighted-sampling row: hubs (degree >= gate)
-// keep O(1) alias rows, the long tail of small vertices shares the compact
-// CDF path. 32 keeps the draw mix alias-dominated on the RMAT graph (draws
-// land on vertices with probability ~ degree) while the per-edge sampling
-// footprint drops from 20 bytes (cumulative + alias everywhere) to 8 + 4f.
-constexpr uint32_t kDegreeGate = 32;
 
 // Pin budget for the hub-pinned walk rows. On the cache-resident RMAT-14
 // graph this pins essentially every row (the decoded graph is ~3.6 MiB);
@@ -358,13 +351,6 @@ struct WalkCacheStats {
   uint64_t decode_misses = 0;
 };
 
-// Gated-alias memory accounting from two instances over the same edges.
-struct GatedAliasStats {
-  uint32_t degree_gate = 0;
-  uint64_t sampling_bytes_full = 0;   // cumulative + full alias table
-  uint64_t sampling_bytes_gated = 0;  // slot index + gated rows
-};
-
 // ------------------------------------------- cross-variant walk checksums
 // Proof rows for the "pure decode cache" contract: every combination of
 // tier {csr, compressed, pinned} and thread count {1, kChecksumThreads} must
@@ -480,8 +466,7 @@ void WriteJson(const std::string& path, const CsrGraph& g,
                const SparsifierResult& direct_e2e,
                const SparsifierResult& combiner_e2e,
                const WalkCacheStats& cache, const WalkCacheStats& xllc_cache,
-               const std::vector<ChecksumEntry>& checksums,
-               const GatedAliasStats& gated) {
+               const std::vector<ChecksumEntry>& checksums) {
   // Atomic write-tmp -> fsync -> rename: a crash or disk-full mid-write
   // never replaces a previous baseline file with torn JSON.
   AtomicFileWriter writer;
@@ -492,8 +477,8 @@ void WriteJson(const std::string& path, const CsrGraph& g,
   std::FILE* f = writer.stream();
   const char* sha = std::getenv("LIGHTNE_GIT_SHA");
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"lightne-sampler-v5\",\n");
-  std::fprintf(f, "  \"schema_version\": 5,\n");
+  std::fprintf(f, "  \"schema\": \"lightne-sampler-v6\",\n");
+  std::fprintf(f, "  \"schema_version\": 6,\n");
   std::fprintf(f, "  \"git_sha\": \"%s\",\n", sha ? sha : "unknown");
   std::fprintf(f, "  \"workers\": %d,\n", NumWorkers());
   std::fprintf(f, "  \"bench_scale\": %.3f,\n", BenchScale());
@@ -620,20 +605,6 @@ void WriteJson(const std::string& path, const CsrGraph& g,
   }
   std::fprintf(f, "    ]\n");
   std::fprintf(f, "  },\n");
-  // Degree-gated alias memory accounting (same weighted edges both ways).
-  const double cut =
-      gated.sampling_bytes_full > 0
-          ? 100.0 * (1.0 - static_cast<double>(gated.sampling_bytes_gated) /
-                               static_cast<double>(gated.sampling_bytes_full))
-          : 0.0;
-  std::fprintf(f, "  \"gated_alias\": {\n");
-  std::fprintf(f, "    \"degree_gate\": %u,\n", gated.degree_gate);
-  std::fprintf(f, "    \"sampling_bytes_full\": %llu,\n",
-               static_cast<unsigned long long>(gated.sampling_bytes_full));
-  std::fprintf(f, "    \"sampling_bytes_gated\": %llu,\n",
-               static_cast<unsigned long long>(gated.sampling_bytes_gated));
-  std::fprintf(f, "    \"memory_cut_pct\": %.1f\n", cut);
-  std::fprintf(f, "  },\n");
   auto ratio = [&](const char* num, const char* den) {
     const double a = FindMs(num), b = FindMs(den);
     return (a > 0 && b > 0) ? a / b : -1.0;
@@ -653,25 +624,19 @@ void WriteJson(const std::string& path, const CsrGraph& g,
                      "sampler_contended_batch_4t"));
   std::fprintf(f, "    \"walk_pinned_vs_naive_compressed\": %.3f,\n",
                ratio("walk_compressed_naive", "walk_compressed_pinned"));
-  std::fprintf(f, "    \"walk_pinned_vs_naive_xllc\": %.3f,\n",
+  std::fprintf(f, "    \"walk_pinned_vs_naive_xllc\": %.3f\n",
                ratio("walk_compressed_naive_xllc",
                      "walk_compressed_pinned_xllc"));
-  std::fprintf(f, "    \"walk_alias_vs_prefix_weighted\": %.3f,\n",
-               ratio("walk_weighted_prefix", "walk_weighted_alias"));
-  std::fprintf(f, "    \"walk_gated_vs_prefix_weighted\": %.3f\n",
-               ratio("walk_weighted_prefix", "walk_weighted_gated"));
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   if (!writer.Commit().ok()) {
     std::fprintf(stderr, "cannot commit %s\n", path.c_str());
     std::exit(1);
   }
-  std::printf(
-      "\nwrote %s (%zu results, pinned-vs-naive xllc %.2fx, gated cut "
-      "%.1f%%)\n",
-      path.c_str(), g_rows.size(),
-      ratio("walk_compressed_naive_xllc", "walk_compressed_pinned_xllc"),
-      cut);
+  std::printf("\nwrote %s (%zu results, pinned-vs-naive xllc %.2fx)\n",
+              path.c_str(), g_rows.size(),
+              ratio("walk_compressed_naive_xllc",
+                    "walk_compressed_pinned_xllc"));
 }
 
 }  // namespace
@@ -852,8 +817,7 @@ int main(int argc, char** argv) {
 
   // --- weighted draws -----------------------------------------------------
   // Same RMAT-14 topology with weights 1 + (u+v) % 8, skewed enough that
-  // prefix-scan binary search depth matters on hubs. Three instances over
-  // identical edges: prefix-only, full alias, degree-gated.
+  // the inverse-CDF search depth matters on hubs.
   std::printf("\nWeighted draws (single thread)\n");
   WeightedEdgeList wlist;
   wlist.num_vertices = g.NumVertices();
@@ -862,53 +826,14 @@ int main(int argc, char** argv) {
   for (const auto& [u, v] : path_edges) {
     wlist.Add(u, v, 1.0f + static_cast<float>((u + v) % 8));
   }
-  WeightedEdgeList wlist_gated = wlist;  // second instance, same edges
-  WeightedCsrGraph wg = WeightedCsrGraph::FromEdges(std::move(wlist));
-  const std::vector<NodeId>& wstarts = starts;  // same vertex ids, deg >= 1
-  RecordWalkRow("walk_weighted_prefix", "prefix_scan", wstarts, 3,
-                [&](NodeId s, uint64_t steps, Rng& rng) {
-                  NodeId v = s;
-                  for (uint64_t k = 0; k < steps; ++k) {
-                    v = wg.SampleNeighborPrefixScan(v, rng);
-                  }
-                  return v;
-                });
-  wg.BuildAliasTable();
-  RecordWalkRow("walk_weighted_alias", "alias", wstarts, 5,
-                [&](NodeId s, uint64_t steps, Rng& rng) {
-                  NodeId v = s;
-                  for (uint64_t k = 0; k < steps; ++k) {
-                    v = wg.SampleNeighborAlias(v, rng);
-                  }
-                  return v;
-                });
-  GatedAliasStats gated_stats;
+  const WeightedCsrGraph wg = WeightedCsrGraph::FromEdges(std::move(wlist));
   {
-    WeightedCsrGraph wg_gated =
-        WeightedCsrGraph::FromEdges(std::move(wlist_gated));
-    wg_gated.BuildDegreeGatedAlias(kDegreeGate);
-    RecordWalkRow("walk_weighted_gated", "gated_alias", wstarts, 5,
+    WalkContext<WeightedCsrGraph> ctx;
+    // Same vertex ids as `starts`, all of degree >= 1.
+    RecordWalkRow("walk_weighted_prefix", "prefix_scan", starts, 3,
                   [&](NodeId s, uint64_t steps, Rng& rng) {
-                    NodeId v = s;
-                    for (uint64_t k = 0; k < steps; ++k) {
-                      v = wg_gated.SampleNeighbor(v, rng);
-                    }
-                    return v;
+                    return WeightedRandomWalk(wg, ctx, s, steps, rng);
                   });
-    gated_stats.degree_gate = wg_gated.degree_gate();
-    gated_stats.sampling_bytes_full = wg.SamplingBytes();
-    gated_stats.sampling_bytes_gated = wg_gated.SamplingBytes();
-    std::printf("  (gate %u: sampling bytes %.1f MiB -> %.1f MiB, "
-                "cut %.1f%%)\n",
-                wg_gated.degree_gate(),
-                static_cast<double>(gated_stats.sampling_bytes_full) /
-                    (1 << 20),
-                static_cast<double>(gated_stats.sampling_bytes_gated) /
-                    (1 << 20),
-                100.0 * (1.0 -
-                         static_cast<double>(gated_stats.sampling_bytes_gated) /
-                             static_cast<double>(
-                                 gated_stats.sampling_bytes_full)));
   }
 
   // --- end-to-end run-merging accounting (window=10, downsampling on) -----
@@ -935,6 +860,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(combiner_e2e->table_upserts));
 
   WriteJson(out, g, g_xllc, cg_xllc, *direct_e2e, *combiner_e2e, cache_stats,
-            xllc_cache_stats, checksums, gated_stats);
+            xllc_cache_stats, checksums);
   return 0;
 }

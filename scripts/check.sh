@@ -151,10 +151,10 @@ EOF
 # under the sanitizer build (exercising the run-merging upsert batch,
 # UpsertBatch under 4-thread contention, the walk engine's pinned tier and
 # block decode through the dispatched varint decoder, the cross-variant
-# checksum matrix, and the full/gated alias paths end to end) and validate
-# the v5 JSON schema and its exact ingest accounting. The bench itself exits
-# nonzero if any tier x thread-count walk checksum diverges; the validation
-# below re-asserts the recorded matrix for good measure.
+# checksum matrix, and the weighted inverse-CDF walk end to end) and
+# validate the v6 JSON schema and its exact ingest accounting. The bench
+# itself exits nonzero if any tier x thread-count walk checksum diverges;
+# the validation below re-asserts the recorded matrix for good measure.
 SAMPLER_JSON="$(mktemp /tmp/bench_sampler_smoke.XXXXXX.json)"
 trap 'rm -f "${SMOKE_JSON}" "${SAMPLER_JSON}" "${SERVE_JSON}" "${SERVE_STORE}"' EXIT
 LIGHTNE_BENCH_SCALE=0.1 LIGHTNE_GIT_SHA="$(git rev-parse --short=12 HEAD)" \
@@ -167,10 +167,10 @@ with open(sys.argv[1]) as f:
 for key in ("schema", "schema_version", "git_sha", "workers", "bench_scale",
             "decode", "graph", "xllc_graph", "results", "combiner",
             "contended_combiner", "walk_cache", "walk_cache_xllc",
-            "checksums", "gated_alias", "speedups"):
+            "checksums", "speedups"):
     assert key in doc, f"BENCH_sampler.json missing top-level key {key!r}"
-assert doc["schema"] == "lightne-sampler-v5"
-assert doc["schema_version"] == 5
+assert doc["schema"] == "lightne-sampler-v6"
+assert doc["schema_version"] == 6
 assert doc["decode"]["backend"] in ("scalar", "ssse3", "avx2")
 assert doc["results"], "BENCH_sampler.json has no results"
 for row in doc["results"]:
@@ -181,11 +181,11 @@ for row in doc["results"]:
 names = {row["name"] for row in doc["results"]}
 for required in ("walk_compressed_naive", "walk_compressed_pinned",
                  "walk_csr_xllc", "walk_compressed_naive_xllc",
-                 "walk_compressed_pinned_xllc", "walk_weighted_gated",
+                 "walk_compressed_pinned_xllc", "walk_weighted_prefix",
                  "sampler_contended_direct_4t", "sampler_contended_batch_4t"):
-    assert required in names, f"missing v5 result row {required!r}"
+    assert required in names, f"missing v6 result row {required!r}"
 assert not any("coldtier" in name for name in names), \
-    "v5 has no cold-tier rows"
+    "v6 has no cold-tier rows"
 for key in ("samples_accepted", "hit_rate", "combiner_hits",
             "direct_table_upserts", "combiner_table_upserts",
             "combiner_flushes", "table_batch_upserts"):
@@ -219,18 +219,12 @@ assert len({e["value"] for e in entries}) == 1, \
     "walk checksums differ across tiers / thread counts"
 assert {e["tier"] for e in entries} == {"csr", "compressed", "pinned"}
 assert {e["threads"] for e in entries} == {1, 4}
-for key in ("degree_gate", "sampling_bytes_full", "sampling_bytes_gated",
-            "memory_cut_pct"):
-    assert key in doc["gated_alias"], f"gated_alias block missing {key!r}"
-assert doc["gated_alias"]["sampling_bytes_gated"] < \
-    doc["gated_alias"]["sampling_bytes_full"]
 for key in ("sampler_w1_combiner_vs_direct_mt",
             "sampler_contended_batch_vs_direct",
-            "walk_pinned_vs_naive_compressed", "walk_pinned_vs_naive_xllc",
-            "walk_gated_vs_prefix_weighted"):
+            "walk_pinned_vs_naive_compressed", "walk_pinned_vs_naive_xllc"):
     assert key in doc["speedups"], f"speedups missing {key!r}"
 assert not any("coldtier" in key for key in doc["speedups"]), \
-    "v5 has no cold-tier speedups"
+    "v6 has no cold-tier speedups"
 print(f"sampler smoke OK: {len(doc['results'])} results, "
       f"decode backend {doc['decode']['backend']}, "
       f"w1 combiner speedup "

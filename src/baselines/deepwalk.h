@@ -7,7 +7,8 @@
 
 #include "baselines/sgns.h"
 #include "graph/graph_view.h"
-#include "graph/random_walk.h"
+#include "graph/walk_cursor.h"
+#include "graph/weights.h"
 #include "la/matrix.h"
 #include "parallel/parallel_for.h"
 
@@ -57,8 +58,9 @@ Matrix TrainDeepWalk(const G& g, const DeepWalkOptions& opt) {
         NodeId walk[512];
         uint32_t len = std::min<uint32_t>(opt.walk_length, 512);
         walk[0] = start;
+        WalkContext<G> ctx;
         for (uint32_t s = 1; s < len; ++s) {
-          walk[s] = RandomNeighbor(g, walk[s - 1], rng);
+          walk[s] = SampleNeighborProportional(g, ctx, walk[s - 1], rng);
         }
         // Skip-gram pairs within a per-position random-shrunk window.
         for (uint32_t i = 0; i < len; ++i) {

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "graph/graph_view.h"
-#include "graph/random_walk.h"
 #include "graph/weights.h"
 #include "util/random.h"
 

@@ -45,10 +45,9 @@ void MapNeighborsWeighted(const WeightedCsrGraph& g, NodeId v, F&& fn) {
 
 /// Samples a neighbor of v with probability proportional to edge weight.
 /// The hot-path ctx form requires degree >= 1 (checked: a zero-degree draw
-/// would silently index past the adjacency, exactly the UB RandomNeighbor
-/// already guards) — walk call sites only ever step from a vertex they just
-/// arrived at through an edge, so a zero degree there is a logic bug, not
-/// an input condition.
+/// would silently index past the adjacency) — walk call sites only ever
+/// step from a vertex they just arrived at through an edge, so a zero
+/// degree there is a logic bug, not an input condition.
 template <GraphView G>
 NodeId SampleNeighborProportional(const G& g, WalkContext<G>& ctx, NodeId v,
                                   Rng& rng) {

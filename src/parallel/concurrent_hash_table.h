@@ -42,12 +42,12 @@ class ConcurrentHashTable {
   /// Sentinel for an unoccupied slot; user keys must differ from it.
   static constexpr uint64_t kEmptyKey = ~0ull;
 
-  /// Capacity is rounded up to a power of two >= capacity_hint / max_load.
-  explicit ConcurrentHashTable(uint64_t capacity_hint, double max_load = 0.8)
-      : max_load_(max_load) {
-    LIGHTNE_CHECK_GT(max_load, 0.0);
-    LIGHTNE_CHECK_LT(max_load, 1.0);
-    capacity_ = CapacityFor(capacity_hint, max_load);
+  /// Load limit: the fraction of slots that may fill before Upsert rejects.
+  static constexpr double kMaxLoad = 0.8;
+
+  /// Capacity is rounded up to a power of two >= capacity_hint / kMaxLoad.
+  explicit ConcurrentHashTable(uint64_t capacity_hint)
+      : capacity_(CapacityFor(capacity_hint)) {
     mask_ = capacity_ - 1;
     slots_ = std::make_unique_for_overwrite<Slot[]>(capacity_);
     Clear();
@@ -80,7 +80,7 @@ class ConcurrentHashTable {
                                              std::memory_order_acq_rel)) {
           uint64_t filled = 1 + fill_.fetch_add(1, std::memory_order_relaxed);
           if (static_cast<double>(filled) >
-              max_load_ * static_cast<double>(capacity_)) {
+              kMaxLoad * static_cast<double>(capacity_)) {
             overflow_.store(true, std::memory_order_relaxed);
           }
           Add(slot, delta);
@@ -101,8 +101,9 @@ class ConcurrentHashTable {
 
   /// Batched Upsert with a hash-prefetch stage: every record's home slot is
   /// prefetched first, then the upserts run, so the probe cache misses of a
-  /// batch overlap instead of serializing (the table is far larger than any
-  /// cache, so an unprefetched probe is a near-guaranteed miss). Same
+  /// batch overlap instead of serializing. Pipeline tables are 2–32 MiB,
+  /// past a core's private caches, so an unprefetched probe usually misses
+  /// them (a large shared last-level cache may still hold the line). Same
   /// thread-safety and exactness guarantees as Upsert, record by record.
   /// Returns how many leading records were applied: it stops at the first
   /// rejected record (overflow), so records[result, n) are exactly the ones
@@ -178,23 +179,21 @@ class ConcurrentHashTable {
   /// Bytes a table constructed with this hint would occupy, mirroring the
   /// constructor's rounding. Lets budget-aware callers check the footprint
   /// before allocating (see the sparsifier's memory-budget governor).
-  static uint64_t ProjectedMemoryBytes(uint64_t capacity_hint,
-                                       double max_load = 0.8) {
-    return CapacityFor(capacity_hint, max_load) * sizeof(Slot);
+  static uint64_t ProjectedMemoryBytes(uint64_t capacity_hint) {
+    return CapacityFor(capacity_hint) * sizeof(Slot);
   }
 
   /// Largest capacity hint whose table fits in `budget_bytes`, or 0 if even
   /// the minimum table does not fit.
-  static uint64_t LargestHintFitting(uint64_t budget_bytes,
-                                     double max_load = 0.8) {
+  static uint64_t LargestHintFitting(uint64_t budget_bytes) {
     uint64_t capacity = 1;
     while (capacity * 2 * sizeof(Slot) <= budget_bytes) capacity <<= 1;
     if (capacity * sizeof(Slot) > budget_bytes) return 0;
-    // Invert the constructor rounding: any hint <= capacity * max_load maps
+    // Invert the constructor rounding: any hint <= capacity * kMaxLoad maps
     // to a table of at most `capacity` slots.
     const uint64_t hint = static_cast<uint64_t>(
-        static_cast<double>(capacity) * max_load);
-    return ProjectedMemoryBytes(hint, max_load) <= budget_bytes ? hint : 0;
+        static_cast<double>(capacity) * kMaxLoad);
+    return ProjectedMemoryBytes(hint) <= budget_bytes ? hint : 0;
   }
 
   /// Key held by slot i (kEmptyKey if unoccupied) and its value, in the
@@ -227,10 +226,10 @@ class ConcurrentHashTable {
   };
   static_assert(std::is_trivial_v<Slot>, "slots are allocated uninitialized");
 
-  static uint64_t CapacityFor(uint64_t capacity_hint, double max_load) {
+  static uint64_t CapacityFor(uint64_t capacity_hint) {
     const uint64_t want = static_cast<uint64_t>(
         static_cast<double>(capacity_hint < 16 ? 16 : capacity_hint) /
-        max_load);
+        kMaxLoad);
     uint64_t capacity = 1;
     while (capacity < want) capacity <<= 1;
     return capacity;
@@ -261,12 +260,15 @@ class ConcurrentHashTable {
 #endif
   }
 
-  double max_load_;
+  // Every Upsert reads mask_, slots_ and overflow_, and every new key
+  // fetch-adds fill_ from whichever worker inserts it: fill_ gets a cache
+  // line of its own, so those adds do not keep evicting the line that every
+  // worker reads.
   uint64_t capacity_ = 0;
   uint64_t mask_ = 0;
   std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> fill_{0};
   std::atomic<bool> overflow_{false};
+  alignas(64) std::atomic<uint64_t> fill_{0};
 };
 
 }  // namespace lightne

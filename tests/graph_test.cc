@@ -13,8 +13,9 @@
 #include "graph/edge_list.h"
 #include "graph/graph_view.h"
 #include "graph/io.h"
-#include "graph/random_walk.h"
 #include "graph/stats.h"
+#include "graph/walk_cursor.h"
+#include "graph/weights.h"
 #include "util/random.h"
 
 namespace lightne {
@@ -181,7 +182,7 @@ TEST(RandomWalkTest, StaysOnGraph) {
   for (int trial = 0; trial < 1000; ++trial) {
     NodeId start = static_cast<NodeId>(rng.UniformInt(g.NumVertices()));
     if (g.Degree(start) == 0) continue;
-    NodeId end = RandomWalk(g, start, 10, rng);
+    NodeId end = WeightedRandomWalk(g, start, 10, rng);
     EXPECT_LT(end, g.NumVertices());
   }
 }
@@ -189,15 +190,18 @@ TEST(RandomWalkTest, StaysOnGraph) {
 TEST(RandomWalkTest, ZeroStepsReturnsStart) {
   CsrGraph g = CsrGraph::FromEdges(TriangleWithTail());
   Rng rng(1);
-  EXPECT_EQ(RandomWalk(g, 3, 0, rng), 3u);
+  EXPECT_EQ(WeightedRandomWalk(g, 3, 0, rng), 3u);
 }
 
 TEST(RandomWalkTest, UniformNeighborDistribution) {
   CsrGraph g = CsrGraph::FromEdges(TriangleWithTail());
   Rng rng(21);
+  WalkContext<CsrGraph> ctx;
   std::map<NodeId, int> hits;
   const int trials = 30000;
-  for (int t = 0; t < trials; ++t) ++hits[RandomNeighbor(g, 2, rng)];
+  for (int t = 0; t < trials; ++t) {
+    ++hits[SampleNeighborProportional(g, ctx, 2, rng)];
+  }
   // Vertex 2 has neighbors {0, 1, 3}, each should get ~1/3.
   ASSERT_EQ(hits.size(), 3u);
   for (auto& [v, c] : hits) {
@@ -211,7 +215,9 @@ TEST(RandomWalkTest, StationaryDistributionProportionalToDegree) {
   Rng rng(77);
   std::vector<int> hits(g.NumVertices(), 0);
   const int trials = 60000;
-  for (int t = 0; t < trials; ++t) ++hits[RandomWalk(g, 0, 50, rng)];
+  for (int t = 0; t < trials; ++t) {
+    ++hits[WeightedRandomWalk(g, 0, 50, rng)];
+  }
   for (NodeId v = 0; v < 4; ++v) {
     double expect = static_cast<double>(g.Degree(v)) / g.Volume();
     EXPECT_NEAR(static_cast<double>(hits[v]) / trials, expect, 0.02) << v;

@@ -130,11 +130,6 @@ TEST(OptionValidation, LightNeExplicitSampleCountOverridesRatio) {
               2500);
 }
 
-TEST(OptionValidation, HashTableRejectsSillyLoadFactors) {
-  EXPECT_DEATH(ConcurrentHashTable<uint64_t>(16, 1.5), "CHECK failed");
-  EXPECT_DEATH(ConcurrentHashTable<uint64_t>(16, 0.0), "CHECK failed");
-}
-
 // ------------------------------------------------------- fault injection ----
 
 class FaultSuite : public ::testing::Test {

@@ -3,12 +3,10 @@
 // counters equal at any worker count), the exact fixed-point table (order-
 // and worker-count-independent matrices, the derived scale and its bound),
 // the table grown in place during the pass (byte-equal to a pass that never
-// grew, wherever an overflow is forced),
-// the alias-table sampler's exact
-// distribution and RNG-consumption contract against the prefix-scan
-// reference (full and degree-gated), the compressed-graph walk engine
-// (hub-pinned tier and direct block decode) against walks on the CSR graph
-// it was built from, and the edge-balanced scheduling partition.
+// grew, wherever an overflow is forced), the weighted sampler's draw
+// frequencies on a skewed hub, the compressed-graph walk engine (hub-pinned
+// tier and direct block decode) against walks on the CSR graph it was built
+// from, and the edge-balanced scheduling partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -392,12 +390,11 @@ TEST(GrowTest, ForcedOverflowAnywhereInThePassLeavesTheMatrixUnchanged) {
   }
 }
 
-// --------------------------------------------------- alias-table sampling ----
+// ------------------------------------------------------ weighted sampling ----
 
 WeightedCsrGraph SkewedWeightedGraph() {
   // A star plus a ring: vertex 0 has a wide, heavily skewed adjacency
-  // (weights 1, 2, ..., d) — the worst case for prefix-scan sampling and a
-  // good exactness test for Vose initialization.
+  // (weights 1, 2, ..., d) — the deepest inverse-CDF search in the graph.
   WeightedEdgeList list;
   list.num_vertices = 64;
   for (NodeId v = 1; v < 64; ++v) {
@@ -407,13 +404,11 @@ WeightedCsrGraph SkewedWeightedGraph() {
   return WeightedCsrGraph::FromEdges(std::move(list));
 }
 
-TEST(AliasTableTest, DrawFrequenciesTrackWeights) {
-  WeightedCsrGraph g = SkewedWeightedGraph();
-  g.BuildAliasTable();
-  ASSERT_TRUE(g.has_alias_table());
-  // Frequencies of 200k alias draws at the hub must track the (heavily
-  // skewed) weights: the Vose construction preserves each column's exact
-  // mass, so any systematic deviation is an initialization bug.
+TEST(WeightedSamplerTest, HubDrawFrequenciesTrackWeights) {
+  const WeightedCsrGraph g = SkewedWeightedGraph();
+  // Frequencies of 200k draws at the hub must track the (heavily skewed)
+  // weights: any systematic deviation is an off-by-one in the search or a
+  // wrong cumulative row.
   const NodeId hub = 0;
   const uint64_t d = g.Degree(hub);
   std::vector<uint64_t> counts(65, 0);
@@ -429,54 +424,6 @@ TEST(AliasTableTest, DrawFrequenciesTrackWeights) {
     EXPECT_NEAR(static_cast<double>(counts[nbr]), expect,
                 6.0 * std::sqrt(expect) + 6.0)
         << "neighbor " << nbr;
-  }
-}
-
-TEST(AliasTableTest, AliasAndPrefixScanAgreeOnDistribution) {
-  // Same graph, same number of draws: both samplers must converge to the
-  // same per-neighbor frequencies (they are different maps of the same
-  // uniform variate, so per-draw results differ — only distributions match).
-  WeightedCsrGraph g = SkewedWeightedGraph();
-  const NodeId hub = 0;
-  const uint64_t draws = 200000;
-  std::vector<uint64_t> scan_counts(65, 0), alias_counts(65, 0);
-  Rng rng_scan(11);
-  for (uint64_t s = 0; s < draws; ++s) {
-    ++scan_counts[g.SampleNeighborPrefixScan(hub, rng_scan)];
-  }
-  g.BuildAliasTable();
-  Rng rng_alias(13);
-  for (uint64_t s = 0; s < draws; ++s) {
-    ++alias_counts[g.SampleNeighborAlias(hub, rng_alias)];
-  }
-  for (NodeId v = 0; v < 65; ++v) {
-    const double a = static_cast<double>(alias_counts[v]);
-    const double b = static_cast<double>(scan_counts[v]);
-    EXPECT_NEAR(a, b, 6.0 * std::sqrt(std::max(a, b)) + 6.0) << "nbr " << v;
-  }
-}
-
-TEST(AliasTableTest, RngConsumptionMatchesPrefixScan) {
-  // The shared contract: both samplers consume exactly one Uniform() per
-  // draw, so seeded streams stay aligned whichever sampler runs.
-  WeightedCsrGraph g = SkewedWeightedGraph();
-  g.BuildAliasTable();
-  Rng rng_scan(99), rng_alias(99);
-  for (int s = 0; s < 1000; ++s) {
-    const NodeId v = static_cast<NodeId>(s % g.NumVertices());
-    (void)g.SampleNeighborPrefixScan(v, rng_scan);
-    (void)g.SampleNeighborAlias(v, rng_alias);
-    ASSERT_EQ(rng_scan.Next(), rng_alias.Next()) << "diverged at draw " << s;
-  }
-}
-
-TEST(AliasTableTest, WeightedWalkStillWorksWithAliasTable) {
-  WeightedCsrGraph g = SkewedWeightedGraph();
-  g.BuildAliasTable();
-  Rng rng(5);
-  for (int s = 0; s < 100; ++s) {
-    const NodeId end = WeightedRandomWalk(g, NodeId{0}, 10, rng);
-    EXPECT_LT(end, g.NumVertices());
   }
 }
 
@@ -737,90 +684,6 @@ TEST(WalkEngineTest, WalkCountersReachMetricsRegistry) {
   EXPECT_GT(snap.GaugeValue("walk/pinned_bytes"), 0u);
   EXPECT_GT(snap.GaugeValue("walk/pinned_vertices"), 0u);
   EXPECT_GT(pin_hits, 0u);
-}
-
-// --------------------------------------------------- degree-gated alias ----
-
-TEST(GatedAliasTest, GatedDrawsBitIdenticalToAliasOnHubsPrefixBelow) {
-  // The gated sampler must be a seam of the two existing samplers: for the
-  // same roll, a hub draw returns exactly what the full alias table would,
-  // a cold draw exactly what the prefix scan would — bit-identical, not
-  // just in distribution.
-  constexpr uint32_t kGate = 8;
-  WeightedCsrGraph full = SkewedWeightedGraph();
-  WeightedCsrGraph plain = SkewedWeightedGraph();
-  WeightedCsrGraph gated = SkewedWeightedGraph();
-  full.BuildAliasTable();
-  gated.BuildDegreeGatedAlias(kGate);
-  EXPECT_TRUE(gated.degree_gated());
-  EXPECT_EQ(gated.degree_gate(), kGate);
-  for (NodeId v = 0; v < gated.NumVertices(); ++v) {
-    const uint64_t d = gated.Degree(v);
-    if (d == 0) continue;
-    Rng rng_gated(v * 31 + 1), rng_ref(v * 31 + 1);
-    for (int s = 0; s < 200; ++s) {
-      const NodeId got = gated.SampleNeighbor(v, rng_gated);
-      const NodeId want = d >= kGate
-                              ? full.SampleNeighborAlias(v, rng_ref)
-                              : plain.SampleNeighborPrefixScan(v, rng_ref);
-      ASSERT_EQ(got, want) << "v=" << v << " (degree " << d << ") draw " << s;
-    }
-  }
-}
-
-TEST(GatedAliasTest, RngConsumptionIdenticalAcrossGateBoundary)  {
-  // One Uniform() per draw on both sides of the gate: a seeded stream stays
-  // aligned with the ungated samplers no matter which row kind serves it.
-  WeightedCsrGraph gated = SkewedWeightedGraph();
-  WeightedCsrGraph plain = SkewedWeightedGraph();
-  gated.BuildDegreeGatedAlias(8);
-  Rng rng_gated(99), rng_plain(99);
-  for (int s = 0; s < 1000; ++s) {
-    const NodeId v = static_cast<NodeId>(s % gated.NumVertices());
-    if (gated.Degree(v) == 0) continue;
-    (void)gated.SampleNeighbor(v, rng_gated);
-    (void)plain.SampleNeighborPrefixScan(v, rng_plain);
-    ASSERT_EQ(rng_gated.Next(), rng_plain.Next()) << "diverged at draw " << s;
-  }
-}
-
-TEST(GatedAliasTest, GatedTableCutsSamplingMemory) {
-  WeightedCsrGraph full = SkewedWeightedGraph();
-  WeightedCsrGraph gated = SkewedWeightedGraph();
-  full.BuildAliasTable();
-  gated.BuildDegreeGatedAlias(8);
-  // Full: cumulative (8 B/edge) + alias rows (12 B/edge). Gated: alias rows
-  // only above the gate, compact CDF below, one slot word per vertex — on
-  // this star-plus-ring graph well past the 40% acceptance bar.
-  EXPECT_LT(gated.SamplingBytes(), full.SamplingBytes());
-  EXPECT_LE(static_cast<double>(gated.SamplingBytes()),
-            0.6 * static_cast<double>(full.SamplingBytes()));
-  // Weighted degrees (used by downsampling probabilities) survive the
-  // cumulative-array release.
-  for (NodeId v = 0; v < gated.NumVertices(); ++v) {
-    EXPECT_EQ(gated.WeightedDegree(v), full.WeightedDegree(v));
-  }
-}
-
-TEST(GatedAliasTest, GatedDistributionTracksWeights) {
-  WeightedCsrGraph g = SkewedWeightedGraph();
-  g.BuildDegreeGatedAlias(8);
-  const NodeId hub = 0;  // degree 63: alias side of the gate
-  const uint64_t d = g.Degree(hub);
-  ASSERT_GE(d, 8u);
-  std::vector<uint64_t> counts(65, 0);
-  Rng rng(7);
-  const uint64_t draws = 200000;
-  for (uint64_t s = 0; s < draws; ++s) ++counts[g.SampleNeighbor(hub, rng)];
-  for (uint64_t i = 0; i < d; ++i) {
-    const NodeId nbr = g.Neighbor(hub, i);
-    const double expect = static_cast<double>(draws) *
-                          static_cast<double>(g.Weight(hub, i)) /
-                          g.WeightedDegree(hub);
-    EXPECT_NEAR(static_cast<double>(counts[nbr]), expect,
-                6.0 * std::sqrt(expect) + 6.0)
-        << "neighbor " << nbr;
-  }
 }
 
 // -------------------------------------------------- edge-balanced schedule ----
