@@ -13,7 +13,10 @@
 // kernel has a closed-form FLOP count, thread count actually used, and the
 // git sha (LIGHTNE_GIT_SHA, exported by the wrapper script). Sizes honor
 // LIGHTNE_BENCH_SCALE with a floor so the smoke run still exercises every
-// code path.
+// code path. The two-arm kernels' pipeline-shape rows run on the arm the
+// host dispatches to (`simd_arm` at the top level) and again, as `_generic`
+// rows, under kernels::GenericSimdRegion; on a host without AVX2 both are
+// the generic arm.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -56,6 +59,8 @@ struct ResultRow {
 };
 
 std::vector<ResultRow> g_rows;
+// Speedups beyond the fixed three: each two-arm row pair's ratio.
+std::vector<std::pair<std::string, double>> g_arm_speedups;
 
 template <typename Fn>
 void Record(ResultRow row, double flops, int runs, bool sequential,
@@ -72,11 +77,35 @@ void Record(ResultRow row, double flops, int runs, bool sequential,
   if (flops > 0 && row.median_ms > 0) {
     row.gflops = flops / (row.median_ms * 1e6);
   }
-  std::printf("  %-28s %4d thread(s)  %10.3f ms", row.name.c_str(),
+  std::printf("  %-34s %4d thread(s)  %10.3f ms", row.name.c_str(),
               row.threads, row.median_ms);
   if (row.gflops >= 0) std::printf("  %8.3f GFLOP/s", row.gflops);
   std::printf("\n");
   g_rows.push_back(std::move(row));
+}
+
+// Records `row` (named <stem>_<threads>) on the dispatched arm, then as
+// <stem>_generic_<threads> under kernels::GenericSimdRegion, and adds the
+// speedup <stem>_avx2_vs_generic_<threads>: generic ms over dispatched ms.
+template <typename Fn>
+void RecordBothArms(ResultRow row, double flops, int runs, bool sequential,
+                    const Fn& fn) {
+  const size_t cut = row.name.rfind('_');
+  const std::string stem = row.name.substr(0, cut);
+  const std::string threads = row.name.substr(cut + 1);
+  ResultRow generic = row;
+  generic.name = stem + "_generic_" + threads;
+  generic.variant += "_generic";
+  Record(std::move(row), flops, runs, sequential, fn);
+  const double dispatched_ms = g_rows.back().median_ms;
+  {
+    kernels::GenericSimdRegion guard;
+    Record(std::move(generic), flops, runs, sequential, fn);
+  }
+  const double generic_ms = g_rows.back().median_ms;
+  g_arm_speedups.push_back(
+      {stem + "_avx2_vs_generic_" + threads,
+       dispatched_ms > 0 ? generic_ms / dispatched_ms : -1.0});
 }
 
 double FindMs(const std::string& name) {
@@ -132,10 +161,10 @@ void BenchGemmPanels() {
            [&] { Matrix c = Gemm(y, b); });
     Record({tag + "_blocked_mt", "gemm", "blocked", 1, shape}, flops, 5,
            false, [&] { Matrix c = Gemm(y, b); });
-    Record({tag + "_upper_1t", "gemm", "upper", 1, shape}, flops, 5, true,
-           [&] { Matrix c = kernels::GemmUpper(y, u); });
-    Record({tag + "_upper_mt", "gemm", "upper", 1, shape}, flops, 5, false,
-           [&] { Matrix c = kernels::GemmUpper(y, u); });
+    RecordBothArms({tag + "_upper_1t", "gemm", "upper", 1, shape}, flops, 5,
+                   true, [&] { Matrix c = kernels::GemmUpper(y, u); });
+    RecordBothArms({tag + "_upper_mt", "gemm", "upper", 1, shape}, flops, 5,
+                   false, [&] { Matrix c = kernels::GemmUpper(y, u); });
   }
 }
 
@@ -163,10 +192,10 @@ void BenchGemmTN() {
     Record({tag + "_blocked_mt", "gemm_tn", "blocked", 1, shape}, flops, 5,
            false, [&] { auto c = kernels::GemmTnDouble(a, b); });
     // The Gram A^T A: the same call with a as both operands (nominal flops).
-    Record({tag + "_sym_1t", "gemm_tn", "sym", 1, shape}, flops, 5, true,
-           [&] { auto c = kernels::GemmTnDouble(a, a); });
-    Record({tag + "_sym_mt", "gemm_tn", "sym", 1, shape}, flops, 5, false,
-           [&] { auto c = kernels::GemmTnDouble(a, a); });
+    RecordBothArms({tag + "_sym_1t", "gemm_tn", "sym", 1, shape}, flops, 5,
+                   true, [&] { auto c = kernels::GemmTnDouble(a, a); });
+    RecordBothArms({tag + "_sym_mt", "gemm_tn", "sym", 1, shape}, flops, 5,
+                   false, [&] { auto c = kernels::GemmTnDouble(a, a); });
   }
 }
 
@@ -188,10 +217,16 @@ void BenchSpmm() {
     int scale;
     uint64_t edges, d;
     bool naive;
+    bool arms;  // also under GenericSimdRegion
   };
-  for (const Size& s : {Size{14, 200000, 128, true},
-                        Size{14, 200000, 512, true},
-                        Size{16, 1000000, 128, false}}) {
+  // The last two are the rSVD's products at rmat-small's shape (RMAT-14,
+  // 150000 edge draws, q = 128 + 10) and serve-topk's (RMAT-16, 450000,
+  // q = 64 + 10).
+  for (const Size& s : {Size{14, 200000, 128, true, false},
+                        Size{14, 200000, 512, true, false},
+                        Size{16, 1000000, 128, false, false},
+                        Size{14, 150000, 138, false, true},
+                        Size{16, 450000, 74, false, true}}) {
     SparseMatrix m =
         RmatSparse(s.scale, Scaled(s.edges, 10000), 1000 + s.scale);
     Matrix x = Matrix::Gaussian(m.cols(), s.d, s.scale);
@@ -204,10 +239,16 @@ void BenchSpmm() {
       Record({tag + "_naive_1t", "spmm", "naive", 1, shape}, flops, 3, true,
              [&] { Matrix y = NaiveSpmm(m, x); });
     }
-    Record({tag + "_blocked_1t", "spmm", "blocked", 1, shape}, flops, 5, true,
-           [&] { Matrix y = m.Multiply(x); });
-    Record({tag + "_blocked_mt", "spmm", "blocked", 1, shape}, flops, 5,
-           false, [&] { Matrix y = m.Multiply(x); });
+    const auto multiply = [&] { Matrix y = m.Multiply(x); };
+    for (const bool sequential : {true, false}) {
+      ResultRow row{tag + (sequential ? "_blocked_1t" : "_blocked_mt"), "spmm",
+                    "blocked", 1, shape};
+      if (s.arms) {
+        RecordBothArms(std::move(row), flops, 5, sequential, multiply);
+      } else {
+        Record(std::move(row), flops, 5, sequential, multiply);
+      }
+    }
   }
 }
 
@@ -285,10 +326,12 @@ void BenchPropagation() {
   auto shape = std::vector<std::pair<std::string, uint64_t>>{
       {"n", g.NumVertices()}, {"nnz", g.NumDirectedEdges()}, {"d", d},
       {"order", opt.order}};
-  Record({"propagation_s16x64_1t", "propagation", "fused", 1, shape}, flops, 3,
-         true, [&] { Matrix y = SpectralPropagate(g, x, opt).value(); });
-  Record({"propagation_s16x64_mt", "propagation", "fused", 1, shape}, flops, 3,
-         false, [&] { Matrix y = SpectralPropagate(g, x, opt).value(); });
+  RecordBothArms({"propagation_s16x64_1t", "propagation", "fused", 1, shape},
+                 flops, 3, true,
+                 [&] { Matrix y = SpectralPropagate(g, x, opt).value(); });
+  RecordBothArms({"propagation_s16x64_mt", "propagation", "fused", 1, shape},
+                 flops, 3, false,
+                 [&] { Matrix y = SpectralPropagate(g, x, opt).value(); });
 }
 
 void BenchRsvd() {
@@ -321,8 +364,10 @@ void WriteJson(const std::string& path) {
   std::FILE* f = writer.stream();
   const char* sha = std::getenv("LIGHTNE_GIT_SHA");
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
+  std::fprintf(f, "  \"schema_version\": 2,\n");
   std::fprintf(f, "  \"git_sha\": \"%s\",\n", sha ? sha : "unknown");
+  std::fprintf(f, "  \"simd_arm\": \"%s\",\n",
+               kernels::SimdArmName(kernels::ActiveSimdArm()));
   std::fprintf(f, "  \"workers\": %d,\n", NumWorkers());
   std::fprintf(f, "  \"bench_scale\": %.3f,\n", BenchScale());
   std::fprintf(f, "  \"timestamp_unix\": %lld,\n",
@@ -363,10 +408,14 @@ void WriteJson(const std::string& path) {
                (spmm_naive > 0 && spmm_blocked > 0)
                    ? spmm_naive / spmm_blocked
                    : -1.0);
-  std::fprintf(f, "    \"qr_s14x138_cholqr2_vs_householder_1t\": %.3f\n",
+  std::fprintf(f, "    \"qr_s14x138_cholqr2_vs_householder_1t\": %.3f",
                (qr_householder > 0 && qr_cholqr2 > 0)
                    ? qr_householder / qr_cholqr2
                    : -1.0);
+  for (const auto& [name, ratio] : g_arm_speedups) {
+    std::fprintf(f, ",\n    \"%s\": %.3f", name.c_str(), ratio);
+  }
+  std::fprintf(f, "\n");
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   if (!writer.Commit().ok()) {
@@ -384,8 +433,10 @@ void WriteJson(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace lightne::bench;
   const std::string out = argc > 1 ? argv[1] : "BENCH_kernels.json";
-  std::printf("LightNE kernel perf baseline (scale %.2f, %d workers)\n\n",
-              BenchScale(), lightne::NumWorkers());
+  std::printf(
+      "LightNE kernel perf baseline (scale %.2f, %d workers, simd arm %s)\n\n",
+      BenchScale(), lightne::NumWorkers(),
+      lightne::kernels::SimdArmName(lightne::kernels::ActiveSimdArm()));
   BenchGemm();
   BenchGemmPanels();
   BenchGemmTN();

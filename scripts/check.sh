@@ -108,9 +108,11 @@ import json, sys
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-for key in ("schema_version", "git_sha", "workers", "bench_scale", "results",
-            "speedups"):
+for key in ("schema_version", "git_sha", "simd_arm", "workers", "bench_scale",
+            "results", "speedups"):
     assert key in doc, f"BENCH_kernels.json missing top-level key {key!r}"
+assert doc["schema_version"] == 2
+assert doc["simd_arm"] in ("generic", "avx2"), doc["simd_arm"]
 assert doc["results"], "BENCH_kernels.json has no results"
 for row in doc["results"]:
     for key in ("name", "kernel", "variant", "threads", "shape", "runs",
@@ -141,6 +143,17 @@ for variant in ("1t", "mt"):
 # The rSVD tail's q x q eigensolve at the pipeline's three q.
 for q in (42, 74, 138):
     assert f"eig_q{q}_1t" in names, f"missing eig_q{q}_1t"
+# The two-arm kernels' rows on the dispatched arm, their _generic twins run
+# under GenericSimdRegion, and each pair's speedup.
+for stem in ("gemm_s14x138_upper", "gemm_s16x74_upper", "gemm_s16x42_upper",
+             "gemm_tn_32768x64_sym", "gemm_tn_131072x128_sym",
+             "spmm_s14x138_blocked", "spmm_s16x74_blocked",
+             "propagation_s16x64"):
+    for threads in ("1t", "mt"):
+        for name in (f"{stem}_{threads}", f"{stem}_generic_{threads}"):
+            assert name in names, f"missing {name}"
+        ratio = f"{stem}_avx2_vs_generic_{threads}"
+        assert ratio in doc["speedups"], f"missing speedup {ratio}"
 print(f"bench smoke OK: {len(doc['results'])} results, "
       f"gemm_512 speedup {doc['speedups']['gemm_512_blocked_vs_naive_1t']}x, "
       f"qr_s14x138 cholqr2 speedup "

@@ -345,10 +345,13 @@ Result<LightNeResult> RunLightNe(const G& g, const LightNeOptions& opt) {
   // ---- Stage 3: spectral propagation (ProNE enhancement) -----------------
   if (opt.spectral_propagation) {
     result.timing.Start("propagation");
-    // Chebyshev recurrence keeps ~5 dense n x d panels alive.
+    // The Chebyshev recurrence keeps 5 dense n x d panels alive (X and its
+    // four buffers) next to the operator SpectralPropagate copies g into.
+    const uint64_t n = g.NumVertices();
     BudgetReservation prop_reservation(
         budget.limited() ? &budget : nullptr,
-        5 * static_cast<uint64_t>(g.NumVertices()) * opt.dim * sizeof(float));
+        5 * n * opt.dim * sizeof(float) +
+            internal::PropagationOperatorBytes(n, g.NumDirectedEdges()));
     if (!prop_reservation.ok()) {
       return Status::ResourceExhausted(
           "memory budget of " + HumanBytes(budget.limit_bytes()) +

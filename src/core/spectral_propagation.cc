@@ -19,34 +19,43 @@ namespace {
 // Rows per sweep task: one scratch row per task, many tasks per worker.
 constexpr uint64_t kSweepRows = 64;
 
-// One application of A + I: for every row u, y = in_u + sum_v w_uv in_v
-// with the neighbors in operator order (each element summed as the per-term
-// oracle in tests/propagation_oracle.h sums it), then epilogue(u, in_u, y).
-// y is a d-float scratch row of the task; the epilogue writes row u of its
-// outputs and must not write `in`, whose rows the other tasks still gather.
+// One sweep task of an application of A + I: for every row u of the task,
+// y = in_u + sum_v w_uv in_v with the neighbors in operator order (each
+// element summed as the per-term oracle in tests/propagation_oracle.h sums
+// it), then epilogue(u, in_u, y). y is a d-float scratch row of the task;
+// the epilogue writes row u of its outputs and must not write `in`, whose
+// rows the other tasks still gather. Inlined, with the epilogue, into each
+// SIMD arm (la/kernels.h), so every epilogue is declared always_inline.
+template <typename Epilogue>
+[[gnu::always_inline]] inline void SweepTask(const PropagationOperator& op,
+                                             const Matrix& in,
+                                             const Epilogue& epilogue,
+                                             uint64_t task) {
+  const uint64_t n = in.rows();
+  const uint64_t d = in.cols();
+  ScratchArena::Scope scope(ScratchArena::ForCurrentThread());
+  float* __restrict y = scope.AllocArray<float>(d);
+  const uint64_t hi = std::min(n, (task + 1) * kSweepRows);
+  for (uint64_t u = task * kSweepRows; u < hi; ++u) {
+    const float* __restrict xu = in.Row(u);
+    for (uint64_t j = 0; j < d; ++j) y[j] = xu[j];
+    for (uint64_t e = op.offsets[u]; e < op.offsets[u + 1]; ++e) {
+      const float w = op.weights[e];
+      const float* __restrict xv = in.Row(op.neighbors[e]);
+      for (uint64_t j = 0; j < d; ++j) y[j] += w * xv[j];
+    }
+    epilogue(u, xu, static_cast<const float*>(y));
+  }
+}
+
+// One application of A + I over all rows, kSweepRows rows per task.
 template <typename Epilogue>
 void Sweep(const PropagationOperator& op, const Matrix& in,
            const Epilogue& epilogue) {
-  const uint64_t n = in.rows();
-  const uint64_t d = in.cols();
+  const auto task = kernels::SimdArms<&SweepTask<Epilogue>>::Pick();
   ParallelFor(
-      0, (n + kSweepRows - 1) / kSweepRows,
-      [&](uint64_t task) {
-        ScratchArena::Scope scope(ScratchArena::ForCurrentThread());
-        float* __restrict y = scope.AllocArray<float>(d);
-        const uint64_t hi = std::min(n, (task + 1) * kSweepRows);
-        for (uint64_t u = task * kSweepRows; u < hi; ++u) {
-          const float* __restrict xu = in.Row(u);
-          for (uint64_t j = 0; j < d; ++j) y[j] = xu[j];
-          for (uint64_t e = op.offsets[u]; e < op.offsets[u + 1]; ++e) {
-            const float w = op.weights[e];
-            const float* __restrict xv = in.Row(op.neighbors[e]);
-            for (uint64_t j = 0; j < d; ++j) y[j] += w * xv[j];
-          }
-          epilogue(u, xu, static_cast<const float*>(y));
-        }
-      },
-      /*grain=*/1);
+      0, (in.rows() + kSweepRows - 1) / kSweepRows,
+      [&](uint64_t t) { task(op, in, epilogue, t); }, /*grain=*/1);
 }
 
 }  // namespace
@@ -71,7 +80,8 @@ Matrix ChebyshevFilter(const PropagationOperator& op, const Matrix& x,
   // writes could otherwise alias the captures, which keeps GCC from
   // vectorizing.
   Matrix mop(n, d);
-  const auto into_mop = [&](uint64_t u, const float* xu, const float* y) {
+  const auto into_mop = [&](uint64_t u, const float* xu, const float* y)
+                            __attribute__((always_inline)) {
     const uint64_t len = d;
     const float omm = one_minus_mu, s = scale[u];
     float* __restrict out = mop.Row(u);
@@ -81,7 +91,9 @@ Matrix ChebyshevFilter(const PropagationOperator& op, const Matrix& x,
   // T_1 = 0.5 Mop mop - X; conv = c0 T_0 - c1 T_1.
   Matrix prev(n, d);
   Matrix conv(n, d);
-  Sweep(op, mop, [&](uint64_t u, const float* xu, const float* y) {
+  Sweep(op, mop,
+        [&](uint64_t u, const float* xu, const float* y)
+            __attribute__((always_inline)) {
     const uint64_t len = d;
     const float omm = one_minus_mu, s = scale[u], a0 = c0, a1 = c1;
     const bool last = opt.order == 2;
@@ -103,7 +115,9 @@ Matrix ChebyshevFilter(const PropagationOperator& op, const Matrix& x,
     const Matrix& older = i == 2 ? x : prev2;
     const float ci = static_cast<float>(2.0 * BesselI(i, opt.theta));
     const float coef = ((i % 2 == 0) ? 1.0f : -1.0f) * ci;
-    Sweep(op, mop, [&](uint64_t u, const float* xu, const float* y) {
+    Sweep(op, mop,
+          [&](uint64_t u, const float* xu, const float* y)
+              __attribute__((always_inline)) {
       const uint64_t len = d;
       const float omm = one_minus_mu, s = scale[u], a = coef;
       const bool last = i + 1 == opt.order;
@@ -123,7 +137,9 @@ Matrix ChebyshevFilter(const PropagationOperator& op, const Matrix& x,
     std::swap(prev, prev2);
   }
   // A' (X - conv), into the free Mop buffer.
-  Sweep(op, conv, [&](uint64_t u, const float* /*xu*/, const float* y) {
+  Sweep(op, conv,
+        [&](uint64_t u, const float* /*xu*/, const float* y)
+            __attribute__((always_inline)) {
     std::copy(y, y + d, mop.Row(u));
   });
   return mop;

@@ -13,10 +13,11 @@
 // Mop and A' are applied through one CSR copy of A per call, in
 // MapNeighborsWeighted order, with each row's float(1 / (d_u + 1)) scale
 // (an SPMM per application — MKL Sparse BLAS in the paper, §4.3). Every
-// application is one row sweep compiled at -O3 in spectral_propagation.cc;
-// its epilogue folds in the element-wise steps above, with the same float
-// expressions in the same order, so the filter does not depend on the graph
-// representation or the worker count.
+// application is one row sweep compiled at -O3 in spectral_propagation.cc,
+// in both SIMD arms (la/kernels.h); its epilogue folds in the element-wise
+// steps above, with the same float expressions in the same order, so the
+// filter does not depend on the graph representation, the worker count or
+// the arm.
 #ifndef LIGHTNE_CORE_SPECTRAL_PROPAGATION_H_
 #define LIGHTNE_CORE_SPECTRAL_PROPAGATION_H_
 
@@ -49,6 +50,15 @@ struct PropagationOperator {
   std::vector<float> weights;
   std::vector<float> scale;  // float(1 / (weighted degree + 1))
 };
+
+/// Bytes a PropagationOperator holds for n vertices and `directed_edges`
+/// adjacency entries: 8 (n + 1) of offsets, 8 per entry of neighbors and
+/// weights, 4 n of scales.
+inline uint64_t PropagationOperatorBytes(uint64_t n, uint64_t directed_edges) {
+  return (n + 1) * sizeof(uint64_t) +
+         directed_edges * (sizeof(NodeId) + sizeof(float)) +
+         n * sizeof(float);
+}
 
 /// Copies any GraphView into a PropagationOperator. Weighted graphs keep
 /// their weights (the ProNE renormalization trick); unweighted edges are 1.

@@ -99,6 +99,37 @@ uint64_t GemmTnBlocks(uint64_t rows, uint64_t m, uint64_t n) {
   return blocks == 0 ? 1 : blocks;
 }
 
+namespace {
+
+// Set while a GenericSimdRegion is open on this thread.
+thread_local bool tl_generic_simd = false;
+
+SimdArm HostSimdArm() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) return SimdArm::kAvx2;
+#endif
+  return SimdArm::kGeneric;
+}
+
+}  // namespace
+
+SimdArm ActiveSimdArm() {
+  // Resolved once, on first use (thread-safe static initialization).
+  static const SimdArm host = HostSimdArm();
+  return tl_generic_simd ? SimdArm::kGeneric : host;
+}
+
+const char* SimdArmName(SimdArm arm) {
+  return arm == SimdArm::kAvx2 ? "avx2" : "generic";
+}
+
+GenericSimdRegion::GenericSimdRegion() : saved_(tl_generic_simd) {
+  tl_generic_simd = true;
+}
+
+GenericSimdRegion::~GenericSimdRegion() { tl_generic_simd = saved_; }
+
 }  // namespace kernels
 
 // ---------------------------------------------------------- blocked kernels
@@ -115,6 +146,15 @@ inline uint64_t FirstUpperColumn(uint64_t k, uint64_t j_lo) {
   return k > j_lo ? k - j_lo : 0;
 }
 
+// What one kMc-row panel of C = A * B reads and writes.
+struct GemmPanels {
+  const Matrix* a;
+  const float* packed;  // B as (kb, jb) tiles of at most kKc x kNc
+  Matrix* c;
+  uint64_t kb_count;
+  uint64_t jb_count;
+};
+
 // C = A * B via packed B tiles. B is packed once into (kb, jb) tiles of at
 // most kKc x kNc, each stored row-major with its real strip width, so the
 // innermost loop streams contiguous panel rows while the C strip (<= 256 B)
@@ -130,6 +170,57 @@ inline uint64_t FirstUpperColumn(uint64_t k, uint64_t j_lo) {
 // its first row's diagonal, so at most three of its products per strip are
 // known zeros. Skipping a product a * 0 is exact when a is finite: the
 // accumulator starts at +0.0f and never becomes -0, and x + (+-0) == x.
+template <bool kUpperB>
+[[gnu::always_inline]] inline void GemmPanel(const GemmPanels& g,
+                                             uint64_t ip) {
+  const Matrix& a = *g.a;
+  const uint64_t m = a.rows();
+  const uint64_t k = a.cols();
+  const uint64_t n = g.c->cols();
+  const uint64_t i_lo = ip * kMc;
+  const uint64_t i_hi = std::min(m, i_lo + kMc);
+  for (uint64_t kb = 0; kb < g.kb_count; ++kb) {
+    const uint64_t k_lo = kb * kKc;
+    const uint64_t k_len = std::min(kKc, k - k_lo);
+    for (uint64_t i = i_lo; i < i_hi; ++i) {
+      const float* __restrict ai = a.Row(i) + k_lo;
+      for (uint64_t jb = 0; jb < g.jb_count; ++jb) {
+        const uint64_t j_lo = jb * kNc;
+        const uint64_t j_len = std::min(kNc, n - j_lo);
+        uint64_t p_end = k_len;
+        if constexpr (kUpperB) {
+          // Rows at or past the strip's end are zero in it.
+          if (k_lo >= j_lo + j_len) continue;
+          p_end = std::min(k_len, j_lo + j_len - k_lo);
+        }
+        float* __restrict ci = g.c->Row(i) + j_lo;
+        const float* __restrict tile =
+            g.packed + (kb * g.jb_count + jb) * kKc * kNc;
+        uint64_t p = 0;
+        for (; p + 4 <= p_end; p += 4) {
+          const float a0 = ai[p], a1 = ai[p + 1];
+          const float a2 = ai[p + 2], a3 = ai[p + 3];
+          const float* __restrict b0 = tile + p * j_len;
+          const float* __restrict b1 = b0 + j_len;
+          const float* __restrict b2 = b1 + j_len;
+          const float* __restrict b3 = b2 + j_len;
+          const uint64_t j0 = kUpperB ? FirstUpperColumn(k_lo + p, j_lo) : 0;
+          for (uint64_t j = j0; j < j_len; ++j) {
+            ci[j] = ci[j] + a0 * b0[j] + a1 * b1[j] + a2 * b2[j] +
+                    a3 * b3[j];
+          }
+        }
+        for (; p < p_end; ++p) {
+          const float aip = ai[p];
+          const float* __restrict bp = tile + p * j_len;
+          const uint64_t j0 = kUpperB ? FirstUpperColumn(k_lo + p, j_lo) : 0;
+          for (uint64_t j = j0; j < j_len; ++j) ci[j] += aip * bp[j];
+        }
+      }
+    }
+  }
+}
+
 template <bool kUpperB>
 Matrix BlockedGemm(const Matrix& a, const Matrix& b) {
   LIGHTNE_CHECK_EQ(a.cols(), b.rows());
@@ -157,54 +248,10 @@ Matrix BlockedGemm(const Matrix& a, const Matrix& b) {
       },
       /*grain=*/1);
 
+  const GemmPanels panels{&a, packed, &c, kb_count, jb_count};
+  const auto panel = kernels::SimdArms<&GemmPanel<kUpperB>>::Pick();
   ParallelFor(
-      0, (m + kMc - 1) / kMc,
-      [&](uint64_t ip) {
-        const uint64_t i_lo = ip * kMc;
-        const uint64_t i_hi = std::min(m, i_lo + kMc);
-        for (uint64_t kb = 0; kb < kb_count; ++kb) {
-          const uint64_t k_lo = kb * kKc;
-          const uint64_t k_len = std::min(kKc, k - k_lo);
-          for (uint64_t i = i_lo; i < i_hi; ++i) {
-            const float* __restrict ai = a.Row(i) + k_lo;
-            for (uint64_t jb = 0; jb < jb_count; ++jb) {
-              const uint64_t j_lo = jb * kNc;
-              const uint64_t j_len = std::min(kNc, n - j_lo);
-              uint64_t p_end = k_len;
-              if constexpr (kUpperB) {
-                // Rows at or past the strip's end are zero in it.
-                if (k_lo >= j_lo + j_len) continue;
-                p_end = std::min(k_len, j_lo + j_len - k_lo);
-              }
-              float* __restrict ci = c.Row(i) + j_lo;
-              const float* __restrict tile =
-                  packed + (kb * jb_count + jb) * kKc * kNc;
-              uint64_t p = 0;
-              for (; p + 4 <= p_end; p += 4) {
-                const float a0 = ai[p], a1 = ai[p + 1];
-                const float a2 = ai[p + 2], a3 = ai[p + 3];
-                const float* __restrict b0 = tile + p * j_len;
-                const float* __restrict b1 = b0 + j_len;
-                const float* __restrict b2 = b1 + j_len;
-                const float* __restrict b3 = b2 + j_len;
-                const uint64_t j0 =
-                    kUpperB ? FirstUpperColumn(k_lo + p, j_lo) : 0;
-                for (uint64_t j = j0; j < j_len; ++j) {
-                  ci[j] = ci[j] + a0 * b0[j] + a1 * b1[j] + a2 * b2[j] +
-                          a3 * b3[j];
-                }
-              }
-              for (; p < p_end; ++p) {
-                const float aip = ai[p];
-                const float* __restrict bp = tile + p * j_len;
-                const uint64_t j0 =
-                    kUpperB ? FirstUpperColumn(k_lo + p, j_lo) : 0;
-                for (uint64_t j = j0; j < j_len; ++j) ci[j] += aip * bp[j];
-              }
-            }
-          }
-        }
-      },
+      0, (m + kMc - 1) / kMc, [&](uint64_t ip) { panel(panels, ip); },
       /*grain=*/1);
   return c;
 }
@@ -228,8 +275,10 @@ constexpr uint64_t kTnRows = 4;  // rows widened to double per step
 // kTnRows rows at a time; acc is followed by the kTnRows x (m + n) widening
 // buffers. kGram: b is a, so only A is widened and only j >= i is summed.
 template <bool kGram>
-void GemmTnBlock(const Matrix& a, const Matrix& b, uint64_t lo, uint64_t hi,
-                 double* __restrict acc) {
+[[gnu::always_inline]] inline void GemmTnBlock(const Matrix& a,
+                                               const Matrix& b, uint64_t lo,
+                                               uint64_t hi,
+                                               double* __restrict acc) {
   const uint64_t m = a.cols();
   const uint64_t n = b.cols();
   double* __restrict aw = acc + m * n;
@@ -290,17 +339,13 @@ std::vector<double> kernels::GemmTnDouble(const Matrix& a, const Matrix& b) {
   const uint64_t stride = m * n + kTnRows * (m + n);
   ScratchArena::Scope scope(ScratchArena::ForCurrentThread());
   double* scratch = scope.AllocArray<double>(blocks * stride);
+  const auto block = gram ? SimdArms<&GemmTnBlock</*kGram=*/true>>::Pick()
+                          : SimdArms<&GemmTnBlock</*kGram=*/false>>::Pick();
   ParallelFor(
       0, blocks,
       [&](uint64_t bidx) {
-        const uint64_t lo = rows * bidx / blocks;
-        const uint64_t hi = rows * (bidx + 1) / blocks;
-        double* acc = scratch + bidx * stride;
-        if (gram) {
-          GemmTnBlock</*kGram=*/true>(a, b, lo, hi, acc);
-        } else {
-          GemmTnBlock</*kGram=*/false>(a, b, lo, hi, acc);
-        }
+        block(a, b, rows * bidx / blocks, rows * (bidx + 1) / blocks,
+              scratch + bidx * stride);
       },
       /*grain=*/1);
   ParallelFor(0, m * n, [&](uint64_t e) {

@@ -2,29 +2,34 @@
 //
 // The paper runs Algorithm 3 through MKL (cblas_sgemm, mkl_sparse_s_mm,
 // LAPACKE); this layer is the tuned from-scratch substitute. Every hot
-// kernel exists twice:
+// kernel is a naive reference plus a blocked kernel compiled in two arms:
 //
 //  - Naive* reference kernels: textbook triple loops. Kept compiled
 //    permanently — they are the accuracy oracle for the blocked kernels and
 //    the denominator of the recorded perf baseline
 //    (bench/bench_kernels_baseline.cc → BENCH_kernels.json).
-//  - Blocked kernels, reached through Gemm (la/matrix.h),
-//    kernels::GemmTnDouble and SparseMatrix::Multiply: L1/L2 cache
-//    blocking with packed B panels, __restrict-qualified inner loops the
-//    compiler auto-vectorizes, parallelized over row panels.
+//  - Blocked kernels, reached through Gemm (la/matrix.h), GemmUpper,
+//    kernels::GemmTnDouble and SparseMatrix::Multiply (and the propagation
+//    sweeps in core/spectral_propagation.cc): L1/L2 cache blocking with
+//    packed B panels, __restrict-qualified inner loops the compiler
+//    auto-vectorizes, parallelized over row panels. Each hot loop body is
+//    compiled twice through SimdArms below, for baseline x86-64 and under
+//    target("avx2"), and ActiveSimdArm() picks one at run time, as MKL
+//    picks its code path.
 //
 // Determinism contract (relied on by the 1-vs-N-worker tests): every
 // blocked kernel accumulates each output element in exactly the same order
 // and precision as its naive reference, and partitions work as a function
-// of the problem shape only — never the worker count. Gemm and Spmm are
-// therefore bit-identical to their references and across worker counts.
-// GemmTnDouble reduces per-element in double through a shape-determined
-// block partition: still bit-identical across worker counts, and equal to
-// its row-order reference up to the double rounding of the block merge
-// (tested at 1e-12 relative Frobenius). "Same order and
-// precision" includes no fused multiply-add: the root CMakeLists.txt builds
-// with -ffp-contract=off, so a wider target (-march=native) rounds every
-// product before it is added, as the references do.
+// of the problem shape only — never the worker count or the SIMD arm. Gemm
+// and Spmm are therefore bit-identical to their references, across worker
+// counts and across arms. GemmTnDouble reduces per-element in double
+// through a shape-determined block partition: still bit-identical across
+// worker counts and arms, and equal to its row-order reference up to the
+// double rounding of the block merge (tested at 1e-12 relative Frobenius).
+// "Same order and precision" includes no fused multiply-add: the AVX2 arm's
+// target carries no fma, and the root CMakeLists.txt builds with
+// -ffp-contract=off, so a wider target (-march=native) rounds every product
+// before it is added, as the references do.
 #ifndef LIGHTNE_LA_KERNELS_H_
 #define LIGHTNE_LA_KERNELS_H_
 
@@ -79,6 +84,64 @@ Matrix GemmUpper(const Matrix& a, const Matrix& u);
 /// blockwise double reduction is deterministic for any pool size. Exposed
 /// for tests.
 uint64_t GemmTnBlocks(uint64_t rows, uint64_t m, uint64_t n);
+
+// ------------------------------------------------------------- SIMD arms
+
+/// The instruction sets a two-arm kernel is compiled for.
+enum class SimdArm { kGeneric, kAvx2 };
+
+/// The arm the two-arm kernels run when called on this thread: kAvx2 when
+/// the CPU has AVX2 (asked once per process) and no GenericSimdRegion is
+/// open on this thread; kGeneric otherwise, and on every non-x86-64 build.
+SimdArm ActiveSimdArm();
+
+/// "generic" or "avx2".
+const char* SimdArmName(SimdArm arm);
+
+/// Forces ActiveSimdArm() to kGeneric on the calling thread for the guard's
+/// lifetime, as SequentialRegion forces one worker: lets the arm tests and
+/// the kernel baseline run the generic arm on an AVX2 host. A kernel picks
+/// its arm on the calling thread before its ParallelFor, so the guard
+/// covers the pool's workers too; a kernel called from inside a pool task
+/// picks on that worker, which the guard does not reach.
+class GenericSimdRegion {
+ public:
+  GenericSimdRegion();
+  ~GenericSimdRegion();
+  GenericSimdRegion(const GenericSimdRegion&) = delete;
+  GenericSimdRegion& operator=(const GenericSimdRegion&) = delete;
+
+ private:
+  bool saved_;
+};
+
+/// Two compilations of one loop body. kBody must be declared
+/// [[gnu::always_inline]] inline and hold its loops itself: SimdArms::Avx2
+/// inlines it under target("avx2"), but a lambda defined inside either
+/// function is a function of its own, compiled for the baseline target.
+/// So a kernel takes Pick() on the calling thread and calls the result from
+/// inside its ParallelFor lambda. Both arms run the same C++ with each
+/// element's operations in the same order, and the avx2 target carries no
+/// fma, so their results are byte-identical.
+template <auto kBody>
+struct SimdArms;
+
+template <typename... Args, void (*kBody)(Args...)>
+struct SimdArms<kBody> {
+  static void Generic(Args... args) { kBody(args...); }
+#if defined(__x86_64__)
+  __attribute__((target("avx2"))) static void Avx2(Args... args) {
+    kBody(args...);
+  }
+#endif
+  /// The arm ActiveSimdArm() names.
+  static auto Pick() -> void (*)(Args...) {
+#if defined(__x86_64__)
+    if (ActiveSimdArm() == SimdArm::kAvx2) return &Avx2;
+#endif
+    return &Generic;
+  }
+};
 
 }  // namespace kernels
 }  // namespace lightne

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "la/kernels.h"
 #include "parallel/parallel_for.h"
 #include "parallel/scan.h"
 #include "parallel/sort.h"
@@ -135,30 +136,42 @@ void SparseMatrix::Prune(float threshold_exclusive) {
   values_ = std::move(new_vals);
 }
 
+namespace {
+
+// Row i of Y = A * X: one full-width pass over the row's nnz, in ascending
+// order, into a row only this call writes.
+[[gnu::always_inline]] inline void SpmmRow(const SparseMatrix& a,
+                                           const Matrix& x, Matrix* y,
+                                           uint64_t i) {
+  const uint64_t d = x.cols();
+  const uint64_t lo = a.row_offsets()[i];
+  const uint64_t hi = a.row_offsets()[i + 1];
+  const uint32_t* cols = a.col_indices().data();
+  const float* vals = a.values().data();
+  float* __restrict yi = y->Row(i);
+  for (uint64_t k = lo; k < hi; ++k) {
+    const float v = vals[k];
+    const float* __restrict xk = x.Row(cols[k]);
+    for (uint64_t j = 0; j < d; ++j) yi[j] += v * xk[j];
+  }
+}
+
+}  // namespace
+
 // Row-parallel SPMM (the mkl_sparse_s_mm substitute, DESIGN.md §8). Each
 // output row is one full-width pass over the row's nnz: the accumulator row
 // is touched on every nnz iteration, so at the RHS widths the pipeline runs
 // (a few hundred columns at most) it stays L1-resident however the gathered
 // X rows stream. Each output row is owned by one task and written
 // flat (no atomic adds), and each element sums its nnz in ascending order,
-// so the result is bit-identical to NaiveSpmm for any worker count.
+// so the result is bit-identical to NaiveSpmm for any worker count and
+// either SIMD arm.
 Matrix SparseMatrix::Multiply(const Matrix& x) const {
   LIGHTNE_CHECK_EQ(cols_, x.rows());
   Matrix y(rows_, x.cols());
-  const uint64_t d = x.cols();
+  const auto row = kernels::SimdArms<&SpmmRow>::Pick();
   ParallelFor(
-      0, rows_,
-      [&](uint64_t i) {
-        float* __restrict yi = y.Row(i);
-        const uint64_t lo = row_offsets_[i];
-        const uint64_t hi = row_offsets_[i + 1];
-        for (uint64_t k = lo; k < hi; ++k) {
-          const float v = values_[k];
-          const float* __restrict xk = x.Row(col_indices_[k]);
-          for (uint64_t j = 0; j < d; ++j) yi[j] += v * xk[j];
-        }
-      },
-      /*grain=*/64);
+      0, rows_, [&](uint64_t i) { row(*this, x, &y, i); }, /*grain=*/64);
   return y;
 }
 

@@ -14,6 +14,8 @@
 #include "graph/compressed.h"
 #include "graph/csr.h"
 #include "graph/weighted_csr.h"
+#include "la/kernels.h"
+#include "la/rsvd.h"
 #include "propagation_oracle.h"
 
 namespace lightne {
@@ -600,6 +602,81 @@ TEST(LightNeTest, PropagationOffSkipsStage) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->timing.SecondsFor("propagation"), 0.0);
   EXPECT_EQ(r->timing.stages().size(), 2u);
+}
+
+// -------------------------------------------------------------- SIMD arms --
+
+// run() on the dispatched SIMD arm and under kernels::GenericSimdRegion, each
+// in the pool (4 workers in the _mt4 variant) and in one worker.
+template <typename Fn>
+auto OnBothArmsAndWorkerCounts(const Fn& run) {
+  std::vector<decltype(run())> out;
+  out.push_back(run());
+  {
+    SequentialRegion one_worker;
+    out.push_back(run());
+  }
+  kernels::GenericSimdRegion generic;
+  out.push_back(run());
+  SequentialRegion one_worker;
+  out.push_back(run());
+  return out;
+}
+
+bool HostHasAvx2() {
+  return kernels::ActiveSimdArm() == kernels::SimdArm::kAvx2;
+}
+
+constexpr char kNoAvx2[] = "CPU lacks AVX2: both runs take the generic arm";
+
+TEST(SimdArmTest, RandomizedSvdIsByteIdenticalOnBothArms) {
+  if (!HostHasAvx2()) GTEST_SKIP() << kNoAvx2;
+  const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(10, 8000, 97));
+  std::vector<std::pair<uint64_t, double>> entries;
+  g.MapVertices([&](NodeId u) {
+    g.MapNeighbors(u, [&](NodeId v) {
+      entries.push_back({PackEdge(u, v), 1.0});
+    });
+  });
+  const SparseMatrix a = SparseMatrix::FromEntries(
+      g.NumVertices(), g.NumVertices(), std::move(entries));
+  RandomizedSvdOptions opt;
+  opt.rank = 16;
+  opt.oversample = 10;
+  opt.power_iters = 1;
+  opt.symmetric = true;
+  opt.seed = 12;
+  const auto runs =
+      OnBothArmsAndWorkerCounts([&] { return RandomizedSvd(a, opt).value(); });
+  for (size_t r = 1; r < runs.size(); ++r) {
+    EXPECT_TRUE(SameBytes(runs[r].u, runs[0].u)) << "run " << r;
+    EXPECT_EQ(runs[r].sigma, runs[0].sigma) << "run " << r;
+  }
+}
+
+TEST(SimdArmTest, SpectralPropagateIsByteIdenticalOnBothArms) {
+  if (!HostHasAvx2()) GTEST_SKIP() << kNoAvx2;
+  const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(10, 8000, 77));
+  const Matrix x = Matrix::Gaussian(g.NumVertices(), 24, 13);
+  const auto runs = OnBothArmsAndWorkerCounts(
+      [&] { return SpectralPropagate(g, x).value(); });
+  for (size_t r = 1; r < runs.size(); ++r) {
+    EXPECT_TRUE(SameBytes(runs[r], runs[0])) << "run " << r;
+  }
+}
+
+TEST(SimdArmTest, RunLightNeIsByteIdenticalOnBothArms) {
+  if (!HostHasAvx2()) GTEST_SKIP() << kNoAvx2;
+  const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(10, 8000, 29));
+  LightNeOptions opt;
+  opt.dim = 16;
+  opt.window = 5;
+  opt.samples_ratio = 1.0;
+  const auto runs = OnBothArmsAndWorkerCounts(
+      [&] { return RunLightNe(g, opt).value().embedding; });
+  for (size_t r = 1; r < runs.size(); ++r) {
+    EXPECT_TRUE(SameBytes(runs[r], runs[0])) << "run " << r;
+  }
 }
 
 }  // namespace

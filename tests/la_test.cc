@@ -10,7 +10,9 @@
 #include <tuple>
 #include <vector>
 
+#include "core/spectral_propagation.h"
 #include "data/generators.h"
+#include "graph/csr.h"
 #include "graph/types.h"
 #include "la/embedding_io.h"
 #include "la/kernels.h"
@@ -916,6 +918,124 @@ TEST(BlockedKernelTest, GemmIsBitIdenticalToReference) {
   Matrix a = Matrix::Gaussian(130, 520, 1);
   Matrix b = Matrix::Gaussian(520, 130, 2);
   EXPECT_EQ(MaxAbsDiff(Gemm(a, b), NaiveGemm(a, b)), 0.0);
+}
+
+// ------------------------------------------------------------ SIMD arms --
+
+// Each two-arm kernel (la/kernels.h) gives the same bytes on the dispatched
+// arm as under GenericSimdRegion. On a CPU without AVX2 both runs would take
+// the generic arm, so the tests skip. The _mt4 variant runs the pool side
+// with 4 workers.
+bool HostHasAvx2() {
+  return kernels::ActiveSimdArm() == kernels::SimdArm::kAvx2;
+}
+
+constexpr char kNoAvx2[] = "CPU lacks AVX2: both runs take the generic arm";
+
+bool SameBytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.SizeBytes()) == 0;
+}
+
+bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(SimdArmTest, GenericSimdRegionScopesTheArm) {
+  if (!HostHasAvx2()) GTEST_SKIP() << kNoAvx2;
+  {
+    kernels::GenericSimdRegion outer;
+    EXPECT_EQ(kernels::ActiveSimdArm(), kernels::SimdArm::kGeneric);
+    {
+      kernels::GenericSimdRegion inner;
+      EXPECT_EQ(kernels::ActiveSimdArm(), kernels::SimdArm::kGeneric);
+    }
+    EXPECT_EQ(kernels::ActiveSimdArm(), kernels::SimdArm::kGeneric);
+  }
+  EXPECT_EQ(kernels::ActiveSimdArm(), kernels::SimdArm::kAvx2);
+  EXPECT_STREQ(kernels::SimdArmName(kernels::SimdArm::kAvx2), "avx2");
+}
+
+TEST(SimdArmTest, GemmAndGemmUpperArmsAreByteIdentical) {
+  if (!HostHasAvx2()) GTEST_SKIP() << kNoAvx2;
+  // q from 1 to 300 covers every k residue mod 4 of the unrolled k loop and
+  // every strip width mod 8, and crosses kNc = 64 and kKc = 256; 67 rows
+  // leave a ragged second kMc panel.
+  for (uint64_t q = 1; q <= 300; ++q) {
+    const Matrix a = Matrix::Gaussian(67, q, q);
+    const Matrix b = Matrix::Gaussian(q, q, q + 1);
+    Matrix u = b;
+    for (uint64_t k = 1; k < q; ++k) {
+      for (uint64_t j = 0; j < k; ++j) u.At(k, j) = 0.0f;
+    }
+    const Matrix gemm = Gemm(a, b);
+    const Matrix upper = kernels::GemmUpper(a, u);
+    kernels::GenericSimdRegion generic;
+    EXPECT_TRUE(SameBytes(Gemm(a, b), gemm)) << "Gemm q=" << q;
+    EXPECT_TRUE(SameBytes(kernels::GemmUpper(a, u), upper))
+        << "GemmUpper q=" << q;
+  }
+}
+
+TEST(SimdArmTest, GemmTnDoubleArmsAreByteIdentical) {
+  if (!HostHasAvx2()) GTEST_SKIP() << kNoAvx2;
+  // Row counts off every multiple of 4 (the widened core's ragged tail) and
+  // of 1024 (GemmTnBlocks' block rows), general and Gram.
+  for (uint64_t rows : {1ull, 3ull, 6ull, 1023ull, 1029ull, 2051ull,
+                        4099ull}) {
+    for (uint64_t m : {1ull, 5ull, 42ull, 138ull}) {
+      const Matrix a = Matrix::Gaussian(rows, m, rows + m);
+      const Matrix b = Matrix::Gaussian(rows, m + 3, rows + m + 1);
+      const std::vector<double> general = kernels::GemmTnDouble(a, b);
+      const std::vector<double> gram = kernels::GemmTnDouble(a, a);
+      kernels::GenericSimdRegion generic;
+      EXPECT_TRUE(SameBytes(kernels::GemmTnDouble(a, b), general))
+          << "general " << rows << " x " << m;
+      EXPECT_TRUE(SameBytes(kernels::GemmTnDouble(a, a), gram))
+          << "gram " << rows << " x " << m;
+    }
+  }
+}
+
+TEST(SimdArmTest, SpmmArmsAreByteIdentical) {
+  if (!HostHasAvx2()) GTEST_SKIP() << kNoAvx2;
+  // Every third row is empty; the widths are 1 and the pipeline's q.
+  Rng rng(72);
+  std::vector<std::pair<uint64_t, double>> entries;
+  const uint64_t rows = 301, cols = 257;
+  for (int k = 0; k < 6000; ++k) {
+    const uint64_t r = rng.UniformInt(rows);
+    if (r % 3 == 0) continue;
+    entries.push_back({PackEdge(static_cast<NodeId>(r),
+                                static_cast<NodeId>(rng.UniformInt(cols))),
+                       rng.Uniform() - 0.5});
+  }
+  const SparseMatrix s =
+      SparseMatrix::FromEntries(rows, cols, std::move(entries));
+  ASSERT_EQ(s.RowCols(0).size(), 0u);
+  for (uint64_t d : {1ull, 42ull, 74ull, 138ull}) {
+    const Matrix x = Matrix::Gaussian(cols, d, d);
+    const Matrix dispatched = s.Multiply(x);
+    kernels::GenericSimdRegion generic;
+    EXPECT_TRUE(SameBytes(s.Multiply(x), dispatched)) << d;
+  }
+}
+
+TEST(SimdArmTest, ChebyshevFilterArmsAreByteIdentical) {
+  if (!HostHasAvx2()) GTEST_SKIP() << kNoAvx2;
+  // Isolated vertices included; order 10 runs every epilogue.
+  const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(9, 3000, 41));
+  const internal::PropagationOperator op =
+      internal::BuildPropagationOperator(g);
+  const SpectralPropagationOptions opt;
+  for (uint64_t d : {1ull, 32ull, 64ull, 128ull}) {
+    const Matrix x = Matrix::Gaussian(g.NumVertices(), d, 100 + d);
+    const Matrix dispatched = internal::ChebyshevFilter(op, x, opt);
+    kernels::GenericSimdRegion generic;
+    EXPECT_TRUE(SameBytes(internal::ChebyshevFilter(op, x, opt), dispatched))
+        << d;
+  }
 }
 
 // ------------------------------------------------ 1-vs-N-worker determinism

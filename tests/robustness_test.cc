@@ -387,6 +387,66 @@ TEST(MemoryGovernor, ImpossibleBudgetReturnsResourceExhausted) {
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
 
+// RMAT-10 with 20000 edge draws, embedded at d = 4: the average degree is
+// well above d, so the operator SpectralPropagate copies the graph into
+// outweighs the recurrence's five n x d panels, and a budget must hold both.
+CsrGraph DenseGraph() {
+  return CsrGraph::FromEdges(GenerateRmat(10, 20000, 5));
+}
+
+LightNeOptions DenseGraphOptions() {
+  LightNeOptions opt;
+  opt.dim = 4;
+  opt.window = 3;
+  opt.num_samples = 20000;
+  return opt;
+}
+
+// The propagation stage's two allocations, the operator measured from one.
+struct PropagationNeed {
+  uint64_t panels = 0;
+  uint64_t operator_bytes = 0;
+};
+
+PropagationNeed NeedOf(const CsrGraph& g, uint64_t dim) {
+  const internal::PropagationOperator op =
+      internal::BuildPropagationOperator(g);
+  PropagationNeed need;
+  need.panels = 5 * g.NumVertices() * dim * sizeof(float);
+  need.operator_bytes = op.offsets.size() * sizeof(op.offsets[0]) +
+                        op.neighbors.size() * sizeof(op.neighbors[0]) +
+                        op.weights.size() * sizeof(op.weights[0]) +
+                        op.scale.size() * sizeof(op.scale[0]);
+  return need;
+}
+
+TEST(MemoryGovernor, PropagationBudgetWithoutTheOperatorIsResourceExhausted) {
+  const CsrGraph g = DenseGraph();
+  LightNeOptions opt = DenseGraphOptions();
+  const PropagationNeed need = NeedOf(g, opt.dim);
+  ASSERT_GT(need.operator_bytes, need.panels);
+  // Room for the five panels, one byte short of the operator beside them.
+  opt.memory_budget_bytes = need.panels + need.operator_bytes - 1;
+  auto r = RunLightNe(g, opt);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(r.status().message().find("spectral-propagation workspace"),
+            std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(MemoryGovernor, PropagationBudgetJustAboveTheOperatorRuns) {
+  const CsrGraph g = DenseGraph();
+  LightNeOptions opt = DenseGraphOptions();
+  const PropagationNeed need = NeedOf(g, opt.dim);
+  opt.memory_budget_bytes = need.panels + need.operator_bytes + 64;
+  auto r = RunLightNe(g, opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->embedding.rows(), g.NumVertices());
+  EXPECT_GE(r->peak_reserved_bytes, need.panels + need.operator_bytes);
+  EXPECT_LE(r->peak_reserved_bytes, opt.memory_budget_bytes);
+}
+
 TEST(MemoryGovernor, UnbudgetedRunIsBitIdenticalToSeedBehavior) {
   const CsrGraph g = CsrGraph::FromEdges(GenerateErdosRenyi(400, 3000, 11));
   LightNeOptions opt;

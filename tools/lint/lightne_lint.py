@@ -13,7 +13,13 @@ Line-scoped rules (regex over comment/string-stripped text):
              are a pure function of (seed, work item).
   fastmath   No -ffast-math-style flags or optimize pragmas anywhere
              (sources or CMake): value-changing FP transforms would break
-             the bit-identical kernel contract of DESIGN.md §8.
+             the bit-identical kernel contract of DESIGN.md §8. Nor fma in
+             a target(...) / target_clones(...) attribute or a
+             `#pragma GCC target`, and no std::fma / __builtin_fma* call in
+             src/la or src/core: a fused multiply-add rounds once where the
+             naive references round twice, so a SIMD arm built with one
+             would differ from the references even without
+             -ffp-contract=off.
   unordered  src/core, src/la, src/graph may not use std::unordered_{map,
              set,multimap,multiset}: their iteration order is unspecified,
              so any result-affecting traversal becomes nondeterministic.
@@ -152,9 +158,10 @@ def is_cpp(rel_path):
     return rel_path.endswith(CPP_EXTENSIONS)
 
 
-def strip_comments_and_strings(text):
+def strip_comments_and_strings(text, keep_strings=False):
     """Replaces comments and string/char literal *contents* with spaces,
-    preserving newlines so line numbers survive."""
+    preserving newlines so line numbers survive. keep_strings leaves the
+    literals as written and blanks only the comments."""
     out = []
     i, n = 0, len(text)
     state = "code"  # code | line_comment | block_comment | string | char
@@ -199,11 +206,14 @@ def strip_comments_and_strings(text):
         else:  # string or char
             quote = '"' if state == "string" else "'"
             if c == "\\" and nxt:
-                out.append("  ")
+                out.append(c + nxt if keep_strings else "  ")
                 i += 2
             elif c == quote:
                 state = "code"
                 out.append(quote)
+                i += 1
+            elif keep_strings:
+                out.append(c)
                 i += 1
             else:
                 out.append("\n" if c == "\n" else " ")
@@ -323,6 +333,17 @@ FASTMATH_PATTERNS = (
 )
 
 
+# A target attribute or pragma, with its argument text; the features sit in
+# string literals, so these run over comment-stripped text that keeps them.
+FMA_TARGET_RE = re.compile(
+    r"#\s*pragma\s+(?:GCC|clang)\s+target\b([^\n]*)"
+    r"|\btarget(?:_clones)?\s*\(([^()]*)\)")
+FMA_FEATURE_RE = re.compile(r"(?<![A-Za-z0-9_])fma4?(?![A-Za-z0-9_])")
+FMA_CALL_RE = re.compile(
+    r"(?:\bstd::fma[fl]?|\b__builtin_fma(?:[fl]|f\d+x?)?)\s*\(")
+FMA_CALL_DIRS = ("src/la/", "src/core/")
+
+
 def check_fastmath(f):
     # CMake files are scanned raw (flags live inside quoted strings);
     # C++ files are scanned with comments/strings stripped.
@@ -338,6 +359,26 @@ def check_fastmath(f):
             else:
                 yield anchored(f.rel_path, "fastmath", message, text,
                                m.start())
+    if not is_cpp(f.rel_path) or "fma" not in f.raw:
+        return
+    code = strip_comments_and_strings(f.raw, keep_strings=True)
+    for m in FMA_TARGET_RE.finditer(code):
+        group = 1 if m.group(1) is not None else 2
+        for feature in FMA_FEATURE_RE.finditer(m.group(group)):
+            yield anchored(
+                f.rel_path, "fastmath",
+                f"'{feature.group(0)}' in a SIMD target lets the compiler "
+                "fuse a multiply-add the naive references round twice "
+                "(DESIGN.md §8); arms target avx2 without fma",
+                code, m.start(group) + feature.start())
+    if f.rel_path.startswith(FMA_CALL_DIRS):
+        for m in FMA_CALL_RE.finditer(f.stripped):
+            yield anchored(
+                f.rel_path, "fastmath",
+                f"'{m.group(0).rstrip('( ')}' rounds a product and a sum "
+                "once; src/la and src/core round every product before it "
+                "is added, as the naive references do (DESIGN.md §8)",
+                f.stripped, m.start())
 
 
 # --------------------------------------------------------------------------

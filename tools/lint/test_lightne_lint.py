@@ -94,6 +94,39 @@ class StrippingInternals(unittest.TestCase):
         self.assertEqual(stripped.count("srand"), 1)
 
 
+class FastmathFmaInternals(unittest.TestCase):
+    def lint_source(self, path, body):
+        f = lightne_lint.SourceFile(path, body)
+        return [x.line for x in lightne_lint.check_fastmath(f)]
+
+    def test_fma_in_targets_and_pragmas_is_flagged(self):
+        body = ('__attribute__((target("avx2,fma"))) void A();\n'
+                '[[gnu::target_clones("fma4", "default")]] void B();\n'
+                '#pragma GCC target("avx2", "fma")\n'
+                '#pragma clang attribute push '
+                '(__attribute__((target("fma"))), apply_to = function)\n')
+        self.assertEqual([1, 2, 3, 4],
+                         self.lint_source("src/graph/x.cc", body))
+
+    def test_fma_free_targets_comments_and_strings_are_quiet(self):
+        body = ('__attribute__((target("avx2"))) void A();  // no fma\n'
+                '__attribute__((target("avx512ifma"))) void B();\n'
+                'const char* s = "fma";\n'
+                '/* #pragma GCC target("fma") */\n')
+        self.assertEqual([], self.lint_source("src/la/x.cc", body))
+
+    def test_fma_calls_are_flagged_in_la_and_core_only(self):
+        body = ('float F(float a) { return std::fma(a, a, a); }\n'
+                'double G(double a) { return __builtin_fmaf(a, a, a); }\n')
+        self.assertEqual([1, 2], self.lint_source("src/la/x.cc", body))
+        self.assertEqual([1, 2], self.lint_source("src/core/x.cc", body))
+        self.assertEqual([], self.lint_source("src/eval/x.cc", body))
+        body = ('float F(float a) { return std::fmax(a, a); }\n'
+                'double G(double a) { return __builtin_fmax(a, a); }\n'
+                'float H(float a) { return __builtin_fmaf32(a, a, a); }\n')
+        self.assertEqual([3], self.lint_source("src/la/x.cc", body))
+
+
 class StatusRuleInternals(unittest.TestCase):
     def lint_source(self, body):
         f = lightne_lint.SourceFile("src/graph/x.cc", body)
