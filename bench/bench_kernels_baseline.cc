@@ -168,16 +168,21 @@ void BenchGemmPanels() {
   }
 }
 
-void BenchGemmTN() {
-  std::printf("GemmTnDouble (C = A^T*B, tall-skinny)\n");
+// The Gram A^T A through GemmTnDouble at two large shapes and at the rSVD's
+// panel shapes: rmat-small's 16384 x 138, serve-topk's 65536 x 74 and
+// rmat-compressed's 65536 x 42. GFLOP/s counts the nominal 2 rows m^2,
+// twice the flops of the j >= i half the kernel sums.
+void BenchGram() {
+  std::printf("GemmTnDouble (G = A^T*A, tall-skinny)\n");
   struct Size {
     uint64_t rows, d;
     bool naive;
   };
-  for (const Size& s : {Size{1u << 15, 64, true}, Size{1u << 17, 128, false}}) {
+  for (const Size& s : {Size{1u << 15, 64, true}, Size{1u << 17, 128, false},
+                        Size{1u << 14, 138, false}, Size{1u << 16, 74, false},
+                        Size{1u << 16, 42, false}}) {
     const uint64_t rows = Scaled(s.rows, 1024);
     Matrix a = Matrix::Gaussian(rows, s.d, s.rows);
-    Matrix b = Matrix::Gaussian(rows, s.d, s.rows + 1);
     const double flops = 2.0 * rows * s.d * s.d;
     const std::string tag =
         "gemm_tn_" + std::to_string(s.rows) + "x" + std::to_string(s.d);
@@ -185,17 +190,12 @@ void BenchGemmTN() {
         {"rows", rows}, {"m", s.d}, {"n", s.d}};
     if (s.naive) {
       Record({tag + "_naive_1t", "gemm_tn", "naive", 1, shape}, flops, 3,
-             true, [&] { auto c = NaiveGemmTN(a, b); });
+             true, [&] { auto c = NaiveGemmTN(a, a); });
     }
-    Record({tag + "_blocked_1t", "gemm_tn", "blocked", 1, shape}, flops, 5,
-           true, [&] { auto c = kernels::GemmTnDouble(a, b); });
-    Record({tag + "_blocked_mt", "gemm_tn", "blocked", 1, shape}, flops, 5,
-           false, [&] { auto c = kernels::GemmTnDouble(a, b); });
-    // The Gram A^T A: the same call with a as both operands (nominal flops).
     RecordBothArms({tag + "_sym_1t", "gemm_tn", "sym", 1, shape}, flops, 5,
-                   true, [&] { auto c = kernels::GemmTnDouble(a, a); });
+                   true, [&] { auto c = kernels::GemmTnDouble(a); });
     RecordBothArms({tag + "_sym_mt", "gemm_tn", "sym", 1, shape}, flops, 5,
-                   false, [&] { auto c = kernels::GemmTnDouble(a, a); });
+                   false, [&] { auto c = kernels::GemmTnDouble(a); });
   }
 }
 
@@ -300,7 +300,7 @@ void BenchEigen() {
   std::printf("Symmetric eigensolve (q x q Gram of an n x q panel)\n");
   for (const uint64_t q : {42ull, 74ull, 138ull}) {
     const Matrix panel = Matrix::Gaussian(Scaled(1ull << 14, 1024), q, q);
-    const std::vector<double> gram = kernels::GemmTnDouble(panel, panel);
+    const std::vector<double> gram = kernels::GemmTnDouble(panel);
     Record({"eig_q" + std::to_string(q) + "_1t", "eig", "tridiag_ql", 1,
             {{"q", q}}},
            -1.0, 5, true, [&] { auto r = SymmetricEigen(gram, q).value(); });
@@ -439,7 +439,7 @@ int main(int argc, char** argv) {
       lightne::kernels::SimdArmName(lightne::kernels::ActiveSimdArm()));
   BenchGemm();
   BenchGemmPanels();
-  BenchGemmTN();
+  BenchGram();
   BenchSpmm();
   BenchQr();
   BenchEigen();

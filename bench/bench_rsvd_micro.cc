@@ -104,7 +104,7 @@ BENCHMARK(BM_TallSkinnyQr)
 void BM_SymmetricEigen(benchmark::State& state) {
   const uint64_t q = static_cast<uint64_t>(state.range(0));
   const Matrix c = Matrix::Gaussian(q, q, 13);
-  const std::vector<double> gram = kernels::GemmTnDouble(c, c);
+  const std::vector<double> gram = kernels::GemmTnDouble(c);
   for (auto _ : state) {
     SymmetricEigenResult r = SymmetricEigen(gram, q).value();
     benchmark::DoNotOptimize(r.values.data());

@@ -26,7 +26,9 @@
 #                   build-native/, then the bit-identity suites (la_test,
 #                   core_test, query_test, property_test and their _mt4
 #                   twins): the determinism contract must not depend on the
-#                   default x86-64 target's lack of FMA (DESIGN.md §8)
+#                   default x86-64 target's lack of FMA (DESIGN.md §8); and
+#                   objdump -d of every lightne_la and lightne_core object
+#                   must hold no vfmadd/vfmsub/vfnmadd/vfnmsub
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -65,6 +67,31 @@ if [[ "${PRESET}" == "native" ]]; then
     query_test property_test
   ctest --test-dir build-native --output-on-failure \
     -R '^(la_test|core_test|query_test|property_test)(_mt4)?$'
+  # The same contract in the machine code: a contraction the tests' inputs
+  # happen not to expose would still show up as an FMA instruction here.
+  echo "== no fused multiply-add in the lightne_la / lightne_core objects"
+  command -v objdump >/dev/null || { echo "native gate needs objdump"; exit 1; }
+  objects=0
+  fma_objects=0
+  while IFS= read -r -d '' obj; do
+    objects=$((objects + 1))
+    hits="$(objdump -d --no-show-raw-insn "${obj}" |
+      grep -cE '\svfn?m(add|sub)' || true)"
+    if [[ "${hits}" != "0" ]]; then
+      echo "FMA: ${hits} instruction(s) in ${obj}"
+      fma_objects=$((fma_objects + 1))
+    fi
+  done < <(find build-native/src/la/CMakeFiles/lightne_la.dir \
+    build-native/src/core/CMakeFiles/lightne_core.dir -name '*.o' -print0)
+  if [[ "${objects}" == "0" ]]; then
+    echo "native gate FAILED: no lightne_la/lightne_core objects to inspect"
+    exit 1
+  fi
+  echo "${objects} objects inspected"
+  if [[ "${fma_objects}" != "0" ]]; then
+    echo "native gate FAILED: ${fma_objects} object(s) hold FMA instructions"
+    exit 1
+  fi
   echo "native gate OK"
   exit 0
 fi
@@ -134,9 +161,15 @@ for shape in ("s14x138", "s16x74", "s16x42"):
     for variant in ("blocked_1t", "blocked_mt", "upper_1t", "upper_mt"):
         assert f"gemm_{shape}_{variant}" in names, \
             f"missing gemm_{shape}_{variant}"
-for tag in ("gemm_tn_32768x64", "gemm_tn_131072x128"):
+# The Gram rows: two large shapes and the rSVD's three panel shapes. The
+# general A^T B path is gone, and its _blocked rows with it.
+gram_tags = ("gemm_tn_32768x64", "gemm_tn_131072x128", "gemm_tn_16384x138",
+             "gemm_tn_65536x74", "gemm_tn_65536x42")
+for tag in gram_tags:
     for variant in ("sym_1t", "sym_mt"):
         assert f"{tag}_{variant}" in names, f"missing {tag}_{variant}"
+assert not any(n.startswith("gemm_tn_") and "_blocked" in n for n in names), \
+    "gemm_tn_*_blocked rows belong to the deleted general path"
 for variant in ("1t", "mt"):
     assert f"propagation_s16x64_{variant}" in names, \
         f"missing propagation_s16x64_{variant}"
@@ -146,7 +179,7 @@ for q in (42, 74, 138):
 # The two-arm kernels' rows on the dispatched arm, their _generic twins run
 # under GenericSimdRegion, and each pair's speedup.
 for stem in ("gemm_s14x138_upper", "gemm_s16x74_upper", "gemm_s16x42_upper",
-             "gemm_tn_32768x64_sym", "gemm_tn_131072x128_sym",
+             *(f"{tag}_sym" for tag in gram_tags),
              "spmm_s14x138_blocked", "spmm_s16x74_blocked",
              "propagation_s16x64"):
     for threads in ("1t", "mt"):

@@ -320,14 +320,15 @@ Result<LightNeResult> RunLightNe(const G& g, const LightNeOptions& opt) {
     ropt.power_iters = opt.svd_power_iters;
     ropt.symmetric = true;  // sparsifier is symmetric by construction
     ropt.seed = opt.seed + 7;
-    // Workspace: RandomizedSvd keeps at most two dense n x q panels alive
-    // (la/rsvd.h). Reserve them up front so an envelope too small for the
-    // factorization is a reported error, not an OOM kill.
+    // Workspace: RandomizedSvd keeps at most three dense n x q float
+    // panels' worth alive (la/rsvd.h): two panels, or one panel and its
+    // double Householder workspace. Reserve them up front so an envelope
+    // too small for the factorization is a reported error, not an OOM kill.
     uint64_t q = ropt.rank + ropt.oversample;
     if (q > g.NumVertices()) q = g.NumVertices();
     BudgetReservation svd_reservation(
         budget.limited() ? &budget : nullptr,
-        2 * static_cast<uint64_t>(g.NumVertices()) * q * sizeof(float));
+        3 * static_cast<uint64_t>(g.NumVertices()) * q * sizeof(float));
     if (!svd_reservation.ok()) {
       return Status::ResourceExhausted(
           "memory budget of " + HumanBytes(budget.limit_bytes()) +

@@ -152,7 +152,7 @@ Result<Matrix> DenseSvdSmoothing(const Matrix& mm) {
   // Gram trick: mm = U S V^T  =>  mm^T mm = V S^2 V^T, whose eigenvalues
   // are lambda_j = S_j^2 (la/svd.h).
   Result<SymmetricEigenResult> eig =
-      SymmetricEigen(kernels::GemmTnDouble(mm, mm), d);
+      SymmetricEigen(kernels::GemmTnDouble(mm), d);
   if (!eig.ok()) return eig.status();
   // ProNE's smoothing returns row-normalized U sqrt(S). Since
   //   U sqrt(S) = mm V S^{-1} S^{1/2} = mm V S^{-1/2},

@@ -1,7 +1,6 @@
 #include "la/kernels.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "parallel/parallel_for.h"
 #include "parallel/scratch.h"
@@ -64,34 +63,19 @@ Matrix NaiveSpmm(const SparseMatrix& a, const Matrix& x) {
   return y;
 }
 
-// ------------------------------------------------------- shared primitives
-
-namespace {
-
-// Copies a rows x cols row-major block (leading dims lds -> ldd).
-void CopyBlock(const float* __restrict src, uint64_t lds,
-               float* __restrict dst, uint64_t ldd, uint64_t rows,
-               uint64_t cols) {
-  for (uint64_t i = 0; i < rows; ++i) {
-    std::memcpy(dst + i * ldd, src + i * lds, cols * sizeof(float));
-  }
-}
-
-}  // namespace
-
 namespace kernels {
 
-uint64_t GemmTnBlocks(uint64_t rows, uint64_t m, uint64_t n) {
+uint64_t GemmTnBlocks(uint64_t rows, uint64_t m) {
   // One block per ~1K rows caps the per-element reduction tree while giving
   // the pool parallelism on the tall-skinny inputs GemmTnDouble is built
-  // for; the byte budget caps the m*n*8-byte partial buffers when m, n are
-  // not small.
+  // for; the byte budget caps the m*m*8-byte partial buffers when m is not
+  // small.
   constexpr uint64_t kBlockRows = 1024;
   constexpr uint64_t kMaxBlocks = 128;
   constexpr uint64_t kPartialBudgetBytes = 32ull << 20;
   uint64_t blocks = rows / kBlockRows;
   if (blocks > kMaxBlocks) blocks = kMaxBlocks;
-  const uint64_t partial_bytes = m * n * sizeof(double);
+  const uint64_t partial_bytes = m * m * sizeof(double);
   if (partial_bytes > 0) {
     const uint64_t mem_cap = kPartialBudgetBytes / partial_bytes;
     if (blocks > mem_cap) blocks = mem_cap;
@@ -134,87 +118,90 @@ GenericSimdRegion::~GenericSimdRegion() { tl_generic_simd = saved_; }
 
 // ---------------------------------------------------------- blocked kernels
 
-using kernels::kKc;
+using kernels::kGramNr;
+using kernels::kGramSubRows;
 using kernels::kMc;
-using kernels::kNc;
+using kernels::kMr;
+using kernels::kNr;
 
 namespace {
-
-// First column of a strip starting at j_lo that an upper-triangular B row k
-// can touch: U(k, j) = 0 for j < k.
-inline uint64_t FirstUpperColumn(uint64_t k, uint64_t j_lo) {
-  return k > j_lo ? k - j_lo : 0;
-}
 
 // What one kMc-row panel of C = A * B reads and writes.
 struct GemmPanels {
   const Matrix* a;
-  const float* packed;  // B as (kb, jb) tiles of at most kKc x kNc
+  const float* packed;  // B as ceil(n / kNr) panels of k x kNr, zero past n
   Matrix* c;
-  uint64_t kb_count;
-  uint64_t jb_count;
 };
 
-// C = A * B via packed B tiles. B is packed once into (kb, jb) tiles of at
-// most kKc x kNc, each stored row-major with its real strip width, so the
-// innermost loop streams contiguous panel rows while the C strip (<= 256 B)
-// stays in L1. The k loop adds four products to each C element per load and
-// store of the strip, left to right in ascending k, then one at a time for
-// the remainder: the same sum, rounding for rounding, as NaiveGemm's. Parallel
-// over kMc-row panels of A/C; every output element is produced by exactly
-// one task, so the result is bit-identical to NaiveGemm and independent of
-// the worker count.
+// The vector widths of the two arms' tiles (SimdArms in la/kernels.h).
+constexpr uint64_t kGenericBytes = 16;
+constexpr uint64_t kAvx2Bytes = 32;
+
+// One kMc-row panel of C = A * B, as tiles of kMr rows by two vectors of
+// kVecBytes (4 x 16 floats under AVX2, 4 x 8 on the baseline target, which
+// walks a panel in two halves). A tile's eight vectors stay in registers
+// for the whole k loop, each step adding one A element times one packed B
+// row, and are stored once. Every C element starts at +0 and adds its
+// products in ascending k, as NaiveGemm's float accumulator does, so the
+// result is bit-identical to it on either arm. A tile past the panel's last
+// row repeats that row and drops the copies; the packed zeros past n are
+// never stored.
 //
-// kUpperB: B is upper triangular (B(k, j) = 0 for k > j). Tiles and strip
-// columns left of row k's diagonal are skipped; a four-row group starts at
-// its first row's diagonal, so at most three of its products per strip are
-// known zeros. Skipping a product a * 0 is exact when a is finite: the
-// accumulator starts at +0.0f and never becomes -0, and x + (+-0) == x.
-template <bool kUpperB>
+// kUpperB: B is upper triangular (B(k, j) = 0 for k > j), so a tile's k
+// loop ends at its last column. Skipping a product a * 0 is exact when a is
+// finite: the accumulator starts at +0.0f and never becomes -0, and
+// x + (+-0) == x.
+template <bool kUpperB, uint64_t kVecBytes>
 [[gnu::always_inline]] inline void GemmPanel(const GemmPanels& g,
                                              uint64_t ip) {
+  // typedef, not using: GCC 12 drops a dependent vector_size on an alias.
+  typedef float Floats __attribute__((vector_size(kVecBytes)));
+  typedef float FloatsU
+      __attribute__((vector_size(kVecBytes), aligned(4), may_alias));
+  static_assert(sizeof(Floats) == kVecBytes);
+  constexpr uint64_t kVec = kVecBytes / sizeof(float);
+  constexpr uint64_t kVecs = 2;
+  constexpr uint64_t kCols = kVecs * kVec;
+  static_assert(kNr % kCols == 0);
   const Matrix& a = *g.a;
-  const uint64_t m = a.rows();
   const uint64_t k = a.cols();
   const uint64_t n = g.c->cols();
   const uint64_t i_lo = ip * kMc;
-  const uint64_t i_hi = std::min(m, i_lo + kMc);
-  for (uint64_t kb = 0; kb < g.kb_count; ++kb) {
-    const uint64_t k_lo = kb * kKc;
-    const uint64_t k_len = std::min(kKc, k - k_lo);
-    for (uint64_t i = i_lo; i < i_hi; ++i) {
-      const float* __restrict ai = a.Row(i) + k_lo;
-      for (uint64_t jb = 0; jb < g.jb_count; ++jb) {
-        const uint64_t j_lo = jb * kNc;
-        const uint64_t j_len = std::min(kNc, n - j_lo);
-        uint64_t p_end = k_len;
-        if constexpr (kUpperB) {
-          // Rows at or past the strip's end are zero in it.
-          if (k_lo >= j_lo + j_len) continue;
-          p_end = std::min(k_len, j_lo + j_len - k_lo);
-        }
-        float* __restrict ci = g.c->Row(i) + j_lo;
-        const float* __restrict tile =
-            g.packed + (kb * g.jb_count + jb) * kKc * kNc;
-        uint64_t p = 0;
-        for (; p + 4 <= p_end; p += 4) {
-          const float a0 = ai[p], a1 = ai[p + 1];
-          const float a2 = ai[p + 2], a3 = ai[p + 3];
-          const float* __restrict b0 = tile + p * j_len;
-          const float* __restrict b1 = b0 + j_len;
-          const float* __restrict b2 = b1 + j_len;
-          const float* __restrict b3 = b2 + j_len;
-          const uint64_t j0 = kUpperB ? FirstUpperColumn(k_lo + p, j_lo) : 0;
-          for (uint64_t j = j0; j < j_len; ++j) {
-            ci[j] = ci[j] + a0 * b0[j] + a1 * b1[j] + a2 * b2[j] +
-                    a3 * b3[j];
+  const uint64_t i_hi = std::min(a.rows(), i_lo + kMc);
+  for (uint64_t j_lo = 0; j_lo < n; j_lo += kNr) {
+    const float* __restrict panel = g.packed + j_lo * k;
+    for (uint64_t i = i_lo; i < i_hi; i += kMr) {
+      const float* __restrict ai[kMr];
+      for (uint64_t t = 0; t < kMr; ++t) {
+        ai[t] = a.Row(std::min(i + t, i_hi - 1));
+      }
+      for (uint64_t jt = 0; jt < kNr && j_lo + jt < n; jt += kCols) {
+        const uint64_t j = j_lo + jt;
+        const uint64_t p_end = kUpperB ? std::min(k, j + kCols) : k;
+        Floats tile[kMr][kVecs] = {};
+        for (uint64_t p = 0; p < p_end; ++p) {
+          Floats bp[kVecs];
+          for (uint64_t v = 0; v < kVecs; ++v) {
+            bp[v] = *reinterpret_cast<const FloatsU*>(panel + p * kNr + jt +
+                                                      v * kVec);
+          }
+          for (uint64_t t = 0; t < kMr; ++t) {
+            for (uint64_t v = 0; v < kVecs; ++v) {
+              tile[t][v] += ai[t][p] * bp[v];
+            }
           }
         }
-        for (; p < p_end; ++p) {
-          const float aip = ai[p];
-          const float* __restrict bp = tile + p * j_len;
-          const uint64_t j0 = kUpperB ? FirstUpperColumn(k_lo + p, j_lo) : 0;
-          for (uint64_t j = j0; j < j_len; ++j) ci[j] += aip * bp[j];
+        // A tile on C's right edge is stored through a row buffer.
+        const uint64_t cols = std::min(kCols, n - j);
+        const bool whole = cols == kCols;
+        for (uint64_t t = 0; t < kMr && i + t < i_hi; ++t) {
+          float* ci = g.c->Row(i + t) + j;
+          float row[kCols];
+          float* out = whole ? ci : row;
+          for (uint64_t v = 0; v < kVecs; ++v) {
+            *reinterpret_cast<FloatsU*>(out + v * kVec) = tile[t][v];
+          }
+          if (!whole) std::copy(row, row + cols, ci);
         }
       }
     }
@@ -230,28 +217,30 @@ Matrix BlockedGemm(const Matrix& a, const Matrix& b) {
   Matrix c(m, n);
   if (m == 0 || k == 0 || n == 0) return c;
 
-  const uint64_t kb_count = (k + kKc - 1) / kKc;
-  const uint64_t jb_count = (n + kNc - 1) / kNc;
+  // B is packed once: panel jp holds columns [jp * kNr, jp * kNr + kNr) of
+  // every row, k x kNr floats, zero past n.
+  const uint64_t panels = (n + kNr - 1) / kNr;
   ScratchArena::Scope scope(ScratchArena::ForCurrentThread());
-  float* packed = scope.AllocArray<float>(kb_count * jb_count * kKc * kNc);
+  float* packed = scope.AllocArray<float>(panels * k * kNr);
   ParallelFor(
-      0, kb_count * jb_count,
-      [&](uint64_t t) {
-        const uint64_t kb = t / jb_count;
-        const uint64_t jb = t % jb_count;
-        const uint64_t k_lo = kb * kKc;
-        const uint64_t k_len = std::min(kKc, k - k_lo);
-        const uint64_t j_lo = jb * kNc;
-        const uint64_t j_len = std::min(kNc, n - j_lo);
-        CopyBlock(b.Row(k_lo) + j_lo, n, packed + t * kKc * kNc, j_len,
-                  k_len, j_len);
+      0, panels,
+      [&](uint64_t jp) {
+        const uint64_t j_lo = jp * kNr;
+        const uint64_t j_len = std::min(kNr, n - j_lo);
+        float* __restrict dst = packed + j_lo * k;
+        for (uint64_t p = 0; p < k; ++p, dst += kNr) {
+          std::copy(b.Row(p) + j_lo, b.Row(p) + j_lo + j_len, dst);
+          std::fill(dst + j_len, dst + kNr, 0.0f);
+        }
       },
       /*grain=*/1);
 
-  const GemmPanels panels{&a, packed, &c, kb_count, jb_count};
-  const auto panel = kernels::SimdArms<&GemmPanel<kUpperB>>::Pick();
+  const GemmPanels panels_in{&a, packed, &c};
+  const auto panel =
+      kernels::SimdArms<&GemmPanel<kUpperB, kGenericBytes>,
+                        &GemmPanel<kUpperB, kAvx2Bytes>>::Pick();
   ParallelFor(
-      0, (m + kMc - 1) / kMc, [&](uint64_t ip) { panel(panels, ip); },
+      0, (m + kMc - 1) / kMc, [&](uint64_t ip) { panel(panels_in, ip); },
       /*grain=*/1);
   return c;
 }
@@ -269,42 +258,83 @@ Matrix kernels::GemmUpper(const Matrix& a, const Matrix& u) {
 
 namespace {
 
-constexpr uint64_t kTnRows = 4;  // rows widened to double per step
-
-// One GemmTnDouble block: acc (m x n) = the sum over rows [lo, hi) of A^T B,
-// kTnRows rows at a time; acc is followed by the kTnRows x (m + n) widening
-// buffers. kGram: b is a, so only A is widened and only j >= i is summed.
-template <bool kGram>
-[[gnu::always_inline]] inline void GemmTnBlock(const Matrix& a,
-                                               const Matrix& b, uint64_t lo,
-                                               uint64_t hi,
-                                               double* __restrict acc) {
+// Rows [lo, hi) of A's Gram, into the block's m x m partial acc. A
+// sub-block of at most sub_rows rows is widened into pack as
+// ceil(m / kGramNr) panels of rows x kGramNr doubles, zero past m. Each
+// tile of acc — kMr rows by two vectors of kVecBytes, 4 x 8 doubles under
+// AVX2 and 4 x 4 on the baseline target — whose columns reach its first
+// row then stays in registers across the sub-block's rows, ascending, and
+// is stored once. Every element starts at +0 and adds a_ri * a_rj row by
+// row: the row-order sum bit for bit, on either arm. Tiles straddling the
+// diagonal also write some j < i elements, which the merge never reads.
+template <uint64_t kVecBytes>
+[[gnu::always_inline]] inline void GramBlock(const Matrix& a, uint64_t lo,
+                                             uint64_t hi, uint64_t sub_rows,
+                                             double* __restrict pack,
+                                             double* __restrict acc) {
+  typedef double Doubles __attribute__((vector_size(kVecBytes)));
+  typedef double DoublesU
+      __attribute__((vector_size(kVecBytes), aligned(8), may_alias));
+  static_assert(sizeof(Doubles) == kVecBytes);
+  constexpr uint64_t kVec = kVecBytes / sizeof(double);
+  constexpr uint64_t kVecs = 2;
+  constexpr uint64_t kCols = kVecs * kVec;
+  static_assert(kGramNr % kCols == 0 && kCols % kMr == 0);
   const uint64_t m = a.cols();
-  const uint64_t n = b.cols();
-  double* __restrict aw = acc + m * n;
-  double* __restrict bw = aw + kTnRows * m;
-  for (uint64_t e = 0; e < m * n; ++e) acc[e] = 0.0;
-  for (uint64_t r = lo; r < hi; r += kTnRows) {
-    for (uint64_t t = 0; t < kTnRows; ++t) {
-      const bool in = r + t < hi;
-      for (uint64_t i = 0; i < m; ++i) {
-        aw[t * m + i] = in ? a.At(r + t, i) : 0.0;
-      }
-      if constexpr (!kGram) {
-        for (uint64_t j = 0; j < n; ++j) {
-          bw[t * n + j] = in ? b.At(r + t, j) : 0.0;
-        }
+  const uint64_t width = (m + kGramNr - 1) / kGramNr * kGramNr;
+  for (uint64_t r0 = lo; r0 < hi; r0 += sub_rows) {
+    const uint64_t rows = std::min(sub_rows, hi - r0);
+    for (uint64_t r = 0; r < rows; ++r) {
+      const float* __restrict src = a.Row(r0 + r);
+      for (uint64_t j = 0; j < width; ++j) {
+        pack[(j / kGramNr * rows + r) * kGramNr + j % kGramNr] =
+            j < m ? src[j] : 0.0;
       }
     }
-    const double* __restrict bt = kGram ? aw : bw;
-    for (uint64_t i = 0; i < m; ++i) {
-      double* __restrict acc_row = acc + i * n;
-      for (uint64_t j = kGram ? i : 0; j < n; ++j) {
-        double sum = acc_row[j];
-        for (uint64_t t = 0; t < kTnRows; ++t) {
-          sum += aw[t * m + i] * bt[t * n + j];
+    // Column c of row r sits at pack[c / kGramNr * rows * kGramNr +
+    // r * kGramNr + c % kGramNr].
+    for (uint64_t i = 0; i < m; i += kMr) {
+      const double* __restrict ap =
+          pack + i / kGramNr * rows * kGramNr + i % kGramNr;
+      for (uint64_t j = i / kCols * kCols; j < m; j += kCols) {
+        const double* __restrict bp =
+            pack + j / kGramNr * rows * kGramNr + j % kGramNr;
+        // A tile inside acc moves as whole vectors; one on its bottom or
+        // right edge goes through a row buffer, zero past m.
+        const bool whole = i + kMr <= m && j + kCols <= m;
+        const uint64_t cols = std::min(kCols, m - j);
+        Doubles tile[kMr][kVecs] = {};
+        for (uint64_t t = 0; t < kMr && i + t < m && r0 > lo; ++t) {
+          const double* src = acc + (i + t) * m + j;
+          double row[kCols] = {};
+          if (!whole) {
+            std::copy(src, src + cols, row);
+            src = row;
+          }
+          for (uint64_t v = 0; v < kVecs; ++v) {
+            tile[t][v] = *reinterpret_cast<const DoublesU*>(src + v * kVec);
+          }
         }
-        acc_row[j] = sum;
+        for (uint64_t r = 0; r < rows; ++r) {
+          Doubles br[kVecs];
+          for (uint64_t v = 0; v < kVecs; ++v) {
+            br[v] = *reinterpret_cast<const DoublesU*>(bp + r * kGramNr +
+                                                       v * kVec);
+          }
+          for (uint64_t t = 0; t < kMr; ++t) {
+            const double art = ap[r * kGramNr + t];
+            for (uint64_t v = 0; v < kVecs; ++v) tile[t][v] += art * br[v];
+          }
+        }
+        for (uint64_t t = 0; t < kMr && i + t < m; ++t) {
+          double* dst = acc + (i + t) * m + j;
+          double row[kCols];
+          double* out = whole ? dst : row;
+          for (uint64_t v = 0; v < kVecs; ++v) {
+            *reinterpret_cast<DoublesU*>(out + v * kVec) = tile[t][v];
+          }
+          if (!whole) std::copy(row, row + cols, dst);
+        }
       }
     }
   }
@@ -312,52 +342,52 @@ template <bool kGram>
 
 }  // namespace
 
-// C = A^T * B for tall-skinny A, B. Rows are partitioned into
-// GemmTnBlocks(...) contiguous blocks — a function of the shape only — each
-// reduced into its own double-precision partial buffer, then merged
-// block-ascending. A block widens kTnRows rows at a time to double, zero
-// past its end, and adds them to each element in row order: the
-// row-at-a-time sum bit for bit (it starts at +0, so never turns -0, and
-// x + 0*0 == x). The buffers come from the calling thread's scratch arena,
-// so repeated calls of one shape (the rSVD power iterations) reuse warm
-// memory.
+// G = A^T A for tall-skinny A. Rows are partitioned into GemmTnBlocks(...)
+// contiguous blocks — a function of the shape only — each reduced into its
+// own m x m double partial by GramBlock, then merged block-ascending, j >= i
+// summed and mirrored to (j, i).
 //
-// A Gram (a and b the same object) accumulates only j >= i and the merge
-// mirrors each sum to (j, i). Element (j, i) of the general path adds the
-// same products, a_ri * a_rj == a_rj * a_ri, in the same row order, so the
-// mirrored result is bit-identical to GemmTnDouble(a, copy_of_a). The
-// blocks, row order and scratch layout are the general path's.
-std::vector<double> kernels::GemmTnDouble(const Matrix& a, const Matrix& b) {
-  LIGHTNE_CHECK_EQ(a.rows(), b.rows());
-  const bool gram = &a == &b;
+// Scratch: the partials plus kGramNr * m doubles per block that the packs
+// share (eight widened rows' worth). Each worker takes a fixed set of
+// blocks and one pack, whose size sets the sub-block rows; neither changes
+// a sum, so the result does not depend on the worker count. The scratch
+// comes from the calling thread's arena, so repeated calls of one shape
+// (the rSVD power iterations) reuse warm memory; DESIGN.md §8 explains why
+// it is not larger.
+std::vector<double> kernels::GemmTnDouble(const Matrix& a) {
   const uint64_t rows = a.rows();
   const uint64_t m = a.cols();
-  const uint64_t n = b.cols();
-  std::vector<double> c(m * n, 0.0);
-  if (rows == 0 || m == 0 || n == 0) return c;
-  const uint64_t blocks = kernels::GemmTnBlocks(rows, m, n);
-  const uint64_t stride = m * n + kTnRows * (m + n);
+  std::vector<double> c(m * m, 0.0);
+  if (rows == 0 || m == 0) return c;
+  const uint64_t blocks = kernels::GemmTnBlocks(rows, m);
+  const uint64_t width = (m + kGramNr - 1) / kGramNr * kGramNr;
+  const uint64_t pack_area = blocks * kGramNr * m;
   ScratchArena::Scope scope(ScratchArena::ForCurrentThread());
-  double* scratch = scope.AllocArray<double>(blocks * stride);
-  const auto block = gram ? SimdArms<&GemmTnBlock</*kGram=*/true>>::Pick()
-                          : SimdArms<&GemmTnBlock</*kGram=*/false>>::Pick();
-  ParallelFor(
-      0, blocks,
-      [&](uint64_t bidx) {
-        block(a, b, rows * bidx / blocks, rows * (bidx + 1) / blocks,
-              scratch + bidx * stride);
-      },
-      /*grain=*/1);
-  ParallelFor(0, m * n, [&](uint64_t e) {
-    const uint64_t i = e / n;
-    const uint64_t j = e % n;
-    if (gram && j < i) return;  // written by (j, i)'s mirror
+  double* partials = scope.AllocArray<double>(blocks * m * m + pack_area);
+  double* packs = partials + blocks * m * m;
+  const auto block =
+      SimdArms<&GramBlock<kGenericBytes>, &GramBlock<kAvx2Bytes>>::Pick();
+  ParallelForWorkers([&](int worker, int workers) {
+    const uint64_t packers = std::min<uint64_t>(workers, blocks);
+    const uint64_t w = static_cast<uint64_t>(worker);
+    if (w >= packers) return;
+    const uint64_t pack_len = pack_area / packers;
+    const uint64_t sub_rows = std::min(kGramSubRows, pack_len / width);
+    for (uint64_t bidx = w; bidx < blocks; bidx += packers) {
+      block(a, rows * bidx / blocks, rows * (bidx + 1) / blocks, sub_rows,
+            packs + w * pack_len, partials + bidx * m * m);
+    }
+  });
+  ParallelFor(0, m * m, [&](uint64_t e) {
+    const uint64_t i = e / m;
+    const uint64_t j = e % m;
+    if (j < i) return;  // written by (j, i)'s mirror
     double sum = 0.0;
     for (uint64_t bidx = 0; bidx < blocks; ++bidx) {
-      sum += scratch[bidx * stride + e];
+      sum += partials[bidx * m * m + e];
     }
     c[e] = sum;
-    if (gram) c[j * n + i] = sum;
+    c[j * m + i] = sum;
   });
   return c;
 }

@@ -1,4 +1,4 @@
-// Cache-blocked dense/sparse kernel layer (DESIGN.md §8).
+// Register-tiled dense/sparse kernel layer (DESIGN.md §8).
 //
 // The paper runs Algorithm 3 through MKL (cblas_sgemm, mkl_sparse_s_mm,
 // LAPACKE); this layer is the tuned from-scratch substitute. Every hot
@@ -10,9 +10,13 @@
 //    (bench/bench_kernels_baseline.cc → BENCH_kernels.json).
 //  - Blocked kernels, reached through Gemm (la/matrix.h), GemmUpper,
 //    kernels::GemmTnDouble and SparseMatrix::Multiply (and the propagation
-//    sweeps in core/spectral_propagation.cc): L1/L2 cache blocking with
-//    packed B panels, __restrict-qualified inner loops the compiler
-//    auto-vectorizes, parallelized over row panels. Each hot loop body is
+//    sweeps in core/spectral_propagation.cc). Gemm and the Gram pack their
+//    operand into narrow panels and keep a kMr-row tile of C in GCC
+//    vector-extension registers (32-byte under AVX2, 16-byte otherwise) for
+//    the whole reduction, as the GotoBLAS micro-kernel behind MKL's GEMM
+//    and SYRK does; SPMM and the sweeps are
+//    __restrict-qualified loops the compiler auto-vectorizes. Work is
+//    parallelized over row panels or row blocks. Each hot loop body is
 //    compiled twice through SimdArms below, for baseline x86-64 and under
 //    target("avx2"), and ActiveSimdArm() picks one at run time, as MKL
 //    picks its code path.
@@ -25,7 +29,8 @@
 // counts and across arms. GemmTnDouble reduces per-element in double
 // through a shape-determined block partition: still bit-identical across
 // worker counts and arms, and equal to its row-order reference up to the
-// double rounding of the block merge (tested at 1e-12 relative Frobenius).
+// double rounding of the block merge (byte for byte equal to a row-order
+// sum per block, merged block-ascending).
 // "Same order and precision" includes no fused multiply-add: the AVX2 arm's
 // target carries no fma, and the root CMakeLists.txt builds with
 // -ffp-contract=off, so a wider target (-march=native) rounds every product
@@ -58,20 +63,21 @@ Matrix NaiveSpmm(const SparseMatrix& a, const Matrix& x);
 
 namespace kernels {
 
-// Blocking parameters shared by the blocked kernels (DESIGN.md §8 explains
-// the working-set arithmetic).
-inline constexpr uint64_t kMc = 64;   ///< A/C row panel handed to one task
-inline constexpr uint64_t kKc = 256;  ///< k-panel depth of a packed B tile
-inline constexpr uint64_t kNc = 64;   ///< column strip (256 B of a C row)
+// Blocking parameters of the register-tiled kernels (DESIGN.md §8 explains
+// the register and cache arithmetic).
+inline constexpr uint64_t kMc = 64;  ///< A/C row panel handed to one Gemm task
+inline constexpr uint64_t kMr = 4;   ///< rows of a C tile, Gemm and Gram alike
+inline constexpr uint64_t kNr = 16;  ///< columns of a packed B panel / C tile
+inline constexpr uint64_t kGramNr = 8;  ///< columns of a widened Gram panel
+inline constexpr uint64_t kGramSubRows = 64;  ///< most rows widened at once
 
-/// C = A^T * B as an m x n row-major double buffer (m = a.cols(),
-/// n = b.cols()): the Grams of CholeskyQR2, the rSVD tail and the smoothing.
-/// When a and b are the same object (a Gram), only j >= i is accumulated
-/// and mirrored: the result is bit-identical to passing a copy of a as b.
-std::vector<double> GemmTnDouble(const Matrix& a, const Matrix& b);
+/// G = A^T A as an m x m row-major double buffer (m = a.cols()): the Grams
+/// of CholeskyQR2, the rSVD tail and the smoothing. Only j >= i is
+/// accumulated; the merge mirrors each sum to (j, i).
+std::vector<double> GemmTnDouble(const Matrix& a);
 
-/// C = A * U for a square upper-triangular U: Gemm's loop nest with the
-/// products of U's zero triangle skipped (CholeskyQR2's Y * R^-1).
+/// C = A * U for a square upper-triangular U: Gemm's tiles with each packed
+/// panel's k loop ending at its last column (CholeskyQR2's Y * R^-1).
 /// Precondition: U(k, j) is +0 or -0 for every k > j, and A is finite. Then
 /// each skipped product is +-0 and cannot change the float accumulator,
 /// which starts at +0 and never becomes -0, so the result is bit-identical
@@ -80,10 +86,10 @@ std::vector<double> GemmTnDouble(const Matrix& a, const Matrix& b);
 Matrix GemmUpper(const Matrix& a, const Matrix& u);
 
 /// Number of row blocks GemmTnDouble partitions its reduction into: a
-/// function of the shape (rows, m, n) only — never the worker count — so the
+/// function of the shape (rows, m) only — never the worker count — so the
 /// blockwise double reduction is deterministic for any pool size. Exposed
 /// for tests.
-uint64_t GemmTnBlocks(uint64_t rows, uint64_t m, uint64_t n);
+uint64_t GemmTnBlocks(uint64_t rows, uint64_t m);
 
 // ------------------------------------------------------------- SIMD arms
 
@@ -123,15 +129,23 @@ class GenericSimdRegion {
 /// inside its ParallelFor lambda. Both arms run the same C++ with each
 /// element's operations in the same order, and the avx2 target carries no
 /// fma, so their results are byte-identical.
-template <auto kBody>
+///
+/// A register-tiled body written with GCC vector extensions is a template
+/// on its vector bytes, and the AVX2 arm names its own instantiation,
+/// kAvx2Body: 16-byte vectors for the baseline target and 32-byte ones
+/// under AVX2. A 32-byte GCC vector on a target without AVX is a memory
+/// object, so the same tile would leave the generic arm's accumulators and
+/// broadcasts on the stack.
+template <auto kBody, auto kAvx2Body = kBody>
 struct SimdArms;
 
-template <typename... Args, void (*kBody)(Args...)>
-struct SimdArms<kBody> {
+template <typename... Args, void (*kBody)(Args...),
+          void (*kAvx2Body)(Args...)>
+struct SimdArms<kBody, kAvx2Body> {
   static void Generic(Args... args) { kBody(args...); }
 #if defined(__x86_64__)
   __attribute__((target("avx2"))) static void Avx2(Args... args) {
-    kBody(args...);
+    kAvx2Body(args...);
   }
 #endif
   /// The arm ActiveSimdArm() names.

@@ -62,25 +62,43 @@ Matrix FactorizeInPlace(Workspace* w) {
   return r;
 }
 
-// Back-accumulates the thin Q (n x q) from the stored reflectors.
-void AccumulateQ(const Workspace& w, Matrix* q_out) {
-  const uint64_t n = w.n, q = w.q;
-  *q_out = Matrix(n, q);
-  // Start from the leading columns of the identity.
-  std::vector<double> qd(n * q, 0.0);  // column-major
-  for (uint64_t k = 0; k < q; ++k) qd[k * n + k] = 1.0;
+// Forms the thin Q (n x q) over the stored reflectors, in place and in
+// LAPACK orgqr's order, and writes it into *q_out (n x q already). Column
+// k is formed after H_k has been applied to columns k+1.., which by then
+// hold H_{k+1} ... H_{q-1} e_j, zero above row k+1; so each reflector is
+// read before its column is overwritten. Every column sees the same
+// operations in the same order as when the reflectors are applied to a
+// separate identity, so the bits match that back-accumulation; the fallback
+// holds one double panel beside the caller's float one.
+void FormQ(Workspace* w, Matrix* q_out) {
+  const uint64_t n = w->n, q = w->q;
+  // R's entries above the diagonal become Q's leading zeros.
+  for (uint64_t j = 1; j < q; ++j) {
+    for (uint64_t i = 0; i < j; ++i) w->At(i, j) = 0.0;
+  }
   for (uint64_t k = q; k-- > 0;) {
-    if (w.beta[k] == 0.0) continue;
-    for (uint64_t j = 0; j < q; ++j) {
-      double dot = 0;
-      for (uint64_t i = k; i < n; ++i) dot += w.a[k * n + i] * qd[j * n + i];
-      const double scale = w.beta[k] * dot;
-      for (uint64_t i = k; i < n; ++i) qd[j * n + i] -= scale * w.a[k * n + i];
+    double* v = &w->At(0, k);  // rows k..n-1 hold the reflector
+    const double beta = w->beta[k];
+    if (beta == 0.0) {  // skipped reflector: column k is e_k
+      std::fill(v + k, v + n, 0.0);
+      v[k] = 1.0;
+      continue;
     }
+    for (uint64_t j = k + 1; j < q; ++j) {
+      double* col = &w->At(0, j);
+      double dot = 0;
+      for (uint64_t i = k; i < n; ++i) dot += v[i] * col[i];
+      const double scale = beta * dot;
+      for (uint64_t i = k; i < n; ++i) col[i] -= scale * v[i];
+    }
+    // H_k e_k = e_k - beta v_k v: v^T e_k is exactly v_k.
+    const double scale = beta * v[k];
+    v[k] = 1.0 - scale * v[k];
+    for (uint64_t i = k + 1; i < n; ++i) v[i] = 0.0 - scale * v[i];
   }
   for (uint64_t i = 0; i < n; ++i) {
     for (uint64_t j = 0; j < q; ++j) {
-      q_out->At(i, j) = static_cast<float>(qd[j * n + i]);
+      q_out->At(i, j) = static_cast<float>(w->At(i, j));
     }
   }
 }
@@ -108,7 +126,7 @@ constexpr double kPivotFloor = 1e-12;
 bool CholeskyQrPass(Matrix* a) {
   const uint64_t q = a->cols();
   // Row-oriented Cholesky, R overwriting the upper triangle of G.
-  std::vector<double> r = kernels::GemmTnDouble(*a, *a);
+  std::vector<double> r = kernels::GemmTnDouble(*a);
   double max_diag = 0.0;
   for (uint64_t k = 0; k < q; ++k) max_diag = std::max(max_diag, r[k * q + k]);
   for (uint64_t k = 0; k < q; ++k) {
@@ -148,7 +166,7 @@ Matrix HouseholderQr(Matrix* a) {
   LIGHTNE_CHECK_GE(a->rows(), a->cols());
   Workspace w = ToWorkspace(*a);
   Matrix r = FactorizeInPlace(&w);
-  AccumulateQ(w, a);
+  FormQ(&w, a);
   return r;
 }
 

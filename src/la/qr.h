@@ -18,7 +18,8 @@ namespace lightne {
 /// Sequential Householder thin QR of an n x q matrix with n >= q.
 /// On return *a holds the orthonormal Q (n x q); the returned matrix is the
 /// upper-triangular R (q x q). Rank-deficient columns yield zero rows in R
-/// and identity-like columns in Q; Q is always orthonormal.
+/// and identity-like columns in Q; Q is always orthonormal. Works in one
+/// n x q double copy of *a, over which Q is formed in place.
 Matrix HouseholderQr(Matrix* a);
 
 /// Replaces *a (n x q, n >= q) by an orthonormal basis of its column span.

@@ -60,7 +60,7 @@ Result<RandomizedSvdResult> RandomizedSvd(const SparseMatrix& a,
   Matrix b = a.Multiply(y);
   y = Matrix();
   // Lines 6-10 as eigSVD (la/rsvd.h): B's Gram in double.
-  const std::vector<double> gram = kernels::GemmTnDouble(b, b);
+  const std::vector<double> gram = kernels::GemmTnDouble(b);
   project_span.End();
   TraceSpan small_span("rsvd/small_svd");
   Result<SymmetricEigenResult> eig = SymmetricEigen(gram, q);

@@ -36,7 +36,9 @@ struct RandomizedSvdResult {
 /// (V is not formed). Fails with kInvalidArgument on a non-square input or
 /// a rank that exceeds its dimension, and propagates the eigensolve's
 /// kInvalidArgument (non-finite input) and kInternal (non-convergence).
-/// At most two dense n x (rank + oversample) panels are alive at a time.
+/// At most three dense n x (rank + oversample) float panels' worth is alive
+/// at a time: two panels, or one panel and the n x q double workspace of a
+/// HouseholderQr fallback.
 Result<RandomizedSvdResult> RandomizedSvd(const SparseMatrix& a,
                                           const RandomizedSvdOptions& opt);
 

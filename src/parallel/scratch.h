@@ -9,7 +9,7 @@
 //
 // Usage:
 //   ScratchArena::Scope scope(ScratchArena::ForCurrentThread());
-//   float* panel = scope.AllocArray<float>(tiles * kKc * kNc);
+//   float* packed = scope.AllocArray<float>(panels * k * kNr);
 //
 // Scopes nest: a kernel that calls another kernel restores the outer
 // allocation watermark on scope exit, so nested users never free each

@@ -14,6 +14,7 @@
 #include "data/generators.h"
 #include "graph/csr.h"
 #include "graph/types.h"
+#include "gram_oracle.h"
 #include "la/embedding_io.h"
 #include "la/kernels.h"
 #include "la/matrix.h"
@@ -45,11 +46,10 @@ Matrix RefGemmDouble(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-// A^T B through kernels::GemmTnDouble, each sum rounded to float. Passing
-// one matrix as both operands takes the Gram path.
-Matrix GemmTnFloat(const Matrix& a, const Matrix& b) {
-  const std::vector<double> sums = kernels::GemmTnDouble(a, b);
-  Matrix c(a.cols(), b.cols());
+// A^T A through kernels::GemmTnDouble, each sum rounded to float.
+Matrix GramFloat(const Matrix& a) {
+  const std::vector<double> sums = kernels::GemmTnDouble(a);
+  Matrix c(a.cols(), a.cols());
   std::copy(sums.begin(), sums.end(), c.data());
   return c;
 }
@@ -80,9 +80,8 @@ TEST(MatrixTest, GemmMatchesNaive) {
 
 TEST(MatrixTest, GemmTNMatchesTransposeThenGemm) {
   Matrix a = Matrix::Gaussian(5000, 12, 4);
-  Matrix b = Matrix::Gaussian(5000, 9, 5);
-  Matrix expect = RefGemmDouble(NaiveTranspose(a), b);
-  EXPECT_LT(MaxAbsDiff(GemmTnFloat(a, b), expect), 2e-3);
+  Matrix expect = RefGemmDouble(NaiveTranspose(a), a);
+  EXPECT_LT(MaxAbsDiff(GramFloat(a), expect), 2e-3);
 }
 
 TEST(MatrixTest, IdentityGemmIsNoop) {
@@ -110,7 +109,7 @@ TEST(MatrixTest, ScaleAndColumnsAndNorms) {
 // --------------------------------------------------------------------- QR --
 
 void ExpectOrthonormal(const Matrix& q, double tol) {
-  Matrix gram = GemmTnFloat(q, q);
+  Matrix gram = GramFloat(q);
   EXPECT_LT(MaxAbsDiff(gram, Matrix::Identity(q.cols())), tol);
 }
 
@@ -173,7 +172,7 @@ TEST(QrTest, RankDeficientInputStillGivesOrthonormalQ) {
     dup.At(i, 2) = 2.0f * a.At(i, 0);
   }
   Matrix r = HouseholderQr(&dup);
-  Matrix gram = GemmTnFloat(dup, dup);
+  Matrix gram = GramFloat(dup);
   // Diagonal entries are 0 or 1; off-diagonals ~0.
   for (uint64_t i = 0; i < 3; ++i) {
     for (uint64_t j = 0; j < 3; ++j) {
@@ -388,7 +387,7 @@ TEST(SymmetricEigenTest, RankDeficientGramHasZeroEigenvalues) {
       b.At(i, 5 + j) = scale[j] * basis.At(i, j % 5);
     }
   }
-  const std::vector<double> g = kernels::GemmTnDouble(b, b);
+  const std::vector<double> g = kernels::GemmTnDouble(b);
   auto eig = SymmetricEigen(g, 12);
   ASSERT_TRUE(eig.ok()) << eig.status().ToString();
   ExpectEigendecomposition(g, 12, *eig);
@@ -634,7 +633,7 @@ TEST(RsvdTest, RankBelowDFloorsTheMissingColumns) {
     }
   }
   // The kept columns are orthonormal: U^T U = diag(1, 1, 1, 1, 0, 0, 0).
-  const Matrix gram = GemmTnFloat(svd.u, svd.u);
+  const Matrix gram = GramFloat(svd.u);
   for (uint64_t i = 0; i < 7; ++i) {
     for (uint64_t j = 0; j < 7; ++j) {
       EXPECT_NEAR(gram.At(i, j), i == j && i < 4 ? 1.0 : 0.0, 1e-4) << i << j;
@@ -773,8 +772,10 @@ double RelFrobDiff(const Matrix& a, const Matrix& b) {
   return ref > 0 ? std::sqrt(diff_sq) / ref : std::sqrt(diff_sq);
 }
 
-// Shapes deliberately include non-multiples of every blocking parameter
-// (kMc=64, kKc=256, kNc=64) so ragged panel/strip edges are exercised.
+// Shapes cross every tile edge: rows off multiples of kMr = 4 and of the
+// kMc = 64 task panel, n = 1, 15, 16 and 17 mod kNr = 16 (a panel's zero
+// padding), k = 1 and k past 256. Identical accumulation order means
+// identical bytes (the determinism contract in kernels.h).
 class BlockedGemmShapes
     : public ::testing::TestWithParam<std::tuple<uint64_t, uint64_t, uint64_t>> {
 };
@@ -783,7 +784,11 @@ TEST_P(BlockedGemmShapes, BlockedMatchesNaiveReference) {
   const auto [m, k, n] = GetParam();
   Matrix a = Matrix::Gaussian(m, k, m * 31 + k);
   Matrix b = Matrix::Gaussian(k, n, k * 17 + n);
-  EXPECT_LT(RelFrobDiff(Gemm(a, b), NaiveGemm(a, b)), 1e-12);
+  const Matrix got = Gemm(a, b);
+  const Matrix want = NaiveGemm(a, b);
+  ASSERT_EQ(got.rows(), m);
+  ASSERT_EQ(got.cols(), n);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.SizeBytes()), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -794,19 +799,26 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(65ull, 257ull, 66ull),
                       std::make_tuple(128ull, 300ull, 64ull),
                       std::make_tuple(200ull, 513ull, 3ull),
-                      std::make_tuple(70ull, 130ull, 67ull),  // k = 2 mod 4
-                      std::make_tuple(3ull, 1000ull, 129ull)));
+                      std::make_tuple(70ull, 130ull, 67ull),
+                      std::make_tuple(3ull, 1000ull, 129ull),   // n = 1 mod 16
+                      std::make_tuple(5ull, 1ull, 15ull),       // k = 1
+                      std::make_tuple(66ull, 7ull, 16ull),
+                      std::make_tuple(131ull, 260ull, 17ull),   // rows = 3 mod 4
+                      std::make_tuple(7ull, 300ull, 31ull),     // n = 15 mod 16
+                      std::make_tuple(2ull, 1ull, 33ull),
+                      std::make_tuple(130ull, 1ull, 48ull)));
 
+// The Gram against the row-at-a-time NaiveGemmTN(a, a): within the double
+// rounding of the block merge (several blocks), and byte for byte equal to
+// the block-partitioned row-order oracle.
 class BlockedGemmTNShapes
-    : public ::testing::TestWithParam<std::tuple<uint64_t, uint64_t, uint64_t>> {
-};
+    : public ::testing::TestWithParam<std::tuple<uint64_t, uint64_t>> {};
 
 TEST_P(BlockedGemmTNShapes, BlockedMatchesNaiveReference) {
-  const auto [rows, m, n] = GetParam();
+  const auto [rows, m] = GetParam();
   Matrix a = Matrix::Gaussian(rows, m, rows + m);
-  Matrix b = Matrix::Gaussian(rows, n, rows + n + 1);
-  const std::vector<double> got = kernels::GemmTnDouble(a, b);
-  const std::vector<double> want = NaiveGemmTN(a, b);
+  const std::vector<double> got = kernels::GemmTnDouble(a);
+  const std::vector<double> want = NaiveGemmTN(a, a);
   ASSERT_EQ(got.size(), want.size());
   double diff_sq = 0.0, ref_sq = 0.0;
   for (size_t e = 0; e < got.size(); ++e) {
@@ -814,83 +826,99 @@ TEST_P(BlockedGemmTNShapes, BlockedMatchesNaiveReference) {
     ref_sq += want[e] * want[e];
   }
   EXPECT_LE(std::sqrt(diff_sq), 1e-12 * std::sqrt(ref_sq));
+  const std::vector<double> oracle = gram_oracle::BlockedRowOrderGram(a);
+  EXPECT_EQ(std::memcmp(got.data(), oracle.data(), got.size() * sizeof(double)),
+            0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BlockedGemmTNShapes,
-    ::testing::Values(std::make_tuple(100ull, 12ull, 9ull),
-                      std::make_tuple(1024ull, 16ull, 16ull),
-                      std::make_tuple(2500ull, 33ull, 17ull),  // 2 blocks
-                      std::make_tuple(5000ull, 7ull, 40ull),   // 4 blocks
-                      std::make_tuple(4097ull, 1ull, 1ull)));
+    ::testing::Values(std::make_tuple(100ull, 12ull),
+                      std::make_tuple(1024ull, 16ull),
+                      std::make_tuple(2500ull, 33ull),  // 2 blocks
+                      std::make_tuple(5000ull, 7ull),   // 4 blocks
+                      std::make_tuple(5000ull, 40ull),
+                      std::make_tuple(4097ull, 1ull)));
 
 TEST(BlockedKernelTest, GemmTnBlocksDependOnShapeOnly) {
   // Partition must never see the worker count (determinism contract).
-  EXPECT_EQ(kernels::GemmTnBlocks(100, 8, 8), 1ull);
-  EXPECT_EQ(kernels::GemmTnBlocks(4096, 8, 8), 4ull);
+  EXPECT_EQ(kernels::GemmTnBlocks(100, 8), 1ull);
+  EXPECT_EQ(kernels::GemmTnBlocks(4096, 8), 4ull);
   // Memory cap engages for fat outputs: 2048x2048 doubles = 32 MiB budget.
-  EXPECT_EQ(kernels::GemmTnBlocks(1u << 20, 2048, 2048), 1ull);
+  EXPECT_EQ(kernels::GemmTnBlocks(1u << 20, 2048), 1ull);
+}
+
+// Zero and negative-zero entries on a diagonal stripe of A.
+void SprinkleSignedZeros(Matrix* a) {
+  for (uint64_t r = 0; r < a->rows(); r += 5) {
+    a->At(r, r % a->cols()) = r % 2 == 0 ? 0.0f : -0.0f;
+  }
 }
 
 TEST(BlockedKernelTest, GemmTnDoubleIsTheRowOrderSum) {
-  // One partition block with a ragged tail of one row: the four-row widened
-  // core must equal the row-at-a-time double sum bit for bit, with zero and
-  // negative-zero entries in A.
-  Matrix a = Matrix::Gaussian(1501, 9, 3);
-  Matrix b = Matrix::Gaussian(1501, 7, 4);
-  for (uint64_t r = 0; r < 1501; r += 5) {
-    a.At(r, r % 9) = r % 2 == 0 ? 0.0f : -0.0f;
-  }
-  ASSERT_EQ(kernels::GemmTnBlocks(1501, 9, 7), 1ull);
-  const std::vector<double> got = kernels::GemmTnDouble(a, b);
-  for (uint64_t i = 0; i < 9; ++i) {
-    for (uint64_t j = 0; j < 7; ++j) {
-      double sum = 0.0;
-      for (uint64_t r = 0; r < 1501; ++r) {
-        sum += static_cast<double>(a.At(r, i)) * b.At(r, j);
-      }
-      EXPECT_EQ(got[i * 7 + j], sum) << i << "," << j;
+  // One partition block: the Gram must equal NaiveGemmTN(a, a), the
+  // row-at-a-time double sum, bit for bit. m covers every residue mod
+  // kGramNr = 8 in one and two panels and the kMr = 4 tile rows; the row
+  // counts cross the kGramSubRows = 64 sub-block edge.
+  for (uint64_t rows : {1ull, 2ull, 63ull, 64ull, 65ull, 129ull, 1501ull}) {
+    for (uint64_t m = 1; m <= 17; ++m) {
+      Matrix a = Matrix::Gaussian(rows, m, rows * 31 + m);
+      SprinkleSignedZeros(&a);
+      ASSERT_EQ(kernels::GemmTnBlocks(rows, m), 1ull);
+      const std::vector<double> got = kernels::GemmTnDouble(a);
+      const std::vector<double> want = NaiveGemmTN(a, a);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(double)),
+                0)
+          << rows << " x " << m;
     }
   }
 }
 
-TEST(BlockedKernelTest, GramIsBitIdenticalToGeneralPath) {
-  // GemmTnDouble(a, a) accumulates j >= i and mirrors; a copy of a as b
-  // takes the general path. Row counts cover every residue mod 4 (the
-  // widened core's ragged tail) and 1, 2 and 4 partition blocks.
-  for (uint64_t rows : {5ull, 6ull, 7ull, 8ull, 1022ull, 2049ull, 2050ull,
+TEST(BlockedKernelTest, GramIsTheBlockedRowOrderSum) {
+  // Several partition blocks: each block's row-order sum, merged
+  // block-ascending (tests/gram_oracle.h), byte for byte. Row counts sit on
+  // and off the 1024-row block and 64-row sub-block edges (1, 2 and 4
+  // blocks); m covers residues 0, 1, 2, 7 mod 8 and a tile row past m.
+  for (uint64_t rows : {5ull, 1022ull, 2047ull, 2048ull, 2049ull, 2050ull,
                         3071ull, 4100ull}) {
-    for (uint64_t m : {1ull, 9ull, 33ull}) {
+    for (uint64_t m : {1ull, 7ull, 9ull, 33ull, 42ull, 64ull}) {
       Matrix a = Matrix::Gaussian(rows, m, rows * 7 + m);
-      a.At(rows / 2, m / 2) = -0.0f;
-      const Matrix copy = a;
-      const std::vector<double> gram = kernels::GemmTnDouble(a, a);
-      const std::vector<double> general = kernels::GemmTnDouble(a, copy);
-      ASSERT_EQ(gram.size(), general.size());
-      EXPECT_EQ(std::memcmp(gram.data(), general.data(),
-                            gram.size() * sizeof(double)),
+      SprinkleSignedZeros(&a);
+      const std::vector<double> got = kernels::GemmTnDouble(a);
+      const std::vector<double> want = gram_oracle::BlockedRowOrderGram(a);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(double)),
                 0)
           << rows << " x " << m << ", "
-          << kernels::GemmTnBlocks(rows, m, m) << " blocks";
+          << kernels::GemmTnBlocks(rows, m) << " blocks";
     }
   }
 }
 
 TEST(BlockedKernelTest, GemmUpperIsBitIdenticalToReference) {
-  // Finite A, upper-triangular U with +-0 below the diagonal: skipping the
-  // zero triangle leaves every float sum as NaiveGemm's. q crosses kNc = 64
-  // and kKc = 256, and covers every residue mod 4 of the unrolled k loop.
-  for (uint64_t q : {1ull, 3ull, 63ull, 64ull, 65ull, 74ull, 138ull, 257ull,
-                     300ull}) {
-    Matrix a = Matrix::Gaussian(70, q, q);
-    a.At(69, q - 1) = 0.0f;
-    Matrix u = Matrix::Gaussian(q, q, q + 1);
-    for (uint64_t k = 1; k < q; ++k) {
-      for (uint64_t j = 0; j < k; ++j) u.At(k, j) = (k + j) % 2 ? -0.0f : 0.0f;
+  // Finite A, upper-triangular U with +-0 below the diagonal: ending each
+  // packed panel's k loop at its last column leaves every float sum as
+  // NaiveGemm's. q covers 1, 15, 16 and 17 mod kNr = 16 and passes 256;
+  // 70 and 3 rows end off a kMr = 4 tile, 70 in a second kMc panel.
+  for (uint64_t rows : {3ull, 70ull}) {
+    for (uint64_t q : {1ull, 3ull, 15ull, 16ull, 17ull, 31ull, 33ull, 63ull,
+                       64ull, 65ull, 74ull, 138ull, 257ull, 300ull}) {
+      Matrix a = Matrix::Gaussian(rows, q, q);
+      a.At(rows - 1, q - 1) = 0.0f;
+      Matrix u = Matrix::Gaussian(q, q, q + 1);
+      for (uint64_t k = 1; k < q; ++k) {
+        for (uint64_t j = 0; j < k; ++j) {
+          u.At(k, j) = (k + j) % 2 ? -0.0f : 0.0f;
+        }
+      }
+      const Matrix got = kernels::GemmUpper(a, u);
+      const Matrix want = NaiveGemm(a, u);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.SizeBytes()), 0)
+          << rows << " x " << q;
     }
-    const Matrix got = kernels::GemmUpper(a, u);
-    const Matrix want = NaiveGemm(a, u);
-    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.SizeBytes()), 0) << q;
   }
 }
 
@@ -959,9 +987,9 @@ TEST(SimdArmTest, GenericSimdRegionScopesTheArm) {
 
 TEST(SimdArmTest, GemmAndGemmUpperArmsAreByteIdentical) {
   if (!HostHasAvx2()) GTEST_SKIP() << kNoAvx2;
-  // q from 1 to 300 covers every k residue mod 4 of the unrolled k loop and
-  // every strip width mod 8, and crosses kNc = 64 and kKc = 256; 67 rows
-  // leave a ragged second kMc panel.
+  // q from 1 to 300 covers every panel width mod kNr = 16 and k = 1 to past
+  // 256; 67 rows leave a three-row last tile in a ragged second kMc panel.
+  // The dispatched arm must also equal NaiveGemm.
   for (uint64_t q = 1; q <= 300; ++q) {
     const Matrix a = Matrix::Gaussian(67, q, q);
     const Matrix b = Matrix::Gaussian(q, q, q + 1);
@@ -971,29 +999,47 @@ TEST(SimdArmTest, GemmAndGemmUpperArmsAreByteIdentical) {
     }
     const Matrix gemm = Gemm(a, b);
     const Matrix upper = kernels::GemmUpper(a, u);
+    EXPECT_TRUE(SameBytes(gemm, NaiveGemm(a, b))) << "Gemm q=" << q;
+    EXPECT_TRUE(SameBytes(upper, NaiveGemm(a, u))) << "GemmUpper q=" << q;
     kernels::GenericSimdRegion generic;
     EXPECT_TRUE(SameBytes(Gemm(a, b), gemm)) << "Gemm q=" << q;
     EXPECT_TRUE(SameBytes(kernels::GemmUpper(a, u), upper))
         << "GemmUpper q=" << q;
   }
+  // Rectangular: rows 1 to 5 (every residue mod 4), k = 1 and 257, and
+  // n = 1, 15, 16, 17 and 33.
+  for (uint64_t rows = 1; rows <= 5; ++rows) {
+    for (uint64_t k : {1ull, 257ull}) {
+      for (uint64_t n : {1ull, 15ull, 16ull, 17ull, 33ull}) {
+        const Matrix a = Matrix::Gaussian(rows, k, rows * 7 + k);
+        const Matrix b = Matrix::Gaussian(k, n, k + n);
+        const Matrix gemm = Gemm(a, b);
+        EXPECT_TRUE(SameBytes(gemm, NaiveGemm(a, b)))
+            << rows << " x " << k << " x " << n;
+        kernels::GenericSimdRegion generic;
+        EXPECT_TRUE(SameBytes(Gemm(a, b), gemm))
+            << rows << " x " << k << " x " << n;
+      }
+    }
+  }
 }
 
 TEST(SimdArmTest, GemmTnDoubleArmsAreByteIdentical) {
   if (!HostHasAvx2()) GTEST_SKIP() << kNoAvx2;
-  // Row counts off every multiple of 4 (the widened core's ragged tail) and
-  // of 1024 (GemmTnBlocks' block rows), general and Gram.
-  for (uint64_t rows : {1ull, 3ull, 6ull, 1023ull, 1029ull, 2051ull,
-                        4099ull}) {
-    for (uint64_t m : {1ull, 5ull, 42ull, 138ull}) {
-      const Matrix a = Matrix::Gaussian(rows, m, rows + m);
-      const Matrix b = Matrix::Gaussian(rows, m + 3, rows + m + 1);
-      const std::vector<double> general = kernels::GemmTnDouble(a, b);
-      const std::vector<double> gram = kernels::GemmTnDouble(a, a);
+  // Row counts on and off the 64-row sub-block and the 1024-row block; m
+  // off and on multiples of the kGramNr = 8 panel, up to the pipeline's
+  // 138. The dispatched arm must also equal the row-order oracle.
+  for (uint64_t rows : {1ull, 3ull, 6ull, 63ull, 65ull, 1023ull, 1029ull,
+                        2051ull, 4099ull}) {
+    for (uint64_t m : {1ull, 5ull, 8ull, 42ull, 74ull, 138ull}) {
+      Matrix a = Matrix::Gaussian(rows, m, rows + m);
+      SprinkleSignedZeros(&a);
+      const std::vector<double> gram = kernels::GemmTnDouble(a);
+      EXPECT_TRUE(SameBytes(gram, gram_oracle::BlockedRowOrderGram(a)))
+          << rows << " x " << m;
       kernels::GenericSimdRegion generic;
-      EXPECT_TRUE(SameBytes(kernels::GemmTnDouble(a, b), general))
-          << "general " << rows << " x " << m;
-      EXPECT_TRUE(SameBytes(kernels::GemmTnDouble(a, a), gram))
-          << "gram " << rows << " x " << m;
+      EXPECT_TRUE(SameBytes(kernels::GemmTnDouble(a), gram))
+          << rows << " x " << m;
     }
   }
 }

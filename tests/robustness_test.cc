@@ -447,6 +447,53 @@ TEST(MemoryGovernor, PropagationBudgetJustAboveTheOperatorRuns) {
   EXPECT_LE(r->peak_reserved_bytes, opt.memory_budget_bytes);
 }
 
+// A propagation-free run on RMAT-10 at d = 32: the rSVD's q = 42 columns
+// make its workspace the run's largest reservation, so a budget can hold
+// the sparsifier's table and two n x q panels but not a third.
+LightNeOptions RsvdOnlyOptions() {
+  LightNeOptions opt;
+  opt.dim = 32;
+  opt.window = 3;
+  opt.num_samples = 4000;
+  opt.spectral_propagation = false;
+  return opt;
+}
+
+uint64_t RsvdPanelBytes(const CsrGraph& g, const LightNeOptions& opt) {
+  return g.NumVertices() * (opt.dim + opt.svd_oversample) * sizeof(float);
+}
+
+TEST(MemoryGovernor, RsvdBudgetBelowThreePanelsIsResourceExhausted) {
+  // A panel that falls back to HouseholderQr holds its n x q double
+  // workspace beside it: three float panels, which the stage reserves.
+  const CsrGraph g = DenseGraph();
+  LightNeOptions opt = RsvdOnlyOptions();
+  const uint64_t panel = RsvdPanelBytes(g, opt);
+  auto unbudgeted = RunLightNe(g, opt);
+  ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status().ToString();
+  ASSERT_LE(unbudgeted->sparsifier_stats.table_bytes, 2 * panel);
+  opt.memory_budget_bytes = 3 * panel - 1;
+  auto r = RunLightNe(g, opt);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(r.status().message().find("randomized-SVD workspace"),
+            std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(MemoryGovernor, RsvdBudgetJustAboveThreePanelsRuns) {
+  const CsrGraph g = DenseGraph();
+  LightNeOptions opt = RsvdOnlyOptions();
+  const uint64_t panel = RsvdPanelBytes(g, opt);
+  opt.memory_budget_bytes = 3 * panel + 64;
+  auto r = RunLightNe(g, opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r->degraded);
+  EXPECT_EQ(r->embedding.rows(), g.NumVertices());
+  EXPECT_GE(r->peak_reserved_bytes, 3 * panel);
+  EXPECT_LE(r->peak_reserved_bytes, opt.memory_budget_bytes);
+}
+
 TEST(MemoryGovernor, UnbudgetedRunIsBitIdenticalToSeedBehavior) {
   const CsrGraph g = CsrGraph::FromEdges(GenerateErdosRenyi(400, 3000, 11));
   LightNeOptions opt;
