@@ -1,22 +1,23 @@
-// Machine-readable sampler perf baseline (DESIGN.md §11), schema v6.
+// Machine-readable sampler perf baseline (DESIGN.md §11), schema v7.
 //
 // Measures the sparsifier ingestion hot path on a skewed RMAT graph — the
 // run-merging upsert batch (the "combiner" rows) vs direct shared-table
-// upserts at the same worker count, plus a contended 4-thread row pair that
+// upserts at the same worker count, plus a contended 4-thread section that
 // revalidates UpsertBatch's prefetch pipeline under real cross-thread
-// traffic — and the walk-step primitives: CSR, compressed decode variants
-// (naive per-draw Neighbor() and the hub-pinned context), the weighted
-// inverse-CDF draw, and an out-of-LLC RMAT-20 section where the adjacency
-// no longer fits any cache level. Every walk row but the two naive decode
-// references draws through SampleNeighborProportional, the step the
-// sparsifier's own walks take. A cross-variant checksum matrix — {csr,
-// compressed, pinned} x {1, 4 threads} with per-start seeded RNGs and an
-// order-independent XOR reduction — proves compressed walks, pinned or
-// not, draw exactly the CSR walks: any divergence fails the run.
+// traffic and times xadd against a CAS loop (§4.2) — and the walk-step
+// primitives: CSR, compressed decode variants (naive per-draw Neighbor()
+// and the hub-pinned context), the weighted inverse-CDF draw, and an
+// out-of-LLC RMAT-20 section where the adjacency no longer fits any cache
+// level. Every walk row but the two naive decode references draws through
+// SampleNeighborProportional, the step the sparsifier's own walks take. A
+// cross-variant checksum matrix — {csr, compressed, pinned} x {1, 4
+// threads} with per-start seeded RNGs and an order-independent XOR
+// reduction — proves compressed walks, pinned or not, draw exactly the CSR
+// walks: any divergence fails the run. Every row is a wall-clock median.
 // Writes a JSON trajectory artifact (default BENCH_sampler.json,
 // overridable as argv[1]).
-// `scripts/bench_baseline.sh` re-runs this at scale 1.0 and commits the
-// result; scripts/check.sh runs a reduced-scale smoke and validates the
+// `scripts/bench_baseline.sh` commits the median of three runs at scale
+// 1.0; scripts/check.sh runs a reduced-scale smoke and validates the
 // schema.
 //
 // The headline rows isolate aggregation cost: window=1 degenerates
@@ -44,6 +45,7 @@
 #include "graph/walk_cursor.h"
 #include "graph/weighted_csr.h"
 #include "graph/weights.h"
+#include "parallel/atomics.h"
 #include "parallel/concurrent_hash_table.h"
 #include "parallel/parallel_for.h"
 #include "util/artifact_io.h"
@@ -212,6 +214,52 @@ void RecordContendedRow(const std::string& name, bool batched,
   row.runs = runs;
   row.median_ms = MedianMs(runs, pass);
   row.unit = "samples";
+  row.rate_per_sec = static_cast<double>(ops) * kContendedThreads /
+                     (row.median_ms / 1000.0);
+  PrintRow(row);
+  g_rows.push_back(std::move(row));
+}
+
+// ----------------------------------------------- xadd against a CAS loop
+// The paper aggregates with lock xadd, not a compare-and-swap loop (§4.2,
+// citing Shun et al. 2013). These rows time kContendedThreads plain threads
+// making ContendedOpsPerThread() adds each through `add` — AtomicFetchAdd or
+// CasLoopFetchAdd (parallel/atomics.h) — either on one hot counter, where
+// every add contends, or on kSpreadCounters counters that each thread sweeps
+// from its own quarter, where almost none does.
+constexpr uint64_t kSpreadCounters = uint64_t{1} << 16;
+
+template <typename AddFn>
+void RecordAtomicRow(const std::string& name, const std::string& variant,
+                     uint64_t num_counters, int runs, const AddFn& add) {
+  const uint64_t ops = ContendedOpsPerThread();
+  const uint64_t mask = num_counters - 1;  // num_counters is a power of two
+  std::vector<std::atomic<uint64_t>> counters(num_counters);
+  auto pass = [&] {
+    for (std::atomic<uint64_t>& c : counters) {
+      c.store(0, std::memory_order_relaxed);
+    }
+    std::vector<std::thread> threads;
+    threads.reserve(kContendedThreads);
+    for (int t = 0; t < kContendedThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const uint64_t first =
+            static_cast<uint64_t>(t) * num_counters / kContendedThreads;
+        for (uint64_t op = 0; op < ops; ++op) {
+          add(counters[(first + op) & mask]);
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+  };
+  ResultRow row;
+  row.name = name;
+  row.kind = "atomic";
+  row.variant = variant;
+  row.threads = kContendedThreads;
+  row.runs = runs;
+  row.median_ms = MedianMs(runs, pass);
+  row.unit = "adds";
   row.rate_per_sec = static_cast<double>(ops) * kContendedThreads /
                      (row.median_ms / 1000.0);
   PrintRow(row);
@@ -477,8 +525,8 @@ void WriteJson(const std::string& path, const CsrGraph& g,
   std::FILE* f = writer.stream();
   const char* sha = std::getenv("LIGHTNE_GIT_SHA");
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"lightne-sampler-v6\",\n");
-  std::fprintf(f, "  \"schema_version\": 6,\n");
+  std::fprintf(f, "  \"schema\": \"lightne-sampler-v7\",\n");
+  std::fprintf(f, "  \"schema_version\": 7,\n");
   std::fprintf(f, "  \"git_sha\": \"%s\",\n", sha ? sha : "unknown");
   std::fprintf(f, "  \"workers\": %d,\n", NumWorkers());
   std::fprintf(f, "  \"bench_scale\": %.3f,\n", BenchScale());
@@ -529,13 +577,8 @@ void WriteJson(const std::string& path, const CsrGraph& g,
                static_cast<unsigned long long>(combiner_e2e.combiner_hits));
   std::fprintf(f, "    \"direct_table_upserts\": %llu,\n",
                static_cast<unsigned long long>(direct_e2e.table_upserts));
-  std::fprintf(f, "    \"combiner_table_upserts\": %llu,\n",
+  std::fprintf(f, "    \"combiner_table_upserts\": %llu\n",
                static_cast<unsigned long long>(combiner_e2e.table_upserts));
-  std::fprintf(f, "    \"combiner_flushes\": %llu,\n",
-               static_cast<unsigned long long>(combiner_e2e.combiner_flushes));
-  std::fprintf(f, "    \"table_batch_upserts\": %llu\n",
-               static_cast<unsigned long long>(
-                   combiner_e2e.table_batch_upserts));
   std::fprintf(f, "  },\n");
   // The contended revalidation of UpsertBatch's prefetch pipeline: medians
   // of the two 4-thread shared-table rows plus the honest hardware context
@@ -622,6 +665,10 @@ void WriteJson(const std::string& path, const CsrGraph& g,
   std::fprintf(f, "    \"sampler_contended_batch_vs_direct\": %.3f,\n",
                ratio("sampler_contended_direct_4t",
                      "sampler_contended_batch_4t"));
+  std::fprintf(f, "    \"xadd_vs_cas_hot_4t\": %.3f,\n",
+               ratio("atomic_cas_hot_4t", "atomic_xadd_hot_4t"));
+  std::fprintf(f, "    \"xadd_vs_cas_spread_4t\": %.3f,\n",
+               ratio("atomic_cas_spread_4t", "atomic_xadd_spread_4t"));
   std::fprintf(f, "    \"walk_pinned_vs_naive_compressed\": %.3f,\n",
                ratio("walk_compressed_naive", "walk_compressed_pinned"));
   std::fprintf(f, "    \"walk_pinned_vs_naive_xllc\": %.3f\n",
@@ -674,8 +721,8 @@ int main(int argc, char** argv) {
   RecordSamplingRow("sampler_w10_direct_mt", g, {10, false, m_w10}, false, 3);
   RecordSamplingRow("sampler_w10_combiner_mt", g, {10, true, m_w10}, false, 3);
 
-  std::printf("\nContended shared-table upserts (%d plain threads, "
-              "%u hw cores)\n",
+  std::printf("\nContended shared-table upserts and atomic adds (%d plain "
+              "threads, %u hw cores)\n",
               kContendedThreads, std::thread::hardware_concurrency());
   {
     // Sized so the full hot+cold keyspace fits without resize; shared by
@@ -686,6 +733,18 @@ int main(int argc, char** argv) {
     RecordContendedRow("sampler_contended_batch_4t", /*batched=*/true,
                        contended_table, 3);
   }
+  const auto xadd = [](std::atomic<uint64_t>& c) {
+    AtomicFetchAdd(c, uint64_t{1});
+  };
+  const auto cas = [](std::atomic<uint64_t>& c) {
+    CasLoopFetchAdd(c, uint64_t{1});
+  };
+  RecordAtomicRow("atomic_xadd_hot_4t", "xadd_hot", 1, 5, xadd);
+  RecordAtomicRow("atomic_cas_hot_4t", "cas_hot", 1, 5, cas);
+  RecordAtomicRow("atomic_xadd_spread_4t", "xadd_spread", kSpreadCounters, 5,
+                  xadd);
+  RecordAtomicRow("atomic_cas_spread_4t", "cas_spread", kSpreadCounters, 5,
+                  cas);
 
   // --- walk-step primitives (cache-resident graph) ------------------------
   std::printf(

@@ -195,12 +195,13 @@ EOF
 
 # Sampler hot-path smoke: run the sampler perf baseline at reduced scale
 # under the sanitizer build (exercising the run-merging upsert batch,
-# UpsertBatch under 4-thread contention, the walk engine's pinned tier and
-# block decode through the dispatched varint decoder, the cross-variant
-# checksum matrix, and the weighted inverse-CDF walk end to end) and
-# validate the v6 JSON schema and its exact ingest accounting. The bench
-# itself exits nonzero if any tier x thread-count walk checksum diverges;
-# the validation below re-asserts the recorded matrix for good measure.
+# UpsertBatch under 4-thread contention, xadd against a CAS loop, the walk
+# engine's pinned tier and block decode through the dispatched varint
+# decoder, the cross-variant checksum matrix, and the weighted inverse-CDF
+# walk end to end) and validate the v7 JSON schema and its exact ingest
+# accounting. The bench itself exits nonzero if any tier x thread-count walk
+# checksum diverges; the validation below re-asserts the recorded matrix for
+# good measure.
 SAMPLER_JSON="$(mktemp /tmp/bench_sampler_smoke.XXXXXX.json)"
 trap 'rm -f "${SMOKE_JSON}" "${SAMPLER_JSON}" "${SERVE_JSON}" "${SERVE_STORE}"' EXIT
 LIGHTNE_BENCH_SCALE=0.1 LIGHTNE_GIT_SHA="$(git rev-parse --short=12 HEAD)" \
@@ -215,8 +216,8 @@ for key in ("schema", "schema_version", "git_sha", "workers", "bench_scale",
             "contended_combiner", "walk_cache", "walk_cache_xllc",
             "checksums", "speedups"):
     assert key in doc, f"BENCH_sampler.json missing top-level key {key!r}"
-assert doc["schema"] == "lightne-sampler-v6"
-assert doc["schema_version"] == 6
+assert doc["schema"] == "lightne-sampler-v7"
+assert doc["schema_version"] == 7
 assert doc["decode"]["backend"] in ("scalar", "ssse3", "avx2")
 assert doc["results"], "BENCH_sampler.json has no results"
 for row in doc["results"]:
@@ -228,14 +229,17 @@ names = {row["name"] for row in doc["results"]}
 for required in ("walk_compressed_naive", "walk_compressed_pinned",
                  "walk_csr_xllc", "walk_compressed_naive_xllc",
                  "walk_compressed_pinned_xllc", "walk_weighted_prefix",
-                 "sampler_contended_direct_4t", "sampler_contended_batch_4t"):
-    assert required in names, f"missing v6 result row {required!r}"
+                 "sampler_contended_direct_4t", "sampler_contended_batch_4t",
+                 "atomic_xadd_hot_4t", "atomic_cas_hot_4t",
+                 "atomic_xadd_spread_4t", "atomic_cas_spread_4t"):
+    assert required in names, f"missing v7 result row {required!r}"
 assert not any("coldtier" in name for name in names), \
-    "v6 has no cold-tier rows"
-for key in ("samples_accepted", "hit_rate", "combiner_hits",
-            "direct_table_upserts", "combiner_table_upserts",
-            "combiner_flushes", "table_batch_upserts"):
-    assert key in doc["combiner"], f"combiner block missing {key!r}"
+    "v7 has no cold-tier rows"
+# Exactly these keys: v7 retired the schedule-dependent flush and batch
+# counters.
+assert set(doc["combiner"]) == {
+    "samples_accepted", "hit_rate", "combiner_hits", "direct_table_upserts",
+    "combiner_table_upserts"}, f"combiner block keys: {sorted(doc['combiner'])}"
 comb = doc["combiner"]
 assert comb["samples_accepted"] > 0
 # Exact ingest accounting: every accepted sample either starts a same-key
@@ -267,10 +271,11 @@ assert {e["tier"] for e in entries} == {"csr", "compressed", "pinned"}
 assert {e["threads"] for e in entries} == {1, 4}
 for key in ("sampler_w1_combiner_vs_direct_mt",
             "sampler_contended_batch_vs_direct",
+            "xadd_vs_cas_hot_4t", "xadd_vs_cas_spread_4t",
             "walk_pinned_vs_naive_compressed", "walk_pinned_vs_naive_xllc"):
     assert key in doc["speedups"], f"speedups missing {key!r}"
 assert not any("coldtier" in key for key in doc["speedups"]), \
-    "v6 has no cold-tier speedups"
+    "v7 has no cold-tier speedups"
 print(f"sampler smoke OK: {len(doc['results'])} results, "
       f"decode backend {doc['decode']['backend']}, "
       f"w1 combiner speedup "

@@ -27,8 +27,10 @@ constexpr uint32_t kSchemaSparsifier = 1;
 constexpr uint32_t kSchemaRsvd = 2;
 constexpr uint32_t kSchemaFinal = 3;
 // Artifacts of any other version are refused and recomputed (version 1 has
-// no header frame; version 2's rsvd.art holds the factors U, sigma and V).
-constexpr uint32_t kSchemaVersion = 3;
+// no header frame; version 2's rsvd.art holds the factors U, sigma and V;
+// version 3's header frame carries 16 stats words, two of them the retired
+// combiner_flushes and table_batch_upserts counters).
+constexpr uint32_t kSchemaVersion = 4;
 
 // Frame 0 of every stage artifact, as little-endian u64 words: it binds the
 // artifact to the (options, graph) pair that wrote it.

@@ -52,7 +52,7 @@ namespace lightne {
 /// LightNeResult reports the same statistics as the uninterrupted run: one
 /// u64 word per field (doubles bit-cast), in the order
 /// internal::ForEachCheckpointedStat (core/lightne.h) lists the fields.
-using CheckpointedPipelineStats = std::array<uint64_t, 16>;
+using CheckpointedPipelineStats = std::array<uint64_t, 14>;
 
 /// Stage-boundary save/load for RunLightNe. All failure handling lives here:
 /// loads return false (recompute) on every corruption mode, saves are

@@ -177,8 +177,6 @@ void ForEachCheckpointedStat(R& result, Visit&& visit) {
   visit(s.mass_fp20);
   visit(s.table_upserts);
   visit(s.combiner_hits);
-  visit(s.combiner_flushes);
-  visit(s.table_batch_upserts);
   visit(result.sparsifier_nnz_raw);
   visit(result.sparsifier_nnz);
 }

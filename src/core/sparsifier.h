@@ -121,11 +121,6 @@ struct SparsifierResult {
   /// Records merged into the pending run of their key (0 with combiner off);
   /// table_upserts + combiner_hits == samples_accepted.
   uint64_t combiner_hits = 0;
-  /// Pass-end drains of the per-worker batch (one per worker).
-  uint64_t combiner_flushes = 0;
-  /// UpsertBatch calls issued by the per-worker batches, re-offers after a
-  /// grow included.
-  uint64_t table_batch_upserts = 0;
 };
 
 namespace internal {
@@ -221,18 +216,16 @@ void SampleVertexEdges(const G& g, const SparsifierOptions& opt,
   });
 }
 
-/// Exact integer counters of one sampling pass. `drawn`, `accepted` and
-/// `mass_fp` are bit-identical across worker counts and combiner settings,
-/// `table_upserts` and `combiner_hits` across worker counts; the flushes
-/// and batch upserts count per-worker batch traffic.
+/// Exact integer counters of one sampling pass, none of them dependent on
+/// the schedule. `drawn`, `accepted` and `mass_fp` are bit-identical across
+/// worker counts and combiner settings, `table_upserts`, `combiner_hits`
+/// and `grows` across worker counts.
 struct SamplerPassStats {
   uint64_t drawn = 0;
   uint64_t accepted = 0;
   uint64_t mass_fp = 0;
   uint64_t table_upserts = 0;   // records delivered to the shared table
   uint64_t combiner_hits = 0;
-  uint64_t combiner_flushes = 0;
-  uint64_t batch_upserts = 0;
   uint64_t grows = 0;           // times the shared table doubled
 };
 
@@ -404,7 +397,6 @@ Status RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
       while (!rejected && applied < pending.size()) {
         const uint32_t len =
             static_cast<uint32_t>(std::min(kBatch, pending.size() - applied));
-        ++count.batch_upserts;
         const uint32_t took =
             table->UpsertBatch(pending.data() + applied, len);
         applied += took;
@@ -481,9 +473,7 @@ Status RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
     total.mass_fp += w.counts.mass_fp;
     total.table_upserts += w.counts.table_upserts;
     total.combiner_hits += w.counts.combiner_hits;
-    total.batch_upserts += w.counts.batch_upserts;
   }
-  total.combiner_flushes = opt.combiner ? workers : 0;  // one drain each
   total.grows = grows;
   *stats = total;
   return Status::Ok();
@@ -544,8 +534,6 @@ inline void RecordSparsifierMetrics(const SparsifierResult& r,
       ->Add(static_cast<uint64_t>(r.budget_tightenings));
   m.GetCounter("sparsifier/table_upserts")->Add(r.table_upserts);
   m.GetCounter("sparsifier/combiner_hits")->Add(r.combiner_hits);
-  m.GetCounter("sparsifier/combiner_flushes")->Add(r.combiner_flushes);
-  m.GetCounter("sparsifier/table_batch_upserts")->Add(r.table_batch_upserts);
   m.GetGauge("sparsifier/distinct_entries")->Set(r.distinct_entries);
   m.GetGauge("sparsifier/table_bytes")->Set(r.table_bytes);
   if (table_capacity > 0) {
@@ -716,8 +704,6 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
   result.mass_fp20 = stats.mass_fp;
   result.table_upserts = stats.table_upserts;
   result.combiner_hits = stats.combiner_hits;
-  result.combiner_flushes = stats.combiner_flushes;
-  result.table_batch_upserts = stats.batch_upserts;
   result.distinct_entries = table.NumEntries();
   result.table_bytes = table.MemoryBytes();
   result.attempts = static_cast<int>(1 + stats.grows);

@@ -1,5 +1,6 @@
 #include "graph/io.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -12,10 +13,12 @@
 namespace lightne {
 
 namespace {
-constexpr uint64_t kBinaryMagic = 0x4c4e4547524e31ull;  // "LNEGRN1"
+// NodeId is 32 bits and a graph holds ids 0 .. num_vertices - 1, so
+// num_vertices is at most kMaxVertices and an id at most kMaxVertices - 1.
+constexpr uint64_t kMaxVertices = 0xffffffffull;
 
 std::string LineError(const std::string& path, uint64_t line_no,
-                      const char* what) {
+                      const std::string& what) {
   return path + ":" + std::to_string(line_no) + ": " + what;
 }
 
@@ -89,6 +92,7 @@ Result<List> LoadEdgeListTextImpl(const std::string& path, bool weighted,
   char line[4096];
   uint64_t line_no = 0;
   NodeId max_id = 0;
+  uint64_t max_id_line = 0;  // the first line holding max_id; 0: no edges
   bool declared_nodes = false;
   while (std::fgets(line, sizeof(line), f) != nullptr) {
     ++line_no;
@@ -103,6 +107,11 @@ Result<List> LoadEdgeListTextImpl(const std::string& path, bool weighted,
       unsigned long long n = 0;
       if (std::sscanf(p, "# nodes: %llu", &n) == 1 ||
           std::sscanf(p, "# Nodes: %llu", &n) == 1) {
+        if (n > kMaxVertices) {
+          std::fclose(f);
+          return Status::OutOfRange(
+              LineError(path, line_no, "declared node count exceeds 2^32 - 1"));
+        }
         list.num_vertices = static_cast<NodeId>(n);
         declared_nodes = true;
       }
@@ -130,10 +139,10 @@ Result<List> LoadEdgeListTextImpl(const std::string& path, bool weighted,
             LineError(path, line_no, "trailing garbage after edge fields"));
       }
     }
-    if (u > 0xffffffffull || v > 0xffffffffull) {
+    if (u >= kMaxVertices || v >= kMaxVertices) {
       std::fclose(f);
       return Status::OutOfRange(
-          LineError(path, line_no, "vertex id exceeds 32 bits"));
+          LineError(path, line_no, "vertex id exceeds 2^32 - 2"));
     }
     if (weighted && !(w > 0.0f)) {
       std::fclose(f);
@@ -141,14 +150,24 @@ Result<List> LoadEdgeListTextImpl(const std::string& path, bool weighted,
           LineError(path, line_no, "non-positive edge weight"));
     }
     add_edge(&list, static_cast<NodeId>(u), static_cast<NodeId>(v), w);
-    if (u > max_id) max_id = static_cast<NodeId>(u);
-    if (v > max_id) max_id = static_cast<NodeId>(v);
+    const NodeId hi = static_cast<NodeId>(std::max(u, v));
+    if (max_id_line == 0 || hi > max_id) {
+      max_id = hi;
+      max_id_line = line_no;
+    }
   }
   const bool read_error = std::ferror(f) != 0;
   std::fclose(f);
   if (read_error) return Status::IOError("read error in " + path);
   if (!declared_nodes) {
     list.num_vertices = list.edges.empty() ? 0 : max_id + 1;
+  } else if (max_id_line > 0 && max_id >= list.num_vertices) {
+    // The declaration may follow the edges, so the ids are checked here.
+    return Status::OutOfRange(LineError(
+        path, max_id_line,
+        "vertex id " + std::to_string(max_id) +
+            " not below the declared node count " +
+            std::to_string(list.num_vertices)));
   }
   return list;
 }
@@ -191,47 +210,6 @@ Status SaveWeightedEdgeListTextOnce(const WeightedEdgeList& list,
   return writer.Commit();
 }
 
-Result<EdgeList> LoadEdgeListBinaryOnce(const std::string& path) {
-  if (LIGHTNE_FAULT_POINT("io/read")) {
-    return Status::IOError("injected fault io/read while reading " + path);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  uint64_t header[3];
-  if (std::fread(header, sizeof(uint64_t), 3, f) != 3 ||
-      header[0] != kBinaryMagic) {
-    std::fclose(f);
-    return Status::IOError("bad header in " + path);
-  }
-  EdgeList list;
-  list.num_vertices = static_cast<NodeId>(header[1]);
-  const uint64_t m = header[2];
-  list.edges.resize(m);
-  static_assert(sizeof(list.edges[0]) == 8);
-  if (m > 0 && std::fread(list.edges.data(), 8, m, f) != m) {
-    std::fclose(f);
-    return Status::IOError("truncated edge data in " + path);
-  }
-  std::fclose(f);
-  return list;
-}
-
-Status SaveEdgeListBinaryOnce(const EdgeList& list, const std::string& path) {
-  AtomicFileWriter writer;
-  LIGHTNE_RETURN_IF_ERROR(writer.Open(path));
-  std::FILE* f = writer.stream();
-  const uint64_t header[3] = {kBinaryMagic, list.num_vertices,
-                              list.edges.size()};
-  bool ok = std::fwrite(header, sizeof(uint64_t), 3, f) == 3;
-  if (ok && LIGHTNE_FAULT_POINT("io/write")) ok = false;
-  if (ok && !list.edges.empty()) {
-    ok = std::fwrite(list.edges.data(), 8, list.edges.size(), f) ==
-         list.edges.size();
-  }
-  if (!ok) return Status::IOError("short write to " + path);
-  return writer.Commit();
-}
-
 }  // namespace
 
 Result<EdgeList> LoadEdgeListText(const std::string& path,
@@ -250,18 +228,6 @@ Result<EdgeList> LoadEdgeListText(const std::string& path,
 Status SaveEdgeListText(const EdgeList& list, const std::string& path,
                         const RetryOptions& retry) {
   return RetryWithBackoff([&] { return SaveEdgeListTextOnce(list, path); },
-                          retry);
-}
-
-Result<EdgeList> LoadEdgeListBinary(const std::string& path,
-                                    const RetryOptions& retry) {
-  return RetryResultWithBackoff<EdgeList>(
-      [&] { return LoadEdgeListBinaryOnce(path); }, retry);
-}
-
-Status SaveEdgeListBinary(const EdgeList& list, const std::string& path,
-                          const RetryOptions& retry) {
-  return RetryWithBackoff([&] { return SaveEdgeListBinaryOnce(list, path); },
                           retry);
 }
 

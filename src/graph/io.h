@@ -1,5 +1,5 @@
 // Graph persistence: whitespace-separated edge-list text files (the format
-// used by SNAP/WDC dumps the paper loads) and a compact binary format.
+// used by SNAP/WDC dumps the paper loads).
 //
 // All entry points take a RetryOptions and transparently retry transient
 // failures (kIOError) with bounded exponential backoff; parse errors
@@ -21,8 +21,11 @@ namespace lightne {
 
 /// Reads "u v" pairs, one per line; '#' or '%' lines are comments, blank
 /// lines (including CRLF-only) are skipped. Vertex count is max id + 1
-/// unless the file declares "# nodes: N". Malformed data lines yield
-/// kInvalidArgument naming the offending line number.
+/// unless the file declares "# nodes: N" (anywhere in the file). Malformed
+/// data lines yield kInvalidArgument naming the offending line number. The
+/// CSR builders' range contract yields kOutOfRange naming the line: an id
+/// of 2^32 - 1 or more, a declared N above 2^32 - 1, or an id not below the
+/// declared N.
 Result<EdgeList> LoadEdgeListText(const std::string& path,
                                   const RetryOptions& retry = {});
 
@@ -30,14 +33,9 @@ Result<EdgeList> LoadEdgeListText(const std::string& path,
 Status SaveEdgeListText(const EdgeList& list, const std::string& path,
                         const RetryOptions& retry = {});
 
-/// Binary format: magic, num_vertices, num_edges, raw (u,v) pairs.
-Result<EdgeList> LoadEdgeListBinary(const std::string& path,
-                                    const RetryOptions& retry = {});
-Status SaveEdgeListBinary(const EdgeList& list, const std::string& path,
-                          const RetryOptions& retry = {});
-
 /// Reads "u v w" triples (weight optional per line; defaults to 1.0).
-/// Same comment/blank/CRLF handling and strict parsing as LoadEdgeListText.
+/// Same comment/blank/CRLF handling, strict parsing and id range checks as
+/// LoadEdgeListText.
 Result<WeightedEdgeList> LoadWeightedEdgeListText(
     const std::string& path, const RetryOptions& retry = {});
 

@@ -1,8 +1,9 @@
 // Atomic helpers. The paper's sparsifier aggregation relies on the x86 xadd
 // instruction (std::atomic::fetch_add on integers); we also provide an
-// explicit CAS-loop fetch-add so the bench suite can reproduce the paper's
-// xadd-vs-CAS contention comparison (§4.2, citing Shun et al. 2013), and the
-// relaxed float accesses of the Hogwild SGD loops.
+// explicit CAS-loop fetch-add so bench_sampler_baseline can record the
+// paper's xadd-vs-CAS contention comparison (§4.2, citing Shun et al. 2013)
+// in BENCH_sampler.json, and the relaxed float accesses of the Hogwild SGD
+// loops.
 #ifndef LIGHTNE_PARALLEL_ATOMICS_H_
 #define LIGHTNE_PARALLEL_ATOMICS_H_
 
@@ -21,7 +22,7 @@ inline T AtomicFetchAdd(std::atomic<T>& target, T delta) {
 }
 
 /// The naive fetch-and-add built from compare_exchange in a while loop, kept
-/// for the contention benchmark.
+/// for the xadd-vs-CAS rows of bench_sampler_baseline.
 template <typename T>
 inline T CasLoopFetchAdd(std::atomic<T>& target, T delta) {
   T observed = target.load(std::memory_order_relaxed);

@@ -278,23 +278,10 @@ TEST(IoTest, TextRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(IoTest, BinaryRoundTrip) {
-  EdgeList list = GenerateErdosRenyi(100, 5000, 4);
-  const std::string path = ::testing::TempDir() + "/edges.bin";
-  ASSERT_TRUE(SaveEdgeListBinary(list, path).ok());
-  auto loaded = LoadEdgeListBinary(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->num_vertices, list.num_vertices);
-  EXPECT_EQ(loaded->edges, list.edges);
-  std::remove(path.c_str());
-}
-
 TEST(IoTest, MissingFileReturnsIOError) {
   auto r = LoadEdgeListText("/nonexistent/nope.txt");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
-  auto rb = LoadEdgeListBinary("/nonexistent/nope.bin");
-  ASSERT_FALSE(rb.ok());
 }
 
 TEST(IoTest, CommentsAndNodeDeclarationParsed) {
@@ -344,17 +331,6 @@ TEST(IoTest, WeightedTextRejectsNonPositiveWeight) {
   std::fprintf(f, "1 2 -3.0\n");
   std::fclose(f);
   EXPECT_FALSE(LoadWeightedEdgeListText(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(IoTest, BadBinaryHeaderRejected) {
-  const std::string path = ::testing::TempDir() + "/garbage.bin";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  const char junk[] = "this is not a graph";
-  std::fwrite(junk, 1, sizeof(junk), f);
-  std::fclose(f);
-  auto r = LoadEdgeListBinary(path);
-  ASSERT_FALSE(r.ok());
   std::remove(path.c_str());
 }
 

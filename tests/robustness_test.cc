@@ -558,6 +558,48 @@ TEST(TextParsing, NegativeIdRejected) {
   std::remove(path.c_str());
 }
 
+// The CSR builders CHECK-abort on an id at or past num_vertices, so both
+// loaders refuse such a file with kOutOfRange naming the line.
+void ExpectOutOfRangeAtLine(const char* contents, const char* line) {
+  const std::string path = ::testing::TempDir() + "/range.txt";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::fputs(contents, f);
+  std::fclose(f);
+  for (const Status& s : {LoadEdgeListText(path).status(),
+                          LoadWeightedEdgeListText(path).status()}) {
+    EXPECT_EQ(s.code(), StatusCode::kOutOfRange) << s.ToString();
+    EXPECT_NE(s.ToString().find(line), std::string::npos) << s.ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TextParsing, IdsTheCsrBuildersRefuseAreOutOfRange) {
+  // An id not below the declared node count, wherever the declaration is.
+  ExpectOutOfRangeAtLine("# nodes: 3\n0 1\n5 7\n", ":3:");
+  ExpectOutOfRangeAtLine("0 1\n5 7\n2 2\n# nodes: 3\n", ":2:");
+  // A declared count that NodeId cannot hold.
+  ExpectOutOfRangeAtLine("# nodes: 4294967296\n0 1\n", ":1:");
+  // The id 2^32 - 1, whose max id + 1 would wrap num_vertices to 0.
+  ExpectOutOfRangeAtLine("0 1\n4294967295 2\n", ":2:");
+}
+
+TEST(TextParsing, IdsAtTheRangeLimitsLoad) {
+  const std::string path = ::testing::TempDir() + "/limits.txt";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::fprintf(f, "0 4294967294\n");
+  std::fclose(f);
+  auto r = LoadEdgeListText(path);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->num_vertices, 4294967295u);
+  f = std::fopen(path.c_str(), "w");
+  std::fprintf(f, "0 7\n# nodes: 8\n");
+  std::fclose(f);
+  auto w = LoadWeightedEdgeListText(path);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  EXPECT_EQ(w->num_vertices, 8u);
+  std::remove(path.c_str());
+}
+
 TEST(TextParsing, UnweightedLoaderToleratesWeightColumn) {
   const std::string path = ::testing::TempDir() + "/wcol.txt";
   std::FILE* f = std::fopen(path.c_str(), "w");

@@ -90,8 +90,6 @@ TEST(CombinerTest, CombinerMatchesDirectPath) {
     EXPECT_EQ(rc->table_upserts + rc->combiner_hits, rc->samples_accepted);
     EXPECT_LT(rc->table_upserts, rc->samples_accepted);
     EXPECT_GT(rc->combiner_hits, 0u);
-    EXPECT_GT(rc->combiner_flushes, 0u);
-    EXPECT_GT(rc->table_batch_upserts, 0u);
     if (window == 1) {
       // A length-1 path is the edge itself, so every accepted sample repeats
       // its edge's key: at most one run per directed edge.
@@ -149,10 +147,6 @@ TEST(CombinerTest, MetricsSurfaceCombinerCounters) {
   MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(snap.CounterValue("sparsifier/table_upserts"), r->table_upserts);
   EXPECT_EQ(snap.CounterValue("sparsifier/combiner_hits"), r->combiner_hits);
-  EXPECT_EQ(snap.CounterValue("sparsifier/combiner_flushes"),
-            r->combiner_flushes);
-  EXPECT_EQ(snap.CounterValue("sparsifier/table_batch_upserts"),
-            r->table_batch_upserts);
 }
 
 // ------------------------------------------------------ exact fixed point ----
@@ -318,6 +312,19 @@ DirectPass RunPass(const G& g, const SparsifierOptions& opt,
   return pass;
 }
 
+// Every SamplerPassStats field; the static_assert makes a new field fail to
+// compile here until it is compared.
+void ExpectSamePassStats(const internal::SamplerPassStats& a,
+                         const internal::SamplerPassStats& b) {
+  static_assert(sizeof(internal::SamplerPassStats) == 6 * sizeof(uint64_t));
+  EXPECT_EQ(a.drawn, b.drawn);
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.mass_fp, b.mass_fp);
+  EXPECT_EQ(a.table_upserts, b.table_upserts);
+  EXPECT_EQ(a.combiner_hits, b.combiner_hits);
+  EXPECT_EQ(a.grows, b.grows);
+}
+
 template <GraphView G>
 void ExpectGrownPassEqualsOnePass(const G& g) {
   SparsifierOptions opt = BaseOptions();
@@ -336,9 +343,15 @@ void ExpectGrownPassEqualsOnePass(const G& g) {
     EXPECT_EQ(grown.stats.mass_fp, one.stats.mass_fp);
     EXPECT_EQ(grown.stats.table_upserts, one.stats.table_upserts);
     EXPECT_EQ(grown.stats.combiner_hits, one.stats.combiner_hits);
-    EXPECT_EQ(grown.stats.combiner_flushes, one.stats.combiner_flushes);
     EXPECT_EQ(grown.distinct, one.distinct);
     ExpectByteEqualMatrices(grown.matrix, one.matrix);
+    // Where a worker's records are rejected, and so how often the pass
+    // re-offers them after a grow, is up to thread timing; no counter may
+    // depend on it.
+    for (int rep = 0; rep < 8; ++rep) {
+      SCOPED_TRACE(rep);
+      ExpectSamePassStats(RunPass(g, opt, 16).stats, grown.stats);
+    }
   }
 }
 
