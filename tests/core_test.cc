@@ -1,8 +1,13 @@
+#include <gnu/libc-version.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/lightne.h"
@@ -17,6 +22,7 @@
 #include "la/kernels.h"
 #include "la/rsvd.h"
 #include "propagation_oracle.h"
+#include "util/artifact_io.h"
 
 namespace lightne {
 namespace {
@@ -676,6 +682,115 @@ TEST(SimdArmTest, RunLightNeIsByteIdenticalOnBothArms) {
       [&] { return RunLightNe(g, opt).value().embedding; });
   for (size_t r = 1; r < runs.size(); ++r) {
     EXPECT_TRUE(SameBytes(runs[r], runs[0])) << "run " << r;
+  }
+}
+
+// ---------------------------------------------------- recorded embedding --
+
+// RunLightNe's bytes on three small fixed inputs, digested and compared
+// with recorded constants: the NetMF matrix (sparsifier.art), the
+// pre-propagation embedding (rsvd.art) and the final one (final.art). The
+// other tests compare arms, worker counts and resumes within one build;
+// this one fails when a change moves any of those bytes at all. A change
+// that alters the embedding on purpose records new constants and says so,
+// with its quality evidence. The pipeline calls libm (ln n, TruncLog and
+// the Box-Muller draw), so the constants are keyed by glibc version, and
+// each entry is recorded from a run on that version, never guessed.
+
+using StageDigests = std::array<uint64_t, 3>;  // sparsifier, rsvd, final
+
+struct RecordedDigests {
+  const char* glibc;
+  StageDigests csr;
+  StageDigests compressed;
+  StageDigests weighted;
+};
+
+constexpr RecordedDigests kRecordedDigests[] = {
+    {"2.36",
+     {0x8fb5dd6f858e8beeull, 0xff38cd4ebdd2e17eull, 0xff9e63f324a52902ull},
+     {0x8fb5dd6f858e8beeull, 0xff38cd4ebdd2e17eull, 0xff9e63f324a52902ull},
+     {0xce6063fa3f05d874ull, 0xd110c88317faeb9bull, 0x66c6dca9bbcf04c4ull}},
+};
+
+// FNV-1a over the payload of every frame but the header frame, whose stats
+// words and schema can change while the matrix and embeddings do not.
+uint64_t FrameDigest(const std::string& path, uint32_t schema_id) {
+  auto artifact = MappedArtifact::Open(path, schema_id);
+  LIGHTNE_CHECK_MSG(artifact.ok(), "checkpoint artifact did not open");
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (size_t f = 1; f < artifact->num_frames(); ++f) {
+    const auto* bytes = static_cast<const uint8_t*>(artifact->frame(f).data);
+    for (uint64_t i = 0; i < artifact->frame(f).bytes; ++i) {
+      h = (h ^ bytes[i]) * 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+template <GraphView G>
+StageDigests CheckpointDigests(const G& g, const std::string& dir) {
+  LightNeOptions opt;
+  opt.dim = 16;
+  opt.window = 5;
+  opt.samples_ratio = 1.0;
+  opt.checkpoint_dir = dir;
+  LIGHTNE_CHECK(RunLightNe(g, opt).ok());
+  // Schema ids of the three artifacts (core/checkpoint.cc).
+  const StageDigests digests = {FrameDigest(dir + "/sparsifier.art", 1),
+                                FrameDigest(dir + "/rsvd.art", 2),
+                                FrameDigest(dir + "/final.art", 3)};
+  for (const char* file : {"sparsifier.art", "rsvd.art", "final.art"}) {
+    std::remove((dir + "/" + file).c_str());
+  }
+  ::rmdir(dir.c_str());
+  return digests;
+}
+
+TEST(RecordedEmbeddingTest, CheckpointBytesMatchRecordedDigests) {
+  const char* glibc = gnu_get_libc_version();
+  const RecordedDigests* want = nullptr;
+  for (const RecordedDigests& r : kRecordedDigests) {
+    if (std::strcmp(r.glibc, glibc) == 0) want = &r;
+  }
+  if (want == nullptr) {
+    GTEST_SKIP() << "no digests recorded for glibc " << glibc;
+  }
+  const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(10, 8000, 29));
+  const CompressedGraph cg = CompressedGraph::FromCsr(g, 64);
+  // The same edges with weights, each edge once: no weights are summed.
+  WeightedEdgeList wlist;
+  wlist.num_vertices = g.NumVertices();
+  g.MapVertices([&](NodeId u) {
+    g.MapNeighbors(u, [&](NodeId v) {
+      if (u < v) {
+        wlist.Add(u, v, 1.0f + 0.37f * static_cast<float>((7 * u + 3 * v) % 5));
+      }
+    });
+  });
+  const WeightedCsrGraph wg = WeightedCsrGraph::FromEdges(std::move(wlist));
+  const std::string dir = ::testing::TempDir() + "/recorded_digests_" +
+                          std::to_string(::getpid());
+  const auto runs = OnBothArmsAndWorkerCounts([&] {
+    return std::array<StageDigests, 3>{CheckpointDigests(g, dir),
+                                       CheckpointDigests(cg, dir),
+                                       CheckpointDigests(wg, dir)};
+  });
+  const char* const kRuns[] = {"dispatched arm, pool",
+                               "dispatched arm, one worker",
+                               "generic arm, pool", "generic arm, one worker"};
+  const char* const kInputs[] = {"csr", "compressed", "weighted"};
+  const char* const kStages[] = {"sparsifier.art", "rsvd.art", "final.art"};
+  const StageDigests* wants[] = {&want->csr, &want->compressed,
+                                 &want->weighted};
+  for (size_t r = 0; r < runs.size(); ++r) {
+    for (size_t in = 0; in < 3; ++in) {
+      for (size_t s = 0; s < 3; ++s) {
+        EXPECT_EQ(runs[r][in][s], (*wants[in])[s])
+            << kRuns[r] << ", " << kInputs[in] << " " << kStages[s]
+            << ": got 0x" << std::hex << runs[r][in][s];
+      }
+    }
   }
 }
 
