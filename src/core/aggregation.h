@@ -5,20 +5,22 @@
 //   (1) per-worker lists of sampled edges merged with a GBBS-style sparse
 //       histogram (sort + segmented reduction), and
 //   (2) per-worker hash tables periodically merged.
-// This header implements strategy (1) — kSortHistogram — alongside the
-// chosen kSharedHashTable, so the decision is reproducible as an ablation
-// (bench_ablation_samples). The histogram path needs one record per accepted
-// sample (like NetSMF's buffers) but aggregates faster per record at low
-// duplication; the hash table wins once duplication is high. Both sum the
-// same fixed-point integer weights (core/sparsifier.h), so both are exact.
+// This header keeps strategy (1) — kSortHistogram — beside the chosen
+// kSharedHashTable, so the decision is reproducible as an ablation
+// (bench_ablation_samples). The histogram itself is SortHistogram
+// (parallel/sort.h), the one sort-and-sum that SparseMatrix::FromEntries and
+// WeightedCsrGraph::FromEdges build on too. The histogram path needs one
+// record per accepted sample (like NetSMF's buffers) but aggregates faster
+// per record at low duplication; the hash table wins once duplication is
+// high. Both sum the same fixed-point integer weights (core/sparsifier.h),
+// so both are exact.
 #ifndef LIGHTNE_CORE_AGGREGATION_H_
 #define LIGHTNE_CORE_AGGREGATION_H_
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "parallel/parallel_for.h"
-#include "parallel/scan.h"
 #include "parallel/sort.h"
 
 namespace lightne {
@@ -27,13 +29,6 @@ enum class AggregationStrategy {
   kSharedHashTable,  // the paper's choice (§4.2)
   kSortHistogram,    // the considered alternative: per-worker lists + sort
 };
-
-/// GBBS-style sparse histogram: collapses (key, weight) records into unique
-/// (key, total-weight) pairs via a parallel sort and a segmented reduction.
-/// Weights are integers (fixed point), so each total is exact. Input is
-/// consumed. Output is sorted by key.
-std::vector<std::pair<uint64_t, uint64_t>> SortHistogram(
-    std::vector<std::pair<uint64_t, uint64_t>> records);
 
 /// Per-worker record buffers for the kSortHistogram strategy.
 class WorkerBuffers {
@@ -59,8 +54,18 @@ class WorkerBuffers {
     return total;
   }
 
-  /// Concatenates and histograms all buffers; clears them.
-  std::vector<std::pair<uint64_t, uint64_t>> Collapse();
+  /// Concatenates and histograms all buffers, clearing them: one (key,
+  /// total weight) pair per distinct key, sorted by key.
+  std::vector<std::pair<uint64_t, uint64_t>> Collapse() {
+    std::vector<std::pair<uint64_t, uint64_t>> all;
+    all.reserve(NumRecords());
+    for (auto& b : buffers_) {
+      all.insert(all.end(), b.begin(), b.end());
+      b.clear();
+      b.shrink_to_fit();
+    }
+    return SortHistogram(std::move(all));
+  }
 
  private:
   std::vector<std::vector<std::pair<uint64_t, uint64_t>>> buffers_;

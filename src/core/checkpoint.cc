@@ -235,43 +235,43 @@ bool CheckpointManager::LoadSparsifier(SparseMatrix* matrix,
         auto col_frame =
             SizedFrame(artifact, 3, nnz * sizeof(uint32_t), "col_indices");
         if (!col_frame.ok()) return col_frame.status();
-        auto values = SizedFrame(artifact, 4, nnz * sizeof(float), "values");
-        if (!values.ok()) return values.status();
+        auto value_frame =
+            SizedFrame(artifact, 4, nnz * sizeof(float), "values");
+        if (!value_frame.ok()) return value_frame.status();
         std::vector<uint64_t> row_offsets(rows + 1);
+        std::vector<uint32_t> col_indices(nnz);
+        std::vector<float> values(nnz);
         std::memcpy(row_offsets.data(), *offsets,
                     row_offsets.size() * sizeof(uint64_t));
-        // Rebuild the strictly-increasing (row << 32 | col, value) stream
-        // FromSortedTriplets expects, re-validating the CSR invariants so a
-        // corruption mode the checksum happens to miss degrades to
-        // recompute instead of tripping a CHECK.
+        if (nnz > 0) {
+          std::memcpy(col_indices.data(), *col_frame, nnz * sizeof(uint32_t));
+          std::memcpy(values.data(), *value_frame, nnz * sizeof(float));
+        }
+        // Re-validate the CSR invariants, so a corruption mode the checksum
+        // happens to miss degrades to recompute instead of tripping a CHECK
+        // or indexing past the arrays.
         if (row_offsets[0] != 0 || row_offsets[rows] != nnz) {
           return Status::DataLoss("sparsifier has inconsistent row offsets");
         }
-        std::vector<std::pair<uint64_t, float>> keyed(nnz);
-        const auto* col_bytes = static_cast<const uint8_t*>(*col_frame);
-        const auto* val_bytes = static_cast<const uint8_t*>(*values);
-        uint64_t prev_key = 0;
         for (uint64_t i = 0; i < rows; ++i) {
           if (row_offsets[i] > row_offsets[i + 1]) {
             return Status::DataLoss("sparsifier has decreasing row offsets");
           }
+          if (row_offsets[i + 1] > nnz) {
+            return Status::DataLoss("sparsifier has a row offset past nnz");
+          }
           for (uint64_t k = row_offsets[i]; k < row_offsets[i + 1]; ++k) {
-            uint32_t col = 0;
-            float value = 0.0f;
-            std::memcpy(&col, col_bytes + k * sizeof(uint32_t), sizeof(col));
-            std::memcpy(&value, val_bytes + k * sizeof(float), sizeof(value));
-            if (col >= cols) {
+            if (col_indices[k] >= cols) {
               return Status::DataLoss("sparsifier has an out-of-range column");
             }
-            const uint64_t key = (i << 32) | col;
-            if (k > 0 && key <= prev_key) {
+            if (k > row_offsets[i] && col_indices[k] <= col_indices[k - 1]) {
               return Status::DataLoss("sparsifier has unsorted entries");
             }
-            prev_key = key;
-            keyed[k] = {key, value};
           }
         }
-        *matrix = SparseMatrix::FromSortedTriplets(rows, cols, keyed);
+        *matrix = SparseMatrix::FromCsr(rows, cols, std::move(row_offsets),
+                                        std::move(col_indices),
+                                        std::move(values));
         return Status::Ok();
       });
 }

@@ -1,53 +1,39 @@
 #include "graph/weighted_csr.h"
 
-#include <algorithm>
+#include <utility>
 
+#include "parallel/scan.h"
 #include "parallel/sort.h"
 
 namespace lightne {
 
 WeightedCsrGraph WeightedCsrGraph::FromEdges(WeightedEdgeList list) {
-  // Symmetrize.
-  const size_t raw = list.edges.size();
-  list.edges.reserve(2 * raw);
-  for (size_t i = 0; i < raw; ++i) {
-    const auto [u, v, w] = list.edges[i];
-    list.edges.emplace_back(v, u, w);
+  // Both directions of every edge but self loops. The histogram sums the
+  // weights of duplicate edges in float, in one order for any worker count.
+  std::vector<std::pair<uint64_t, float>> records;
+  records.reserve(2 * list.edges.size());
+  for (const auto& [u, v, w] : list.edges) {
+    LIGHTNE_CHECK_LT(u, list.num_vertices);
+    LIGHTNE_CHECK_LT(v, list.num_vertices);
+    LIGHTNE_CHECK_GT(w, 0.0f);
+    if (u == v) continue;
+    records.push_back({PackEdge(u, v), w});
+    records.push_back({PackEdge(v, u), w});
   }
-  // Sort by (src, dst); duplicates become adjacent.
-  ParallelSort(list.edges.data(), list.edges.size(),
-               [](const auto& a, const auto& b) {
-                 return std::make_pair(std::get<0>(a), std::get<1>(a)) <
-                        std::make_pair(std::get<0>(b), std::get<1>(b));
-               });
+  list.edges = {};
+  const std::vector<std::pair<uint64_t, float>> edges =
+      SortHistogram(std::move(records));
 
   WeightedCsrGraph g;
   g.num_vertices_ = list.num_vertices;
-  g.offsets_.assign(static_cast<size_t>(g.num_vertices_) + 1, 0);
-  // Single sequential pass: advance per-source offsets, merge duplicate
-  // (u, v) runs by summing weights, drop self loops. (The parallel sort
-  // above dominates the cost.)
-  NodeId next_source = 0;  // offsets_[0..next_source] are finalized
-  for (const auto& [u, v, w] : list.edges) {
-    LIGHTNE_CHECK_LT(u, g.num_vertices_);
-    LIGHTNE_CHECK_LT(v, g.num_vertices_);
-    LIGHTNE_CHECK_GT(w, 0.0f);
-    if (u == v) continue;
-    while (next_source < u) {
-      g.offsets_[++next_source] = g.neighbors_.size();
-    }
-    const bool duplicate = g.neighbors_.size() > g.offsets_[u] &&
-                           next_source == u && g.neighbors_.back() == v;
-    if (duplicate) {
-      g.weights_.back() += w;
-    } else {
-      g.neighbors_.push_back(v);
-      g.weights_.push_back(w);
-    }
-  }
-  while (next_source < g.num_vertices_) {
-    g.offsets_[++next_source] = g.neighbors_.size();
-  }
+  g.offsets_ = RowOffsets(g.num_vertices_, edges.size(),
+                          [&](uint64_t k) { return edges[k].first >> 32; });
+  g.neighbors_.resize(edges.size());
+  g.weights_.resize(edges.size());
+  ParallelFor(0, edges.size(), [&](uint64_t k) {
+    g.neighbors_[k] = static_cast<NodeId>(edges[k].first & 0xffffffffull);
+    g.weights_[k] = edges[k].second;
+  });
 
   // Cumulative weights and weighted degrees.
   g.cumulative_.resize(g.weights_.size());

@@ -31,7 +31,9 @@ class WeightedCsrGraph {
   WeightedCsrGraph() = default;
 
   /// Symmetrizes, drops self loops, and sums the weights of duplicate
-  /// edges. Weights must be positive.
+  /// edges in float, ascending by bit pattern (SortHistogram), so the graph
+  /// is the same for any worker count and edge order. Weights must be
+  /// positive.
   static WeightedCsrGraph FromEdges(WeightedEdgeList list);
 
   // --- GraphView interface -------------------------------------------------

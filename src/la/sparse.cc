@@ -1,7 +1,6 @@
 #include "la/sparse.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "la/kernels.h"
 #include "parallel/parallel_for.h"
@@ -10,87 +9,39 @@
 
 namespace lightne {
 
-namespace {
-
-// Builds row offsets from sorted row ids accessed through `row_of`.
-std::vector<uint64_t> OffsetsFromSortedRows(
-    uint64_t rows, uint64_t nnz,
-    const std::function<uint64_t(uint64_t)>& row_of) {
-  std::vector<uint64_t> offsets(rows + 1, 0);
-  // offsets[r+1] = first index with row > r, found per row by binary search
-  // boundaries; cheaper: count occurrences then scan.
-  std::vector<std::atomic<uint64_t>> count(rows);
-  ParallelFor(0, rows, [&](uint64_t r) {
-    count[r].store(0, std::memory_order_relaxed);
-  });
-  ParallelFor(0, nnz, [&](uint64_t k) {
-    count[row_of(k)].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (uint64_t r = 0; r < rows; ++r) {
-    offsets[r + 1] =
-        offsets[r] + count[r].load(std::memory_order_relaxed);
-  }
-  return offsets;
-}
-
-}  // namespace
-
-SparseMatrix SparseMatrix::FromSortedTriplets(
-    uint64_t rows, uint64_t cols,
-    const std::vector<std::pair<uint64_t, float>>& keyed_values) {
+SparseMatrix SparseMatrix::FromCsr(uint64_t rows, uint64_t cols,
+                                   std::vector<uint64_t> row_offsets,
+                                   std::vector<uint32_t> col_indices,
+                                   std::vector<float> values) {
+  LIGHTNE_CHECK_EQ(row_offsets.size(), rows + 1);
+  LIGHTNE_CHECK_EQ(col_indices.size(), values.size());
+  LIGHTNE_CHECK_EQ(row_offsets.back(), values.size());
   SparseMatrix m;
   m.rows_ = rows;
   m.cols_ = cols;
-  const uint64_t nnz = keyed_values.size();
-  m.col_indices_.resize(nnz);
-  m.values_.resize(nnz);
-  ParallelFor(0, nnz, [&](uint64_t k) {
-    const uint64_t key = keyed_values[k].first;
-    LIGHTNE_CHECK(k == 0 || keyed_values[k - 1].first < key);
-    const uint64_t row = key >> 32;
-    LIGHTNE_CHECK_LT(row, rows);
-    const uint32_t col = static_cast<uint32_t>(key & 0xffffffffull);
-    LIGHTNE_CHECK_LT(col, cols);
-    m.col_indices_[k] = col;
-    m.values_[k] = keyed_values[k].second;
-  });
-  m.row_offsets_ = OffsetsFromSortedRows(
-      rows, nnz, [&](uint64_t k) { return keyed_values[k].first >> 32; });
+  m.row_offsets_ = std::move(row_offsets);
+  m.col_indices_ = std::move(col_indices);
+  m.values_ = std::move(values);
   return m;
 }
 
 SparseMatrix SparseMatrix::FromEntries(
     uint64_t rows, uint64_t cols,
     std::vector<std::pair<uint64_t, double>> entries) {
-  ParallelSort(entries.data(), entries.size(),
-               [](const auto& a, const auto& b) { return a.first < b.first; });
-  // Sum runs of equal keys: keep the first element of each run, accumulate.
-  const uint64_t n = entries.size();
-  std::vector<uint64_t> head_flag(n);
-  ParallelFor(0, n, [&](uint64_t k) {
-    head_flag[k] = (k == 0 || entries[k].first != entries[k - 1].first) ? 1 : 0;
+  const std::vector<std::pair<uint64_t, double>> sums =
+      SortHistogram(std::move(entries));
+  const uint64_t nnz = sums.size();
+  std::vector<uint32_t> col_indices(nnz);
+  std::vector<float> values(nnz);
+  ParallelFor(0, nnz, [&](uint64_t k) {
+    col_indices[k] = static_cast<uint32_t>(sums[k].first & 0xffffffffull);
+    LIGHTNE_CHECK_LT(col_indices[k], cols);
+    values[k] = static_cast<float>(sums[k].second);
   });
-  // Sequential-friendly accumulation per run head (runs are contiguous).
-  std::vector<std::pair<uint64_t, float>> unique;
-  unique.reserve(n);
-  // Collect run heads with a pack, then sum each run in parallel.
-  std::vector<uint64_t> heads;
-  heads.reserve(n);
-  for (uint64_t k = 0; k < n; ++k) {
-    if (head_flag[k]) heads.push_back(k);
-  }
-  unique.resize(heads.size());
-  ParallelFor(
-      0, heads.size(),
-      [&](uint64_t h) {
-        const uint64_t lo = heads[h];
-        const uint64_t hi = (h + 1 < heads.size()) ? heads[h + 1] : n;
-        double sum = 0;
-        for (uint64_t k = lo; k < hi; ++k) sum += entries[k].second;
-        unique[h] = {entries[lo].first, static_cast<float>(sum)};
-      },
-      /*grain=*/1024);
-  return FromSortedTriplets(rows, cols, unique);
+  return FromCsr(
+      rows, cols,
+      RowOffsets(rows, nnz, [&](uint64_t k) { return sums[k].first >> 32; }),
+      std::move(col_indices), std::move(values));
 }
 
 float SparseMatrix::At(uint64_t i, uint32_t j) const {
@@ -175,62 +126,24 @@ Matrix SparseMatrix::Multiply(const Matrix& x) const {
   return y;
 }
 
+// Counting transpose: count each column's entries, scan, then scatter the
+// rows in order, so every output row receives its columns ascending.
 SparseMatrix SparseMatrix::Transposed() const {
-  SparseMatrix t;
-  t.rows_ = cols_;
-  t.cols_ = rows_;
-  const uint64_t nnz = values_.size();
-  // Count per target row (= source column), scan, scatter.
-  std::vector<std::atomic<uint64_t>> count(cols_);
-  ParallelFor(0, cols_, [&](uint64_t c) {
-    count[c].store(0, std::memory_order_relaxed);
-  });
-  ParallelFor(0, nnz, [&](uint64_t k) {
-    count[col_indices_[k]].fetch_add(1, std::memory_order_relaxed);
-  });
-  t.row_offsets_.assign(cols_ + 1, 0);
-  for (uint64_t c = 0; c < cols_; ++c) {
-    t.row_offsets_[c + 1] =
-        t.row_offsets_[c] + count[c].load(std::memory_order_relaxed);
+  std::vector<uint64_t> offsets(cols_ + 1, 0);
+  for (const uint32_t c : col_indices_) ++offsets[c + 1];
+  for (uint64_t c = 0; c < cols_; ++c) offsets[c + 1] += offsets[c];
+  std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+  std::vector<uint32_t> col_indices(nnz());
+  std::vector<float> values(nnz());
+  for (uint64_t i = 0; i < rows_; ++i) {
+    for (uint64_t k = row_offsets_[i]; k < row_offsets_[i + 1]; ++k) {
+      const uint64_t at = cursor[col_indices_[k]]++;
+      col_indices[at] = static_cast<uint32_t>(i);
+      values[at] = values_[k];
+    }
   }
-  t.col_indices_.resize(nnz);
-  t.values_.resize(nnz);
-  std::vector<std::atomic<uint64_t>> cursor(cols_);
-  ParallelFor(0, cols_, [&](uint64_t c) {
-    cursor[c].store(t.row_offsets_[c], std::memory_order_relaxed);
-  });
-  // Scatter by source row so each target row receives sources in ascending
-  // order only under sequential execution; sort rows afterward for a
-  // deterministic canonical form.
-  ParallelFor(
-      0, rows_,
-      [&](uint64_t i) {
-        for (uint64_t k = row_offsets_[i]; k < row_offsets_[i + 1]; ++k) {
-          const uint64_t slot = cursor[col_indices_[k]].fetch_add(
-              1, std::memory_order_relaxed);
-          t.col_indices_[slot] = static_cast<uint32_t>(i);
-          t.values_[slot] = values_[k];
-        }
-      },
-      /*grain=*/256);
-  ParallelFor(
-      0, cols_,
-      [&](uint64_t c) {
-        const uint64_t lo = t.row_offsets_[c], hi = t.row_offsets_[c + 1];
-        // Sort (col, value) pairs of this row by col.
-        std::vector<std::pair<uint32_t, float>> row(hi - lo);
-        for (uint64_t k = lo; k < hi; ++k) {
-          row[k - lo] = {t.col_indices_[k], t.values_[k]};
-        }
-        std::sort(row.begin(), row.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-        for (uint64_t k = lo; k < hi; ++k) {
-          t.col_indices_[k] = row[k - lo].first;
-          t.values_[k] = row[k - lo].second;
-        }
-      },
-      /*grain=*/256);
-  return t;
+  return FromCsr(cols_, rows_, std::move(offsets), std::move(col_indices),
+                 std::move(values));
 }
 
 std::vector<double> SparseMatrix::RowSums() const {

@@ -22,13 +22,18 @@ class SparseMatrix {
  public:
   SparseMatrix() = default;
 
-  /// Builds from triplets sorted by (row, col) with no duplicates.
-  static SparseMatrix FromSortedTriplets(
-      uint64_t rows, uint64_t cols,
-      const std::vector<std::pair<uint64_t, float>>& keyed_values);
+  /// Takes the three CSR arrays over: row_offsets has rows + 1 entries and
+  /// ends at nnz = col_indices.size() = values.size() (CHECKed). Each row's
+  /// columns must be ascending and below `cols`; the caller ensures it.
+  static SparseMatrix FromCsr(uint64_t rows, uint64_t cols,
+                              std::vector<uint64_t> row_offsets,
+                              std::vector<uint32_t> col_indices,
+                              std::vector<float> values);
 
-  /// Builds from unsorted (packed_key, value) pairs, summing duplicates.
-  /// packed_key = (row << 32) | col (see PackEdge). Sorts in parallel.
+  /// Builds from unsorted (packed_key, value) pairs, summing duplicates in
+  /// double and rounding each sum to float once. packed_key =
+  /// (row << 32) | col (see PackEdge). One SortHistogram (parallel/sort.h),
+  /// so the result does not depend on the entry order or the worker count.
   static SparseMatrix FromEntries(
       uint64_t rows, uint64_t cols,
       std::vector<std::pair<uint64_t, double>> entries);
@@ -79,7 +84,7 @@ class SparseMatrix {
   /// count (la/kernels.h).
   Matrix Multiply(const Matrix& x) const;
 
-  /// Returns this^T (parallel counting transpose).
+  /// Returns this^T (counting transpose; each row comes out sorted).
   SparseMatrix Transposed() const;
 
   /// max_i |sum_j this_ij - target_i|-style row sums, used in tests.

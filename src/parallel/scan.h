@@ -1,6 +1,7 @@
-// Parallel exclusive prefix sums and scan-based pack/filter. These are the
-// workhorses behind CSR construction, compressed-graph encoding (per-vertex
-// byte offsets) and the sort-histogram aggregation.
+// Parallel exclusive prefix sums, scan-based pack/filter and the CSR row
+// offsets of sorted entries. These are the workhorses behind CSR
+// construction, compressed-graph encoding (per-vertex byte offsets) and the
+// sort-histogram aggregation.
 #ifndef LIGHTNE_PARALLEL_SCAN_H_
 #define LIGHTNE_PARALLEL_SCAN_H_
 
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "parallel/parallel_for.h"
+#include "util/check.h"
 
 namespace lightne {
 
@@ -86,6 +88,23 @@ std::vector<T> ParallelPack(uint64_t n, Pred&& pred, Make&& make) {
     if (keep) out[flags[i]] = make(i);
   });
   return out;
+}
+
+/// CSR offsets of n entries whose row ids row_of(0) <= ... <= row_of(n - 1)
+/// are sorted and below `rows`: offsets[r] is the first entry in row r or
+/// later, offsets[rows] = n. One parallel pass and no counts: entry k
+/// writes the offset of every row that starts at k (those after entry
+/// k - 1's row, up to its own), and k = n the rows after the last entry's.
+template <typename RowOf>
+std::vector<uint64_t> RowOffsets(uint64_t rows, uint64_t n, RowOf&& row_of) {
+  std::vector<uint64_t> offsets(rows + 1);
+  ParallelFor(0, n + 1, [&](uint64_t k) {
+    const uint64_t first = k == 0 ? 0 : row_of(k - 1) + 1;
+    const uint64_t last = k < n ? row_of(k) : rows;
+    LIGHTNE_CHECK(first <= last + 1 && (k == n || last < rows));
+    for (uint64_t r = first; r <= last; ++r) offsets[r] = k;
+  });
+  return offsets;
 }
 
 }  // namespace lightne

@@ -1,11 +1,15 @@
 // Parallel comparison sort (sample sort): sample pivots, histogram + scatter
 // into buckets in parallel, sort buckets in parallel. Falls back to
-// std::sort for small inputs or nested contexts.
+// std::sort for small inputs or nested contexts. On it, the sparse
+// histogram (sort + segmented sum) that every key-summing builder uses.
 #ifndef LIGHTNE_PARALLEL_SORT_H_
 #define LIGHTNE_PARALLEL_SORT_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "parallel/parallel_for.h"
@@ -107,6 +111,43 @@ void ParallelSort(T* data, uint64_t n, Comp comp = Comp()) {
 template <typename T, typename Comp = std::less<T>>
 void ParallelSort(std::vector<T>& data, Comp comp = Comp()) {
   ParallelSort(data.data(), data.size(), comp);
+}
+
+/// GBBS-style sparse histogram (§4.2): collapses (key, value) records into
+/// one (key, sum) pair per distinct key, sorted by key — a parallel sort and
+/// a segmented sum. Records are sorted by key, then by the bit pattern of
+/// the value, a total order (NaN included), so each key's values are summed
+/// in one order whatever the worker count and the input order, and a
+/// floating-point sum is bit-identical for any schedule. Input is consumed.
+template <typename V>
+std::vector<std::pair<uint64_t, V>> SortHistogram(
+    std::vector<std::pair<uint64_t, V>> records) {
+  static_assert(sizeof(V) == 4 || sizeof(V) == 8);
+  using Bits = std::conditional_t<sizeof(V) == 8, uint64_t, uint32_t>;
+  const uint64_t n = records.size();
+  ParallelSort(records.data(), n, [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first
+                              : std::bit_cast<Bits>(a.second) <
+                                    std::bit_cast<Bits>(b.second);
+  });
+  // Segmented sum over equal-key runs: pack the run heads, sum each run.
+  const std::vector<uint64_t> heads = ParallelPack<uint64_t>(
+      n,
+      [&](uint64_t k) {
+        return k == 0 || records[k].first != records[k - 1].first;
+      },
+      [](uint64_t k) { return k; });
+  std::vector<std::pair<uint64_t, V>> sums(heads.size());
+  ParallelFor(
+      0, heads.size(),
+      [&](uint64_t h) {
+        const uint64_t hi = h + 1 < heads.size() ? heads[h + 1] : n;
+        V sum{};
+        for (uint64_t k = heads[h]; k < hi; ++k) sum += records[k].second;
+        sums[h] = {records[heads[h]].first, sum};
+      },
+      /*grain=*/1024);
+  return sums;
 }
 
 }  // namespace lightne

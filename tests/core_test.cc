@@ -270,8 +270,8 @@ TEST(AggregationTest, SortHistogramCollapsesDuplicates) {
 }
 
 TEST(AggregationTest, SortHistogramEmptyAndSingleton) {
-  EXPECT_TRUE(SortHistogram({}).empty());
-  auto one = SortHistogram({{7, 5}});
+  EXPECT_TRUE(SortHistogram<uint64_t>({}).empty());
+  auto one = SortHistogram<uint64_t>({{7, 5}});
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0].first, 7u);
   EXPECT_EQ(one[0].second, 5u);
@@ -761,13 +761,13 @@ TEST(RecordedEmbeddingTest, CheckpointBytesMatchRecordedDigests) {
   // The same edges with weights, each edge once: no weights are summed.
   WeightedEdgeList wlist;
   wlist.num_vertices = g.NumVertices();
-  g.MapVertices([&](NodeId u) {
+  for (NodeId u = 0; u < g.NumVertices(); ++u) {
     g.MapNeighbors(u, [&](NodeId v) {
       if (u < v) {
         wlist.Add(u, v, 1.0f + 0.37f * static_cast<float>((7 * u + 3 * v) % 5));
       }
     });
-  });
+  }
   const WeightedCsrGraph wg = WeightedCsrGraph::FromEdges(std::move(wlist));
   const std::string dir = ::testing::TempDir() + "/recorded_digests_" +
                           std::to_string(::getpid());

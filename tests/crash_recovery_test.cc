@@ -479,11 +479,9 @@ TEST_F(CheckpointResumeTest, SweepEveryHeaderByteFrameAndBoundaryIsCorrupt) {
                              /*graph_fp=*/7, /*total_stages=*/3);
     CheckpointedPipelineStats stats{};
     for (size_t i = 0; i < stats.size(); ++i) stats[i] = i + 1;
-    writer.SaveSparsifier(
-        SparseMatrix::FromSortedTriplets(
-            3, 3, {{1, 0.5f}, {uint64_t{1} << 32, 0.5f},
-                   {(uint64_t{2} << 32) | 2, 1.5f}}),
-        stats);
+    writer.SaveSparsifier(SparseMatrix::FromCsr(3, 3, {0, 1, 2, 3}, {1, 0, 2},
+                                                {0.5f, 0.5f, 1.5f}),
+                          stats);
     writer.SaveEmbedding(CheckpointManager::EmbeddingStage::kRsvd,
                          Matrix::Gaussian(5, 2, 1), stats);
     writer.SaveEmbedding(CheckpointManager::EmbeddingStage::kFinal,
@@ -541,6 +539,55 @@ TEST_F(CheckpointResumeTest, SweepEveryHeaderByteFrameAndBoundaryIsCorrupt) {
     EXPECT_FALSE(LoadStage(dir_, stage, kOptionsFp + 1));
     EXPECT_EQ(CounterValue("resume/stale_artifacts") - stale_before, 1u);
   }
+  SetLogLevel(log_level);
+}
+
+// A row offset above nnz between a valid first and last offset. Checking
+// only the ends and that no row's offsets decrease lets the loader index
+// past the column and value frames; it must refuse the artifact first.
+TEST_F(CheckpointResumeTest, RowOffsetPastNnzIsCorrupt) {
+  constexpr uint64_t kOptionsFp = 0x5eed;
+  constexpr uint32_t kSparsifierSchemaId = 1;  // core/checkpoint.cc
+  const std::string path = dir_ + "/sparsifier.art";
+  {
+    CheckpointManager writer(dir_, /*resume=*/false, kOptionsFp,
+                             /*graph_fp=*/7, /*total_stages=*/3);
+    // 2 x 64, offsets {0, 2, 3}: row 0 holds columns 1 and 2, row 1 column 3.
+    writer.SaveSparsifier(
+        SparseMatrix::FromEntries(
+            2, 64, {{1, 0.5}, {2, 0.5}, {(uint64_t{1} << 32) | 3, 1.5}}),
+        CheckpointedPipelineStats{});
+  }
+  ASSERT_TRUE(LoadStage(dir_, "sparsifier", kOptionsFp));
+  // Re-frame it with offsets {0, 11, 3} and fresh checksums.
+  std::vector<std::vector<uint8_t>> frames;
+  uint32_t version = 0;
+  {
+    auto artifact = MappedArtifact::Open(path, kSparsifierSchemaId);
+    ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+    ASSERT_EQ(artifact->num_frames(), 5u);
+    version = artifact->schema_version();
+    for (size_t f = 0; f < artifact->num_frames(); ++f) {
+      const auto* data =
+          static_cast<const uint8_t*>(artifact->frame(f).data);
+      frames.emplace_back(data, data + artifact->frame(f).bytes);
+    }
+  }
+  const uint64_t offsets[3] = {0, 11, 3};
+  ASSERT_EQ(frames[2].size(), sizeof(offsets));
+  std::memcpy(frames[2].data(), offsets, sizeof(offsets));
+  ArtifactWriter writer;
+  ASSERT_TRUE(writer.Open(path, kSparsifierSchemaId, version).ok());
+  for (const std::vector<uint8_t>& frame : frames) {
+    ASSERT_TRUE(writer.AppendFrame(frame.data(), frame.size()).ok());
+  }
+  ASSERT_TRUE(writer.Commit().ok());
+
+  const LogLevel log_level = GetLogLevel();
+  SetLogLevel(LogLevel::kError);
+  const uint64_t corrupt_before = CounterValue("resume/corrupt_artifacts");
+  EXPECT_FALSE(LoadStage(dir_, "sparsifier", kOptionsFp));
+  EXPECT_EQ(CounterValue("resume/corrupt_artifacts") - corrupt_before, 1u);
   SetLogLevel(log_level);
 }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "parallel/atomics.h"
@@ -161,6 +164,59 @@ TEST(ParallelSortTest, AlreadySortedAndReversed) {
   std::reverse(v.begin(), v.end());
   ParallelSort(v);
   EXPECT_EQ(v, expect);
+}
+
+// Float sums that depend on the order of their terms: each key's values
+// are summed in one order whatever the input order and the worker count.
+TEST(SortHistogramTest, FloatSumsIndependentOfOrderAndWorkers) {
+  std::vector<std::pair<uint64_t, float>> records;
+  Rng rng(11);
+  for (int i = 0; i < 100000; ++i) {
+    records.push_back({rng.UniformInt(3000),
+                       static_cast<float>(rng.Uniform() * 1e4 + 1e-3)});
+  }
+  auto reversed = records;
+  std::reverse(reversed.begin(), reversed.end());
+  const auto pooled = SortHistogram(records);
+  const auto from_reversed = SortHistogram(std::move(reversed));
+  std::vector<std::pair<uint64_t, float>> sequential;
+  {
+    SequentialRegion one_worker;
+    sequential = SortHistogram(std::move(records));
+  }
+  ASSERT_EQ(pooled.size(), sequential.size());
+  for (size_t i = 0; i < pooled.size(); ++i) {
+    if (i > 0) {
+      ASSERT_LT(pooled[i - 1].first, pooled[i].first);
+    }
+    ASSERT_EQ(pooled[i].first, sequential[i].first);
+    ASSERT_EQ(std::bit_cast<uint32_t>(pooled[i].second),
+              std::bit_cast<uint32_t>(sequential[i].second)) << i;
+    ASSERT_EQ(std::bit_cast<uint32_t>(pooled[i].second),
+              std::bit_cast<uint32_t>(from_reversed[i].second)) << i;
+  }
+}
+
+TEST(RowOffsetsTest, EmptyRowsAtStartMiddleAndEnd) {
+  const std::vector<uint64_t> rows_of = {1, 1, 1, 4, 4, 5};
+  const auto offsets = RowOffsets(8, rows_of.size(),
+                                  [&](uint64_t k) { return rows_of[k]; });
+  EXPECT_EQ(offsets, (std::vector<uint64_t>{0, 0, 3, 3, 3, 5, 6, 6, 6}));
+  EXPECT_EQ(RowOffsets(3, 0, [](uint64_t) { return uint64_t{0}; }),
+            (std::vector<uint64_t>{0, 0, 0, 0}));
+}
+
+TEST(RowOffsetsTest, MatchesCountingOnLargeInput) {
+  std::vector<uint64_t> rows_of(300000);
+  Rng rng(5);
+  for (auto& r : rows_of) r = rng.UniformInt(50000);
+  std::sort(rows_of.begin(), rows_of.end());
+  std::vector<uint64_t> expect(50001, 0);
+  for (uint64_t r : rows_of) ++expect[r + 1];
+  for (size_t r = 0; r < 50000; ++r) expect[r + 1] += expect[r];
+  EXPECT_EQ(RowOffsets(50000, rows_of.size(),
+                       [&](uint64_t k) { return rows_of[k]; }),
+            expect);
 }
 
 TEST(AtomicsTest, FetchAddIntegerExactUnderContention) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <map>
 #include <set>
@@ -8,6 +9,7 @@
 #include "core/lightne.h"
 #include "core/netmf.h"
 #include "core/sparsifier.h"
+#include "data/generators.h"
 #include "graph/graph_view.h"
 #include "graph/weighted_csr.h"
 #include "graph/weights.h"
@@ -52,6 +54,48 @@ TEST(WeightedCsrTest, DuplicatesSummedSelfLoopsDropped) {
   EXPECT_FLOAT_EQ(g.Weight(0, 0), 3.0f);
   EXPECT_FLOAT_EQ(g.Weight(1, 0), 3.0f);
   EXPECT_EQ(g.Degree(2), 0u);
+}
+
+// Duplicate edges' weights are summed in one order whatever the worker
+// count. 60,000 raw RMAT pairs, duplicates among them with other weights,
+// symmetrize to 120,000 records: past ParallelSort's 2^14 sequential
+// cutoff, so the pool run takes the bucketed sort, whose bucket layout
+// depends on the number of workers (the _mt4 run uses 4).
+TEST(WeightedCsrTest, DuplicateEdgesBuildIdenticallyAtAnyWorkerCount) {
+  const EdgeList raw = GenerateRmat(13, 60000, 7);
+  WeightedEdgeList list;
+  list.num_vertices = raw.num_vertices;
+  for (size_t i = 0; i < raw.edges.size(); ++i) {
+    const auto [u, v] = raw.edges[i];
+    list.Add(u, v, 1.0f + 0.37f * static_cast<float>((7 * u + 3 * v + i) % 5));
+  }
+  ASSERT_GE(2 * list.edges.size(), size_t{1} << 14);
+  const WeightedCsrGraph pooled = WeightedCsrGraph::FromEdges(list);
+  WeightedCsrGraph sequential;
+  {
+    SequentialRegion one_worker;
+    sequential = WeightedCsrGraph::FromEdges(list);
+  }
+  ASSERT_EQ(pooled.NumVertices(), sequential.NumVertices());
+  ASSERT_EQ(pooled.NumDirectedEdges(), sequential.NumDirectedEdges());
+  uint64_t degree_diffs = 0, neighbor_diffs = 0, weight_diffs = 0;
+  for (NodeId v = 0; v < pooled.NumVertices(); ++v) {
+    if (pooled.Degree(v) != sequential.Degree(v)) {
+      ++degree_diffs;
+      continue;
+    }
+    for (uint64_t i = 0; i < pooled.Degree(v); ++i) {
+      neighbor_diffs += pooled.Neighbor(v, i) != sequential.Neighbor(v, i);
+      weight_diffs += std::bit_cast<uint32_t>(pooled.Weight(v, i)) !=
+                      std::bit_cast<uint32_t>(sequential.Weight(v, i));
+    }
+  }
+  EXPECT_EQ(degree_diffs, 0u);
+  EXPECT_EQ(neighbor_diffs, 0u);
+  EXPECT_EQ(weight_diffs, 0u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(pooled.Volume()),
+            std::bit_cast<uint64_t>(sequential.Volume()))
+      << pooled.Volume() << " vs " << sequential.Volume();
 }
 
 TEST(WeightedCsrTest, MapNeighborsWeightedAndTraits) {
