@@ -72,7 +72,7 @@ int main() {
 
   std::printf("\n%-18s %14s %10s %16s %16s %12s\n", "Representation",
               "size", "vs CSR", "ith-edge(ns)", "walk(Msteps/s)",
-              "encode(s)");
+              "encode(ms)");
   {
     const double latency = IthEdgeLatencyNs(g, probes);
     const double throughput = WalkThroughputMsteps(g, walks);
@@ -83,7 +83,7 @@ int main() {
   for (uint32_t block : {16u, 64u, 256u, 1u << 30}) {
     Timer enc;
     CompressedGraph cg = CompressedGraph::FromCsr(g, block);
-    const double encode_seconds = enc.Seconds();
+    const double encode_ms = enc.Millis();
     const double latency = IthEdgeLatencyNs(cg, probes);
     const double throughput = WalkThroughputMsteps(cg, walks);
     char name[32];
@@ -92,10 +92,10 @@ int main() {
     } else {
       std::snprintf(name, sizeof(name), "parallel-byte/%u", block);
     }
-    std::printf("%-18s %14s %9.1f%% %16.1f %16.2f %12.1f\n", name,
+    std::printf("%-18s %14s %9.1f%% %16.1f %16.2f %12.2f\n", name,
                 HumanBytes(cg.SizeBytes()).c_str(),
                 100.0 * cg.SizeBytes() / g.SizeBytes(), latency, throughput,
-                encode_seconds);
+                encode_ms);
   }
   std::printf("\nshape check: compression shrinks the power-law graph well "
               "below CSR (the paper fits ClueWeb's 564 GB of edges in "

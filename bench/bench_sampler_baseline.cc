@@ -1,4 +1,4 @@
-// Machine-readable sampler perf baseline (DESIGN.md §11), schema v7.
+// Machine-readable sampler perf baseline (DESIGN.md §11), schema v8.
 //
 // Measures the sparsifier ingestion hot path on a skewed RMAT graph — the
 // run-merging upsert batch (the "combiner" rows) vs direct shared-table
@@ -61,6 +61,8 @@ namespace {
 // partial-coverage regime the block knapsack was built for.
 constexpr uint64_t kPinBudget = uint64_t{4} << 20;
 constexpr uint64_t kPinBudgetXllc = uint64_t{16} << 20;
+// Alternating naive/pinned pass pairs of the out-of-LLC walk rows.
+constexpr int kXllcPairs = 7;
 
 struct ResultRow {
   std::string name;     // stable key, e.g. "sampler_w1_combiner_mt"
@@ -305,6 +307,22 @@ std::vector<std::pair<NodeId, NodeId>> PathEdges(const CsrGraph& g) {
   return edges;
 }
 
+// Records a one-worker walk row of `steps` steps per pass.
+void AddWalkRow(const std::string& name, const std::string& variant, int runs,
+                double median_ms, double steps) {
+  ResultRow row;
+  row.name = name;
+  row.kind = "walk";
+  row.variant = variant;
+  row.median_ms = median_ms;
+  row.threads = 1;
+  row.runs = runs;
+  row.unit = "steps";
+  row.rate_per_sec = steps / (median_ms / 1000.0);
+  PrintRow(row);
+  g_rows.push_back(std::move(row));
+}
+
 // Times the PathSampling pattern over the edge stream via one-step
 // `step(v, rng) -> next`, accumulating endpoints into a checksum so the
 // loops cannot be dead-code eliminated. All variants consume one RNG draw
@@ -330,62 +348,86 @@ uint64_t RecordPathWalkRow(const std::string& name, const std::string& variant,
     }
     pass_checksum = local;
   };
-  ResultRow row;
-  row.name = name;
-  row.kind = "walk";
-  row.variant = variant;
+  double median_ms = 0.0;
   {
     SequentialRegion guard;
-    row.median_ms = MedianMs(runs, pass);
+    median_ms = MedianMs(runs, pass);
   }
-  row.threads = 1;
-  row.runs = runs;
-  row.unit = "steps";
-  const double total_steps = static_cast<double>(edges.size()) *
-                             static_cast<double>(kAttemptsPerEdge) *
-                             static_cast<double>(kPathWindow - 1);
-  row.rate_per_sec = total_steps / (row.median_ms / 1000.0);
-  PrintRow(row);
-  g_rows.push_back(std::move(row));
+  AddWalkRow(name, variant, runs, median_ms,
+             static_cast<double>(edges.size()) *
+                 static_cast<double>(kAttemptsPerEdge) *
+                 static_cast<double>(kPathWindow - 1));
   return pass_checksum;
 }
 
-// Times kWalksPerStart walks of kStepsPerWalk steps from every start via
-// `fn(start, steps, rng) -> end`, accumulating endpoints into a checksum so
-// the walk loops cannot be dead-code eliminated.
+constexpr double WalkPassSteps(uint64_t num_starts) {
+  return static_cast<double>(num_starts * kWalksPerStart * kStepsPerWalk);
+}
+
+// One pass of kWalksPerStart walks of kStepsPerWalk steps from every start
+// via `fn(start, steps, rng) -> end`. Returns the endpoints' sum, a
+// checksum that keeps the walk loops from being dead-code eliminated.
+template <typename Fn>
+uint64_t WalkPass(const std::vector<NodeId>& starts, const Fn& fn) {
+  Rng rng(99);
+  uint64_t sum = 0;
+  for (const NodeId s : starts) {
+    for (uint64_t a = 0; a < kWalksPerStart; ++a) {
+      sum += fn(s, kStepsPerWalk, rng);
+    }
+  }
+  return sum;
+}
+
+// Times WalkPass over `fn` (median of `runs` passes after a warmup) on one
+// worker and records the row; returns the pass checksum.
 template <typename Fn>
 uint64_t RecordWalkRow(const std::string& name, const std::string& variant,
                        const std::vector<NodeId>& starts, int runs,
                        const Fn& fn) {
-  uint64_t pass_checksum = 0;
-  auto pass = [&] {
-    Rng rng(99);
-    uint64_t local = 0;
-    for (const NodeId s : starts) {
-      for (uint64_t a = 0; a < kWalksPerStart; ++a) {
-        local += fn(s, kStepsPerWalk, rng);
-      }
-    }
-    pass_checksum = local;
-  };
-  ResultRow row;
-  row.name = name;
-  row.kind = "walk";
-  row.variant = variant;
+  uint64_t checksum = 0;
+  double median_ms = 0.0;
   {
     SequentialRegion guard;
-    row.median_ms = MedianMs(runs, pass);
+    median_ms = MedianMs(runs, [&] { checksum = WalkPass(starts, fn); });
   }
-  row.threads = 1;
-  row.runs = runs;
-  row.unit = "steps";
-  const double total_steps = static_cast<double>(starts.size()) *
-                             static_cast<double>(kWalksPerStart) *
-                             static_cast<double>(kStepsPerWalk);
-  row.rate_per_sec = total_steps / (row.median_ms / 1000.0);
-  PrintRow(row);
-  g_rows.push_back(std::move(row));
-  return pass_checksum;
+  AddWalkRow(name, variant, runs, median_ms, WalkPassSteps(starts.size()));
+  return checksum;
+}
+
+// Two walk variants timed in alternating passes on one worker — a, b, a,
+// b, ... after one warmup pass each — so host drift lands on both alike.
+// Records both rows, each the median of its `pairs` passes, and returns the
+// per-pair ratios a/b; the pass checksums go to *sum_a and *sum_b.
+template <typename FnA, typename FnB>
+std::vector<double> RecordAlternatingWalkRows(
+    const std::vector<NodeId>& starts, int pairs, const std::string& name_a,
+    const std::string& variant_a, const FnA& a, const std::string& name_b,
+    const std::string& variant_b, const FnB& b, uint64_t* sum_a,
+    uint64_t* sum_b) {
+  std::vector<double> ms_a, ms_b, ratios;
+  {
+    SequentialRegion guard;
+    *sum_a = WalkPass(starts, a);
+    *sum_b = WalkPass(starts, b);
+    for (int p = 0; p < pairs; ++p) {
+      Timer time_a;
+      *sum_a = WalkPass(starts, a);
+      ms_a.push_back(time_a.Millis());
+      Timer time_b;
+      *sum_b = WalkPass(starts, b);
+      ms_b.push_back(time_b.Millis());
+      ratios.push_back(ms_a.back() / ms_b.back());
+    }
+  }
+  std::sort(ms_a.begin(), ms_a.end());
+  std::sort(ms_b.begin(), ms_b.end());
+  AddWalkRow(name_a, variant_a, pairs, ms_a[ms_a.size() / 2],
+             WalkPassSteps(starts.size()));
+  AddWalkRow(name_b, variant_b, pairs, ms_b[ms_b.size() / 2],
+             WalkPassSteps(starts.size()));
+  std::sort(ratios.begin(), ratios.end());
+  return ratios;
 }
 
 // Decode-cache tier counters of a hub-pinned walk row, captured before the
@@ -514,7 +556,8 @@ void WriteJson(const std::string& path, const CsrGraph& g,
                const SparsifierResult& direct_e2e,
                const SparsifierResult& combiner_e2e,
                const WalkCacheStats& cache, const WalkCacheStats& xllc_cache,
-               const std::vector<ChecksumEntry>& checksums) {
+               const std::vector<ChecksumEntry>& checksums,
+               const std::vector<double>& xllc_ratios) {
   // Atomic write-tmp -> fsync -> rename: a crash or disk-full mid-write
   // never replaces a previous baseline file with torn JSON.
   AtomicFileWriter writer;
@@ -525,8 +568,8 @@ void WriteJson(const std::string& path, const CsrGraph& g,
   std::FILE* f = writer.stream();
   const char* sha = std::getenv("LIGHTNE_GIT_SHA");
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"lightne-sampler-v7\",\n");
-  std::fprintf(f, "  \"schema_version\": 7,\n");
+  std::fprintf(f, "  \"schema\": \"lightne-sampler-v8\",\n");
+  std::fprintf(f, "  \"schema_version\": 8,\n");
   std::fprintf(f, "  \"git_sha\": \"%s\",\n", sha ? sha : "unknown");
   std::fprintf(f, "  \"workers\": %d,\n", NumWorkers());
   std::fprintf(f, "  \"bench_scale\": %.3f,\n", BenchScale());
@@ -626,6 +669,15 @@ void WriteJson(const std::string& path, const CsrGraph& g,
   };
   write_cache("walk_cache", cache, kPinBudget);
   write_cache("walk_cache_xllc", xllc_cache, kPinBudgetXllc);
+  // The out-of-LLC naive/pinned time ratio of each alternating pass pair
+  // (sorted): the speedup below is their median.
+  const double xllc_ratio = xllc_ratios[xllc_ratios.size() / 2];
+  std::fprintf(f, "  \"walk_pairs_xllc\": {\n");
+  std::fprintf(f, "    \"pairs\": %zu,\n", xllc_ratios.size());
+  std::fprintf(f, "    \"ratio_median\": %.3f,\n", xllc_ratio);
+  std::fprintf(f, "    \"ratio_min\": %.3f,\n", xllc_ratios.front());
+  std::fprintf(f, "    \"ratio_max\": %.3f\n", xllc_ratios.back());
+  std::fprintf(f, "  },\n");
   // The cross-variant checksum matrix (values as hex strings — JSON numbers
   // cannot carry 64 bits exactly). all_equal is the committed determinism
   // claim; main() already aborted if it does not hold.
@@ -671,9 +723,7 @@ void WriteJson(const std::string& path, const CsrGraph& g,
                ratio("atomic_cas_spread_4t", "atomic_xadd_spread_4t"));
   std::fprintf(f, "    \"walk_pinned_vs_naive_compressed\": %.3f,\n",
                ratio("walk_compressed_naive", "walk_compressed_pinned"));
-  std::fprintf(f, "    \"walk_pinned_vs_naive_xllc\": %.3f\n",
-               ratio("walk_compressed_naive_xllc",
-                     "walk_compressed_pinned_xllc"));
+  std::fprintf(f, "    \"walk_pinned_vs_naive_xllc\": %.3f\n", xllc_ratio);
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   if (!writer.Commit().ok()) {
@@ -681,9 +731,7 @@ void WriteJson(const std::string& path, const CsrGraph& g,
     std::exit(1);
   }
   std::printf("\nwrote %s (%zu results, pinned-vs-naive xllc %.2fx)\n",
-              path.c_str(), g_rows.size(),
-              ratio("walk_compressed_naive_xllc",
-                    "walk_compressed_pinned_xllc"));
+              path.c_str(), g_rows.size(), xllc_ratio);
 }
 
 }  // namespace
@@ -835,25 +883,27 @@ int main(int argc, char** argv) {
                     return WeightedRandomWalk(g_xllc, ctx, s, steps, rng);
                   });
   }
-  const uint64_t xsum_naive = RecordWalkRow(
-      "walk_compressed_naive_xllc", "naive", xstarts, 3,
-      [&](NodeId s, uint64_t steps, Rng& rng) {
-        NodeId v = s;
-        for (uint64_t k = 0; k < steps; ++k) {
-          v = cg_xllc.Neighbor(v, rng.UniformInt(cg_xllc.Degree(v)));
-        }
-        return v;
-      });
   WalkCacheStats xllc_cache_stats;
+  std::vector<double> xllc_ratios;
   {
     const WalkAccel<CompressedGraph> accel =
         MakeWalkAccel(cg_xllc, kPinBudgetXllc);
     WalkContext<CompressedGraph> ctx(accel);
-    const uint64_t sum = RecordWalkRow(
-        "walk_compressed_pinned_xllc", "pinned", xstarts, 3,
+    uint64_t sum_naive = 0, sum_pinned = 0;
+    xllc_ratios = RecordAlternatingWalkRows(
+        xstarts, kXllcPairs, "walk_compressed_naive_xllc", "naive",
+        [&](NodeId s, uint64_t steps, Rng& rng) {
+          NodeId v = s;
+          for (uint64_t k = 0; k < steps; ++k) {
+            v = cg_xllc.Neighbor(v, rng.UniformInt(cg_xllc.Degree(v)));
+          }
+          return v;
+        },
+        "walk_compressed_pinned_xllc", "pinned",
         [&](NodeId s, uint64_t steps, Rng& rng) {
           return WeightedRandomWalk(cg_xllc, ctx, s, steps, rng);
-        });
+        },
+        &sum_naive, &sum_pinned);
     xllc_cache_stats.pinned_vertices = accel.pinned.pinned_vertices();
     xllc_cache_stats.pinned_entries = accel.pinned.pinned_entries();
     xllc_cache_stats.pinned_bytes = accel.pinned.pinned_bytes();
@@ -863,12 +913,15 @@ int main(int argc, char** argv) {
         static_cast<double>(ctx.pin_hits() + ctx.decode_misses());
     std::printf(
         "  (pinned %llu vertices / %llu entries / %.1f MiB, pin hit rate "
-        "%.3f over %.0f draws)\n",
+        "%.3f over %.0f draws; naive/pinned per pair: median %.3f, "
+        "min %.3f, max %.3f over %zu pairs)\n",
         static_cast<unsigned long long>(accel.pinned.pinned_vertices()),
         static_cast<unsigned long long>(accel.pinned.pinned_entries()),
         static_cast<double>(accel.pinned.pinned_bytes()) / (1 << 20),
-        draws > 0 ? static_cast<double>(ctx.pin_hits()) / draws : 0.0, draws);
-    if (sum != xsum_naive) {
+        draws > 0 ? static_cast<double>(ctx.pin_hits()) / draws : 0.0, draws,
+        xllc_ratios[xllc_ratios.size() / 2], xllc_ratios.front(),
+        xllc_ratios.back(), xllc_ratios.size());
+    if (sum_pinned != sum_naive) {
       std::fprintf(stderr, "xllc pinned checksum diverged from naive\n");
       return 1;
     }
@@ -919,6 +972,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(combiner_e2e->table_upserts));
 
   WriteJson(out, g, g_xllc, cg_xllc, *direct_e2e, *combiner_e2e, cache_stats,
-            xllc_cache_stats, checksums);
+            xllc_cache_stats, checksums, xllc_ratios);
   return 0;
 }

@@ -21,6 +21,9 @@
 #                   its self-tests + clang-tidy over src/ tests/ bench/
 #                   examples/ when clang-tidy is installed; writes the
 #                   machine-readable finding report to lint_report.json
+#   lines           prints the tracked code size: the lines of every file
+#                   under src/ and bench/ except *.json, and the split
+#                   between the two (no build)
 #   native          release build for the host's widest ISA
 #                   (-march=native: AVX2/AVX-512 and FMA where present) in
 #                   build-native/, then the bit-identity suites (la_test,
@@ -38,6 +41,20 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 if [[ "${PRESET}" == "ubsan" ]] && ! command -v clang++ >/dev/null 2>&1; then
   echo "== ubsan preset requires clang++; not installed, skipping"
+  exit 0
+fi
+
+if [[ "${PRESET}" == "lines" ]]; then
+  # Files git tracks or would track (untracked but not ignored), so build
+  # trees and run outputs never count.
+  count_lines() {
+    git ls-files -z --cached --others --exclude-standard -- "$1" \
+      ':(exclude)*.json' | xargs -0 cat | wc -l
+  }
+  src="$(count_lines src)"
+  bench="$(count_lines bench)"
+  echo "src + bench: $((src + bench)) lines (src ${src}, bench ${bench};" \
+    "*.json excluded)"
   exit 0
 fi
 
@@ -198,7 +215,7 @@ EOF
 # UpsertBatch under 4-thread contention, xadd against a CAS loop, the walk
 # engine's pinned tier and block decode through the dispatched varint
 # decoder, the cross-variant checksum matrix, and the weighted inverse-CDF
-# walk end to end) and validate the v7 JSON schema and its exact ingest
+# walk end to end) and validate the v8 JSON schema and its exact ingest
 # accounting. The bench itself exits nonzero if any tier x thread-count walk
 # checksum diverges; the validation below re-asserts the recorded matrix for
 # good measure.
@@ -214,10 +231,10 @@ with open(sys.argv[1]) as f:
 for key in ("schema", "schema_version", "git_sha", "workers", "bench_scale",
             "decode", "graph", "xllc_graph", "results", "combiner",
             "contended_combiner", "walk_cache", "walk_cache_xllc",
-            "checksums", "speedups"):
+            "walk_pairs_xllc", "checksums", "speedups"):
     assert key in doc, f"BENCH_sampler.json missing top-level key {key!r}"
-assert doc["schema"] == "lightne-sampler-v7"
-assert doc["schema_version"] == 7
+assert doc["schema"] == "lightne-sampler-v8"
+assert doc["schema_version"] == 8
 assert doc["decode"]["backend"] in ("scalar", "ssse3", "avx2")
 assert doc["results"], "BENCH_sampler.json has no results"
 for row in doc["results"]:
@@ -259,6 +276,15 @@ for cache_key in ("walk_cache", "walk_cache_xllc"):
         "pinned_bytes", "pin_hits", "decode_misses", "pin_hit_rate"}, \
         f"{cache_key} block keys: {sorted(doc[cache_key])}"
     assert doc[cache_key]["pinned_bytes"] <= doc[cache_key]["pin_budget_bytes"]
+# v8 times the out-of-LLC naive and pinned walks in alternating passes; the
+# xllc speedup is the median of the per-pair ratios.
+pairs = doc["walk_pairs_xllc"]
+assert set(pairs) == {"pairs", "ratio_median", "ratio_min", "ratio_max"}, \
+    f"walk_pairs_xllc keys: {sorted(pairs)}"
+assert pairs["pairs"] >= 7, pairs
+assert 0 < pairs["ratio_min"] <= pairs["ratio_median"] <= pairs["ratio_max"], \
+    pairs
+assert doc["speedups"]["walk_pinned_vs_naive_xllc"] == pairs["ratio_median"]
 # The determinism claim: every tier x thread count drew the identical walk
 # stream, and the CSR walk over the same graph is the reference (compressed
 # decodes every draw through Neighbor, pinned serves hubs from the pool).
