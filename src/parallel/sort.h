@@ -1,7 +1,7 @@
 // Parallel comparison sort (sample sort): sample pivots, histogram + scatter
 // into buckets in parallel, sort buckets in parallel. Falls back to
-// std::sort for small inputs or nested contexts. On it, the sparse
-// histogram (sort + segmented sum) that every key-summing builder uses.
+// std::sort for small inputs or nested contexts. SortHistogram, the sparse
+// histogram (sort + segmented sum) every key-summing builder uses, sits on it.
 #ifndef LIGHTNE_PARALLEL_SORT_H_
 #define LIGHTNE_PARALLEL_SORT_H_
 
