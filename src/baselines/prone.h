@@ -107,7 +107,7 @@ Result<ProneResult> RunProne(const G& g, const ProneOptions& opt) {
   Matrix x = EmbeddingFromSvd(std::move(*svd));
   x.NormalizeRows();
   result.timing.Start("propagation");
-  auto propagated = SpectralPropagate(g, x, opt.propagation);
+  auto propagated = SpectralPropagate(g, std::move(x), opt.propagation);
   if (!propagated.ok()) return propagated.status();
   result.embedding = std::move(*propagated);
   result.timing.Stop();

@@ -344,19 +344,20 @@ Result<LightNeResult> RunLightNe(const G& g, const LightNeOptions& opt) {
   // ---- Stage 3: spectral propagation (ProNE enhancement) -----------------
   if (opt.spectral_propagation) {
     result.timing.Start("propagation");
-    // The Chebyshev recurrence keeps 5 dense n x d panels alive (X and its
-    // four buffers) next to the operator SpectralPropagate copies g into.
-    const uint64_t n = g.NumVertices();
+    // The Chebyshev filter holds X, four n x min(16, d) strips and the
+    // operator SpectralPropagate copies g into; the smoothing X and its
+    // n x d product. The embedding is moved in and written over.
     BudgetReservation prop_reservation(
         budget.limited() ? &budget : nullptr,
-        5 * n * opt.dim * sizeof(float) +
-            internal::PropagationOperatorBytes(n, g.NumDirectedEdges()));
+        internal::PropagationWorkspaceBytes(g.NumVertices(), opt.dim,
+                                            g.NumDirectedEdges()));
     if (!prop_reservation.ok()) {
       return Status::ResourceExhausted(
           "memory budget of " + HumanBytes(budget.limit_bytes()) +
           " cannot hold the spectral-propagation workspace");
     }
-    auto propagated = SpectralPropagate(g, result.embedding, opt.propagation);
+    auto propagated =
+        SpectralPropagate(g, std::move(result.embedding), opt.propagation);
     if (!propagated.ok()) return propagated.status();
     result.embedding = std::move(*propagated);
   }

@@ -13,14 +13,19 @@
 // Mop and A' are applied through one CSR copy of A per call, in
 // MapNeighborsWeighted order, with each row's float(1 / (d_u + 1)) scale
 // (an SPMM per application — MKL Sparse BLAS in the paper, §4.3). Every
-// application is one row sweep compiled at -O3 in spectral_propagation.cc,
-// in both SIMD arms (la/kernels.h); its epilogue folds in the element-wise
-// steps above, with the same float expressions in the same order, so the
-// filter does not depend on the graph representation, the worker count or
-// the arm.
+// element of the filter depends only on its own column of X, so the whole
+// recurrence runs on one kStrip-column strip of X at a time, through four
+// n x kStrip buffers, and each strip's A' (X - conv) is written over that
+// strip of X. Every application is one row sweep compiled at -O3 in
+// spectral_propagation.cc, in both SIMD arms (la/kernels.h); its epilogue
+// folds in the element-wise steps above, with the same float expressions in
+// the same order, so the filter does not depend on the graph
+// representation, the strip width, the worker count or the arm.
 #ifndef LIGHTNE_CORE_SPECTRAL_PROPAGATION_H_
 #define LIGHTNE_CORE_SPECTRAL_PROPAGATION_H_
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "graph/graph_view.h"
@@ -42,6 +47,11 @@ struct SpectralPropagationOptions {
 
 namespace internal {
 
+/// Columns of X per strip of the Chebyshev filter: each strip's 16-float
+/// row accumulator stays in vector registers (two AVX2 registers, four
+/// baseline SSE ones).
+constexpr uint64_t kStrip = 16;
+
 /// A + I as the filter applies it: A's rows in MapNeighborsWeighted order
 /// (self loop implicit, weight 1) and each row's Mop scale.
 struct PropagationOperator {
@@ -58,6 +68,18 @@ inline uint64_t PropagationOperatorBytes(uint64_t n, uint64_t directed_edges) {
   return (n + 1) * sizeof(uint64_t) +
          directed_edges * (sizeof(NodeId) + sizeof(float)) +
          n * sizeof(float);
+}
+
+/// Bytes the propagation stage holds for an n x d embedding over a graph
+/// with `directed_edges` adjacency entries: the larger of the filter's (X,
+/// four n x min(kStrip, d) strips and the operator) and the smoothing's (X
+/// and its n x d product).
+inline uint64_t PropagationWorkspaceBytes(uint64_t n, uint64_t d,
+                                          uint64_t directed_edges) {
+  const uint64_t panel = n * d * sizeof(float);
+  const uint64_t strips = 4 * n * std::min(kStrip, d) * sizeof(float);
+  return std::max(panel + strips + PropagationOperatorBytes(n, directed_edges),
+                  2 * panel);
 }
 
 /// Copies any GraphView into a PropagationOperator. Weighted graphs keep
@@ -89,8 +111,9 @@ PropagationOperator BuildPropagationOperator(const G& g) {
 }
 
 /// The Chebyshev filter before smoothing: A' (X - conv) for X with one row
-/// per operator row and opt.order >= 2.
-Matrix ChebyshevFilter(const PropagationOperator& op, const Matrix& x,
+/// per operator row and opt.order >= 2, written over X's storage, which is
+/// returned. Holds four n x min(kStrip, d) strip buffers beside X.
+Matrix ChebyshevFilter(const PropagationOperator& op, Matrix x,
                        const SpectralPropagationOptions& opt);
 
 }  // namespace internal
@@ -100,11 +123,12 @@ Matrix ChebyshevFilter(const PropagationOperator& op, const Matrix& x,
 /// kInternal if the Gram eigen-decomposition does not converge.
 Result<Matrix> DenseSvdSmoothing(const Matrix& mm);
 
-/// Applies spectral propagation to embedding X over graph g. Fails with
+/// Applies spectral propagation to embedding X over graph g; the filter
+/// writes over X, so a caller done with X moves it in. Fails with
 /// kInvalidArgument when X's row count does not match the vertex count, and
 /// propagates non-convergence from the smoothing SVD.
 template <GraphView G>
-Result<Matrix> SpectralPropagate(const G& g, const Matrix& x,
+Result<Matrix> SpectralPropagate(const G& g, Matrix x,
                                  const SpectralPropagationOptions& opt = {}) {
   if (static_cast<uint64_t>(g.NumVertices()) != x.rows()) {
     return Status::InvalidArgument(
@@ -117,7 +141,7 @@ Result<Matrix> SpectralPropagate(const G& g, const Matrix& x,
 
   TraceSpan chebyshev_span("propagation/chebyshev");
   Matrix mm = internal::ChebyshevFilter(internal::BuildPropagationOperator(g),
-                                        x, opt);
+                                        std::move(x), opt);
   chebyshev_span.End();
   if (!opt.svd_smoothing) return mm;
   TraceSpan smoothing_span("propagation/smoothing");

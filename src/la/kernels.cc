@@ -118,6 +118,8 @@ GenericSimdRegion::~GenericSimdRegion() { tl_generic_simd = saved_; }
 
 // ---------------------------------------------------------- blocked kernels
 
+using kernels::kAvx2Bytes;
+using kernels::kGenericBytes;
 using kernels::kGramNr;
 using kernels::kGramSubRows;
 using kernels::kMc;
@@ -132,10 +134,6 @@ struct GemmPanels {
   const float* packed;  // B as ceil(n / kNr) panels of k x kNr, zero past n
   Matrix* c;
 };
-
-// The vector widths of the two arms' tiles (SimdArms in la/kernels.h).
-constexpr uint64_t kGenericBytes = 16;
-constexpr uint64_t kAvx2Bytes = 32;
 
 // One kMc-row panel of C = A * B, as tiles of kMr rows by two vectors of
 // kVecBytes (4 x 16 floats under AVX2, 4 x 8 on the baseline target, which

@@ -139,6 +139,10 @@ class GenericSimdRegion {
 template <auto kBody, auto kAvx2Body = kBody>
 struct SimdArms;
 
+/// The vector bytes of those two instantiations.
+constexpr uint64_t kGenericBytes = 16;
+constexpr uint64_t kAvx2Bytes = 32;
+
 template <typename... Args, void (*kBody)(Args...),
           void (*kAvx2Body)(Args...)>
 struct SimdArms<kBody, kAvx2Body> {

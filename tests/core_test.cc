@@ -123,16 +123,19 @@ TEST(DownsampleTest, LaplacianUnbiasedness) {
   // Accumulate the mean sampled adjacency (weight A_uv / p_e on heads).
   Matrix mean(n, n);
   Rng rng(7);
+  // One Rng and one Matrix: a plain loop, not the parallel MapEdges.
   for (int t = 0; t < trials; ++t) {
-    g.MapEdges([&](NodeId u, NodeId v) {
-      if (u > v) return;  // each undirected edge once
-      const double pe = internal::DownsampleProbability(g, u, v, c);
-      if (rng.Bernoulli(pe)) {
-        const float w = static_cast<float>(1.0 / pe / trials);
-        mean.At(u, v) += w;
-        mean.At(v, u) += w;
-      }
-    });
+    for (NodeId u = 0; u < n; ++u) {
+      g.MapNeighbors(u, [&](NodeId v) {
+        if (u > v) return;  // each undirected edge once
+        const double pe = internal::DownsampleProbability(g, u, v, c);
+        if (rng.Bernoulli(pe)) {
+          const float w = static_cast<float>(1.0 / pe / trials);
+          mean.At(u, v) += w;
+          mean.At(v, u) += w;
+        }
+      });
+    }
   }
   // The expected adjacency equals the original (all weights 1).
   g.MapEdges([&](NodeId u, NodeId v) {
@@ -500,6 +503,32 @@ TEST(PropagationTest, FusedSweepMatchesPerTermOracle) {
                                 "weighted");
 }
 
+// The filter runs on 16-column strips and writes A' (X - conv) over the X
+// it is given: below, at and across the strip width, the result is the
+// per-term filter's bytes in X's own storage, and SpectralPropagate without
+// smoothing hands that storage back.
+TEST(PropagationTest, FilterWritesOverTheXItIsGiven) {
+  const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(9, 3000, 41));
+  const internal::PropagationOperator op =
+      internal::BuildPropagationOperator(g);
+  SpectralPropagationOptions opt;
+  opt.svd_smoothing = false;
+  for (uint64_t d : {3ull, 16ull, 40ull}) {
+    Matrix x = Matrix::Gaussian(g.NumVertices(), d, 200 + d);
+    const Matrix want = propagation_oracle::PerTermFilter(g, x, opt);
+    Matrix copy = x;
+    const float* storage = x.data();
+    const Matrix filtered = internal::ChebyshevFilter(op, std::move(x), opt);
+    EXPECT_EQ(filtered.data(), storage) << d;
+    EXPECT_TRUE(SameBytes(filtered, want)) << d;
+    storage = copy.data();
+    const Matrix propagated =
+        SpectralPropagate(g, std::move(copy), opt).value();
+    EXPECT_EQ(propagated.data(), storage) << d;
+    EXPECT_TRUE(SameBytes(propagated, want)) << d;
+  }
+}
+
 TEST(PropagationTest, SmoothingRowsNormalizedAndSpanPreserved) {
   Matrix mm = Matrix::Gaussian(50, 5, 2);
   Matrix out = DenseSvdSmoothing(mm).value();
@@ -638,12 +667,13 @@ constexpr char kNoAvx2[] = "CPU lacks AVX2: both runs take the generic arm";
 TEST(SimdArmTest, RandomizedSvdIsByteIdenticalOnBothArms) {
   if (!HostHasAvx2()) GTEST_SKIP() << kNoAvx2;
   const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(10, 8000, 97));
+  // One vector: a plain loop, not the parallel MapVertices.
   std::vector<std::pair<uint64_t, double>> entries;
-  g.MapVertices([&](NodeId u) {
+  for (NodeId u = 0; u < g.NumVertices(); ++u) {
     g.MapNeighbors(u, [&](NodeId v) {
       entries.push_back({PackEdge(u, v), 1.0});
     });
-  });
+  }
   const SparseMatrix a = SparseMatrix::FromEntries(
       g.NumVertices(), g.NumVertices(), std::move(entries));
   RandomizedSvdOptions opt;
