@@ -20,21 +20,30 @@
 namespace lightne::bench {
 
 /// Median wall milliseconds of `runs` calls of `fn` after one warmup call
-/// (the warmup also warms per-thread scratch arenas). Measured on the
+/// (the warmup also warms per-thread scratch arenas), each call preceded by
+/// an untimed setup() that remakes what the call consumes. Measured on the
 /// trace-layer clock — the repo's single monotonic clock — so bench numbers
 /// and pipeline trace spans can never disagree.
-template <typename Fn>
-double MedianMs(int runs, const Fn& fn) {
+template <typename Setup, typename Fn>
+double MedianMs(int runs, const Setup& setup, const Fn& fn) {
+  setup();
   fn();
   std::vector<double> ms;
   ms.reserve(static_cast<size_t>(runs));
   for (int r = 0; r < runs; ++r) {
+    setup();
     Timer t;
     fn();
     ms.push_back(t.Millis());
   }
   std::sort(ms.begin(), ms.end());
   return ms[ms.size() / 2];
+}
+
+/// MedianMs of a call that consumes nothing.
+template <typename Fn>
+double MedianMs(int runs, const Fn& fn) {
+  return MedianMs(runs, [] {}, fn);
 }
 
 inline double BenchScale() {
