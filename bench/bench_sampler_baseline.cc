@@ -122,8 +122,7 @@ void RecordSamplingRow(const std::string& name, const CsrGraph& g,
     table.Clear();
     internal::SamplerPassStats run_stats;
     if (!internal::RunPerEdgeSampling(g, opt, per_edge, /*c=*/1.0, weights,
-                                      opt.seed, accel, &table, &unbudgeted,
-                                      &run_stats)
+                                      accel, &table, &unbudgeted, &run_stats)
              .ok() ||
         run_stats.grows > 0) {
       std::fprintf(stderr, "%s: table overflowed\n", name.c_str());

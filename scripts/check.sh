@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Sanitizer + lint gate. Usage: scripts/check.sh [mode]
 #   asan (default)  configure/build the asan preset, run all tests under
-#                   AddressSanitizer/UBSan + the bench, serving and
+#                   AddressSanitizer/UBSan + the bench (the ablation's
+#                   cross-strategy agreement among them), serving and
 #                   quickstart checkpoint/resume smokes
 #   tsan            same under ThreadSanitizer (includes stress_test);
 #                   the crash_recovery kill matrix runs reduced
@@ -313,6 +314,12 @@ print(f"sampler smoke OK: {len(doc['results'])} results, "
       f"{doc['speedups']['walk_pinned_vs_naive_xllc']}x, "
       f"checksum matrix {len(entries)} variants all equal")
 EOF
+
+# Ablation smoke: the one binary that runs the shared table, the sort
+# histogram and NetSMF side by side, at reduced scale. It exits nonzero when,
+# at one M, the three rows without downsampling disagree on accepted samples
+# or the table and the lists disagree on distinct pairs.
+LIGHTNE_BENCH_SCALE=0.1 "./${BINDIR}/bench/bench_ablation_samples"
 
 # Observability smoke: run the stage-breakdown bench at reduced scale and
 # validate both artifacts — the breakdown JSON (per-stage seconds, peak RSS,

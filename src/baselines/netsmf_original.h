@@ -8,16 +8,20 @@
 //      one record per *sample* rather than per *distinct edge*;
 //   3. no spectral-propagation stage.
 //
+// Its draws are LightNE's with downsampling off, from the same sampling pass
+// (internal::RunPerEdgeSamplingInto); each sample becomes two directed
+// records, (a, b) and (b, a), of weight 1, summed by FromEntries.
+//
 // The randomized SVD runs on the same substrate (the paper's NetSMF used
 // Eigen3; a slower SVD would only exaggerate the gap we reproduce).
 #ifndef LIGHTNE_BASELINES_NETSMF_ORIGINAL_H_
 #define LIGHTNE_BASELINES_NETSMF_ORIGINAL_H_
 
 #include <utility>
-#include <vector>
 
+#include "core/aggregation.h"
 #include "core/netmf.h"
-#include "core/path_sampling.h"
+#include "core/sparsifier.h"
 #include "graph/graph_view.h"
 #include "la/rsvd.h"
 #include "la/sparse.h"
@@ -41,7 +45,7 @@ struct NetsmfResult {
   Matrix embedding;
   StageTimer timing;            // "sparsifier", "rsvd"
   uint64_t samples_drawn = 0;
-  uint64_t buffer_bytes = 0;    // peak per-thread buffer footprint
+  uint64_t buffer_bytes = 0;    // peak record bytes, 32 per sample
   uint64_t sparsifier_nnz = 0;  // after trunc_log pruning
 };
 
@@ -60,55 +64,22 @@ Result<NetsmfResult> RunNetsmfOriginal(const G& g, const NetsmfOptions& opt) {
   const double m = static_cast<double>(g.NumDirectedEdges()) / 2.0;
   const uint64_t target = static_cast<uint64_t>(
       opt.samples_ratio * opt.window * m);
-  const double per_edge =
-      static_cast<double>(target) / static_cast<double>(g.NumDirectedEdges());
+  SparsifierOptions sopt;
+  sopt.num_samples = target;
+  sopt.window = opt.window;
+  sopt.seed = opt.seed;
+  sopt.downsample = false;
 
-  // Per-thread record buffers: one (key, weight=1) pair per sampled
-  // direction, merged by FromEntries' parallel sort at the end.
-  const int workers = NumWorkers();
-  std::vector<std::vector<std::pair<uint64_t, double>>> buffers(
-      static_cast<size_t>(workers));
-  std::atomic<uint64_t> drawn{0};
-  ParallelForWorkers([&](int worker, int total_workers) {
-    auto& buffer = buffers[static_cast<size_t>(worker)];
-    const NodeId lo = static_cast<NodeId>(
-        static_cast<uint64_t>(n) * worker / total_workers);
-    const NodeId hi = static_cast<NodeId>(
-        static_cast<uint64_t>(n) * (worker + 1) / total_workers);
-    uint64_t local_drawn = 0;
-    for (NodeId u = lo; u < hi; ++u) {
-      g.MapNeighbors(u, [&](NodeId v) {
-        Rng rng(HashCombine64(PackEdge(u, v), opt.seed));
-        uint64_t ne = static_cast<uint64_t>(per_edge);
-        if (rng.Bernoulli(per_edge - static_cast<double>(ne))) ++ne;
-        local_drawn += ne;
-        for (uint64_t i = 0; i < ne; ++i) {
-          const uint64_t r = 1 + rng.UniformInt(opt.window);
-          auto [a, b] = PathSample(g, u, v, r, rng);
-          buffer.push_back({PackEdge(a, b), 1.0});
-          buffer.push_back({PackEdge(b, a), 1.0});
-        }
+  WorkerBuffers<std::pair<uint64_t, double>> buffers(NumWorkers());
+  const internal::SamplerPassStats stats = internal::RunPerEdgeSamplingInto(
+      g, sopt, static_cast<double>(target) / g.Volume(),
+      /*c=*/1.0, WalkAccel<G>{}, [&](int worker, uint64_t key, double) {
+        buffers.Add(worker, {key, 1.0});
+        buffers.Add(worker, {PackEdge(PackedDst(key), PackedSrc(key)), 1.0});
       });
-    }
-    drawn.fetch_add(local_drawn, std::memory_order_relaxed);
-  });
-  result.samples_drawn = drawn.load();
-
-  std::vector<std::pair<uint64_t, double>> all;
-  uint64_t buffer_bytes = 0;
-  uint64_t total_records = 0;
-  for (const auto& buffer : buffers) {
-    buffer_bytes += buffer.capacity() * sizeof(buffer[0]);
-    total_records += buffer.size();
-  }
-  result.buffer_bytes = buffer_bytes;
-  all.reserve(total_records);
-  for (auto& buffer : buffers) {
-    all.insert(all.end(), buffer.begin(), buffer.end());
-    buffer.clear();
-    buffer.shrink_to_fit();
-  }
-  SparseMatrix matrix = SparseMatrix::FromEntries(n, n, std::move(all));
+  result.samples_drawn = stats.drawn;
+  result.buffer_bytes = buffers.MemoryBytes();
+  SparseMatrix matrix = SparseMatrix::FromEntries(n, n, buffers.TakeAll());
   ApplyNetmfTransform(g, target, opt.negative_samples, &matrix);
   result.sparsifier_nnz = matrix.nnz();
 

@@ -7,21 +7,20 @@
 //   (2) per-worker hash tables periodically merged.
 // This header keeps strategy (1) — kSortHistogram — beside the chosen
 // kSharedHashTable, so the decision is reproducible as an ablation
-// (bench_ablation_samples). The histogram itself is SortHistogram
-// (parallel/sort.h), the one sort-and-sum that SparseMatrix::FromEntries and
-// WeightedCsrGraph::FromEdges build on too. The histogram path needs one
-// record per accepted sample (like NetSMF's buffers) but aggregates faster
-// per record at low duplication; the hash table wins once duplication is
-// high. Both sum the same fixed-point integer weights (core/sparsifier.h),
-// so both are exact.
+// (bench_ablation_samples). Its lists are WorkerBuffers, which the NetSMF
+// baseline keeps its records in too; both fill them from the table pass's
+// schedule (internal::RunPerEdgeSamplingInto, core/sparsifier.h). The
+// histogram itself is SortHistogram (parallel/sort.h), the one sort-and-sum
+// that SparseMatrix::FromEntries and WeightedCsrGraph::FromEdges build on
+// too. The histogram path needs one record per accepted sample (like
+// NetSMF's buffers) but aggregates faster per record at low duplication;
+// the hash table wins once duplication is high. Both sum the same
+// fixed-point integer weights (core/sparsifier.h), so both are exact.
 #ifndef LIGHTNE_CORE_AGGREGATION_H_
 #define LIGHTNE_CORE_AGGREGATION_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
-
-#include "parallel/sort.h"
 
 namespace lightne {
 
@@ -30,45 +29,40 @@ enum class AggregationStrategy {
   kSortHistogram,    // the considered alternative: per-worker lists + sort
 };
 
-/// Per-worker record buffers for the kSortHistogram strategy.
+/// One record list per worker.
+template <typename Record>
 class WorkerBuffers {
  public:
-  explicit WorkerBuffers(int workers) : buffers_(workers) {}
+  explicit WorkerBuffers(int workers)
+      : lists_(static_cast<size_t>(workers)) {}
 
-  void Add(int worker, uint64_t key, uint64_t weight) {
-    buffers_[worker].push_back({key, weight});
+  void Add(int worker, const Record& record) {
+    lists_[static_cast<size_t>(worker)].push_back(record);
   }
 
-  /// Total bytes currently held (the strategy's memory footprint).
+  /// Bytes of the records held (the strategy's memory footprint): a
+  /// function of the samples alone, whatever the worker count or the
+  /// lists' spare capacity.
   uint64_t MemoryBytes() const {
-    uint64_t total = 0;
-    for (const auto& b : buffers_) {
-      total += b.capacity() * sizeof(std::pair<uint64_t, uint64_t>);
-    }
-    return total;
+    uint64_t records = 0;
+    for (const std::vector<Record>& list : lists_) records += list.size();
+    return records * sizeof(Record);
   }
 
-  uint64_t NumRecords() const {
-    uint64_t total = 0;
-    for (const auto& b : buffers_) total += b.size();
-    return total;
-  }
-
-  /// Concatenates and histograms all buffers, clearing them: one (key,
-  /// total weight) pair per distinct key, sorted by key.
-  std::vector<std::pair<uint64_t, uint64_t>> Collapse() {
-    std::vector<std::pair<uint64_t, uint64_t>> all;
-    all.reserve(NumRecords());
-    for (auto& b : buffers_) {
-      all.insert(all.end(), b.begin(), b.end());
-      b.clear();
-      b.shrink_to_fit();
+  /// Every record, the lists concatenated in worker order; each list is
+  /// freed once copied.
+  std::vector<Record> TakeAll() {
+    std::vector<Record> all;
+    all.reserve(MemoryBytes() / sizeof(Record));
+    for (std::vector<Record>& list : lists_) {
+      all.insert(all.end(), list.begin(), list.end());
+      std::vector<Record>().swap(list);
     }
-    return SortHistogram(std::move(all));
+    return all;
   }
 
  private:
-  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> buffers_;
+  std::vector<std::vector<Record>> lists_;
 };
 
 }  // namespace lightne

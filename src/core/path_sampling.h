@@ -29,13 +29,6 @@ std::pair<NodeId, NodeId> PathSample(const G& g, WalkContext<G>& ctx, NodeId u,
   return {u_end, v_end};
 }
 
-template <GraphView G>
-std::pair<NodeId, NodeId> PathSample(const G& g, NodeId u, NodeId v,
-                                     uint64_t r, Rng& rng) {
-  WalkContext<G> ctx;
-  return PathSample(g, ctx, u, v, r, rng);
-}
-
 }  // namespace lightne
 
 #endif  // LIGHTNE_CORE_PATH_SAMPLING_H_

@@ -25,6 +25,7 @@
 #define LIGHTNE_CORE_SPARSIFIER_H_
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -40,6 +41,7 @@
 #include "parallel/concurrent_hash_table.h"
 #include "parallel/reduce.h"
 #include "parallel/scan.h"
+#include "parallel/sort.h"
 #include "util/logging.h"
 #include "util/memory.h"
 #include "util/metrics.h"
@@ -230,13 +232,10 @@ struct SamplerPassStats {
 };
 
 /// Degree-aware scheduling: partitions [0, n) into `chunks` contiguous
-/// vertex ranges of roughly equal incident-edge count (each vertex costs
-/// degree + 1 units, so empty vertices still advance the partition). The
-/// uniform-vertex grain this replaces let one hub-heavy range dominate a
-/// pass on power-law graphs. Boundaries are a pure function of the graph and
-/// `chunks` — no dynamic claiming — so the per-worker grouping of work (and
-/// therefore every floating-point sum grouped per worker) is deterministic
-/// for a fixed worker count.
+/// vertex ranges of roughly equal incident-edge count, each vertex costing
+/// degree + 1 units so that empty vertices still advance the partition. No
+/// hub-heavy range then dominates a pass on power-law graphs. Boundaries are
+/// a pure function of the graph and `chunks`, with no dynamic claiming.
 template <GraphView G>
 std::vector<NodeId> EdgeBalancedBoundaries(const G& g, uint64_t chunks) {
   const NodeId n = g.NumVertices();
@@ -260,11 +259,31 @@ std::vector<NodeId> EdgeBalancedBoundaries(const G& g, uint64_t chunks) {
   return bounds;
 }
 
+/// The schedule of every sampling pass: the worker count ParallelForWorkers
+/// runs it with (1 inside a parallel region), and 8 edge-balanced chunks per
+/// worker, which worker w takes round-robin: w, w + W, w + 2W, ...
+struct PassSchedule {
+  uint64_t workers = 1;
+  std::vector<NodeId> bounds;  // chunk k is [bounds[k], bounds[k + 1])
+};
+
+template <GraphView G>
+PassSchedule SchedulePass(const G& g) {
+  const uint64_t workers =
+      (InParallelRegion() || NumWorkers() <= 1) ? 1 : NumWorkers();
+  const uint64_t chunks = std::max<uint64_t>(
+      1, std::min<uint64_t>(g.NumVertices(), workers * 8));
+  return {workers, EdgeBalancedBoundaries(g, chunks)};
+}
+
 /// What one sampling pass of a build can put into the table, from the
 /// graph, the intensity and C alone (recomputed when the governor halves C).
 struct PassBound {
-  /// sum_e E[n_e] p_e: the capacity bound on distinct entries. A double
-  /// sum grouped per worker, so it is only used for sizing.
+  /// sum_e E[n_e] p_e: the capacity bound on distinct entries. It sizes the
+  /// first table and, under a memory budget, picks the degradation rungs,
+  /// which change the samples. So it is summed over kPassBoundBlocks fixed
+  /// vertex blocks, each in vertex order and the blocks in block order: the
+  /// same bits at any worker count.
   double expected_accepted = 0;
   /// Integer bound on the pass's table mass in weight units: sum over
   /// directed edges of max n_e * (ceil(2/p_e) + 1), saturating at 2^62. A
@@ -274,22 +293,18 @@ struct PassBound {
   uint64_t mass_bound = 0;
 };
 
+inline constexpr uint64_t kPassBoundBlocks = 64;
+
 template <GraphView G>
 PassBound ComputePassBound(const G& g, const SparsifierOptions& opt,
                            double per_unit_weight, double c) {
   constexpr uint64_t kSaturated = uint64_t{1} << 62;
-  const NodeId n = g.NumVertices();
-  const size_t workers = static_cast<size_t>(NumWorkers());
-  std::vector<double> expected(workers, 0.0);
-  std::vector<uint64_t> mass(workers, 0);
-  // Each worker's partials go to its own slot and are combined in
-  // worker-index order, so the capacity hint does not depend on which worker
-  // finishes first either.
-  ParallelForWorkers([&](int worker, int nworkers) {
-    const NodeId lo = static_cast<NodeId>(
-        static_cast<uint64_t>(n) * worker / nworkers);
-    const NodeId hi = static_cast<NodeId>(
-        static_cast<uint64_t>(n) * (worker + 1) / nworkers);
+  const uint64_t n = g.NumVertices();
+  std::array<double, kPassBoundBlocks> expected{};
+  std::array<uint64_t, kPassBoundBlocks> mass{};
+  ParallelFor(0, kPassBoundBlocks, [&](uint64_t block) {
+    const NodeId lo = static_cast<NodeId>(n * block / kPassBoundBlocks);
+    const NodeId hi = static_cast<NodeId>(n * (block + 1) / kPassBoundBlocks);
     double local_expected = 0;
     uint64_t local_mass = 0;
     for (NodeId u = lo; u < hi; ++u) {
@@ -308,9 +323,9 @@ PassBound ComputePassBound(const G& g, const SparsifierOptions& opt,
         local_mass = std::min(local_mass + units, kSaturated);
       });
     }
-    expected[static_cast<size_t>(worker)] = local_expected;
-    mass[static_cast<size_t>(worker)] = local_mass;
-  });
+    expected[block] = local_expected;
+    mass[block] = local_mass;
+  }, /*grain=*/1);
   PassBound bound;
   double sum_wp = 0.0;
   for (const double e : expected) sum_wp += e;
@@ -329,12 +344,9 @@ PassBound ComputePassBound(const G& g, const SparsifierOptions& opt,
 /// is replaced at each grow; a grow the budget refuses ends the pass with
 /// kResourceExhausted.
 ///
-/// Scheduling: edge-balanced chunks (kChunksPerWorker per worker) assigned
-/// statically round-robin — worker w takes chunks w, w+W, w+2W, ... — so
-/// which vertices share a worker is a deterministic function of (graph,
-/// worker count), not of thread timing. Each worker owns one WalkContext
-/// per round (on compressed graphs, a view of the phase-shared `accel`'s
-/// pinned hub prefixes plus draw counters).
+/// Scheduling: SchedulePass's chunks. Each worker owns one WalkContext per
+/// round (on compressed graphs, a view of the phase-shared `accel`'s pinned
+/// hub prefixes plus draw counters).
 ///
 /// With opt.combiner, each worker also owns a run-merging upsert batch. A
 /// record whose key equals the pending run's key is added to it (a combiner
@@ -355,7 +367,7 @@ PassBound ComputePassBound(const G& g, const SparsifierOptions& opt,
 template <GraphView G>
 Status RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
                           double per_edge, double c,
-                          const WeightFixedPoint& weights, uint64_t seed,
+                          const WeightFixedPoint& weights,
                           const WalkAccel<G>& accel,
                           ConcurrentHashTable<uint64_t>* table,
                           BudgetReservation* reservation,
@@ -363,13 +375,10 @@ Status RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
   using Record = std::pair<uint64_t, uint64_t>;
   constexpr uint64_t kEmptyKey = ConcurrentHashTable<uint64_t>::kEmptyKey;
   constexpr size_t kBatch = 64;  // records per UpsertBatch (1 KiB)
-  const NodeId n = g.NumVertices();
-  constexpr uint64_t kChunksPerWorker = 8;
-  const uint64_t workers =
-      (InParallelRegion() || NumWorkers() <= 1) ? 1 : NumWorkers();
-  const uint64_t chunks = std::max<uint64_t>(
-      1, std::min<uint64_t>(n, workers * kChunksPerWorker));
-  const std::vector<NodeId> bounds = EdgeBalancedBoundaries(g, chunks);
+  const PassSchedule schedule = SchedulePass(g);
+  const uint64_t workers = schedule.workers;
+  const uint64_t chunks = schedule.bounds.size() - 1;
+  const std::vector<NodeId>& bounds = schedule.bounds;
   // What a worker carries from one round to the next; cache-line aligned
   // so no two workers' counters share a line.
   struct alignas(64) WorkerState {
@@ -442,8 +451,8 @@ Status RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
         if (self.chunk < chunks) self.next = bounds[self.chunk];
         continue;
       }
-      SampleVertexEdges(g, opt, per_edge, c, seed, self.next++, ctx, sink,
-                        &count.drawn, &count.accepted, &count.mass_fp);
+      SampleVertexEdges(g, opt, per_edge, c, opt.seed, self.next++, ctx,
+                        sink, &count.drawn, &count.accepted, &count.mass_fp);
       push_run();
     }
     if (self.chunk >= chunks) offer();  // the pass-end drain
@@ -479,43 +488,41 @@ Status RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
   return Status::Ok();
 }
 
-/// One full pass of Algorithm 2 into per-worker record buffers (the
-/// considered alternative — GBBS sparse histogram, §4.2). Never fails.
-/// Buffers are strictly per-worker, so there is no shared-table traffic to
-/// batch; the pass still gets the walk context and per-worker counters.
-template <GraphView G>
-void RunPerEdgeSamplingBuffered(const G& g, const SparsifierOptions& opt,
-                                double per_edge, double c,
-                                const WeightFixedPoint& weights,
-                                uint64_t seed, const WalkAccel<G>& accel,
-                                WorkerBuffers* buffers,
-                                SamplerPassStats* stats) {
-  const NodeId n = g.NumVertices();
-  std::atomic<uint64_t> drawn_total{0};
-  std::atomic<uint64_t> accepted_total{0};
-  std::atomic<uint64_t> mass_total{0};
-  ParallelForWorkers([&](int worker, int workers) {
-    const NodeId lo =
-        static_cast<NodeId>(static_cast<uint64_t>(n) * worker / workers);
-    const NodeId hi =
-        static_cast<NodeId>(static_cast<uint64_t>(n) * (worker + 1) / workers);
+/// One full pass of Algorithm 2 on the same schedule that hands each
+/// accepted sample's canonical key and weight to `emit(worker, key, weight)`
+/// instead of to a table: the pass of the sort-histogram ablation and of
+/// the NetSMF baseline. Returns the drawn, accepted and mass_fp counts,
+/// summed in worker order. Never fails.
+template <GraphView G, typename Emit>
+SamplerPassStats RunPerEdgeSamplingInto(const G& g,
+                                        const SparsifierOptions& opt,
+                                        double per_edge, double c,
+                                        const WalkAccel<G>& accel,
+                                        Emit&& emit) {
+  const PassSchedule schedule = SchedulePass(g);
+  // One cache line per worker's counters.
+  struct alignas(64) Slot { SamplerPassStats counts; };
+  std::vector<Slot> slots(schedule.workers);
+  ParallelForWorkers([&](int worker, int nworkers) {
+    LIGHTNE_CHECK_EQ(static_cast<uint64_t>(nworkers), schedule.workers);
+    SamplerPassStats& count = slots[static_cast<size_t>(worker)].counts;
+    auto sink = [&](uint64_t key, double weight) { emit(worker, key, weight); };
     WalkContext<G> ctx(accel);
-    uint64_t local_drawn = 0, local_accepted = 0, local_mass = 0;
-    for (NodeId u = lo; u < hi; ++u) {
-      SampleVertexEdges(
-          g, opt, per_edge, c, seed, u, ctx,
-          [&](uint64_t key, double w) {
-            buffers->Add(worker, key, weights.Encode(w));
-          },
-          &local_drawn, &local_accepted, &local_mass);
+    for (uint64_t k = static_cast<uint64_t>(worker);
+         k + 1 < schedule.bounds.size(); k += schedule.workers) {
+      for (NodeId u = schedule.bounds[k]; u < schedule.bounds[k + 1]; ++u) {
+        SampleVertexEdges(g, opt, per_edge, c, opt.seed, u, ctx, sink,
+                          &count.drawn, &count.accepted, &count.mass_fp);
+      }
     }
-    drawn_total.fetch_add(local_drawn, std::memory_order_relaxed);
-    accepted_total.fetch_add(local_accepted, std::memory_order_relaxed);
-    mass_total.fetch_add(local_mass, std::memory_order_relaxed);
   });
-  stats->drawn = drawn_total.load();
-  stats->accepted = accepted_total.load();
-  stats->mass_fp = mass_total.load();
+  SamplerPassStats total;
+  for (const Slot& w : slots) {
+    total.drawn += w.counts.drawn;
+    total.accepted += w.counts.accepted;
+    total.mass_fp += w.counts.mass_fp;
+  }
+  return total;
 }
 
 /// Publishes a completed build into the process metrics registry. A build
@@ -595,27 +602,30 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
 
   // --- alternative strategy: per-worker lists + sparse histogram ---------
   if (opt.aggregation == AggregationStrategy::kSortHistogram) {
-    WorkerBuffers buffers(NumWorkers());
+    using Record = std::pair<uint64_t, uint64_t>;  // key, fixed-point weight
+    WorkerBuffers<Record> buffers(NumWorkers());
+    const internal::WeightFixedPoint& fp = *weights;
     internal::SamplerPassStats stats;
     {
       TraceSpan span("sparsifier/main");
-      internal::RunPerEdgeSamplingBuffered(g, opt, per_edge, c, *weights,
-                                           opt.seed, walk_accel, &buffers,
-                                           &stats);
+      stats = internal::RunPerEdgeSamplingInto(
+          g, opt, per_edge, c, walk_accel,
+          [&](int worker, uint64_t key, double weight) {
+            buffers.Add(worker, {key, fp.Encode(weight)});
+          });
     }
     SparsifierResult result;
     result.samples_drawn = stats.drawn;
     result.samples_accepted = stats.accepted;
     result.mass_fp20 = stats.mass_fp;
-    result.table_bytes = buffers.MemoryBytes();  // peak footprint
+    result.table_bytes = buffers.MemoryBytes();  // peak record bytes
     result.downsample_constant_used = c;
     TraceSpan span("sparsifier/extract");
-    const std::vector<std::pair<uint64_t, uint64_t>> canonical =
-        buffers.Collapse();
+    const std::vector<Record> canonical = SortHistogram(buffers.TakeAll());
     result.distinct_entries = canonical.size();
     result.matrix = SparseMatrix::FromCanonicalSlots(
         n, canonical.size(), [&](uint64_t i) { return canonical[i].first; },
-        [&](uint64_t i) { return weights->Decode(canonical[i].second); });
+        [&](uint64_t i) { return fp.Decode(canonical[i].second); });
     internal::RecordSparsifierMetrics(result, /*table_capacity=*/0);
     return result;
   }
@@ -694,7 +704,7 @@ Result<SparsifierResult> BuildSparsifier(const G& g,
   {
     TraceSpan span("sparsifier/main");
     const Status sampled = internal::RunPerEdgeSampling(
-        g, opt, per_edge, c, *weights, opt.seed, walk_accel, &table,
+        g, opt, per_edge, c, *weights, walk_accel, &table,
         &table_reservation, &stats);
     if (!sampled.ok()) return sampled;
   }

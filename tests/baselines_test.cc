@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "baselines/alias.h"
@@ -170,6 +171,50 @@ TEST(NetsmfOriginalTest, SeparatesCommunitiesAndReportsStats) {
   EXPECT_GT(r->samples_drawn, 0u);
   EXPECT_GT(r->buffer_bytes, 0u);
   EXPECT_GT(r->sparsifier_nnz, 0u);
+}
+
+// NetSMF samples on LightNE's pass with downsampling off and only keeps the
+// samples in lists instead of the table, so its embedding is LightNE's
+// sparsifier without downsampling -> NetMF transform -> rSVD, bit for bit.
+TEST(NetsmfOriginalTest, EqualsLightNeSparsifierWithoutDownsampling) {
+  const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(10, 6000, 11));
+  NetsmfOptions nopt;
+  nopt.dim = 16;
+  nopt.window = 5;
+  nopt.samples_ratio = 3.0;
+  nopt.seed = 9;
+  auto netsmf = RunNetsmfOriginal(g, nopt);
+  ASSERT_TRUE(netsmf.ok());
+  // Two (key, double) records per sample.
+  EXPECT_EQ(netsmf->buffer_bytes, 32 * netsmf->samples_drawn);
+
+  SparsifierOptions sopt;
+  sopt.num_samples = static_cast<uint64_t>(
+      nopt.samples_ratio * nopt.window *
+      (static_cast<double>(g.NumDirectedEdges()) / 2.0));
+  sopt.window = nopt.window;
+  sopt.seed = nopt.seed;
+  sopt.downsample = false;
+  auto sparsifier = BuildSparsifier(g, sopt);
+  ASSERT_TRUE(sparsifier.ok());
+  EXPECT_EQ(sparsifier->samples_drawn, netsmf->samples_drawn);
+  SparseMatrix matrix = std::move(sparsifier->matrix);
+  ApplyNetmfTransform(g, sopt.num_samples, nopt.negative_samples, &matrix);
+  EXPECT_EQ(matrix.nnz(), netsmf->sparsifier_nnz);
+  RandomizedSvdOptions ropt;
+  ropt.rank = nopt.dim;
+  ropt.oversample = nopt.svd_oversample;
+  ropt.power_iters = nopt.svd_power_iters;
+  ropt.symmetric = true;
+  ropt.seed = nopt.seed + 7;
+  auto svd = RandomizedSvd(matrix, ropt);
+  ASSERT_TRUE(svd.ok());
+  const Matrix embedding = EmbeddingFromSvd(std::move(*svd));
+  ASSERT_EQ(embedding.rows(), netsmf->embedding.rows());
+  ASSERT_EQ(embedding.cols(), netsmf->embedding.cols());
+  EXPECT_EQ(0, std::memcmp(embedding.data(), netsmf->embedding.data(),
+                           embedding.rows() * embedding.cols() *
+                               sizeof(float)));
 }
 
 TEST(NetsmfOriginalTest, BuffersCostMoreMemoryThanLightNeTable) {

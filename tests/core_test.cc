@@ -67,6 +67,7 @@ TEST(PathSampleTest, EndpointDistributionMatchesTheory) {
   const int trials = 400000;
   Rng rng(2024);
   std::map<std::pair<NodeId, NodeId>, int> hits;
+  WalkContext<CsrGraph> ctx;
   // Draw a uniform directed edge each trial via the CSR arrays.
   const EdgeId directed = g.NumDirectedEdges();
   for (int t = 0; t < trials; ++t) {
@@ -75,7 +76,7 @@ TEST(PathSampleTest, EndpointDistributionMatchesTheory) {
     NodeId u = 0;
     while (g.offsets()[u + 1] <= e) ++u;
     NodeId v = g.neighbors()[e];
-    ++hits[PathSample(g, u, v, r, rng)];
+    ++hits[PathSample(g, ctx, u, v, r, rng)];
   }
   for (NodeId a = 0; a < g.NumVertices(); ++a) {
     for (NodeId b = 0; b < g.NumVertices(); ++b) {
@@ -92,8 +93,9 @@ TEST(PathSampleTest, EndpointDistributionMatchesTheory) {
 TEST(PathSampleTest, LengthOneReturnsTheEdgeItself) {
   const CsrGraph g = SmallTestGraph();
   Rng rng(5);
+  WalkContext<CsrGraph> ctx;
   for (int t = 0; t < 100; ++t) {
-    auto [a, b] = PathSample(g, 0, 1, 1, rng);
+    auto [a, b] = PathSample(g, ctx, 0, 1, 1, rng);
     EXPECT_EQ(a, 0u);
     EXPECT_EQ(b, 1u);
   }
@@ -298,17 +300,16 @@ TEST(AggregationTest, SortHistogramMatchesMapOnRandomInput) {
 }
 
 TEST(AggregationTest, WorkerBuffersTrackMemoryAndRecords) {
-  WorkerBuffers buffers(2);
-  buffers.Add(0, 1, 1);
-  buffers.Add(1, 1, 2);
-  buffers.Add(1, 2, 3);
-  EXPECT_EQ(buffers.NumRecords(), 3u);
-  EXPECT_GT(buffers.MemoryBytes(), 0u);
-  auto unique = buffers.Collapse();
-  ASSERT_EQ(unique.size(), 2u);
-  EXPECT_EQ(unique[0].second, 3u);
-  EXPECT_EQ(unique[1].second, 3u);
-  EXPECT_EQ(buffers.NumRecords(), 0u);
+  using Record = std::pair<uint64_t, uint64_t>;
+  WorkerBuffers<Record> buffers(2);
+  buffers.Add(1, {1, 2});
+  buffers.Add(0, {1, 1});
+  buffers.Add(1, {2, 3});
+  EXPECT_EQ(buffers.MemoryBytes(), 3 * sizeof(Record));
+  const std::vector<Record> expect = {{1, 1}, {1, 2}, {2, 3}};
+  EXPECT_EQ(buffers.TakeAll(), expect);  // worker 0's list, then worker 1's
+  EXPECT_EQ(buffers.MemoryBytes(), 0u);
+  EXPECT_TRUE(buffers.TakeAll().empty());
 }
 
 // The two aggregation strategies, and the table with and without the
@@ -336,6 +337,24 @@ TEST(AggregationTest, StrategiesProduceIdenticalSparsifier) {
     EXPECT_EQ(hashed->matrix.col_indices(), other->matrix.col_indices());
     EXPECT_EQ(hashed->matrix.values(), other->matrix.values());
   }
+}
+
+// The lists' footprint is their record bytes, a function of the samples
+// alone, so it reads the same on the pool as on one worker.
+TEST(AggregationTest, SortHistogramBytesAreIndependentOfTheWorkerCount) {
+  const CsrGraph g = CsrGraph::FromEdges(GenerateRmat(11, 20000, 13));
+  SparsifierOptions opt;
+  opt.num_samples = 400000;
+  opt.window = 6;
+  opt.seed = 5;
+  opt.aggregation = AggregationStrategy::kSortHistogram;
+  auto pooled = BuildSparsifier(g, opt);
+  ASSERT_TRUE(pooled.ok());
+  SequentialRegion seq;
+  auto sequential = BuildSparsifier(g, opt);
+  ASSERT_TRUE(sequential.ok());
+  EXPECT_EQ(pooled->table_bytes, sequential->table_bytes);
+  EXPECT_EQ(pooled->table_bytes, 16 * pooled->samples_accepted);
 }
 
 // ------------------------------------------------------------------ NetMF --

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -275,8 +276,13 @@ TEST(ExactTableTest, PassBoundIsIndependentOfTheWorkerCount) {
   const internal::PassBound pooled =
       internal::ComputePassBound(g, opt, per_edge, c);
   SequentialRegion seq;
-  EXPECT_EQ(internal::ComputePassBound(g, opt, per_edge, c).mass_bound,
-            pooled.mass_bound);
+  const internal::PassBound sequential =
+      internal::ComputePassBound(g, opt, per_edge, c);
+  EXPECT_EQ(sequential.mass_bound, pooled.mass_bound);
+  // The capacity hint sizes the first table and picks the budget's
+  // degradation rungs, so its bits must not move either.
+  EXPECT_EQ(std::bit_cast<uint64_t>(sequential.expected_accepted),
+            std::bit_cast<uint64_t>(pooled.expected_accepted));
 }
 
 // --------------------------------------------------------- grow in place ----
@@ -300,9 +306,8 @@ DirectPass RunPass(const G& g, const SparsifierOptions& opt,
   ConcurrentHashTable<uint64_t> table(capacity_hint);
   BudgetReservation unbudgeted;
   DirectPass pass;
-  EXPECT_TRUE(internal::RunPerEdgeSampling(g, opt, per_edge, c, weights,
-                                           opt.seed, accel, &table,
-                                           &unbudgeted, &pass.stats)
+  EXPECT_TRUE(internal::RunPerEdgeSampling(g, opt, per_edge, c, weights, accel,
+                                           &table, &unbudgeted, &pass.stats)
                   .ok());
   pass.distinct = table.NumEntries();
   pass.matrix = SparseMatrix::FromCanonicalSlots(
