@@ -488,7 +488,7 @@ Status RunPerEdgeSampling(const G& g, const SparsifierOptions& opt,
   return Status::Ok();
 }
 
-/// One full pass of Algorithm 2 on the same schedule that hands each
+/// One full pass of Algorithm 2 on the table pass's schedule, handing each
 /// accepted sample's canonical key and weight to `emit(worker, key, weight)`
 /// instead of to a table: the pass of the sort-histogram ablation and of
 /// the NetSMF baseline. Returns the drawn, accepted and mass_fp counts,
